@@ -11,22 +11,27 @@ data lanes (Section 2).
 What is shared, and why it is exact
 -----------------------------------
 
-* **Decoded records.**  Each :class:`~repro.emulib.trace.TimingRecord` is
-  folded once into flat ring buffers of plain ints and tuples (issue
-  constants, packed register charges, chaining mode) sized to two
-  streaming blocks, so a frame-scale trace is decoded once for the whole
-  grid instead of once per point while peak memory stays at the columnar
-  store plus two blocks.  Constants that depend on an ablation knob are
-  folded into per-knob ring *variants* (records the knob does not touch
-  share one tuple object), so lanes select a ring up front instead of
-  re-testing knobs per instruction.
+* **Decode.**  Each block of the trace's numpy columns
+  (:meth:`~repro.emulib.trace.Trace.iter_column_blocks`) is decoded once
+  into flat ring buffers of plain ints and tuples (issue constants,
+  packed register charges, chaining mode) sized to two blocks, so a
+  trace is decoded once for the whole grid instead of once per point
+  while peak memory stays at the columnar store plus two blocks.  The
+  decode is numpy over the columns -- per-opcode tables gathered by op
+  id, each distinct row shape's products built once -- and the rings
+  are filled with ``tolist()`` slices; no per-row record object is
+  built, kept or cached, whatever the trace size.  Constants that depend
+  on an ablation knob are folded into per-knob ring *variants*, so lanes
+  select a ring up front instead of re-testing knobs per instruction.
 * **Dependences.**  ``Core.run`` discovers producers dynamically through
   a ``last_writer`` map that drops entries at commit.  Commit is in
   order, so the in-flight window is the contiguous index range
   ``[committed, fetch_idx)`` -- the *static* last-writer edge (computed
-  once at decode) filtered per lane by ``producer >= committed`` is the
-  identical relation, and any producer further back than the largest ROB
-  in the batch can never be in flight, which bounds the edge distance.
+  once at decode, by a ``searchsorted`` over the block's destinations
+  plus a per-register table carried across blocks) filtered per lane by
+  ``producer >= committed`` is the identical relation, and any producer
+  further back than the largest ROB in the batch can never be in
+  flight, which bounds the edge distance.
 * **Branch outcomes.**  Fetch is strictly in program order, so the
   bimodal counters and BTB tags see a configuration-independent stream:
   per (bimodal, BTB) *size class* the mispredict/redirect outcome of
@@ -44,6 +49,8 @@ What is shared, and why it is exact
   once at decode, so dispatch admission is one subtract-mask-compare.
 * **Memory rows.**  The materialized ``DynInstr`` of each memory row is
   handed read-only to every lane's memory model (no model mutates it).
+  It is built only when some lane's model is not ``PerfectMemory``: the
+  stepper inlines perfect memory and never reads it.
 
 Lane state and stepping
 -----------------------
@@ -84,7 +91,8 @@ try:
 except ImportError:                    # pragma: no cover - numpy is baked in
     _np = None
 
-from ..emulib.trace import TimingRecord, Trace
+from ..emulib.trace import (REG_LIMIT, OpMeta, TimingRecord, Trace,
+                            ragged_tuples)
 from ..isa.model import InstrClass, RegPool
 from ..memsys.perfect import PerfectMemory
 from .config import MachineConfig
@@ -192,6 +200,37 @@ class _CtlState:
         self.btb_misses = 0
 
 
+def _group_rows(columns):
+    """Dense ids for the distinct rows of parallel integer columns.
+
+    ``columns`` pairs each column with an exclusive upper bound of its
+    (non-negative) values.  Returns ``(first, ids)``: the index of each
+    id's first row, and the id of every row.  The columns are folded into
+    one int64 key, compacted whenever the next fold could overflow it.
+    """
+    key = None
+    span = 1
+    for col, hi in columns:
+        if key is None:
+            key = col.astype(_np.int64)
+        else:
+            if span * hi >= 1 << 62:
+                uniq, key = _np.unique(key, return_inverse=True)
+                span = len(uniq)
+            key = key * hi + col
+        span *= hi
+    _, first, ids = _np.unique(key, return_index=True, return_inverse=True)
+    return first, ids
+
+
+def _zeroed(words: list, rows: list) -> list:
+    """A copy of ``words`` with the entries at ``rows`` set to 0."""
+    words = words.copy()
+    for k in rows:
+        words[k] = 0
+    return words
+
+
 class _SharedDecode:
     """The once-per-trace decode products, consumed block by block.
 
@@ -202,8 +241,10 @@ class _SharedDecode:
       case and the stepper's fastest path); everything else is a
       (kind, scan index, unused, exec_rows, latency, non_pipelined,
       chain_mode, vl, instr|None) tuple.  The ``_ac`` variant folds
-      accumulator chaining (latency 1 on eligible records) and shares
-      the object everywhere else
+      accumulator chaining (latency 1 on eligible records).  ``instr``
+      is the row's :class:`~repro.emulib.trace.DynInstr` on memory rows
+      when ``instrs`` is set (some lane's memory model reads it), else
+      ``None``
     * ``deps`` -- tuple of producer indices (static last-writer edges),
       or ``None``
     * ``chains`` -- consumer chains on producers' element streams
@@ -216,14 +257,22 @@ class _SharedDecode:
       MED/ACC pools)
     * per (bimodal, BTB) class, ``ctl`` -- fetch-control codes (ring)
       plus the positional nonzero-control lists
+
+    Each block is computed from the trace's columns
+    (:meth:`~repro.emulib.trace.Trace.iter_column_blocks`) with numpy;
+    the rings are filled with ``tolist()`` slices, so they hold exactly
+    the plain ints and tuples a per-record decode would.  Three products
+    stay per-row Python: the predictor/BTB replay over control rows, the
+    memory rows' ``DynInstr``, and the ``deps`` tuples.
     """
 
-    def __init__(self, n: int, next_record, dep_cap: int,
-                 ctl_classes, block: int, ring: int) -> None:
+    def __init__(self, trace: Trace, dep_cap: int, ctl_classes,
+                 block: int, ring: int, *, instrs: bool) -> None:
+        n = len(trace)
         self.n = n
-        self.next_record = next_record
+        self.blocks = trace.iter_column_blocks(block)
+        self.instrs = instrs
         self.dep_cap = dep_cap
-        self.block = block
         if n > ring:
             self.size = ring
         else:
@@ -249,181 +298,175 @@ class _SharedDecode:
         self.rel_z = [0] * size
         #: all-zero ring late_release=False lanes read their releases from.
         self.zero_ring = [0] * size
-        self.last_writer: dict[int, int] = {}
+        #: latest writer (absolute index) of each encoded register, -1
+        #: for none yet: the last-writer state carried across blocks.
+        self.last_writer = _np.full(REG_LIMIT, -1, dtype=_np.int64)
         self.ctl: dict[tuple[int, int], _CtlState] = {
             key: _CtlState(key[0], key[1], size) for key in ctl_classes}
-        fill = min(block, size)
-        self._zeros = [0] * fill
-        self._nones: list = [None] * fill
-        self._falses = [False] * fill
+        self._zeros = [0] * min(block, size)
+
+        # Per-opcode constants, indexed by op id, with numpy columns of
+        # the ones the row masks need.
+        self.opcodes = trace.opcodes
+        self._meta = metas = [OpMeta(op) for op in self.opcodes]
+        self._kind = _np.array([m.kind for m in metas], dtype=_np.int8)
+        self._chain_class = _np.array([m.chains_class for m in metas],
+                                      dtype=bool)
+        self._zero = _np.array([m.op_name in Core.ZERO_IDIOMS
+                                for m in metas], dtype=bool)
+        self._jump = _np.array([m.is_jump for m in metas], dtype=bool)
+
+    def _shape(self, op_id: int, vl: int, counts) -> tuple:
+        """The op and SWAR products of every row with this opcode, vector
+        length and count of destinations per register pool:
+        ``(op_raw, op_ac, alloc, chk, smask, commit_if, rel)``; the
+        full-commit charge equals ``alloc``."""
+        meta = self._meta[op_id]
+        kind = meta.kind
+        if vl <= 1:
+            chmode = 0
+        elif kind == _KIND_MEMORY:
+            chmode = 1
+        elif meta.writes_acc:
+            chmode = 0
+        else:
+            chmode = 2
+        if kind == _KIND_COMPUTE:
+            fam, needc = _FAM[meta.iclass]
+            sidx = fam * 2 + needc
+            lat = meta.latency
+            nonpip = meta.op_name in _NON_PIPELINED
+            rows = vl if meta.is_media_compute else 1
+            if rows == 1 and not nonpip:
+                # Fast single-row pipelined compute, packed as a small
+                # int (scan index | latency << 3).  For these the
+                # chain-ready cycle always equals completion (chmode 0
+                # trivially; chmode 2 because the first element lands
+                # with the last when occupancy is one cycle), so the
+                # stepper's int path skips the chain-mode dispatch.
+                op = sidx | lat << 3
+            else:
+                op = (kind, sidx, False, rows, lat, nonpip, chmode, vl, None)
+            # Eligible accumulates always span multiple rows, so the
+            # chained variant is never int-packed.
+            op_ac = ((kind, sidx, False, rows, 1, nonpip, chmode, vl, None)
+                     if meta.acc_pair and meta.is_media_compute and vl > 1
+                     else op)
+        elif kind == _KIND_MEMORY:
+            op = op_ac = (kind, 0, False, 1, 0, False, chmode, vl, None)
+        else:
+            op = op_ac = (kind, 0, False, 1, 0, False, 0, 1, None)
+        # Rename charges: one row per destination, VL rows on the media
+        # pool.  Pools 0-1 refund at commit, 2-3 at writeback.
+        charge = vl if vl > 1 else 1
+        c_int, c_fp, c_med, c_acc = counts
+        commit_if = c_int + (c_fp << 16)
+        rel = (c_med * charge << 32) + (c_acc << 48)
+        alloc = commit_if + rel
+        smask = chk = 0
+        for p, c in enumerate(counts):
+            if c:
+                smask |= _BIAS << (p << 4)
+                chk += (charge if p == RegPool.MED else 1) << (p << 4)
+        if kind == _KIND_MEMORY:     # LSQ admission/occupancy, field 4
+            lsq = 1 << _LSQ_SHIFT
+            alloc += lsq
+            chk += lsq
+            smask |= _BIAS << _LSQ_SHIFT
+            commit_if += lsq
+        return op, op_ac, alloc, chk, smask, commit_if, rel
 
     def decode_block(self) -> None:
-        """Decode up to one block of records into the shared rings."""
-        n = self.n
+        """Decode the next block of rows into the shared rings."""
         start = self.avail
-        if start >= n:
+        if start >= self.n:
             return
-        m = min(self.block, n - start)
-        mask = self.mask
-        base = start & mask      # blocks are aligned: the span is contiguous
+        blk = next(self.blocks)
+        m = blk.n
+        base = start & self.mask    # blocks are aligned: the span is contiguous
         end = base + m
-        zeros = self._zeros
-        # Reset the span (sparsely-written rings only; the op rings are
-        # always written).  Slice stores are C-speed.
-        self.deps[base:end] = self._nones[:m]
-        self.chains[base:end] = self._falses[:m]
-        self.ismem[base:end] = zeros[:m]
-        self.alloc_raw[base:end] = zeros[:m]
-        self.alloc_z[base:end] = zeros[:m]
-        self.chk[base:end] = zeros[:m]
-        self.smask_raw[base:end] = zeros[:m]
-        self.smask_z[base:end] = zeros[:m]
-        self.commit_if_raw[base:end] = zeros[:m]
-        self.commit_if_z[base:end] = zeros[:m]
-        self.commit_full_raw[base:end] = zeros[:m]
-        self.commit_full_z[base:end] = zeros[:m]
-        self.rel_raw[base:end] = zeros[:m]
-        self.rel_z[base:end] = zeros[:m]
+        op = blk.op.astype(_np.intp)
+        vl = blk.vl.astype(_np.int64)
+        kind = self._kind[op]
+        rowno = _np.arange(m, dtype=_np.int64)
+        dreg = blk.dst_val.astype(_np.int64)
+        drow = _np.repeat(rowno, _np.diff(blk.dst_off))
 
-        op_raw_r = self.op_raw
-        op_ac_r = self.op_ac
-        deps_r = self.deps
-        chains_r = self.chains
-        ismem_r = self.ismem
-        alloc_raw = self.alloc_raw
-        alloc_z = self.alloc_z
-        chk_r = self.chk
-        smask_raw = self.smask_raw
-        smask_z = self.smask_z
-        cif_raw = self.commit_if_raw
-        cif_z = self.commit_if_z
-        cfull_raw = self.commit_full_raw
-        cfull_z = self.commit_full_z
-        rel_raw = self.rel_raw
-        rel_z = self.rel_z
+        # Rows with the same opcode, vector length and destinations per
+        # pool share every op and SWAR product: build each distinct shape
+        # once and gather the rings from the per-shape tables.
+        counts = _np.bincount(drow * 4 + (dreg >> 8),
+                              minlength=4 * m).reshape(m, 4)
+        vls, vl_id = _np.unique(vl, return_inverse=True)
+        first, shape = _group_rows(
+            [(op, len(self.opcodes)), (vl_id, len(vls))]
+            + [(counts[:, p], int(counts[:, p].max()) + 1)
+               for p in range(4)])
+        table = [self._shape(o, v, c) for o, v, c in zip(
+            op[first].tolist(), vl[first].tolist(),
+            counts[first].tolist())]
+        op_raw, op_ac, alloc, chk, smask, commit_if, rel = (
+            _np.fromiter(col, dtype=object, count=len(table))[shape].tolist()
+            for col in zip(*table))
+        is_mem = kind == _KIND_MEMORY
+        if self.instrs and is_mem.any():
+            rows = _np.flatnonzero(is_mem)
+            for k, instr in zip(rows.tolist(),
+                                blk.materialize(rows, self.opcodes)):
+                op_raw[k] = op_ac[k] = op_raw[k][:8] + (instr,)
+        self.op_raw[base:end] = op_raw
+        self.op_ac[base:end] = op_ac
+        self.ismem[base:end] = is_mem.astype(_np.int8).tolist()
+        self.alloc_raw[base:end] = alloc
+        self.commit_full_raw[base:end] = alloc
+        self.chk[base:end] = chk
+        self.smask_raw[base:end] = smask
+        self.commit_if_raw[base:end] = commit_if
+        self.rel_raw[base:end] = rel
+        # Elided zeroing idioms allocate nothing.
+        zero_rows = _np.flatnonzero(self._zero[op]).tolist()
+        if zero_rows:
+            alloc, smask, commit_if, rel = (
+                _zeroed(words, zero_rows)
+                for words in (alloc, smask, commit_if, rel))
+        self.alloc_z[base:end] = alloc
+        self.commit_full_z[base:end] = alloc
+        self.smask_z[base:end] = smask
+        self.commit_if_z[base:end] = commit_if
+        self.rel_z[base:end] = rel
+
+        # Static last-writer edges: each source operand's latest earlier
+        # writer, found in this block by a search over its destinations
+        # sorted by (register, row), else in the carried table.
         lw = self.last_writer
-        cap = self.dep_cap
-        nxt = self.next_record
-        zero_set = Core.ZERO_IDIOMS
-        nonpip_set = _NON_PIPELINED
-        fam_map = _FAM
-        lsq_bit = 1 << _LSQ_SHIFT
-        lsq_mask = _BIAS << _LSQ_SHIFT
-        ctl_rows: list[tuple[int, int, bool, int, object]] = []
-        for off in range(m):
-            rec = nxt()
-            i = start + off
-            slot = i & mask
-            kind = rec.kind
-            vl = rec.vl
-            is_mem = kind == _KIND_MEMORY
-            if vl <= 1:
-                chmode = 0
-            elif is_mem:
-                chmode = 1
-            elif rec.writes_acc:
-                chmode = 0
-            else:
-                chmode = 2
-            op_name = rec.op_name
-            if kind == _KIND_COMPUTE:
-                fam, needc = fam_map[rec.iclass]
-                rows = rec.exec_rows
-                nonpip = op_name in nonpip_set
-                sidx = fam * 2 + needc
-                if rows == 1 and not nonpip:
-                    # Fast single-row pipelined compute, packed as a
-                    # small int (scan index | latency << 3).  For these
-                    # the chain-ready cycle always equals completion
-                    # (chmode 0 trivially; chmode 2 because the first
-                    # element lands with the last when occupancy is one
-                    # cycle), so the stepper's int path skips the
-                    # chain-mode dispatch entirely.
-                    op = sidx | rec.latency << 3
-                else:
-                    op = (kind, sidx, False, rows, rec.latency, nonpip,
-                          chmode, vl, None)
-                op_raw_r[slot] = op
-                # Eligible accumulates always span multiple rows, so the
-                # chained variant is never int-packed.
-                op_ac_r[slot] = ((kind, sidx, False, rows, 1, nonpip,
-                                  chmode, vl, None)
-                                 if rec.acc_chain_eligible else op)
-            else:
-                if is_mem:
-                    ismem_r[slot] = 1
-                    op = (1, 0, False, 1, 0, False, chmode, vl, rec.instr)
-                elif kind == _KIND_CONTROL:
-                    op = (2, 0, False, 1, 0, False, 0, 1, None)
-                    ctl_rows.append((i, slot, rec.is_jump, rec.site,
-                                     rec.taken))
-                else:
-                    op = (3, 0, False, 1, 0, False, 0, 1, None)
-                op_raw_r[slot] = op
-                op_ac_r[slot] = op
-            srcs = rec.srcs
-            if srcs:
-                dl = None
-                for src in srcs:
-                    j = lw.get(src, -1)
-                    if j >= 0 and i - j <= cap:
-                        if dl is None:
-                            dl = [j]
-                        else:
-                            dl.append(j)
-                if dl is not None:
-                    deps_r[slot] = tuple(dl)
-                    if rec.chains:
-                        chains_r[slot] = True
-            dsts = rec.dsts
-            if dsts or is_mem:
-                alloc = smask = if_sum = all_sum = rel = chk = 0
-                if len(dsts) == 1:
-                    d, pool, charge = dsts[0]
-                    sh = pool << 4
-                    alloc = chk = all_sum = charge << sh
-                    smask = _BIAS << sh
-                    if pool < 2:
-                        if_sum = alloc
-                    else:
-                        rel = alloc
-                    lw[d] = i
-                elif dsts:
-                    mx: dict[int, int] = {}
-                    for d, pool, charge in dsts:
-                        p = int(pool)
-                        sh = p << 4
-                        packed = charge << sh
-                        alloc += packed
-                        all_sum += packed
-                        if p < 2:
-                            if_sum += packed
-                        else:
-                            rel += packed
-                        smask |= _BIAS << sh
-                        if charge > mx.get(p, 0):
-                            mx[p] = charge
-                        lw[d] = i
-                    for p, c in mx.items():
-                        chk += c << (p << 4)
-                if is_mem:       # LSQ admission/occupancy as SWAR field 4
-                    alloc += lsq_bit
-                    chk += lsq_bit
-                    smask |= lsq_mask
-                    if_sum += lsq_bit
-                    all_sum += lsq_bit
-                alloc_raw[slot] = alloc
-                chk_r[slot] = chk
-                smask_raw[slot] = smask
-                cfull_raw[slot] = all_sum
-                cif_raw[slot] = if_sum
-                rel_raw[slot] = rel
-                if op_name not in zero_set:
-                    alloc_z[slot] = alloc
-                    smask_z[slot] = smask
-                    cfull_z[slot] = all_sum
-                    cif_z[slot] = if_sum
-                    rel_z[slot] = rel
+        span = m + 1
+        wkey = _np.sort(dreg * span + drow)
+        sreg = blk.src_val.astype(_np.int64)
+        srow = _np.repeat(rowno, _np.diff(blk.src_off))
+        writer = lw[sreg]
+        if wkey.size and sreg.size:
+            skey = sreg * span
+            at = _np.searchsorted(wkey, skey + srow)
+            prev = wkey[at - 1]
+            mine = (at > 0) & (prev >= skey)
+            writer = _np.where(mine, start + prev - skey, writer)
+        edge = (writer >= 0) & (start + srow - writer <= self.dep_cap)
+        ndeps = _np.bincount(srow[edge], minlength=m)
+        self.deps[base:end] = ragged_tuples(
+            _np.cumsum(ndeps) - ndeps, ndeps, writer[edge]).tolist()
+        self.chains[base:end] = ((ndeps > 0) & (vl > 1)
+                                 & self._chain_class[op]).tolist()
+        if wkey.size:
+            wreg = wkey // span
+            last = _np.ones(len(wkey), dtype=bool)
+            last[:-1] = wreg[1:] != wreg[:-1]
+            lw[wreg[last]] = start + (wkey - wreg * span)[last]
+
+        # Predictor/BTB replay: scalar, over the control rows only.
+        ctl = _np.flatnonzero(kind == _KIND_CONTROL)
+        ctl_rows = list(zip(ctl.tolist(), self._jump[op[ctl]].tolist(),
+                            blk.site[ctl].tolist(), blk.taken_at(ctl)))
+        zeros = self._zeros
         for st in self.ctl.values():
             ring = st.ring
             ring[base:end] = zeros[:m]
@@ -433,7 +476,7 @@ class _SharedDecode:
             lookups = st.lookups
             mispred = st.mispredicts
             bmiss = st.btb_misses
-            for i, slot, is_jump, site, taken in ctl_rows:
+            for k, is_jump, site, taken in ctl_rows:
                 code = 0
                 if is_jump:
                     idx = site & btbmask
@@ -469,8 +512,8 @@ class _SharedDecode:
                             bmiss += 1
                             code = 3
                 if code:
-                    ring[slot] = code
-                    pos_idx.append(i)
+                    ring[base + k] = code
+                    pos_idx.append(start + k)
                     pos_code.append(code)
             st.lookups = lookups
             st.mispredicts = mispred
@@ -1094,9 +1137,6 @@ class BatchCore:
             :meth:`run`'s result list.
     """
 
-    #: Same trace-size threshold and record sources as :class:`Core`.
-    STREAM_THRESHOLD = Core.STREAM_THRESHOLD
-
     #: Records decoded per pause-resume round.  The shared rings hold
     #: two blocks, so a lane may trail the decode frontier by up to one
     #: whole block (its live window is only ``rob + 2*width`` anyway).
@@ -1184,9 +1224,7 @@ class BatchCore:
                 try:
                     stats = run_lanes_jit(
                         [lanes[i] for i in jit_reps], trace,
-                        block=self.BLOCK, ring=self.RING,
-                        stream_threshold=self.STREAM_THRESHOLD,
-                        phases=phases)
+                        block=self.BLOCK, ring=self.RING, phases=phases)
                 except UnjittableError:
                     pass
                 else:
@@ -1196,18 +1234,14 @@ class BatchCore:
         _t = _perf_counter()
         _decode_t = 0.0
         _step_t = 0.0
-        # Same record-source policy as Core.run: cached records for the
-        # grid-reuse regime, streamed chunks for frame-scale traces.
-        if trace.records_cached() or n < self.STREAM_THRESHOLD:
-            next_record = iter(trace.timing_records()).__next__
-        else:
-            next_record = trace.iter_timing_records().__next__
-
         states = [_LaneState(lanes[i], i) for i in py_reps]
         dep_cap = max((st.rob_size for st in states), default=1)
-        shared = _SharedDecode(n, next_record, dep_cap,
+        # Perfect memory is inlined in the stepper; only the other
+        # memory models are handed a memory row's DynInstr.
+        shared = _SharedDecode(trace, dep_cap,
                                {st.ctl_key for st in states},
-                               self.BLOCK, self.RING)
+                               self.BLOCK, self.RING,
+                               instrs=any(st.pm is None for st in states))
         _decode_t += _perf_counter() - _t
 
         # Inter-block lane state of record: scheduler snapshots the

@@ -840,9 +840,7 @@ class Core:
         # view of the interpreted re-run.
         jit_phases: dict | None = {} if phases is not None else None
         try:
-            (stats,) = run_lanes_jit(
-                [spec], trace, stream_threshold=self.STREAM_THRESHOLD,
-                phases=jit_phases)
+            (stats,) = run_lanes_jit([spec], trace, phases=jit_phases)
         except UnjittableError:
             return None
         ctl = stats["ctl"]

@@ -1179,11 +1179,10 @@ class _JitLane:
 
 def run_lanes_jit(specs, trace, *, block: int | None = None,
                   ring: int | None = None,
-                  stream_threshold: int | None = None,
                   phases: dict | None = None) -> list:
     """Run every lane through the kernel; one stats dict per lane.
 
-    Same decode-block cadence, record-source policy and ring-retention
+    Same columnar shared decode, decode-block cadence and ring-retention
     invariant as :meth:`BatchCore.run`; raises :class:`UnjittableError`
     when any lane (or the trace) cannot be expressed, *before* any
     caller-visible state is mutated.
@@ -1218,12 +1217,6 @@ def run_lanes_jit(specs, trace, *, block: int | None = None,
         block = BatchCore.BLOCK
     if ring is None:
         ring = BatchCore.RING
-    if stream_threshold is None:
-        stream_threshold = Core.STREAM_THRESHOLD
-    if trace.records_cached() or n < stream_threshold:
-        next_record = iter(trace.timing_records()).__next__
-    else:
-        next_record = trace.iter_timing_records().__next__
 
     _pc = _time.perf_counter
     _decode_t = 0.0
@@ -1233,7 +1226,9 @@ def run_lanes_jit(specs, trace, *, block: int | None = None,
     dep_cap = max(spec.config.rob_size for spec in specs)
     ctl_classes = {(spec.config.bimodal_entries, spec.config.btb_entries)
                    for spec in specs}
-    shared = _SharedDecode(n, next_record, dep_cap, ctl_classes, block, ring)
+    # Every jit lane is on perfect memory, which never reads a DynInstr.
+    shared = _SharedDecode(trace, dep_cap, ctl_classes, block, ring,
+                           instrs=False)
     rings = _Rings(shared, specs)
     lanes = [_JitLane(spec, i, shared.mask) for i, spec in enumerate(specs)]
     _decode_t += _pc() - _t

@@ -20,8 +20,12 @@ public API is unchanged -- :meth:`Trace.append` still takes a
 :class:`DynInstr`, iteration still yields :class:`DynInstr` objects
 (materialized on demand), and ``trace.instructions`` remains a mutable
 list-like escape hatch -- so builders, the vectorizing compiler and the
-digest code are untouched, while the cycle-level core can stream
-:class:`TimingRecord` chunks without ever materializing the object form
+digest code are untouched.  The timing engines read the columns without
+materializing the object form: :class:`~repro.cpu.batch.BatchCore`
+decodes fixed-size column blocks (:meth:`Trace.iter_column_blocks`,
+which cuts blocks across chunk boundaries and converts the staging tail
+the way sealing does), and :class:`~repro.cpu.core.Core` streams
+:class:`TimingRecord` objects built from the same chunks
 (:meth:`Trace.iter_timing_records`).
 
 Two invariants the tests pin:
@@ -37,13 +41,17 @@ Two invariants the tests pin:
 Register encoding
 -----------------
 Operands are encoded as small integers ``(pool << 8) | index`` so the timing
-model can use them as dictionary keys cheaply.  Use :func:`reg` and
-:func:`reg_pool` / :func:`reg_index` to build and decode them.
+model can use them as dictionary keys and table indices cheaply.  Use
+:func:`reg` and :func:`reg_pool` / :func:`reg_index` to build and decode
+them.  Rows become columns only through one conversion (sealing, or the
+staging tail on its way to a reader), and it rejects any operand outside
+``[0, REG_LIMIT)`` with ``ValueError``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -59,6 +67,9 @@ _TAKEN_DECODE = (None, False, True)        # indexed by encoded + 1
 
 #: RegPool by pool id, avoiding an enum construction per operand decode.
 _POOL_BY_ID = tuple(RegPool)
+
+#: Encoded operands lie in ``[0, REG_LIMIT)``; sealing rejects the rest.
+REG_LIMIT = len(RegPool) << 8
 
 
 def reg(pool: RegPool, index: int) -> int:
@@ -209,13 +220,15 @@ class TimingRecord:
         self.taken = instr.taken
 
 
-class _OpMeta:
-    """Per-opcode constants folded once per trace for fast record builds.
+class OpMeta:
+    """Per-opcode constants folded once per trace.
 
     Everything :class:`TimingRecord` derives from the :class:`Opcode` (and
     nothing else) lives here, so the per-row work of a record build is pure
-    attribute assignment.  The equivalence with the reference constructor
-    is pinned by ``tests/test_trace_columnar.py``.
+    attribute assignment, and the columnar batch decode
+    (:mod:`repro.cpu.batch`) classifies rows by op id.  The equivalence
+    with the reference constructor is pinned by
+    ``tests/test_trace_columnar.py``.
     """
 
     __slots__ = ("op", "iclass", "kind", "is_memory", "is_branch", "is_jump",
@@ -297,14 +310,45 @@ def _csr(tuples: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
 
     Offsets fit int32 by construction (at most ``CHUNK_ROWS`` rows of a
     few operands each); values fit int16 because an encoded register is
-    ``(pool << 8) | index`` with four pools and 8-bit indices.
+    ``(pool << 8) | index`` with four pools and 8-bit indices.  Anything
+    else names no register and raises ``ValueError``, as
+    ``TimingRecord(instr)`` does: consumers index per-register tables
+    with these values.
     """
     offsets = np.zeros(len(tuples) + 1, dtype=np.int32)
     lengths = np.fromiter(map(len, tuples), dtype=np.int32, count=len(tuples))
     np.cumsum(lengths, out=offsets[1:])
-    values = np.fromiter(
-        (v for t in tuples for v in t), dtype=np.int16, count=int(offsets[-1]))
-    return offsets, values
+    try:
+        values = np.fromiter(chain.from_iterable(tuples), dtype=np.int64,
+                             count=int(offsets[-1]))
+    except OverflowError as exc:
+        raise ValueError(f"register operand out of range: {exc}") from None
+    if values.size:
+        bad = (values < 0) | (values >= REG_LIMIT)
+        if bad.any():
+            raise ValueError(
+                f"register operand {int(values[bad][0])} outside "
+                f"[0, {REG_LIMIT})")
+    return offsets, values.astype(np.int16)
+
+
+def ragged_tuples(starts, counts, values, empty=None) -> np.ndarray:
+    """Object array holding, per row, ``tuple(values[start:start+count])``.
+
+    Rows with no values hold ``empty``.  Rows are grouped by count, so
+    each tuple is built by ``zip`` over gathered columns rather than by a
+    Python-level slice per row.
+    """
+    out = np.empty(len(counts), dtype=object)
+    out.fill(empty)
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        if k:
+            rows = np.flatnonzero(counts == k)
+            at = starts[rows]
+            out[rows] = np.fromiter(
+                zip(*[values[at + t].tolist() for t in range(k)]),
+                dtype=object, count=len(rows))
+    return out
 
 
 def _fit(values: list, small: np.dtype, wide: np.dtype) -> np.ndarray:
@@ -356,18 +400,43 @@ class _Chunk:
         self.src_off, self.src_val = _csr(stage.srcs)
         self.dst_off, self.dst_val = _csr(stage.dsts)
 
-    def head(self, keep: int) -> "_Chunk":
-        """A chunk holding only the first ``keep`` rows (shares storage)."""
+    _ROW_COLUMNS = ("op", "has_addr", "addr", "nbytes", "stride", "vl",
+                    "taken", "site")
+
+    def rows(self, lo: int, hi: int) -> "_Chunk":
+        """A chunk holding rows ``[lo, hi)``; the row columns and operand
+        values share storage, the CSR offsets are rebased copies."""
         clone = _Chunk.__new__(_Chunk)
-        clone.n = keep
-        for name in ("op", "has_addr", "addr", "nbytes", "stride", "vl",
-                     "taken", "site"):
-            setattr(clone, name, getattr(self, name)[:keep])
-        clone.src_off = self.src_off[:keep + 1]
-        clone.src_val = self.src_val[:self.src_off[keep]]
-        clone.dst_off = self.dst_off[:keep + 1]
-        clone.dst_val = self.dst_val[:self.dst_off[keep]]
+        clone.n = hi - lo
+        for name in self._ROW_COLUMNS:
+            setattr(clone, name, getattr(self, name)[lo:hi])
+        for off, val in (("src_off", "src_val"), ("dst_off", "dst_val")):
+            offsets = getattr(self, off)[lo:hi + 1]
+            setattr(clone, off, offsets - offsets[0])
+            setattr(clone, val, getattr(self, val)[offsets[0]:offsets[-1]])
         return clone
+
+    @staticmethod
+    def concat(parts: list["_Chunk"]) -> "_Chunk":
+        """One chunk holding ``parts``' rows in order (a copy, unless
+        there is only one part)."""
+        if len(parts) == 1:
+            return parts[0]
+        out = _Chunk.__new__(_Chunk)
+        out.n = sum(part.n for part in parts)
+        for name in _Chunk._ROW_COLUMNS:
+            setattr(out, name,
+                    np.concatenate([getattr(part, name) for part in parts]))
+        for off, val in (("src_off", "src_val"), ("dst_off", "dst_val")):
+            pieces = [np.zeros(1, dtype=np.int32)]
+            total = 0
+            for part in parts:
+                pieces.append(getattr(part, off)[1:] + total)
+                total += int(getattr(part, off)[-1])
+            setattr(out, off, np.concatenate(pieces))
+            setattr(out, val,
+                    np.concatenate([getattr(part, val) for part in parts]))
+        return out
 
     def row(self, i: int) -> tuple:
         """One row decoded back to canonical Python values (op still an id)."""
@@ -407,12 +476,34 @@ class _Chunk:
                    nbytes[i], stride[i], vl[i],
                    _TAKEN_DECODE[taken[i] + 1], site[i])
 
+    def taken_at(self, rows) -> list:
+        """Decoded ``taken`` (``None``/``False``/``True``) of ``rows``."""
+        return [_TAKEN_DECODE[t + 1] for t in self.taken[rows].tolist()]
+
+    def materialize(self, rows, opcodes) -> list[DynInstr]:
+        """The :class:`DynInstr` of each row in ``rows`` (block-relative
+        indices), field for field what iteration would yield."""
+        operands = []
+        for off, val in ((self.src_off, self.src_val),
+                         (self.dst_off, self.dst_val)):
+            starts = off[rows]
+            operands.append(ragged_tuples(
+                starts, off[rows + 1] - starts, val, ()).tolist())
+        return list(map(
+            DynInstr,
+            [opcodes[o] for o in self.op[rows].tolist()],
+            *operands,
+            [a if has else None for a, has in zip(
+                self.addr[rows].tolist(), self.has_addr[rows].tolist())],
+            self.nbytes[rows].tolist(), self.stride[rows].tolist(),
+            self.vl[rows].tolist(), self.taken_at(rows),
+            self.site[rows].tolist()))
+
     def nbytes_storage(self) -> int:
         """Bytes of column storage this chunk occupies (diagnostics)."""
         return sum(getattr(self, name).nbytes
-                   for name in ("op", "has_addr", "addr", "nbytes", "stride",
-                                "vl", "taken", "site", "src_off", "src_val",
-                                "dst_off", "dst_val"))
+                   for name in self._ROW_COLUMNS + ("src_off", "src_val",
+                                                    "dst_off", "dst_val"))
 
 
 class TraceSummary:
@@ -583,7 +674,7 @@ class Trace:
                     kept.append(chunk)
                     total += chunk.n
                 elif total < length:
-                    kept.append(chunk.head(length - total))
+                    kept.append(chunk.rows(0, length - total))
                     total = length
                 else:
                     break
@@ -717,6 +808,48 @@ class Trace:
         for op, *rest in self._raw_rows():
             yield (op.isa, op.name, *rest)
 
+    @property
+    def opcodes(self) -> tuple[Opcode, ...]:
+        """The opcode intern table: column ``op`` values index it."""
+        return tuple(self._ops)
+
+    def _column_chunks(self):
+        """The sealed chunks, then the staging tail converted the way
+        sealing converts it (operand checks included)."""
+        yield from self._chunks
+        if len(self._stage):
+            yield _Chunk(self._stage)
+
+    def iter_column_blocks(self, rows: int):
+        """The trace as consecutive column blocks of ``rows`` rows each
+        (the last one shorter), in program order.
+
+        Each block has the column attributes of a sealed chunk (``n``,
+        ``op``, ``addr``/``has_addr``, ``nbytes``, ``stride``, ``vl``,
+        ``taken``, ``site`` and the ``src``/``dst`` CSR pairs with offsets
+        starting at 0), whatever the chunk geometry: blocks are cut
+        across chunk boundaries and the staging tail is converted on the
+        way, so a consumer holds the columns plus the block it reads.
+        """
+        if rows < 1:
+            raise ValueError("rows must be >= 1")
+        parts: list[_Chunk] = []
+        have = 0
+        for chunk in self._column_chunks():
+            lo = 0
+            while lo < chunk.n:
+                take = min(rows - have, chunk.n - lo)
+                parts.append(chunk if take == chunk.n
+                             else chunk.rows(lo, lo + take))
+                have += take
+                lo += take
+                if have == rows:
+                    yield _Chunk.concat(parts)
+                    parts = []
+                    have = 0
+        if parts:
+            yield _Chunk.concat(parts)
+
     def iter_timing_records(self, materialize: str = "memory"):
         """Stream :class:`TimingRecord` per row without retaining them.
 
@@ -728,25 +861,21 @@ class Trace:
                 :meth:`timing_records` list).
 
         Record attributes are identical to ``TimingRecord(instr)``; the
-        per-opcode constants are folded once per trace (:class:`_OpMeta`)
+        per-opcode constants are folded once per trace (:class:`OpMeta`)
         and the per-row work is plain assignment over bulk-decoded
         columns.
         """
         want_all = materialize == "all"
-        metas = [_OpMeta(op) for op in self._ops]
+        metas = [OpMeta(op) for op in self._ops]
         pools = _POOL_BY_ID
         med = RegPool.MED
         for op_id, srcs, dsts, addr, nbytes, stride, vl, taken, site \
-                in (row for chunk in self._chunks
+                in (row for chunk in self._column_chunks()
                     for row in chunk.iter_rows()):
             yield self._record(metas[op_id], srcs, dsts, addr, nbytes,
                                stride, vl, taken, site, want_all, pools, med)
-        for op_id, srcs, dsts, addr, nbytes, stride, vl, taken, site \
-                in self._stage.iter_rows():
-            yield self._record(metas[op_id], srcs, dsts, addr, nbytes,
-                               stride, vl, taken, site, want_all, pools, med)
 
-    def _record(self, meta: _OpMeta, srcs, dsts, addr, nbytes, stride, vl,
+    def _record(self, meta: OpMeta, srcs, dsts, addr, nbytes, stride, vl,
                 taken, site, want_all: bool, pools, med) -> TimingRecord:
         rec = TimingRecord.__new__(TimingRecord)
         if want_all or meta.is_memory:

@@ -1,12 +1,13 @@
 """The cached-records / streaming crossover is seamless at the boundary.
 
-``Core.run`` (and ``BatchCore.run``) pick their record source by trace
-size: below ``STREAM_THRESHOLD`` (or whenever a record list is already
-cached) they walk the cached ``timing_records()`` list; at or above it
-they stream ``TimingRecords`` chunk by chunk.  These tests pin that a
-trace at exactly the threshold and at ``threshold +- 1`` produces
-bit-identical ``SimResult`` digests through both paths, so the crossover
-can never shift timing.
+``Core.run`` picks its record source by trace size: below
+``STREAM_THRESHOLD`` (or whenever a record list is already cached) it
+walks the cached ``timing_records()`` list; at or above it it streams
+``TimingRecords`` chunk by chunk.  These tests pin that a trace at
+exactly the threshold and at ``threshold +- 1`` produces bit-identical
+``SimResult`` digests through both paths, so the crossover can never
+shift timing, and that ``BatchCore`` (which decodes the trace columns
+directly, whatever the size) matches both.
 
 The default threshold (1 << 20 instructions) would need megainstruction
 traces, so the boundary is exercised by lowering ``STREAM_THRESHOLD`` to
@@ -28,7 +29,6 @@ from test_golden_digest import result_digest
 def test_default_threshold_value():
     """The production crossover sits at 1M instructions (frame scale)."""
     assert Core.STREAM_THRESHOLD == 1 << 20
-    assert BatchCore.STREAM_THRESHOLD == Core.STREAM_THRESHOLD
 
 
 def _trace_of_length(n: int):
@@ -80,12 +80,12 @@ def test_boundary_lengths_digest_identically_through_both_paths(
 @pytest.mark.parametrize("n", [THRESHOLD - 1, THRESHOLD, THRESHOLD + 1],
                          ids=("below", "exact", "above"))
 def test_boundary_lengths_batch_matches_core(monkeypatch, n):
-    """BatchCore's source selection crosses over at the same point."""
+    """BatchCore matches Core on both of Core's record sources."""
     trace = _trace_of_length(n)
-    ref = _digest(trace, streamed=False, monkeypatch=monkeypatch,
-                  threshold=THRESHOLD)
-    monkeypatch.setattr(BatchCore, "STREAM_THRESHOLD", THRESHOLD)
-    trace.invalidate_summary()
+    cached = _digest(trace, streamed=False, monkeypatch=monkeypatch,
+                     threshold=THRESHOLD)
+    streamed = _digest(trace, streamed=True, monkeypatch=monkeypatch,
+                       threshold=THRESHOLD)
     lanes = [LaneSpec(machine_config(4, "mmx"), PerfectMemory(1, 2, 1))]
     (result,) = BatchCore(lanes).run(trace)
-    assert result_digest(result) == ref
+    assert result_digest(result) == cached == streamed
