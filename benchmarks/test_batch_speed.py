@@ -1,20 +1,17 @@
 """Batch-lane benchmark: aggregate sweep throughput, BatchCore vs Core.
 
 Times a same-trace configuration sweep run (a) sequentially through
-``Core.run`` -- one fresh core per point, exactly what ``--no-batch``
-does -- and (b) as one ``BatchCore`` pass over the whole grid.  The
-headline regime is *streaming*: traces past ``STREAM_THRESHOLD``, where
-``Core.run`` re-decodes the trace on every run and the batch engine
-decodes once for all lanes.  The benchmark reproduces that regime at a
-bench-friendly size by lowering the threshold for the timed region and
-invalidating the summary before every run (frame-scale traces hit it
-naturally; building a real 720x480 frame takes minutes, see the
-``REPRO_BATCH_BENCH_FRAME`` gate below).
+``Core.run`` -- one fresh one-lane pass per point, exactly what
+``--no-batch`` does -- and (b) as one ``BatchCore`` pass over the whole
+grid, which decodes the trace once for all lanes instead of once per
+point.  The headline regime is *streaming*: a long trace, where the
+decode is a large share of every run; the benchmark reproduces it at a
+bench-friendly size (building a real 720x480 frame takes minutes, see
+the ``REPRO_BATCH_BENCH_FRAME`` gate below).
 
-Also measured: the single-lane overhead (a 1-lane batch vs ``Core.run``
-of the same point) and the cached-records regime (small-kernel grids,
-where sequential runs share one decoded record list anyway and only the
-leaner lane stepper differs).  Emits ``benchmarks/BENCH_batch.json``.
+Also measured: the cached regime (a small-kernel grid, where the decode
+is cheap and the stepper dominates).  Emits
+``benchmarks/BENCH_batch.json``.
 
 Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the trace and the grid; the
 JSON then carries ``"smoke": true`` so trajectories are not
@@ -32,16 +29,11 @@ import pytest
 
 from repro.cpu import Core, machine_config
 from repro.cpu.batch import BatchCore, LaneSpec
-from repro.cpu.jit import NUMBA_VERSION, jit_enabled, numba_available, warm
 from repro.emulib.trace import Trace
 from repro.exp.engine import built_app, built_kernel
 from repro.memsys import PerfectMemory
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-#: jit rows only with a real compiler (the pure-python shim would record
-#: meaningless numbers); availability is always recorded in the JSON so
-#: ``repro bench`` deltas across differently-equipped hosts stay readable.
-JIT_BENCH = numba_available() and jit_enabled()
 FRAME = os.environ.get("REPRO_BATCH_BENCH_FRAME") == "1"
 STREAM_N = 1 << 15 if SMOKE else 1 << 19
 FRAME_N = 1 << 20
@@ -53,9 +45,8 @@ _results: dict[str, dict] = {}
 
 
 def _stream_trace(n, builder=lambda: built_kernel("idct", "mmx").trace):
-    """A fresh n-instruction trace (never the memoized build's object --
-    the benchmark invalidates summaries, which must not corrupt the
-    process-wide build memo other tests share)."""
+    """A fresh n-instruction trace (never the memoized build's object,
+    which other tests share through the process-wide build memo)."""
     src = builder()
     trace = Trace(src.isa)
     while len(trace) < n:
@@ -74,18 +65,6 @@ def _lane(way, lat, isa="mmx"):
                                        cfg.mem_port_width))
 
 
-@pytest.fixture()
-def force_streaming():
-    """Make Core treat the bench trace as frame-scale (BatchCore always
-    decodes the trace columns directly)."""
-    saved = Core.STREAM_THRESHOLD
-    Core.STREAM_THRESHOLD = 1 << 10
-    try:
-        yield
-    finally:
-        Core.STREAM_THRESHOLD = saved
-
-
 @pytest.fixture(scope="module", autouse=True)
 def emit_bench_json():
     """Write the accumulated measurements once the module finishes."""
@@ -95,8 +74,6 @@ def emit_bench_json():
     payload = {
         "benchmark": "batch_speed",
         "smoke": SMOKE,
-        "numba": NUMBA_VERSION,
-        "jit_rows": JIT_BENCH,
         **_results,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
@@ -104,28 +81,21 @@ def emit_bench_json():
     print(f"\nbatch speed (streaming aggregate {headline}x) -> {OUTPUT}")
 
 
-def _sweep(trace, grid, *, streamed):
-    """(sequential_seconds, batch_seconds, results) for one grid.
-
-    Both baselines pin ``jit=False`` so the rows stay comparable with the
-    PR 6 trajectory on numba-equipped hosts; the compiled path gets its
-    own rows via :func:`_jit_pass`."""
+def _sweep(trace, grid):
+    """(sequential_seconds, batch_seconds) for one grid, results checked
+    equal point by point."""
     lanes = [_lane(way, lat) for way, lat in grid]
 
     seq_results = []
     t0 = time.perf_counter()
     for way, lat in grid:
-        if streamed:
-            trace.invalidate_summary()
         cfg = machine_config(way, "mmx")
         core = Core(cfg, PerfectMemory(lat, cfg.mem_ports,
                                        cfg.mem_port_width))
-        seq_results.append(core.run(trace, jit=False))
+        seq_results.append(core.run(trace))
     seq_s = time.perf_counter() - t0
 
-    if streamed:
-        trace.invalidate_summary()
-    batch = BatchCore(lanes, jit=False)
+    batch = BatchCore(lanes)
     t0 = time.perf_counter()
     batch_results = batch.run(trace)
     batch_s = time.perf_counter() - t0
@@ -133,31 +103,15 @@ def _sweep(trace, grid, *, streamed):
     for point, (seq_r, batch_r) in zip(grid, zip(seq_results,
                                                  batch_results)):
         assert seq_r == batch_r, f"engines diverged at {point}"
-    return seq_s, batch_s, batch_results
+    return seq_s, batch_s
 
 
-def _jit_pass(trace, grid, reference, *, streamed):
-    """Time one compiled BatchCore pass over the grid, verified against
-    the interpreted results; returns its wall-clock seconds."""
-    warm()      # compile outside the timed region
-    if streamed:
-        trace.invalidate_summary()
-    batch = BatchCore([_lane(way, lat) for way, lat in grid], jit=True)
-    t0 = time.perf_counter()
-    results = batch.run(trace)
-    jit_s = time.perf_counter() - t0
-    for point, (ref_r, jit_r) in zip(grid, zip(reference, results)):
-        assert jit_r == ref_r, f"jit path diverged at {point}"
-        assert jit_r.meta["jit"] is True, point
-    return jit_s
-
-
-def test_streaming_sweep(force_streaming):
+def test_streaming_sweep():
     """The headline: aggregate grid-points/sec on a streamed same-trace
     sweep, BatchCore vs sequential Core.run."""
     trace = _stream_trace(STREAM_N)
     grid = _grid()
-    seq_s, batch_s, results = _sweep(trace, grid, streamed=True)
+    seq_s, batch_s = _sweep(trace, grid)
     row = {
         "instructions": len(trace),
         "configs": len(grid),
@@ -167,12 +121,6 @@ def test_streaming_sweep(force_streaming):
         "batch_points_per_sec": round(len(grid) / batch_s, 4),
         "aggregate_speedup": round(seq_s / batch_s, 2),
     }
-    if JIT_BENCH:
-        jit_s = _jit_pass(trace, grid, results, streamed=True)
-        row["jit_batch_seconds"] = round(jit_s, 3)
-        row["jit_points_per_sec"] = round(len(grid) / jit_s, 4)
-        row["jit_speedup_vs_batch"] = round(batch_s / jit_s, 2)
-        row["jit_speedup_vs_sequential"] = round(seq_s / jit_s, 2)
     _results["streaming"] = row
     print(f"\nstreaming n={row['instructions']} configs={row['configs']}  "
           f"seq {seq_s:.1f}s  batch {batch_s:.1f}s  "
@@ -184,48 +132,13 @@ def test_streaming_sweep(force_streaming):
     assert row["aggregate_speedup"] > 1.0
 
 
-def test_single_lane_overhead(force_streaming):
-    """A 1-lane batch must not cost meaningfully more than Core.run --
-    it is what the engine degenerates to on unbatchable singletons."""
-    trace = _stream_trace(STREAM_N)
-    way, lat = WAYS[-1], LATENCIES[0]
-
-    trace.invalidate_summary()
-    cfg = machine_config(way, "mmx")
-    core = Core(cfg, PerfectMemory(lat, cfg.mem_ports, cfg.mem_port_width))
-    t0 = time.perf_counter()
-    core_result = core.run(trace)
-    core_s = time.perf_counter() - t0
-
-    trace.invalidate_summary()
-    batch = BatchCore([_lane(way, lat)])
-    t0 = time.perf_counter()
-    batch_result = batch.run(trace)[0]
-    batch_s = time.perf_counter() - t0
-    assert batch_result == core_result
-
-    row = {
-        "instructions": len(trace),
-        "way": way,
-        "latency": lat,
-        "core_seconds": round(core_s, 3),
-        "batch_seconds": round(batch_s, 3),
-        "overhead_ratio": round(batch_s / core_s, 2),
-    }
-    _results["single_lane"] = row
-    print(f"\nsingle lane  core {core_s:.1f}s  batch {batch_s:.1f}s  "
-          f"ratio {row['overhead_ratio']:.2f}")
-    assert row["overhead_ratio"] < 2.0
-
-
 def test_cached_grid():
-    """Context regime: records decoded once and memoized, where
-    sequential Core runs already share the decode."""
+    """Context regime: a small kernel trace, where the decode is cheap
+    and the lane stepper dominates every run."""
     built = built_kernel("idct", "mmx")
     trace = built.trace
-    trace.timing_records()      # one-time classification, untimed
     grid = _grid()
-    seq_s, batch_s, _ = _sweep(trace, grid, streamed=False)
+    seq_s, batch_s = _sweep(trace, grid)
     row = {
         "instructions": len(trace),
         "configs": len(grid),
@@ -244,13 +157,13 @@ def test_cached_grid():
 
 @pytest.mark.skipif(not FRAME, reason="set REPRO_BATCH_BENCH_FRAME=1 "
                     "(builds a 720x480 MPEG-2 frame, ~2 minutes)")
-def test_frame_scale_sweep(force_streaming):
+def test_frame_scale_sweep():
     """The frame-scale preset's workload: a prefix of the real 720x480
     MPEG-2 P-frame trace swept over the full grid in one pass."""
     trace = _stream_trace(
         FRAME_N, builder=lambda: built_app("mpeg2_frame", "mmx").trace)
     grid = _grid()
-    seq_s, batch_s, results = _sweep(trace, grid, streamed=True)
+    seq_s, batch_s = _sweep(trace, grid)
     row = {
         "app": "mpeg2_frame",
         "frame_prefix_instructions": len(trace),
@@ -259,11 +172,6 @@ def test_frame_scale_sweep(force_streaming):
         "batch_seconds": round(batch_s, 3),
         "aggregate_speedup": round(seq_s / batch_s, 2),
     }
-    if JIT_BENCH:
-        jit_s = _jit_pass(trace, grid, results, streamed=True)
-        row["jit_batch_seconds"] = round(jit_s, 3)
-        row["jit_points_per_sec"] = round(len(grid) / jit_s, 4)
-        row["jit_speedup_vs_batch"] = round(batch_s / jit_s, 2)
     _results["frame"] = row
     print(f"\nframe n={row['frame_prefix_instructions']} "
           f"configs={row['configs']}  seq {seq_s:.1f}s  "

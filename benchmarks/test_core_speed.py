@@ -1,9 +1,10 @@
 """Core-speed benchmark: simulator throughput per ISA, event vs busy-wait.
 
-Times real simulation (``Core.run`` on a fresh core and memory system --
-no result cache anywhere near the timed region, i.e. ``REPRO_NO_CACHE=1``
-semantics) of a fixed mid-size idct trace per ISA, and the seed busy-wait
-loop (``Core.run_reference``) on the same trace.  Emits
+Times real simulation (``Core.run`` -- a one-lane ``BatchCore`` -- on a
+fresh core and memory system, no result cache anywhere near the timed
+region, i.e. ``REPRO_NO_CACHE=1`` semantics) of a fixed mid-size idct
+trace per ISA, and the seed busy-wait loop (``Core.run_reference``) on
+the same trace.  Emits
 ``benchmarks/BENCH_core.json`` with instructions-simulated-per-second for
 both engines and the speedup, so the perf trajectory of the hottest path
 in the package is tracked run over run.
@@ -20,17 +21,10 @@ from pathlib import Path
 import pytest
 
 from repro.cpu import Core, machine_config
-from repro.cpu.jit import NUMBA_VERSION, jit_enabled, numba_available, warm
 from repro.exp.engine import built_kernel
 from repro.memsys import PerfectMemory
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
-#: jit rows are timed only with a real compiler -- benchmarking the
-#: REPRO_JIT_PUREPY shim would record meaningless numbers.  The JSON
-#: always says whether the rows are present ("numba"/"jit_rows"), so the
-#: ``repro bench`` delta printer shows n/a instead of raising on hosts
-#: where availability differs.
-JIT_BENCH = numba_available() and jit_enabled()
 KERNEL = "idct"
 SCALE = 1 if SMOKE else 4
 WAY = 4
@@ -46,14 +40,14 @@ def _fresh_core(isa):
     return Core(cfg, PerfectMemory(1, cfg.mem_ports, cfg.mem_port_width))
 
 
-def _time(engine_name, isa, trace, **kw):
+def _time(engine_name, isa, trace):
     best = None
     result = None
     for _ in range(REPS):
         core = _fresh_core(isa)
         engine = getattr(core, engine_name)
         start = time.perf_counter()
-        result = engine(trace, **kw)
+        result = engine(trace)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, result
@@ -76,8 +70,6 @@ def emit_bench_json():
         "scale": SCALE,
         "way": WAY,
         "smoke": SMOKE,
-        "numba": NUMBA_VERSION,
-        "jit_rows": JIT_BENCH,
         "geomean_speedup": round(geomean, 2),
         "results": _results,
     }, indent=2) + "\n")
@@ -88,11 +80,8 @@ def emit_bench_json():
 def test_core_speed(isa):
     built = built_kernel(KERNEL, isa, SCALE)
     trace = built.trace
-    trace.timing_records()      # one-time trace classification, untimed
 
-    # jit=False pins the interpreted path so the event row stays
-    # comparable with the PR 2/6 trajectories on numba-equipped hosts.
-    event_s, event_result = _time("run", isa, trace, jit=False)
+    event_s, event_result = _time("run", isa, trace)
     reference_s, reference_result = _time("run_reference", isa, trace)
     assert event_result == reference_result, "engines diverged"
 
@@ -105,14 +94,6 @@ def test_core_speed(isa):
         "reference_ips": round(n / reference_s),
         "speedup": round(reference_s / event_s, 2),
     }
-    if JIT_BENCH:
-        warm()      # compile outside the timed region
-        jit_s, jit_result = _time("run", isa, trace, jit=True)
-        assert jit_result == event_result, "jit path diverged"
-        assert jit_result.meta["jit"] is True
-        row["jit_seconds"] = round(jit_s, 4)
-        row["jit_ips"] = round(n / jit_s)
-        row["jit_speedup"] = round(event_s / jit_s, 2)
     _results[isa] = row
     print(f"\n{isa:6s} n={n:6d}  event {row['event_ips']:>8d} i/s  "
           f"reference {row['reference_ips']:>8d} i/s  "

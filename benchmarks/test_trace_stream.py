@@ -19,8 +19,8 @@ Writes ``benchmarks/BENCH_trace.json``:
 
 Modes (the full frame is minutes of wall-clock per configuration):
 
-* default -- a 64x48 smoke frame, streaming forced, small RSS budgets;
-  keeps the tier-1 suite fast while exercising the full path.
+* default -- a 64x48 smoke frame, small RSS budgets; keeps the tier-1
+  suite fast while exercising the full path.
 * ``REPRO_TRACE_BENCH_FULL=1`` -- the real 720x480 frame and the
   headline >= 5x peak-RSS (or >= 3x build-speed) assertion.
 * ``REPRO_TRACE_CONFIGS=mom-vectorcache,...`` -- restrict configurations
@@ -57,7 +57,7 @@ RSS_BUDGET_MB = {
 _CHILD = r"""
 import json, resource, sys, time
 
-isa, memory, way, width, height, store, stream = sys.argv[1:8]
+isa, memory, way, width, height, store = sys.argv[1:7]
 way, width, height = int(way), int(width), int(height)
 
 
@@ -113,8 +113,6 @@ if store == "columnar":
     from repro.exp.engine import make_memsys
     from repro.exp.spec import PointSpec
 
-    if stream == "force":
-        Core.STREAM_THRESHOLD = 0
     point = PointSpec(kind="app", target="mpeg2_frame", isa=isa, way=way,
                       memory=memory)
     core = Core(machine_config(way, isa), make_memsys(point))
@@ -133,13 +131,12 @@ print(json.dumps(out))
 
 def _run_child(isa, memory, store):
     width, height = FRAME
-    stream = "default" if FULL else "force"
     env = dict(os.environ)
     env["PYTHONPATH"] = (str(Path(__file__).resolve().parents[1] / "src")
                          + os.pathsep + env.get("PYTHONPATH", ""))
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, isa, memory, str(WAY),
-         str(width), str(height), store, stream],
+         str(width), str(height), store],
         capture_output=True, text=True, env=env, timeout=7200)
     assert proc.returncode == 0, proc.stderr[-4000:]
     return json.loads(proc.stdout.splitlines()[-1])

@@ -10,8 +10,6 @@ properties *before* anything executes:
   lowered instruction streams (def-before-use over all four register
   pools, dead writes, MOM VL/tile bounds, buffer bounds, accumulator
   chains, saturation discipline);
-* :mod:`~repro.analysis.jitlint` -- AST linter keeping ``cpu/jit.py``
-  inside the numba-compilable subset;
 * :mod:`~repro.analysis.pressure` -- register-pressure reports feeding
   the register-file area model;
 * :mod:`~repro.analysis.runner` -- the ``repro lint`` / CI driver over
@@ -25,21 +23,19 @@ verified streams stay digest-identical to unverified ones.
 from __future__ import annotations
 
 from .findings import (ALL_PASSES, Finding, PASS_DATAFLOW, PASS_IR,
-                       PASS_JIT, PASS_RANGE, Report, Severity)
+                       PASS_RANGE, Report, Severity)
 from .interval import Interval
 from .ircheck import check_ir, check_ranges
-from .jitlint import lint_jit
 from .pressure import pressure_report
-from .runner import lint_all, lint_grid, lint_kernel, verified_status
+from .runner import lint_grid, lint_kernel, verified_status
 from .streamcheck import (check_acc_chains, check_bounds, check_dataflow,
                           check_saturation_discipline, check_stream,
                           check_vl)
 
 __all__ = [
     "ALL_PASSES", "Finding", "Interval", "PASS_DATAFLOW", "PASS_IR",
-    "PASS_JIT", "PASS_RANGE", "Report", "Severity", "check_acc_chains",
+    "PASS_RANGE", "Report", "Severity", "check_acc_chains",
     "check_bounds", "check_dataflow", "check_ir", "check_ranges",
-    "check_saturation_discipline", "check_stream", "check_vl", "lint_all",
-    "lint_grid", "lint_jit", "lint_kernel", "pressure_report",
-    "verified_status",
+    "check_saturation_discipline", "check_stream", "check_vl",
+    "lint_grid", "lint_kernel", "pressure_report", "verified_status",
 ]

@@ -1,8 +1,8 @@
 """Machine-readable findings shared by every analysis pass.
 
 A finding is one violation: which pass saw it, on which kernel/ISA, at
-which static location (instruction index into the lowered stream, IR node
-path, or a ``file:line`` for the jit linter), and what rule was broken.
+which static location (instruction index into the lowered stream or IR
+node path), and what rule was broken.
 The CLI and CI serialise findings as JSON, so everything here is plain
 data -- no behaviour beyond formatting.
 """
@@ -30,9 +30,8 @@ class Severity(enum.Enum):
 PASS_IR = "ir"
 PASS_DATAFLOW = "dataflow"
 PASS_RANGE = "range"
-PASS_JIT = "jit-subset"
 
-ALL_PASSES = (PASS_IR, PASS_DATAFLOW, PASS_RANGE, PASS_JIT)
+ALL_PASSES = (PASS_IR, PASS_DATAFLOW, PASS_RANGE)
 
 
 @dataclass(frozen=True)

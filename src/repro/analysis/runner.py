@@ -24,7 +24,6 @@ from typing import Any
 
 from .findings import Report
 from .ircheck import check_ir, check_ranges
-from .jitlint import lint_jit
 from .pressure import pressure_report
 from .streamcheck import check_stream
 
@@ -105,18 +104,6 @@ def lint_grid(kernels: list[str] | None = None,
             sub_report, sub_artifacts = lint_kernel(name, isa, scale)
             report.extend(sub_report.findings)
             artifacts.append(sub_artifacts)
-    return report, artifacts
-
-
-def lint_all(kernels: list[str] | None = None,
-             isas: list[str] | None = None,
-             scale: int = 1,
-             include_jit: bool = True) -> tuple[Report,
-                                               list[dict[str, Any]]]:
-    """Full lint surface: the kernel grid plus the jit-subset linter."""
-    report, artifacts = lint_grid(kernels, isas, scale)
-    if include_jit:
-        report.extend(lint_jit())
     return report, artifacts
 
 

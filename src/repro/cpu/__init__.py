@@ -4,10 +4,9 @@ from .config import MachineConfig, machine_config, register_file_specs, WAYS
 from .bpred import BimodalPredictor, BranchTargetBuffer
 from .funit import FuPool, FunctionalUnit
 from .core import Core, SimResult
-from .jit import UnjittableError, jit_available
 
 __all__ = [
     "MachineConfig", "machine_config", "register_file_specs", "WAYS",
     "BimodalPredictor", "BranchTargetBuffer", "FuPool", "FunctionalUnit",
-    "Core", "SimResult", "UnjittableError", "jit_available",
+    "Core", "SimResult",
 ]

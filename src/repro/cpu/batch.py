@@ -1,12 +1,12 @@
 """Batch-lane timing core: N machine configurations, one pass over a trace.
 
 A Figure-7 grid simulates one trace under many machine configurations.
-:class:`~repro.cpu.core.Core` pays the trace walk -- columnar decode,
-record classification, dependence discovery, branch-predictor streams --
-once *per configuration*; :class:`BatchCore` pays it once per *trace* and
-shares the products read-only across all configurations ("lanes"),
-exactly the fetch/decode amortization the paper's matrix ISA applies to
-data lanes (Section 2).
+Run one configuration at a time, every point would pay the trace walk --
+columnar decode, instruction classification, dependence discovery,
+branch-predictor streams -- again; :class:`BatchCore` pays it once per
+*trace* and shares the products read-only across all configurations
+("lanes"), exactly the fetch/decode amortization the paper's matrix ISA
+applies to data lanes (Section 2).
 
 What is shared, and why it is exact
 -----------------------------------
@@ -23,8 +23,8 @@ What is shared, and why it is exact
   built, kept or cached, whatever the trace size.  Constants that depend
   on an ablation knob are folded into per-knob ring *variants*, so lanes
   select a ring up front instead of re-testing knobs per instruction.
-* **Dependences.**  ``Core.run`` discovers producers dynamically through
-  a ``last_writer`` map that drops entries at commit.  Commit is in
+* **Dependences.**  The reference core discovers producers dynamically
+  through a ``last_writer`` map that drops entries at commit.  Commit is in
   order, so the in-flight window is the contiguous index range
   ``[committed, fetch_idx)`` -- the *static* last-writer edge (computed
   once at decode, by a ``searchsorted`` over the block's destinations
@@ -71,12 +71,15 @@ record.
 
 Divergent events -- mispredict redirects, structural parks, memory-model
 retries -- are per-lane by nature and handled inside each lane's
-stepper, a generator transcription of ``Core.run``'s event loop (same
-phase order, same scheduling disciplines, same horizon search) that must
-stay *bit-identical* to it; the golden-digest parity tests pin this.
+stepper, the event-driven scheduler of DESIGN.md section 1.5: every
+timing and CPI-attribution rule is written once, here, and pinned
+bit-identical to the busy-wait oracle :meth:`Core.run_reference
+<repro.cpu.core.Core.run_reference>` by the golden-digest and
+accounting parity tests.  :meth:`Core.run <repro.cpu.core.Core.run>`
+is a one-lane :class:`BatchCore`.
 
-Points a batch cannot express raise :class:`UnbatchableError`; callers
-(``repro.exp.engine``) fall back to per-point ``Core`` runs.
+Lanes a batch cannot express -- predictor tables that are not a power
+of two, a memory model without ``try_issue`` -- raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -86,19 +89,24 @@ import heapq
 from collections import deque
 from time import perf_counter as _perf_counter
 
-try:
-    import numpy as _np
-except ImportError:                    # pragma: no cover - numpy is baked in
-    _np = None
+import numpy as _np
 
-from ..emulib.trace import (REG_LIMIT, OpMeta, TimingRecord, Trace,
-                            ragged_tuples)
-from ..isa.model import InstrClass, RegPool
+from ..emulib.trace import REG_LIMIT, Trace, ragged_tuples
+from ..isa.model import InstrClass, Opcode, RegPool
 from ..memsys.perfect import PerfectMemory
 from .config import MachineConfig
-from .core import (Core, SimResult, TimingStats, checked_stack,
-                   _FAR_FUTURE, _NO_EVENT)
+from .core import Core, SimResult, TimingStats, checked_stack, _FAR_FUTURE
 from .funit import _NON_PIPELINED
+
+#: "No pending event" sentinel for the stepper's horizon search.
+_NO_EVENT = 1 << 62
+
+#: Issue-path kinds of an instruction (:attr:`OpMeta.kind`), ordered by
+#: frequency.
+KIND_COMPUTE = 0
+KIND_MEMORY = 1
+KIND_CONTROL = 2
+KIND_NOP = 3
 
 #: compute InstrClass -> (family index, needs complex unit);
 #: family order is (int, fp, med), matching Core's pool routing.
@@ -110,10 +118,6 @@ _FAM = {
     InstrClass.MED_SIMPLE: (2, False),
     InstrClass.MED_COMPLEX: (2, True),
 }
-
-_KIND_MEMORY = TimingRecord.KIND_MEMORY
-_KIND_CONTROL = TimingRecord.KIND_CONTROL
-_KIND_COMPUTE = TimingRecord.KIND_COMPUTE
 
 #: SWAR register/LSQ accounting: pool ``p`` occupies bits ``[16p,
 #: 16p+16)`` and the LSQ is field 4 (bits ``[64, 80)``), each with bias
@@ -131,8 +135,36 @@ _M80 = (1 << 80) - 1
 _UNISSUED = 1 << 62
 
 
-class UnbatchableError(RuntimeError):
-    """This lane set cannot run through :class:`BatchCore`; use ``Core``."""
+class OpMeta:
+    """Per-opcode constants the decode classifies rows by, folded once
+    per trace and gathered by op id."""
+
+    __slots__ = ("iclass", "kind", "is_jump", "is_media_compute",
+                 "chains_class", "op_name", "latency", "acc_pair",
+                 "writes_acc")
+
+    def __init__(self, op: Opcode) -> None:
+        iclass = op.iclass
+        is_memory = iclass.is_memory
+        self.iclass = iclass
+        self.is_jump = iclass == InstrClass.JUMP
+        if is_memory:
+            self.kind = KIND_MEMORY
+        elif self.is_jump or iclass == InstrClass.BRANCH:
+            self.kind = KIND_CONTROL
+        elif iclass == InstrClass.NOP:
+            self.kind = KIND_NOP
+        else:
+            self.kind = KIND_COMPUTE
+        self.is_media_compute = iclass in (InstrClass.MED_SIMPLE,
+                                           InstrClass.MED_COMPLEX)
+        #: vector rows of these classes chain on their producers'
+        #: element streams.
+        self.chains_class = iclass.is_media or is_memory
+        self.op_name = op.name
+        self.latency = op.latency
+        self.acc_pair = op.reads_acc and op.writes_acc
+        self.writes_acc = op.writes_acc
 
 
 class LaneSpec:
@@ -325,13 +357,13 @@ class _SharedDecode:
         kind = meta.kind
         if vl <= 1:
             chmode = 0
-        elif kind == _KIND_MEMORY:
+        elif kind == KIND_MEMORY:
             chmode = 1
         elif meta.writes_acc:
             chmode = 0
         else:
             chmode = 2
-        if kind == _KIND_COMPUTE:
+        if kind == KIND_COMPUTE:
             fam, needc = _FAM[meta.iclass]
             sidx = fam * 2 + needc
             lat = meta.latency
@@ -352,7 +384,7 @@ class _SharedDecode:
             op_ac = ((kind, sidx, False, rows, 1, nonpip, chmode, vl, None)
                      if meta.acc_pair and meta.is_media_compute and vl > 1
                      else op)
-        elif kind == _KIND_MEMORY:
+        elif kind == KIND_MEMORY:
             op = op_ac = (kind, 0, False, 1, 0, False, chmode, vl, None)
         else:
             op = op_ac = (kind, 0, False, 1, 0, False, 0, 1, None)
@@ -368,7 +400,7 @@ class _SharedDecode:
             if c:
                 smask |= _BIAS << (p << 4)
                 chk += (charge if p == RegPool.MED else 1) << (p << 4)
-        if kind == _KIND_MEMORY:     # LSQ admission/occupancy, field 4
+        if kind == KIND_MEMORY:     # LSQ admission/occupancy, field 4
             lsq = 1 << _LSQ_SHIFT
             alloc += lsq
             chk += lsq
@@ -408,7 +440,7 @@ class _SharedDecode:
         op_raw, op_ac, alloc, chk, smask, commit_if, rel = (
             _np.fromiter(col, dtype=object, count=len(table))[shape].tolist()
             for col in zip(*table))
-        is_mem = kind == _KIND_MEMORY
+        is_mem = kind == KIND_MEMORY
         if self.instrs and is_mem.any():
             rows = _np.flatnonzero(is_mem)
             for k, instr in zip(rows.tolist(),
@@ -463,7 +495,7 @@ class _SharedDecode:
             lw[wreg[last]] = start + (wkey - wreg * span)[last]
 
         # Predictor/BTB replay: scalar, over the control rows only.
-        ctl = _np.flatnonzero(kind == _KIND_CONTROL)
+        ctl = _np.flatnonzero(kind == KIND_CONTROL)
         ctl_rows = list(zip(ctl.tolist(), self._jump[op[ctl]].tolist(),
                             blk.site[ctl].tolist(), blk.taken_at(ctl)))
         zeros = self._zeros
@@ -489,7 +521,7 @@ class _SharedDecode:
                         code = 3
                 else:
                     # Transcribes BimodalPredictor.predict_and_update plus
-                    # Core.run's fetch-path use of its return value.
+                    # the reference fetch path's use of its return value.
                     lookups += 1
                     idx = site & bmask
                     ctr = counters[idx]
@@ -584,17 +616,19 @@ class _LaneState:
 def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
     """One lane's event loop over the shared decode stream.
 
-    A generator transcription of :meth:`Core.run` -- identical phase
-    order (release, commit, wake, issue, dispatch, fetch, horizon),
-    identical scheduling disciplines and identical stall accounting --
-    over ring-buffered plain-int state instead of per-instruction
-    objects.  Heap entries are packed ints (``cycle << 32 | index``,
-    same lexicographic order as Core's ``(cycle, seq)`` tuples), the
-    ready list is kept sorted instead of heapified (nothing is ever
-    inserted mid-walk: every wakeup computed during issue lands strictly
-    after ``cycle``), register/LSQ accounting is one SWAR word, and
-    fetch advances per *group* (bounded by the shared nonzero-control
-    positions) rather than per instruction.
+    The event-driven scheduler (DESIGN.md section 1.5): the phase order
+    of :meth:`Core.run_reference <repro.cpu.core.Core.run_reference>`
+    (release, commit, issue, dispatch, fetch, then the CPI-stack
+    classification), with wakeup lists, parked structural stalls and a
+    horizon search that skips cycles in which nothing can happen, over
+    ring-buffered plain-int state instead of per-instruction objects.
+    Heap entries are packed ints (``cycle << 32 | index``, ordered by
+    cycle then program order), the ready list is kept sorted instead of
+    heapified (nothing is ever inserted mid-walk: every wakeup computed
+    during issue lands strictly after ``cycle``), register/LSQ
+    accounting is one SWAR word, and fetch advances per *group* (bounded
+    by the shared nonzero-control positions) rather than per
+    instruction.
 
     It ``yield``\\ s whenever fetch could outrun the decoded prefix; the
     driver decodes the next block and resumes every paused lane.
@@ -692,7 +726,8 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
     fetch_stalls = 0
     rename_stalls = 0
     # CPI-stack accumulators; cbase/disp_before feed the classifier's
-    # commits-this-cycle and head-age tests (same rules as Core.run).
+    # commits-this-cycle and head-age tests (same rules as
+    # Core.run_reference).
     accounting = ls.accounting
     st_base = st_fetch = st_rename = st_fu = 0
     st_memc = st_meml = st_drain = 0
@@ -834,7 +869,9 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
                     completion = next_cycle
                 if completion is None:
                     # Structural hazard: park until the resource's
-                    # earliest possible free cycle (Core._retry_cycle).
+                    # earliest possible free cycle: the retries the
+                    # busy-wait oracle makes in between are futile and
+                    # free of side effects.
                     if kind == 1:
                         if pm_busy is not None:
                             hint = max(pm_busy) if vl > 1 else min(pm_busy)
@@ -885,7 +922,8 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
                                 wakeups_next.append(w)
                             elif ready <= cycle:
                                 # Unreachable (results land after `cycle`);
-                                # kept for strict equivalence with Core.
+                                # kept to issue this cycle, as the oracle
+                                # would.
                                 issuable.append(w)
                                 issuable.sort(reverse=True)
                             else:
@@ -916,7 +954,7 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
                 if ((D - g_chk[gs]) & sm) != sm:
                     # Admission failed: LSQ-full breaks silently (a
                     # commit will free it); a register shortfall is a
-                    # rename stall, exactly Core's check order.
+                    # rename stall, the oracle's check order.
                     admission_blocked = True
                     if (g_ismem[gs]
                             and ((D >> _LSQ_SHIFT) & 0xffff) <= _BIAS):
@@ -981,7 +1019,10 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
         elif fetch_idx < n:
             fetch_stalls += 1
 
-        # --- account: same end-of-cycle classification as Core.run ----------
+        # --- account: attribute this cycle to exactly one stack bucket ------
+        # End-of-cycle classification, first-match-wins (DESIGN.md §9):
+        # full-width commit > head memory latency > head memory conflict
+        # > window admission > FU structural > base > drain > fetch.
         # Head index is `committed`; dispatched-this-cycle is
         # `committed >= disp_before` (the dispatch_cycle test without a
         # per-entry field).
@@ -1050,6 +1091,9 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
                         # A commit frees the LSQ; commits are events.
                         lsq_blocked = True
                     else:
+                        # Dispatch resumes at a register release or a
+                        # commit; skipped cycles still count as
+                        # rename-stall events.
                         rename_blocked = True
                         if releases:
                             rel_at = releases[0] >> 80
@@ -1067,6 +1111,8 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
             raise RuntimeError(
                 "batch lane deadlocked with no pending event "
                 f"(lane {ls.index}, cycle {cycle}, {committed}/{n})")
+        # --- cycle skip: account the stall counters the busy-wait oracle
+        # increments while it waits through the skipped span.
         skipped = nxt - next_cycle
         if skipped > 0:
             if fetch_idx < n and next_fetch_cycle > next_cycle:
@@ -1077,7 +1123,8 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
             if accounting:
                 # Frozen-state span replay of the per-cycle rules; the
                 # only in-span transition is the head's memory completion
-                # landing exactly on `nxt` (see Core.run).
+                # landing exactly on `nxt`, where the latency rule
+                # (completion > t+1) no longer holds.
                 adm = rename_blocked or lsq_blocked
                 if committed < disp_idx:
                     hc = e_completion[committed & wmask]
@@ -1128,29 +1175,30 @@ class BatchCore:
     """Run N configuration lanes over one trace in a single decode pass.
 
     Every lane's :class:`SimResult` is bit-identical to what
-    ``Core(lane.config, lane.memsys, **knobs).run(trace)`` returns on a
-    fresh core -- the golden-digest parity suite pins this.
+    ``Core(lane.config, lane.memsys, **knobs).run_reference(trace)``
+    returns on a fresh core -- the golden-digest and accounting parity
+    suites pin this.
 
     Args:
         lanes: :class:`LaneSpec` sequence (or ``(config, memsys)`` pairs,
             promoted with default knobs).  Order is preserved in
             :meth:`run`'s result list.
+
+    Raises:
+        ValueError: no lanes, a predictor table that is not a power of
+            two, or a memory model without ``try_issue``.
     """
 
     #: Records decoded per pause-resume round.  The shared rings hold
     #: two blocks, so a lane may trail the decode frontier by up to one
     #: whole block (its live window is only ``rob + 2*width`` anyway).
-    BLOCK = 1 << 16
-    RING = 1 << 17
+    #: The rings (about 460 bytes per slot) are what a one-lane run adds
+    #: to peak memory above the trace itself, so the block is kept small
+    #: at the cost of more pause-resume rounds.
+    BLOCK = 1 << 13
+    RING = 1 << 14
 
-    def __init__(self, lanes, *, jit: bool | None = None) -> None:
-        """``jit`` forces the compiled fast path on/off for every lane it
-        can express; ``None`` (default) uses it when available unless
-        ``REPRO_NO_JIT=1``.  Inexpressible lanes always stay on the
-        interpreted steppers (a *mixed* group runs both paths)."""
-        if _np is None:
-            raise UnbatchableError("numpy is unavailable")
-        self.jit = jit
+    def __init__(self, lanes) -> None:
         specs: list[LaneSpec] = []
         for lane in lanes:
             if not isinstance(lane, LaneSpec):
@@ -1162,10 +1210,10 @@ class BatchCore:
             cfg = lane.config
             for entries in (cfg.bimodal_entries, cfg.btb_entries):
                 if entries <= 0 or entries & (entries - 1):
-                    raise UnbatchableError(
+                    raise ValueError(
                         "predictor tables must be powers of two")
             if not hasattr(lane.memsys, "try_issue"):
-                raise UnbatchableError(
+                raise ValueError(
                     f"memory model {type(lane.memsys).__name__} lacks "
                     "try_issue")
         self.lanes = specs
@@ -1176,9 +1224,10 @@ class BatchCore:
 
         ``phases``, when given, accumulates decode/step/writeback
         wall-clock seconds across the whole group (shared decode plus
-        every lane), timed at decode-block granularity.  Jit-expressed
-        representatives contribute through :func:`run_lanes_jit`'s own
-        phase accounting into the same dict.
+        every lane), timed at decode-block granularity -- a handful of
+        ``perf_counter`` calls per block, never one per record.  Decode
+        covers building the shared rings block by block, step the lane
+        steppers, writeback result assembly.
         """
         lanes = self.lanes
         n = len(trace)
@@ -1199,43 +1248,11 @@ class BatchCore:
                 rep_of[key] = idx
         reps = [i for i in range(len(lanes)) if share[i] == i]
 
-        if n == 0:
-            empty = {name: 0 for name in ("base", "fetch", "rename",
-                                          "fu_structural", "mem_conflict",
-                                          "mem_latency", "drain")}
-            results = [self._result(
-                lane, 0, 0, 0, None, 0, operations=operations,
-                stack=empty if lane.accounting else None) for lane in lanes]
-            for result in results:
-                result.meta["jit"] = False
-            return results
-
-        # Representatives the jit kernel can express run through it (one
-        # shared-decode pass of their own); the rest -- and everything,
-        # on an UnjittableError -- stay on the interpreted steppers.
-        from .jit import (UnjittableError, jit_available, jit_enabled,
-                          lane_unjittable_reason, run_lanes_jit)
-        use_jit = jit_enabled() if self.jit is None else bool(self.jit)
-        jit_stats: dict[int, dict] = {}
-        if use_jit and jit_available():
-            jit_reps = [i for i in reps
-                        if lane_unjittable_reason(lanes[i]) is None]
-            if jit_reps:
-                try:
-                    stats = run_lanes_jit(
-                        [lanes[i] for i in jit_reps], trace,
-                        block=self.BLOCK, ring=self.RING, phases=phases)
-                except UnjittableError:
-                    pass
-                else:
-                    jit_stats = dict(zip(jit_reps, stats))
-        py_reps = [i for i in reps if i not in jit_stats]
-
         _t = _perf_counter()
         _decode_t = 0.0
         _step_t = 0.0
-        states = [_LaneState(lanes[i], i) for i in py_reps]
-        dep_cap = max((st.rob_size for st in states), default=1)
+        states = [_LaneState(lanes[i], i) for i in reps]
+        dep_cap = max(st.rob_size for st in states)
         # Perfect memory is inlined in the stepper; only the other
         # memory models are handed a memory row's DynInstr.
         shared = _SharedDecode(trace, dep_cap,
@@ -1282,8 +1299,9 @@ class BatchCore:
 
         for st in states:
             st.sync = make_sync(st.index, st.phys_limit, st.lsq_size)
-        rep_rows = _np.array(py_reps, dtype=_np.int64)
+        rep_rows = _np.array(reps, dtype=_np.int64)
 
+        _t = _perf_counter()
         steppers = [_lane_stepper(st, shared) for st in states]
         active = []
         for gen in steppers:
@@ -1292,6 +1310,7 @@ class BatchCore:
                 active.append(gen)
             except StopIteration:
                 pass
+        _step_t += _perf_counter() - _t
 
         was_enabled = gc.isenabled()
         gc.disable()
@@ -1328,37 +1347,13 @@ class BatchCore:
                 gc.enable()
 
         _t = _perf_counter()
-        # Jit lanes never stepped through the snapshot syncs; record
-        # their final state so self.state reads consistently.
-        for i, s in jit_stats.items():
-            state["cycle"][i] = s["cycles"]
-            state["committed"][i] = n
-            state["fetch_index"][i] = n
-            state["fetch_stall_cycles"][i] = s["fetch_stalls"]
-            state["rename_stall_events"][i] = s["rename_stalls"]
-
         by_rep = {st.index: st for st in states}
         results: list[SimResult] = []
         for idx, lane in enumerate(lanes):
-            rep = share[idx]
-            s = jit_stats.get(rep)
-            if s is not None:
-                result = self._result(
-                    lane, s["cycles"], s["fetch_stalls"],
-                    s["rename_stalls"], s["ctl"], n, mirrored=rep != idx,
-                    stats_of=lanes[rep], operations=operations,
-                    stack=s.get("stack"))
-                result.meta["jit"] = True
-            else:
-                st = by_rep[rep]
-                ctl = shared.ctl[st.ctl_key]
-                result = self._result(
-                    lane, st.cycles, st.fetch_stalls, st.rename_stalls,
-                    ctl, n, mirrored=rep != idx,
-                    stats_of=lanes[rep], operations=operations,
-                    stack=st.stack)
-                result.meta["jit"] = False
-            results.append(result)
+            st = by_rep[share[idx]]
+            results.append(self._result(
+                st, shared.ctl[st.ctl_key], n, operations,
+                mirrored=st.index != idx))
         if phases is not None:
             phases["decode"] = phases.get("decode", 0.0) + _decode_t
             phases["step"] = phases.get("step", 0.0) + _step_t
@@ -1367,29 +1362,27 @@ class BatchCore:
         return results
 
     @staticmethod
-    def _result(lane: LaneSpec, cycles: int, fetch_stalls: int,
-                rename_stalls: int, ctl, n: int, *,
-                mirrored: bool = False, stats_of: LaneSpec | None = None,
-                operations: int | None = None,
-                stack: dict | None = None) -> SimResult:
-        source = (stats_of or lane).memsys
+    def _result(st: _LaneState, ctl: _CtlState, n: int, operations: int,
+                *, mirrored: bool) -> SimResult:
+        """A lane's result from its representative's final state; a
+        mirrored lane replicates the representative's statistics (it is
+        the same simulation, and its own memory model never ran)."""
+        source = st.spec.memsys
         mem_stats = source.stats() if hasattr(source, "stats") else {}
         result = SimResult(
-            cycles=cycles,
+            cycles=st.cycles,
             instructions=n,
-            operations=operations if operations is not None else 0,
-            branch_lookups=ctl.lookups if ctl is not None else 0,
-            branch_mispredicts=ctl.mispredicts if ctl is not None else 0,
-            btb_misses=ctl.btb_misses if ctl is not None else 0,
-            fetch_stall_cycles=fetch_stalls,
-            rename_stall_events=rename_stalls,
+            operations=operations,
+            branch_lookups=ctl.lookups,
+            branch_mispredicts=ctl.mispredicts,
+            btb_misses=ctl.btb_misses,
+            fetch_stall_cycles=st.fetch_stalls,
+            rename_stall_events=st.rename_stalls,
             mem_stats=dict(mem_stats),
         )
-        if stack is not None:
-            # Mirrored lanes replicate the representative's stack verbatim
-            # (they are the same simulation); conservation is re-checked
-            # per result either way.
-            result.stack = checked_stack(cycles, TimingStats(**stack))
+        if st.stack is not None:
+            # Conservation is re-checked per result, mirrors included.
+            result.stack = checked_stack(st.cycles, TimingStats(**st.stack))
             if hasattr(source, "accounting_stats"):
                 result.meta["mem_accounting"] = source.accounting_stats()
         if mirrored:

@@ -74,26 +74,6 @@ class FuPool:
             return cycle + occupancy - 1 + latency
         return None
 
-    def next_free(self, needs_complex: bool) -> int:
-        """Earliest cycle at which a capable unit could accept an operation.
-
-        The event-driven scheduler uses this as a retry horizon for
-        structurally stalled instructions: every :meth:`try_issue` strictly
-        before the returned cycle is guaranteed to fail without side
-        effects.  The bound stays valid under interleaved issues by other
-        instructions, because a claim only ever pushes ``busy_until``
-        forward.
-        """
-        best = None
-        for unit in self.units:
-            if needs_complex and not unit.complex_capable:
-                continue
-            if best is None or unit.busy_until < best:
-                best = unit.busy_until
-        if best is None:
-            raise ValueError("no capable unit in pool")
-        return best
-
     @property
     def size(self) -> int:
         return len(self.units)

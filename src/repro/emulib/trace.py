@@ -3,8 +3,9 @@
 The builders in this package execute kernels functionally and record one
 dynamic instruction per emitted operation -- the same information the paper
 obtains by filtering an ATOM-instrumented instruction stream into the Jinks
-simulator.  The out-of-order core in :mod:`repro.cpu.core` consumes these
-records; it never re-executes data computation.
+simulator.  The out-of-order core (:mod:`repro.cpu.core`, whose timing
+engine lives in :mod:`repro.cpu.batch`) consumes these records; it never
+re-executes data computation.
 
 Storage model
 -------------
@@ -20,13 +21,13 @@ public API is unchanged -- :meth:`Trace.append` still takes a
 :class:`DynInstr`, iteration still yields :class:`DynInstr` objects
 (materialized on demand), and ``trace.instructions`` remains a mutable
 list-like escape hatch -- so builders, the vectorizing compiler and the
-digest code are untouched.  The timing engines read the columns without
+digest code are untouched.  The timing engine reads the columns without
 materializing the object form: :class:`~repro.cpu.batch.BatchCore`
 decodes fixed-size column blocks (:meth:`Trace.iter_column_blocks`,
 which cuts blocks across chunk boundaries and converts the staging tail
-the way sealing does), and :class:`~repro.cpu.core.Core` streams
-:class:`TimingRecord` objects built from the same chunks
-(:meth:`Trace.iter_timing_records`).
+the way sealing does).  Only the reference core
+(:meth:`~repro.cpu.core.Core.run_reference`) and the tests walk the
+:class:`DynInstr` view.
 
 Two invariants the tests pin:
 
@@ -64,9 +65,6 @@ CHUNK_ROWS = 1 << 16
 
 #: ``taken`` column encoding (int8): -1 = not a branch, 0/1 = outcome.
 _TAKEN_DECODE = (None, False, True)        # indexed by encoded + 1
-
-#: RegPool by pool id, avoiding an enum construction per operand decode.
-_POOL_BY_ID = tuple(RegPool)
 
 #: Encoded operands lie in ``[0, REG_LIMIT)``; sealing rejects the rest.
 REG_LIMIT = len(RegPool) << 8
@@ -154,113 +152,6 @@ class DynInstr:
         return f"<{self.op.isa}:{self.op.name}{extra}>"
 
 
-class TimingRecord:
-    """Preclassified image of one :class:`DynInstr` for the timing core.
-
-    The cycle-level scheduler consults instruction-class predicates and
-    operand pools on every fetch/dispatch/issue/commit decision.  Resolving
-    them through enum properties per simulated run is pure recomputation --
-    the classification depends only on the trace, which the experiment grid
-    reuses across every (width, memory model) point.  A record folds those
-    lookups into plain attributes, computed once per trace.
-
-    ``instr`` carries the object form for the memory models; in streaming
-    mode (:meth:`Trace.iter_timing_records`) it is materialized only for
-    memory-class rows -- the only rows whose record the core hands to a
-    memory model -- and is ``None`` elsewhere.
-    """
-
-    #: values of :attr:`kind`, ordered by issue-path frequency.
-    KIND_COMPUTE = 0
-    KIND_MEMORY = 1
-    KIND_CONTROL = 2
-    KIND_NOP = 3
-
-    __slots__ = (
-        "instr", "iclass", "kind", "is_memory", "is_branch", "is_jump",
-        "is_nop", "chains", "op_name", "latency", "vl", "exec_rows",
-        "acc_chain_eligible", "writes_acc", "srcs", "dsts", "site", "taken",
-    )
-
-    def __init__(self, instr: DynInstr) -> None:
-        op = instr.op
-        iclass = op.iclass
-        self.instr = instr
-        self.iclass = iclass
-        self.is_memory = iclass.is_memory
-        self.is_branch = iclass == InstrClass.BRANCH
-        self.is_jump = iclass == InstrClass.JUMP
-        self.is_nop = iclass == InstrClass.NOP
-        if self.is_memory:
-            self.kind = self.KIND_MEMORY
-        elif self.is_branch or self.is_jump:
-            self.kind = self.KIND_CONTROL
-        elif self.is_nop:
-            self.kind = self.KIND_NOP
-        else:
-            self.kind = self.KIND_COMPUTE
-        is_media_compute = iclass in (InstrClass.MED_SIMPLE,
-                                      InstrClass.MED_COMPLEX)
-        self.chains = instr.vl > 1 and (iclass.is_media or self.is_memory)
-        self.op_name = op.name
-        self.latency = op.latency
-        self.vl = instr.vl
-        #: rows a media computation streams through its functional unit.
-        self.exec_rows = instr.vl if is_media_compute else 1
-        self.acc_chain_eligible = (is_media_compute and op.reads_acc
-                                   and op.writes_acc and instr.vl > 1)
-        self.writes_acc = op.writes_acc
-        self.srcs = instr.srcs
-        #: per destination: (encoded reg, pool, rename row charge).
-        self.dsts = tuple(
-            (dst, reg_pool(dst),
-             max(1, instr.vl) if reg_pool(dst) == RegPool.MED else 1)
-            for dst in instr.dsts)
-        self.site = instr.site
-        self.taken = instr.taken
-
-
-class OpMeta:
-    """Per-opcode constants folded once per trace.
-
-    Everything :class:`TimingRecord` derives from the :class:`Opcode` (and
-    nothing else) lives here, so the per-row work of a record build is pure
-    attribute assignment, and the columnar batch decode
-    (:mod:`repro.cpu.batch`) classifies rows by op id.  The equivalence
-    with the reference constructor is pinned by
-    ``tests/test_trace_columnar.py``.
-    """
-
-    __slots__ = ("op", "iclass", "kind", "is_memory", "is_branch", "is_jump",
-                 "is_nop", "is_media_compute", "chains_class", "op_name",
-                 "latency", "acc_pair", "writes_acc")
-
-    def __init__(self, op: Opcode) -> None:
-        iclass = op.iclass
-        self.op = op
-        self.iclass = iclass
-        self.is_memory = iclass.is_memory
-        self.is_branch = iclass == InstrClass.BRANCH
-        self.is_jump = iclass == InstrClass.JUMP
-        self.is_nop = iclass == InstrClass.NOP
-        if self.is_memory:
-            self.kind = TimingRecord.KIND_MEMORY
-        elif self.is_branch or self.is_jump:
-            self.kind = TimingRecord.KIND_CONTROL
-        elif self.is_nop:
-            self.kind = TimingRecord.KIND_NOP
-        else:
-            self.kind = TimingRecord.KIND_COMPUTE
-        self.is_media_compute = iclass in (InstrClass.MED_SIMPLE,
-                                           InstrClass.MED_COMPLEX)
-        #: instruction-class half of :attr:`TimingRecord.chains`.
-        self.chains_class = iclass.is_media or self.is_memory
-        self.op_name = op.name
-        self.latency = op.latency
-        self.acc_pair = op.reads_acc and op.writes_acc
-        self.writes_acc = op.writes_acc
-
-
 class _Stage:
     """Staging tail: parallel plain lists for the not-yet-sealed rows.
 
@@ -311,9 +202,8 @@ def _csr(tuples: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     Offsets fit int32 by construction (at most ``CHUNK_ROWS`` rows of a
     few operands each); values fit int16 because an encoded register is
     ``(pool << 8) | index`` with four pools and 8-bit indices.  Anything
-    else names no register and raises ``ValueError``, as
-    ``TimingRecord(instr)`` does: consumers index per-register tables
-    with these values.
+    else names no register and raises ``ValueError``: consumers index
+    per-register tables with these values.
     """
     offsets = np.zeros(len(tuples) + 1, dtype=np.int32)
     lengths = np.fromiter(map(len, tuples), dtype=np.int32, count=len(tuples))
@@ -507,29 +397,19 @@ class _Chunk:
 
 
 class TraceSummary:
-    """One-pass summary of a trace: statistics plus timing records.
+    """One-pass summary statistics of a trace.
 
     Computed lazily by :meth:`Trace.summary` and cached until the trace is
     mutated, so repeated simulation of the same trace (the experiment grid
     runs each trace under many machine/memory configurations) pays the
-    O(trace) walk once instead of once per run.
-
-    Statistics are vectorized reductions over the columnar store; the
-    per-instruction :attr:`records` list is itself built lazily on first
-    access, so frame-scale consumers that stream records
-    (:meth:`Trace.iter_timing_records`) get the statistics without ever
-    materializing the record list.
+    O(trace) walk once instead of once per run.  The statistics are
+    vectorized reductions over the columnar store.
     """
 
-    __slots__ = ("_trace", "_records", "_length", "class_histogram",
-                 "opcode_histogram", "operation_count", "memory_references",
-                 "branch_count")
+    __slots__ = ("class_histogram", "opcode_histogram", "operation_count",
+                 "memory_references", "branch_count")
 
     def __init__(self, trace: "Trace") -> None:
-        self._trace = trace
-        self._records: list[TimingRecord] | None = None
-        self._length = len(trace)
-
         ops = trace._ops
         nops = len(ops)
         counts = np.zeros(nops, dtype=np.int64)
@@ -560,35 +440,11 @@ class TraceSummary:
         self.memory_references = memory_refs
         self.branch_count = branches
 
-    @property
-    def records(self) -> list[TimingRecord]:
-        """Preclassified per-instruction records (built on first access).
-
-        Raises if the trace was mutated after this summary was computed:
-        the statistics above describe the old stream, and silently
-        pairing them with records of the new one is exactly the
-        desynchronization bug class the summary cache exists to prevent.
-        Re-fetch through ``trace.summary()`` after mutation instead.
-        """
-        if self._records is None:
-            trace = self._trace
-            if trace._summary is not self or len(trace) != self._length:
-                raise RuntimeError(
-                    "stale TraceSummary: the trace was mutated after "
-                    "summary(); call trace.summary() again")
-            self._records = list(trace.iter_timing_records(
-                materialize="all"))
-        return self._records
-
-    @property
-    def records_built(self) -> bool:
-        return self._records is not None
-
 
 class Trace:
     """An ordered dynamic instruction stream plus summary statistics.
 
-    Statistics and timing records are computed once and cached; mutating
+    Statistics are computed once and cached; mutating
     the trace through any path -- :meth:`append` / :meth:`extend` /
     :meth:`truncate` or the ``instructions`` view -- invalidates the
     cache.  Code holding a previously returned :class:`TraceSummary` can
@@ -850,66 +706,6 @@ class Trace:
         if parts:
             yield _Chunk.concat(parts)
 
-    def iter_timing_records(self, materialize: str = "memory"):
-        """Stream :class:`TimingRecord` per row without retaining them.
-
-        Args:
-            materialize: which rows get a backing :class:`DynInstr` in
-                ``record.instr`` -- ``"memory"`` (default; the only rows
-                whose object form the core hands to a memory model) or
-                ``"all"`` (full compatibility, used for the cached
-                :meth:`timing_records` list).
-
-        Record attributes are identical to ``TimingRecord(instr)``; the
-        per-opcode constants are folded once per trace (:class:`OpMeta`)
-        and the per-row work is plain assignment over bulk-decoded
-        columns.
-        """
-        want_all = materialize == "all"
-        metas = [OpMeta(op) for op in self._ops]
-        pools = _POOL_BY_ID
-        med = RegPool.MED
-        for op_id, srcs, dsts, addr, nbytes, stride, vl, taken, site \
-                in (row for chunk in self._column_chunks()
-                    for row in chunk.iter_rows()):
-            yield self._record(metas[op_id], srcs, dsts, addr, nbytes,
-                               stride, vl, taken, site, want_all, pools, med)
-
-    def _record(self, meta: OpMeta, srcs, dsts, addr, nbytes, stride, vl,
-                taken, site, want_all: bool, pools, med) -> TimingRecord:
-        rec = TimingRecord.__new__(TimingRecord)
-        if want_all or meta.is_memory:
-            rec.instr = DynInstr(meta.op, srcs=srcs, dsts=dsts, addr=addr,
-                                 nbytes=nbytes, stride=stride, vl=vl,
-                                 taken=taken, site=site)
-        else:
-            rec.instr = None
-        rec.iclass = meta.iclass
-        rec.kind = meta.kind
-        rec.is_memory = meta.is_memory
-        rec.is_branch = meta.is_branch
-        rec.is_jump = meta.is_jump
-        rec.is_nop = meta.is_nop
-        rec.chains = vl > 1 and meta.chains_class
-        rec.op_name = meta.op_name
-        rec.latency = meta.latency
-        rec.vl = vl
-        rec.exec_rows = vl if meta.is_media_compute else 1
-        rec.acc_chain_eligible = meta.acc_pair and meta.is_media_compute \
-            and vl > 1
-        rec.writes_acc = meta.writes_acc
-        rec.srcs = srcs
-        if dsts:
-            charge = vl if vl > 1 else 1
-            rec.dsts = tuple(
-                (dst, pool, charge if pool == med else 1)
-                for dst, pool in ((d, pools[d >> 8]) for d in dsts))
-        else:
-            rec.dsts = ()
-        rec.site = site
-        rec.taken = taken
-        return rec
-
     # --- statistics ------------------------------------------------------------
 
     def summary(self) -> TraceSummary:
@@ -917,14 +713,6 @@ class Trace:
         if self._summary is None:
             self._summary = TraceSummary(self)
         return self._summary
-
-    def records_cached(self) -> bool:
-        """Whether a summary with a built record list is already cached."""
-        return self._summary is not None and self._summary.records_built
-
-    def timing_records(self) -> list[TimingRecord]:
-        """Preclassified per-instruction records for the cycle-level core."""
-        return self.summary().records
 
     def class_histogram(self) -> dict[InstrClass, int]:
         return dict(self.summary().class_histogram)

@@ -71,27 +71,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="simulate same-trace config groups in one "
                              "BatchCore pass (default: on; results are "
                              "bit-identical either way)")
-    parser.add_argument("--jit", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="use the compiled timing-core fast path when "
-                             "numba is available (default: on; results are "
-                             "bit-identical either way)")
     parser.add_argument("--progress", action="store_true",
                         help="live done/total, points/s and ETA line on "
                              "stderr (honoured only when stderr is a TTY)")
 
 
 def _session(args: argparse.Namespace) -> Session:
-    import os
-
-    jit = getattr(args, "jit", True)
-    if not jit:
-        # Pool workers pick the toggle up from the environment; in-process
-        # execution additionally honors Session(jit=False).
-        os.environ["REPRO_NO_JIT"] = "1"
     return Session(args.cache_dir, jobs=args.jobs,
                    use_cache=not args.no_cache,
-                   batch=getattr(args, "batch", True), jit=jit)
+                   batch=getattr(args, "batch", True))
 
 
 def _progress_line(args, total: int, session: Session | None = None):
@@ -452,7 +440,7 @@ def _flatten_json(data, prefix: str = "") -> dict[str, object]:
 def _bench_delta_lines(old: dict, new: dict) -> list[str]:
     """Old-vs-new lines over the *union* of flattened keys.
 
-    BENCH schemas drift between PRs (new jit fields, retired counters), so
+    BENCH schemas drift between PRs (new fields, retired counters), so
     a key may exist on only one side; those print with an ``n/a`` marker
     instead of raising ``KeyError``.  Unchanged keys are omitted.
     """
@@ -490,8 +478,6 @@ def _cmd_bench(args) -> int:
     env = dict(os.environ)
     if args.smoke:
         env["REPRO_BENCH_SMOKE"] = "1"
-    if not getattr(args, "jit", True):
-        env["REPRO_NO_JIT"] = "1"
     command = [sys.executable, "-m", "pytest", "-q",
                *(str(f) for f in files)]
     print("repro bench:", " ".join(command[2:]))
@@ -596,15 +582,12 @@ def _cmd_kernels(args) -> int:
 def _cmd_lint(args) -> int:
     import json
 
-    from ..analysis import lint_all
+    from ..analysis import lint_grid
     from ..analysis.runner import kernel_names
 
     kernels = [args.kernel] if args.kernel else None
     isas = [args.isa] if args.isa else None
-    # The jit-subset linter is stream-independent; it joins the run
-    # unless the user narrowed the grid to one kernel.
-    include_jit = args.kernel is None
-    report, artifacts = lint_all(kernels, isas, include_jit=include_jit)
+    report, artifacts = lint_grid(kernels, isas)
 
     payload = report.to_dict()
     payload["cells"] = artifacts
@@ -621,8 +604,7 @@ def _cmd_lint(args) -> int:
         proved = sum(len(cell.get("checkpoints",
                                   cell.get("mirror_checkpoints", [])))
                      for cell in artifacts)
-        print(f"linted {len(names)} kernels x {len(targets)} ISAs"
-              f"{' + jit subset' if include_jit else ''}: "
+        print(f"linted {len(names)} kernels x {len(targets)} ISAs: "
               f"{proved} range checkpoints, "
               f"{len(report.findings)} findings")
         for finding in report.findings:
@@ -893,19 +875,15 @@ def _add_endpoint(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from ..cpu.jit import NUMBA_VERSION
     from ..serve.protocol import PROTOCOL_VERSION
 
-    numba = (f"numba {NUMBA_VERSION}" if NUMBA_VERSION is not None
-             else "numba unavailable, jit falls back to pure python")
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce figures and tables of the MOM paper "
                     "(MICRO 1999) through the unified experiment engine.")
     parser.add_argument(
         "--version", action="version",
-        version=f"repro {__version__} (serve protocol {PROTOCOL_VERSION}; "
-                f"{numba})")
+        version=f"repro {__version__} (serve protocol {PROTOCOL_VERSION})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("figure5", help="kernel speedups across issue widths")
@@ -964,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint",
                        help="statically verify kernels: IR/stream "
-                            "dataflow, saturation ranges, jit subset")
+                            "dataflow, saturation ranges")
     p.add_argument("--kernel", help="lint one kernel (default: all)")
     p.add_argument("--isa", choices=["alpha", "mmx", "mdmx", "mom"],
                    help="lint one ISA (default: all)")
@@ -983,11 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="tiny workloads (REPRO_BENCH_SMOKE=1): fast sanity "
                         "pass, numbers not representative")
-    p.add_argument("--jit", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="let benchmark rows use the compiled fast path "
-                        "(--no-jit exports REPRO_NO_JIT=1 to the pytest "
-                        "subprocess)")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("cache", help="inspect, clear or prune the result "

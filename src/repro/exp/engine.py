@@ -77,8 +77,8 @@ def _phase_meta(phases: dict) -> dict:
     return {key: round(value, 6) for key, value in phases.items()}
 
 
-def execute_point(point: PointSpec, *, jit: bool | None = None,
-                  obs: Obs | None = None, parent=None) -> SimResult:
+def execute_point(point: PointSpec, *, obs: Obs | None = None,
+                  parent=None) -> SimResult:
     """Build, verify and simulate one point (no caching).
 
     The wall-clock cost of the cycle-level simulation itself is recorded
@@ -86,9 +86,7 @@ def execute_point(point: PointSpec, *, jit: bool | None = None,
     so sweeps and the core-speed benchmark can track simulator throughput,
     and ``meta["phases"]`` breaks it into decode/step/writeback (see
     :meth:`Core.run`); ``meta`` is excluded from result equality and
-    digests.  ``jit`` forwards to :meth:`Core.run` (``None`` defers to
-    availability and ``REPRO_NO_JIT``); either path returns bit-identical
-    results.  ``obs``/``parent`` attach trace.build and sim.point spans
+    digests.  ``obs``/``parent`` attach trace.build and sim.point spans
     under an existing handle when telemetry is enabled.
     """
     obs = obs if obs is not None else OBS_OFF
@@ -105,7 +103,7 @@ def execute_point(point: PointSpec, *, jit: bool | None = None,
                      memory=point.memory) as span:
         start_wall = time.time()
         start = time.perf_counter()
-        result = core.run(built.trace, jit=jit, phases=phases)
+        result = core.run(built.trace, phases=phases)
         elapsed = time.perf_counter() - start
     result.meta["sim_seconds"] = round(elapsed, 6)
     if elapsed > 0:
@@ -141,15 +139,13 @@ def build_key(point: PointSpec) -> tuple[str, str, str, int]:
 
 
 def execute_batch(points: list[PointSpec],
-                  *, jit: bool | None = None,
-                  obs: Obs | None = None, parent=None) -> list[SimResult]:
+                  *, obs: Obs | None = None, parent=None) -> list[SimResult]:
     """Simulate same-trace points as one :class:`BatchCore` pass.
 
     All points must share a :func:`build_key` (one build, one trace, one
     decode); each returned :class:`SimResult` is bit-identical to
-    :func:`execute_point` on that point.  Raises
-    :class:`~repro.cpu.batch.UnbatchableError` when a lane cannot run
-    through the batch engine -- callers fall back to per-point execution.
+    :func:`execute_point` on that point.  Raises ``ValueError`` when the
+    points span more than one trace or a lane is invalid.
 
     Per-lane ``meta["sim_seconds"]`` is an *equal share* of the group
     pass, not a measurement -- ``meta["sim_seconds_estimated"]`` flags
@@ -157,13 +153,13 @@ def execute_batch(points: list[PointSpec],
     whole-pass wall-clock; ``meta["phases"]`` holds the group's shared
     decode/step/writeback split.
     """
-    from ..cpu.batch import BatchCore, LaneSpec, UnbatchableError
+    from ..cpu.batch import BatchCore, LaneSpec
 
     if not points:
         return []
     keys = {build_key(p) for p in points}
     if len(keys) > 1:
-        raise UnbatchableError(f"points span {len(keys)} traces")
+        raise ValueError(f"points span {len(keys)} traces")
     obs = obs if obs is not None else OBS_OFF
     tracer = obs.tracer
     first = points[0]
@@ -174,7 +170,7 @@ def execute_batch(points: list[PointSpec],
     lanes = [LaneSpec(machine_config(p.way, p.isa), make_memsys(p),
                       accounting=p.accounting)
              for p in points]
-    core = BatchCore(lanes, jit=jit)   # validates lanes before simulation
+    core = BatchCore(lanes)     # validates lanes before simulation
     group = "-".join(str(k) for k in build_key(first))
     phases: dict = {}
     with tracer.span("sim.group", parent=parent, group=group,
@@ -216,28 +212,14 @@ def batching_enabled() -> bool:
     return os.environ.get("REPRO_NO_BATCH") != "1"
 
 
-def jitting_enabled() -> bool:
-    """Process-wide jit toggle (``REPRO_NO_JIT=1`` disables)."""
-    from ..cpu.jit import jit_enabled
-    return jit_enabled()
-
-
 def execute_group(points: list[PointSpec],
-                  *, jit: bool | None = None,
-                  obs: Obs | None = None, parent=None) -> list[SimResult]:
-    """Execute one same-trace group, batched when possible.
-
-    Single-point groups and unbatchable lane sets take the plain
-    :func:`execute_point` path; results are identical either way.
-    """
-    from ..cpu.batch import UnbatchableError
-
+                  *, obs: Obs | None = None, parent=None) -> list[SimResult]:
+    """Execute one same-trace group: one :class:`BatchCore` pass, or one
+    per point for single-point groups and with batching off; results are
+    identical either way."""
     if len(points) > 1 and batching_enabled():
-        try:
-            return execute_batch(points, jit=jit, obs=obs, parent=parent)
-        except UnbatchableError:
-            pass
-    return [execute_point(point, jit=jit, obs=obs, parent=parent)
+        return execute_batch(points, obs=obs, parent=parent)
+    return [execute_point(point, obs=obs, parent=parent)
             for point in points]
 
 
@@ -302,13 +284,6 @@ class Session:
             whole group) instead of looping ``Core.run``.  Results are
             bit-identical; only wall-clock differs.  Also disabled by
             ``REPRO_NO_BATCH=1``.
-        jit: allow the compiled timing-core fast path (numba kernels)
-            on points it can express; inexpressible points fall back to
-            the interpreted loop automatically.  Results are
-            bit-identical; only wall-clock differs.  ``False`` forces
-            the interpreted path; also disabled by ``REPRO_NO_JIT=1``
-            (the env var is what pool workers inherit -- in-process
-            execution additionally honors this flag).
         obs: telemetry bundle (:class:`~repro.obs.Obs`).  Defaults to
             :func:`~repro.obs.obs_from_env` -- disabled no-op singletons
             unless ``REPRO_OBS=1`` / ``REPRO_OBS_TRACE=path`` is set.
@@ -322,7 +297,7 @@ class Session:
     def __init__(self, cache_dir: str | Path | None = None, *,
                  jobs: int = 1, salt: str | None = None,
                  use_cache: bool = True, batch: bool = True,
-                 jit: bool = True, obs: Obs | None = None) -> None:
+                 obs: Obs | None = None) -> None:
         if os.environ.get("REPRO_NO_CACHE") == "1":
             use_cache = False
         self.obs = obs if obs is not None else obs_from_env()
@@ -332,14 +307,9 @@ class Session:
         self.salt = source_fingerprint() if salt is None else salt
         self.jobs = jobs
         self.batch = batch
-        self.jit = jit
         self.hits = 0
         self.misses = 0
         self._memo: dict[str, SimResult] = {}
-
-    def _jit_arg(self) -> bool | None:
-        """``jit`` forward for executors: defer when on, force off when off."""
-        return None if self.jit else False
 
     # --- cache plumbing ---------------------------------------------------
 
@@ -413,7 +383,7 @@ class Session:
             return cached
         self.misses += 1
         self.obs.metrics.counter("session_cache_misses").inc()
-        result = execute_point(point, jit=self._jit_arg(), obs=self.obs)
+        result = execute_point(point, obs=self.obs)
         self.store(point, result)
         return result
 
@@ -432,10 +402,10 @@ class Session:
 
         Cache misses are grouped by :func:`build_key` -- points of one
         group simulate the same trace -- and each group runs as a single
-        :class:`~repro.cpu.batch.BatchCore` pass (``batch=False`` or
-        unbatchable groups loop ``Core.run`` instead; results are
-        bit-identical).  Groups execute in process when the effective
-        ``jobs`` is 1, else on a process pool ``jobs`` wide.  Results
+        :class:`~repro.cpu.batch.BatchCore` pass (``batch=False`` runs
+        one ``Core.run`` per point instead; results are bit-identical).
+        Groups execute in process when the effective ``jobs`` is 1, else
+        on a process pool ``jobs`` wide.  Results
         are stored back to the persistent cache so a warm rerun performs
         no simulation at all.
 
@@ -527,8 +497,7 @@ class Session:
                    parent=None) -> None:
         """Execute one same-trace group in process, caching per point."""
         self.misses += len(group)
-        group_results = execute_group(group, jit=self._jit_arg(),
-                                      obs=self.obs, parent=parent)
+        group_results = execute_group(group, obs=self.obs, parent=parent)
         with self.obs.tracer.span("cache.put", parent=parent,
                                   points=len(group)):
             for point, result in zip(group, group_results):

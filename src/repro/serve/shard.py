@@ -111,8 +111,9 @@ def _shard_worker(task_queue, result_queue) -> None:
         # Batches are same-build by construction (submit() asserts it),
         # so a multi-point task is exactly a BatchCore lane group: one
         # decode pass for the whole batch instead of a Core.run loop.
-        # Any failure -- an unbatchable lane, a model error -- falls back
-        # to the per-point path, which reports errors point by point.
+        # Any failure -- an invalid lane, a model error -- is retried on
+        # the per-point path, which reports errors point by point, so
+        # one failing point does not fail the rest of its batch.
         if len(batch) > 1 and batching_enabled():
             try:
                 points = [PointSpec.from_payload(p) for _, p in batch]

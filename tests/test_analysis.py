@@ -1,7 +1,7 @@
 """The static verification layer: unit behaviour and grid cleanliness.
 
 The flagship property is *zero false positives*: every shipped kernel on
-every ISA, plus the jit engine source, passes every analysis pass clean.
+every ISA passes every analysis pass clean.
 The complementary property (seeded defects are caught) lives in
 ``test_mutations.py``.
 """
@@ -10,8 +10,8 @@ import json
 
 import pytest
 
-from repro.analysis import (Interval, check_ir, check_ranges, lint_jit,
-                            lint_kernel, pressure_report, verified_status)
+from repro.analysis import (Interval, check_ir, check_ranges, lint_kernel,
+                            pressure_report, verified_status)
 from repro.analysis.interval import const, from_array
 from repro.analysis.runner import kernel_names
 from repro.exp.cli import main as cli_main
@@ -55,10 +55,6 @@ def test_grid_has_zero_findings(isa):
         assert artifacts["pressure"]["pools"], (name, isa)
         if isa != "alpha":      # Table 2 prices media files only
             assert artifacts["pressure"]["register_files"], (name, isa)
-
-
-def test_jit_source_is_compliant():
-    assert lint_jit() == []
 
 
 def test_every_compiled_kernel_ships_a_range_proof():

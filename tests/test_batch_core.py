@@ -1,22 +1,26 @@
-"""BatchCore parity: every lane bit-identical to a fresh ``Core.run``.
+"""BatchCore parity: every lane bit-identical to the busy-wait oracle.
 
 The batch engine shares one decode pass -- records, dependence edges,
 branch-predictor streams, packed register charges -- across all
 configuration lanes, so these tests pin the only thing that matters:
 each lane's ``SimResult`` digests identically to running that lane alone
-through ``Core``.  Covered: the full golden mini-grid batched per trace,
-randomized mixed-lane batches (Table-1 configs x ablation knobs x
-perfect-vs-cache memory), duplicate-lane collapsing, ring wrap-around
-with artificially small decode blocks, and the unbatchable fallbacks.
+through ``Core.run_reference`` (or to the seed digests).  Covered: the
+full golden mini-grid batched per trace, randomized mixed-lane batches
+(Table-1 configs x ablation knobs x perfect-vs-cache memory),
+duplicate-lane collapsing, ring wrap-around with artificially small
+decode blocks, the lanes a batch rejects, and the empty trace.
 """
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from repro.cpu import Core, machine_config
-from repro.cpu.batch import BatchCore, LaneSpec, UnbatchableError
+from repro.cpu.batch import BatchCore, LaneSpec
+from repro.cpu.core import STACK_COMPONENTS
+from repro.emulib.trace import Trace
 from repro.exp.engine import built_kernel
 from repro.memsys import PerfectMemory
 
@@ -52,7 +56,8 @@ KNOB_SPACE = [
 
 def test_mixed_lane_fuzz_matches_per_lane_core():
     """Random lane subsets -- knobs and memory models diverging *within*
-    one batch -- each match a fresh per-lane ``Core.run`` digest."""
+    one batch -- each match a fresh per-lane ``Core.run_reference``
+    digest: the one independent engine for the knob variants."""
     rng = random.Random(0xB47C)
     for kernel, isa in (("idct", "mom"), ("motion2", "mom"),
                         ("idct", "mmx"), ("motion2", "alpha")):
@@ -69,7 +74,7 @@ def test_mixed_lane_fuzz_matches_per_lane_core():
         results = BatchCore(lanes).run(trace)
         for (way, mem, knobs), result in zip(picks, results):
             ref = Core(machine_config(way, isa), make_memsys(mem, way, isa),
-                       **knobs).run(trace)
+                       **knobs).run_reference(trace)
             assert result_digest(result) == result_digest(ref), \
                 (kernel, isa, way, mem, knobs)
 
@@ -127,8 +132,18 @@ def test_memsys_without_try_issue_is_unbatchable():
     class Weird:
         pass
 
-    with pytest.raises(UnbatchableError):
+    with pytest.raises(ValueError, match="try_issue"):
         BatchCore([LaneSpec(machine_config(2, "alpha"), Weird())])
+    with pytest.raises(ValueError, match="try_issue"):
+        Core(machine_config(2, "alpha"), Weird()).run(
+            built_kernel("idct", "alpha").trace)
+
+
+@pytest.mark.parametrize("field", ["bimodal_entries", "btb_entries"])
+def test_predictor_tables_must_be_powers_of_two(field):
+    cfg = dataclasses.replace(machine_config(2, "alpha"), **{field: 1000})
+    with pytest.raises(ValueError, match="powers of two"):
+        BatchCore([LaneSpec(cfg, PerfectMemory(1, 2, 1))])
 
 
 def test_empty_lane_list_rejected():
@@ -144,3 +159,33 @@ def test_plain_pairs_promote_to_lanespec():
     ).run(trace)
     assert result_digest(result) == GOLDEN_DIGESTS[("idct", "alpha", 2,
                                                     "perfect")]
+
+
+@pytest.mark.parametrize("accounting", [False, True])
+def test_empty_trace_keeps_the_run_bookkeeping(accounting):
+    """An empty trace gets the bookkeeping of any other run: every phase
+    key, a zeroed lane state and, with accounting, a zero stack over
+    every component -- through ``Core.run`` and ``BatchCore.run``."""
+    cfg = machine_config(4, "mom")
+    trace = Trace("mom")
+    phases = {}
+    result = Core(cfg, PerfectMemory(1, 2, 1),
+                  accounting=accounting).run(trace, phases=phases)
+    assert set(phases) == {"decode", "step", "writeback"}
+    assert result.cycles == 0 and result.instructions == 0
+    batch = BatchCore([LaneSpec(cfg, PerfectMemory(1, 2, 1),
+                                accounting=accounting),
+                       LaneSpec(cfg, make_memsys("cache", 4, "mom"),
+                                accounting=accounting)])
+    phases = {}
+    results = batch.run(trace, phases=phases)
+    assert set(phases) == {"decode", "step", "writeback"}
+    assert batch.state["cycle"].tolist() == [0, 0]
+    assert batch.state["committed"].tolist() == [0, 0]
+    for lane in results:
+        assert lane.cycles == 0 and lane.branch_lookups == 0
+        if accounting:
+            assert lane.stack.to_dict() == dict.fromkeys(STACK_COMPONENTS, 0)
+        else:
+            assert lane.stack is None
+    assert results[0] == result

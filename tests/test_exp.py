@@ -335,24 +335,6 @@ def test_singleton_group_skips_batching(tmp_path):
     assert "batch_lanes" not in result.meta
 
 
-def test_batch_falls_back_per_point_when_unbatchable(tmp_path, monkeypatch):
-    """If a group cannot run through BatchCore the session silently falls
-    back to per-point execution rather than failing the sweep."""
-    import repro.exp.engine as engine
-    from repro.cpu.batch import UnbatchableError
-
-    def refuse(points, **kwargs):
-        raise UnbatchableError("forced by test")
-
-    monkeypatch.setattr(engine, "execute_batch", refuse)
-    results = Session(tmp_path, salt="x").run(BATCH_SWEEP, batch=True)
-    reference = Session(tmp_path / "ref", salt="x").run(
-        BATCH_SWEEP, batch=False)
-    for point in reference:
-        assert results[point] == reference[point]
-        assert "batch_lanes" not in results[point].meta
-
-
 def test_repro_no_batch_env_disables_batching(tmp_path, monkeypatch):
     from repro.exp.engine import batching_enabled
 
@@ -464,6 +446,20 @@ def test_cli_cache_inspect_and_clear(tmp_path, capsys):
     assert main(["cache", "--cache-dir", str(tmp_path), "--clear"]) == 0
     assert "cleared 1" in capsys.readouterr().out
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_bench_delta_lines_tolerate_schema_drift():
+    from repro.exp.cli import _bench_delta_lines
+    old = {"a": 1, "dropped": 2.0, "same": "x", "renamed": 3}
+    new = {"a": 2, "added": True, "same": "x"}
+    text = "\n".join(_bench_delta_lines(old, new))
+    assert "a: 1 -> 2  (+100.0%)" in text
+    assert "dropped: 2.0 -> n/a" in text
+    assert "added: n/a -> True" in text
+    assert "renamed: 3 -> n/a" in text
+    assert "same" not in text
+    assert _bench_delta_lines({}, {}) == []
+    assert _bench_delta_lines({"k": 1}, {"k": 1}) == []
 
 
 def test_cli_tables(capsys):

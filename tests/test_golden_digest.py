@@ -1,15 +1,16 @@
-"""Golden differential test: the event-driven core is cycle-exact to the seed.
+"""Golden differential test: the timing engine is cycle-exact to the seed.
 
 The digests below were captured from the *seed* per-cycle busy-wait core
-(commit 950ede5's ``Core.run``) over a representative mini-grid: two
+(commit 950ede5's ``Core.run``, kept as ``Core.run_reference``) over a
+representative mini-grid: two
 kernels x all four ISAs x 2/8-way x {perfect 1-cycle, perfect 50-cycle,
 realistic cache} memory, plus the vector-cache and collapsing-buffer
 hierarchies for MOM.  Each digest hashes every deterministic
 :class:`~repro.cpu.core.SimResult` field -- cycles, instruction and
 operation counts, branch/BTB statistics, fetch- and rename-stall counters
-and the full memory-system statistics dict -- so the event-driven
-scheduler must reproduce the seed model bit-for-bit, stall cadence and
-all, not merely approximate it.
+and the full memory-system statistics dict -- so the event-driven lane
+stepper behind ``Core.run`` must reproduce the seed model bit-for-bit,
+stall cadence and all, not merely approximate it.
 
 If a deliberate timing-model change invalidates these values, re-capture
 them with ``python -m tests.test_golden_digest`` and update the table in
@@ -22,6 +23,7 @@ import json
 import pytest
 
 from repro.cpu import Core, machine_config
+from repro.cpu.batch import BatchCore
 from repro.exp.engine import built_kernel
 from repro.memsys import (CollapsingBufferHierarchy, ConventionalHierarchy,
                           MultiAddressHierarchy, PerfectMemory,
@@ -160,13 +162,19 @@ def test_event_core_matches_seed_digest(kernel, isa, way, memory):
 ], ids=lambda v: str(v))
 def test_streaming_consume_path_matches_seed_digest(monkeypatch, kernel,
                                                     isa, way, memory):
-    """The columnar streaming path (TimingRecords consumed chunk by chunk,
-    no materialized DynInstr list -- the frame-scale route) reproduces the
-    seed digests bit for bit, across every memory-model family."""
-    monkeypatch.setattr(Core, "STREAM_THRESHOLD", 0)
+    """The streaming consume path (column blocks decoded into rings that
+    wrap many times, lanes pausing at every block boundary -- the
+    frame-scale route) reproduces the seed digests bit for bit, across
+    every memory-model family."""
+    cfg = machine_config(way, isa)
+    # The smallest block a lane's live window (ROB + fetch queue + one
+    # fetch group) always fits in, so the retention check still holds.
+    block = 1 << (cfg.rob_size + 3 * cfg.width).bit_length()
+    monkeypatch.setattr(BatchCore, "BLOCK", block)
+    monkeypatch.setattr(BatchCore, "RING", 2 * block)
     built = built_kernel(kernel, isa)
-    built.trace.invalidate_summary()        # force streaming, not the cache
-    core = Core(machine_config(way, isa), make_memsys(memory, way, isa))
+    assert len(built.trace) > 2 * block     # otherwise nothing wraps
+    core = Core(cfg, make_memsys(memory, way, isa))
     result = core.run(built.trace)
     assert result_digest(result) == GOLDEN_DIGESTS[(kernel, isa, way, memory)]
 
@@ -183,11 +191,13 @@ def test_reference_core_still_matches_seed_digest():
 
 
 def _recapture():     # pragma: no cover - maintenance helper
+    """Print the table from the oracle, so the engine is never checked
+    against digests it produced itself."""
     print("GOLDEN_DIGESTS = {")
     for kernel, isa, way, memory in grid_points():
         built = built_kernel(kernel, isa)
         core = Core(machine_config(way, isa), make_memsys(memory, way, isa))
-        digest = result_digest(core.run(built.trace))
+        digest = result_digest(core.run_reference(built.trace))
         print(f"    {(kernel, isa, way, memory)!r}: {digest!r},")
     print("}")
 

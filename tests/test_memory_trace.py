@@ -167,16 +167,6 @@ def test_trace_histogram_callers_cannot_corrupt_cache():
     assert t.opcode_histogram() == {"addq": 1}
 
 
-def test_timing_records_preclassify_instructions():
-    t = Trace("mom")
-    t.append(DynInstr(MOM["momldq"], addr=0, nbytes=8, stride=32, vl=4))
-    t.append(DynInstr(MOM["paddb"], vl=16))
-    load, add = t.timing_records()
-    assert load.is_memory and load.chains and load.vl == 4
-    assert not add.is_memory and add.exec_rows == 16
-    assert t.timing_records() is t.summary().records
-
-
 def test_dyninstr_repr():
     ins = DynInstr(MOM["momldq"], addr=0x2000, vl=8, stride=8)
     assert "momldq" in repr(ins)

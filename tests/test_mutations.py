@@ -1,8 +1,8 @@
 """Mutation harness: every seeded defect is caught by the intended pass.
 
-Each test plants one known-bad artifact -- a corrupted IR, a corrupted
-lowered stream, or a corrupted ``cpu/jit.py`` source -- and asserts the
-static verification layer reports it under the expected pass/rule.  The
+Each test plants one known-bad artifact -- a corrupted IR or a corrupted
+lowered stream -- and asserts the static verification layer reports it
+under the expected pass/rule.  The
 companion guarantee (zero findings on the shipped kernel x ISA grid,
 i.e. no false positives) lives in ``test_analysis.py``.
 
@@ -14,8 +14,7 @@ instruction edited, inserted or dropped.
 
 import copy
 
-from repro.analysis import check_ir, check_ranges, check_stream, lint_jit
-from repro.analysis.jitlint import default_source
+from repro.analysis import check_ir, check_ranges, check_stream
 from repro.analysis.streamcheck import _extents
 from repro.emulib.trace import DynInstr
 from repro.kernels import KERNELS
@@ -239,57 +238,3 @@ def test_mutation_injected_dead_write():
     trace.insert(at, _clone(trace[at]))
     findings = check_stream(_Mutant(built.builder, trace), "blend", "mmx")
     assert ("dataflow", "dead-write") in _rules(findings)
-
-
-# --- jit-subset mutations (caught by the jit linter) ------------------------
-
-_ANCHOR = "    width = cfg[_C_WIDTH]"
-
-
-def _mutate_jit(insert=None, replace=None):
-    source, _ = default_source()
-    if insert is not None:
-        assert _ANCHOR in source
-        source = source.replace(_ANCHOR, insert + "\n" + _ANCHOR, 1)
-    if replace is not None:
-        old, new = replace
-        assert old in source
-        source = source.replace(old, new, 1)
-    return lint_jit(source)
-
-
-def test_mutation_jit_dict_literal():
-    findings = _mutate_jit(insert="    _bad = {}")
-    assert ("jit-subset", "forbidden-construct") in _rules(findings)
-
-
-def test_mutation_jit_float_constant():
-    findings = _mutate_jit(insert="    _bad = 0.5")
-    assert ("jit-subset", "float-constant") in _rules(findings)
-
-
-def test_mutation_jit_modulo():
-    findings = _mutate_jit(insert="    _bad = 7 % 3")
-    assert ("jit-subset", "forbidden-op") in _rules(findings)
-
-
-def test_mutation_jit_nested_function():
-    findings = _mutate_jit(
-        insert="    def _inner():\n        return 0")
-    assert ("jit-subset", "forbidden-construct") in _rules(findings)
-
-
-def test_mutation_jit_forbidden_call():
-    findings = _mutate_jit(insert="    _bad = sorted(cfg)")
-    assert ("jit-subset", "forbidden-call") in _rules(findings)
-
-
-def test_mutation_jit_removed_rewrap():
-    findings = _mutate_jit(replace=(
-        "_step_lane = _numba.njit(cache=True)(_step_lane)", "pass"))
-    assert ("jit-subset", "missing-shim") in _rules(findings)
-
-
-def test_mutation_jit_unknown_name():
-    findings = _mutate_jit(insert="    _bad = mystery_global + 1")
-    assert ("jit-subset", "unresolved-name") in _rules(findings)

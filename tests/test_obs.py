@@ -2,9 +2,8 @@
 phase profiling, and golden-digest parity with telemetry enabled.
 
 The digest-parity tests re-run golden mini-grid coordinates with spans
-and metrics fully enabled on every execution path (interpreted, batch,
-jit via the pure-python shim, and the live service) and check the pinned
-seed digests still come out: telemetry observes the simulator, it never
+and metrics fully enabled on every execution path (per-point, batch and
+the live service) and check the pinned seed digests still come out: telemetry observes the simulator, it never
 perturbs it.  The storm test holds the serving layer to the "stats must
 answer while saturated" contract behind ``repro stats``.
 """
@@ -169,24 +168,16 @@ def test_phases_on_interpreted_core():
     core = Core(machine_config(2, "mmx"),
                 golden.make_memsys("perfect", 2, "mmx"))
     phases = {}
-    core.run(built.trace, jit=False, phases=phases)
+    core.run(built.trace, phases=phases)
     assert PHASES <= set(phases)
     assert all(v >= 0 for v in phases.values())
     assert phases["step"] > 0
 
 
-def test_meta_phases_on_every_engine_path(monkeypatch):
-    monkeypatch.setenv("REPRO_JIT_PUREPY", "1")
-    monkeypatch.delenv("REPRO_NO_JIT", raising=False)
+def test_meta_phases_on_every_engine_path():
     point = PointSpec(kind="kernel", target="idct", isa="mom", way=2)
-
-    interpreted = execute_point(point, jit=False)
-    assert PHASES <= set(interpreted.meta["phases"])
-
-    jitted = execute_point(point, jit=True)
-    assert jitted.meta["jit"] is True
-    assert PHASES <= set(jitted.meta["phases"])
-    assert golden.result_digest(jitted) == golden.result_digest(interpreted)
+    single = execute_point(point)
+    assert PHASES <= set(single.meta["phases"])
 
 
 def test_batch_meta_is_honest_about_shared_wall_clock():
@@ -194,7 +185,7 @@ def test_batch_meta_is_honest_about_shared_wall_clock():
     with the measured whole-pass wall-clock alongside."""
     group = [PointSpec(kind="kernel", target="idct", isa="mom", way=w)
              for w in (2, 4, 8)]
-    results = execute_batch(group, jit=False)
+    results = execute_batch(group)
     group_seconds = {r.meta["batch_group_seconds"] for r in results}
     assert len(group_seconds) == 1          # one measured pass, shared
     (shared,) = group_seconds
@@ -221,20 +212,15 @@ PARITY = (
 )
 
 
-@pytest.mark.parametrize("batch,jit", [
-    (False, False),        # interpreted, per-point
-    (True, False),         # batch lanes
-    (True, True),          # jit kernel (pure-python shim where numba absent)
-], ids=("interpreted", "batch", "jit"))
-def test_digest_parity_with_telemetry_enabled(tmp_path, monkeypatch,
-                                              batch, jit):
-    if jit:
-        monkeypatch.setenv("REPRO_JIT_PUREPY", "1")
-        monkeypatch.delenv("REPRO_NO_JIT", raising=False)
+@pytest.mark.parametrize("batch", [
+    False,                 # per-point
+    True,                  # batch lanes
+], ids=("interpreted", "batch"))
+def test_digest_parity_with_telemetry_enabled(tmp_path, batch):
     points = [_golden_point(*coord) for coord in PARITY]
     obs = Obs.make()
     session = Session(tmp_path / "cache", use_cache=False, obs=obs,
-                      batch=batch, jit=jit)
+                      batch=batch)
     results = session.run(points)
     for coord, point in zip(PARITY, points):
         assert golden.result_digest(results[point]) == \

@@ -2,8 +2,10 @@
 
 ``_RecordDecode`` below is the reference: the record-by-record
 ``_SharedDecode.decode_block`` that :class:`~repro.cpu.batch.BatchCore`
-ran before its decode moved onto the trace columns, walking
-:meth:`~repro.emulib.trace.Trace.iter_timing_records`.  After every
+ran before its decode moved onto the trace columns, walking one
+``_Record`` per instruction of the trace's :class:`DynInstr` view.
+``_Record`` classifies an instruction from its opcode alone, independent
+of the per-opcode tables the columnar decode uses.  After every
 block the tests compare every ring of the columnar decode against it --
 op tuples (memory ``DynInstr``\\ s field by field), dependence edges,
 chain flags, memory flags, every SWAR variant and every predictor/BTB
@@ -23,26 +25,75 @@ from repro.cpu import Core, machine_config
 from repro.cpu.batch import (BatchCore, LaneSpec, _BIAS, _CtlState, _FAM,
                              _LSQ_SHIFT, _SharedDecode, _group_rows)
 from repro.cpu.funit import _NON_PIPELINED
-from repro.emulib.trace import DynInstr, TimingRecord, Trace, reg
+from repro.emulib.trace import DynInstr, Trace, reg, reg_pool
 from repro.exp.engine import built_app, built_kernel
 from repro.isa.alpha import ALPHA
 from repro.isa.mdmx import MDMX
-from repro.isa.model import RegPool
+from repro.isa.model import InstrClass, RegPool
 from repro.kernels import KERNELS
 from repro.memsys import PerfectMemory
 
 from test_golden_digest import result_digest
 
-_KIND_MEMORY = TimingRecord.KIND_MEMORY
-_KIND_CONTROL = TimingRecord.KIND_CONTROL
-_KIND_COMPUTE = TimingRecord.KIND_COMPUTE
-
 ISAS = ("alpha", "mmx", "mdmx", "mom")
 APP_ISAS = ("alpha", "mmx", "mom")
 
 
+class _Record:
+    """Preclassified image of one :class:`DynInstr`: its class predicates,
+    issue constants and per-destination rename charges."""
+
+    #: values of :attr:`kind`, the issue-path kinds of the op tuples.
+    KIND_COMPUTE = 0
+    KIND_MEMORY = 1
+    KIND_CONTROL = 2
+    KIND_NOP = 3
+
+    def __init__(self, instr: DynInstr) -> None:
+        op = instr.op
+        iclass = op.iclass
+        self.instr = instr
+        self.iclass = iclass
+        self.is_memory = iclass.is_memory
+        self.is_branch = iclass == InstrClass.BRANCH
+        self.is_jump = iclass == InstrClass.JUMP
+        self.is_nop = iclass == InstrClass.NOP
+        if self.is_memory:
+            self.kind = self.KIND_MEMORY
+        elif self.is_branch or self.is_jump:
+            self.kind = self.KIND_CONTROL
+        elif self.is_nop:
+            self.kind = self.KIND_NOP
+        else:
+            self.kind = self.KIND_COMPUTE
+        is_media_compute = iclass in (InstrClass.MED_SIMPLE,
+                                      InstrClass.MED_COMPLEX)
+        self.chains = instr.vl > 1 and (iclass.is_media or self.is_memory)
+        self.op_name = op.name
+        self.latency = op.latency
+        self.vl = instr.vl
+        #: rows a media computation streams through its functional unit.
+        self.exec_rows = instr.vl if is_media_compute else 1
+        self.acc_chain_eligible = (is_media_compute and op.reads_acc
+                                   and op.writes_acc and instr.vl > 1)
+        self.writes_acc = op.writes_acc
+        self.srcs = instr.srcs
+        #: per destination: (encoded reg, pool, rename row charge).
+        self.dsts = tuple(
+            (dst, reg_pool(dst),
+             max(1, instr.vl) if reg_pool(dst) == RegPool.MED else 1)
+            for dst in instr.dsts)
+        self.site = instr.site
+        self.taken = instr.taken
+
+
+_KIND_MEMORY = _Record.KIND_MEMORY
+_KIND_CONTROL = _Record.KIND_CONTROL
+_KIND_COMPUTE = _Record.KIND_COMPUTE
+
+
 class _RecordDecode:
-    """Reference decode: one :class:`TimingRecord` at a time, from
+    """Reference decode: one :class:`_Record` at a time, from
     ``next_record`` (same rings, same constructor geometry)."""
 
     def __init__(self, n: int, next_record, dep_cap: int,
@@ -354,7 +405,7 @@ def assert_decode_parity(trace: Trace, *, block: int, ring: int,
                          dep_cap: int = 32, instrs: bool = True) -> int:
     """Decode ``trace`` both ways, comparing after every block; returns
     the number of blocks decoded."""
-    ref = _RecordDecode(len(trace), trace.iter_timing_records().__next__,
+    ref = _RecordDecode(len(trace), map(_Record, trace).__next__,
                         dep_cap, CTL_CLASSES, block, ring)
     new = _SharedDecode(trace, dep_cap, CTL_CLASSES, block, ring,
                         instrs=instrs)
@@ -591,7 +642,7 @@ def test_out_of_range_operand_rejected_at_seal(operand, field):
         trace.append(bad)              # the fourth row seals the chunk
     if field == "dsts":
         with pytest.raises(ValueError):
-            TimingRecord(bad)          # the reference constructor agrees
+            _Record(bad)               # the reference constructor agrees
 
 
 @pytest.mark.parametrize("operand", [-5, len(RegPool) << 8],
@@ -601,18 +652,18 @@ def test_out_of_range_operand_rejected_in_unsealed_tail(operand):
                     DynInstr(ALPHA["addq"], dsts=(operand,))], isa="alpha")
     with pytest.raises(ValueError, match="register operand"):
         list(trace.iter_column_blocks(16))
-    with pytest.raises(ValueError, match="register operand"):
-        list(trace.iter_timing_records())
     lanes = [LaneSpec(machine_config(4, "alpha"), PerfectMemory(1, 2, 1))]
     with pytest.raises(ValueError, match="register operand"):
         BatchCore(lanes).run(trace)
+    with pytest.raises(ValueError, match="register operand"):
+        Core(machine_config(4, "alpha"), PerfectMemory(1, 2, 1)).run(trace)
 
 
 # --- the decode inside BatchCore ---------------------------------------------
 
 def test_batch_with_forced_small_blocks_matches_core(monkeypatch):
     """The whole engine over a small-block decode, cache and perfect
-    memory lanes mixed, against per-point Core runs."""
+    memory lanes mixed, against per-point busy-wait oracle runs."""
     from test_golden_digest import make_memsys
     trace = _trace(_mixed(3000), chunk_rows=700)
     monkeypatch.setattr(BatchCore, "BLOCK", 128)
@@ -626,4 +677,4 @@ def test_batch_with_forced_small_blocks_matches_core(monkeypatch):
     for (way, label), result in zip(points, results):
         core = Core(machine_config(way, "mom"), make_memsys(label, way, "mom"))
         assert result_digest(result) == result_digest(
-            core.run(trace, jit=False)), (way, label)
+            core.run_reference(trace)), (way, label)

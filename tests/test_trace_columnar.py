@@ -1,27 +1,21 @@
-"""Columnar trace store: chunk geometry, streaming records, mutation view.
+"""Columnar trace store: chunk geometry, digests, mutation view.
 
 The contract under test (DESIGN.md section 5): the structure-of-arrays
 encoding behind :class:`~repro.emulib.trace.Trace` is invisible at the
 API -- iteration yields equal :class:`~repro.emulib.trace.DynInstr`
 objects, digests are bit-identical to the historical list encoding and
-independent of chunk boundaries, streamed
-:class:`~repro.emulib.trace.TimingRecord`\\ s match the reference
-constructor attribute for attribute, and the ``instructions`` escape
-hatch still behaves like the list it replaced.
+independent of chunk boundaries, and the ``instructions`` escape hatch
+still behaves like the list it replaced.
 """
 
 import numpy as np
 import pytest
 
-from repro.cpu import Core, machine_config
 from repro.emulib.fingerprint import trace_digest
-from repro.emulib.trace import (CHUNK_ROWS, DynInstr, TimingRecord, Trace,
-                                reg)
-from repro.exp.engine import built_kernel
+from repro.emulib.trace import CHUNK_ROWS, DynInstr, Trace, reg
 from repro.isa.alpha import ALPHA
 from repro.core.mom_isa import MOM
 from repro.isa.model import InstrClass, RegPool
-from repro.memsys import PerfectMemory
 
 
 def _mixed_rows(n):
@@ -73,8 +67,6 @@ def test_empty_trace():
     assert list(t) == []
     assert t.operation_count() == 0
     assert t.class_histogram() == {} and t.opcode_histogram() == {}
-    assert t.timing_records() == []
-    assert list(t.iter_timing_records()) == []
     assert trace_digest(t) == trace_digest(Trace("alpha"))
     with pytest.raises(IndexError):
         t[0]
@@ -132,7 +124,6 @@ def test_append_after_summary_reseals_and_recounts():
     assert t.operation_count() == 3                 # invalidated + recounted
     assert t.summary() is not first
     assert t.memory_references() == 1
-    assert len(t.timing_records()) == 3
 
 
 def test_truncate_across_chunk_boundary():
@@ -149,62 +140,6 @@ def test_truncate_across_chunk_boundary():
     assert len(t) == 0 and list(t) == []
     with pytest.raises(ValueError):
         t.truncate(-1)
-
-
-# --- timing-record equivalence -------------------------------------------------
-
-def _assert_record_equal(got: TimingRecord, want: TimingRecord):
-    for f in ("iclass", "kind", "is_memory", "is_branch", "is_jump",
-              "is_nop", "chains", "op_name", "latency", "vl", "exec_rows",
-              "acc_chain_eligible", "writes_acc", "srcs", "dsts", "site",
-              "taken"):
-        assert getattr(got, f) == getattr(want, f), f
-
-
-@pytest.mark.parametrize("kernel,isa", [("idct", "mom"), ("motion2", "mmx"),
-                                        ("addblock", "alpha")])
-def test_streamed_records_match_reference_constructor(kernel, isa):
-    trace = built_kernel(kernel, isa).trace
-    reference = [TimingRecord(ins) for ins in trace]
-    streamed = list(trace.iter_timing_records())
-    assert len(streamed) == len(reference)
-    for got, want, ins in zip(streamed, reference, trace):
-        _assert_record_equal(got, want)
-        if got.is_memory:        # the only rows whose object form is used
-            _assert_instr_equal(got.instr, ins)
-        else:
-            assert got.instr is None
-    cached = trace.timing_records()
-    for got, want, ins in zip(cached, reference, trace):
-        _assert_record_equal(got, want)
-        _assert_instr_equal(got.instr, ins)      # cached path keeps them all
-
-
-def test_small_chunks_stream_identical_records():
-    rows = _mixed_rows(50)
-    base = _fill(Trace("mom"), rows)
-    small = _fill(Trace("mom", chunk_rows=7), rows)
-    for got, want in zip(small.iter_timing_records(),
-                         base.iter_timing_records()):
-        _assert_record_equal(got, want)
-
-
-def test_streaming_core_path_is_bit_identical(monkeypatch):
-    """Force the core's streaming consume path and diff every result field
-    against the cached-record path on the same machine configuration."""
-    built = built_kernel("idct", "mom")
-    cfg = machine_config(4, "mom")
-
-    def run(**env):
-        for key, value in env.items():
-            monkeypatch.setattr(Core, key, value)
-        mem = PerfectMemory(1, cfg.mem_ports, cfg.mem_port_width)
-        return Core(cfg, mem).run(built.trace)
-
-    cached = run()
-    built.trace.invalidate_summary()     # drop the record cache
-    streamed = run(STREAM_THRESHOLD=0)
-    assert streamed == cached
 
 
 # --- extend: value copy, not aliasing (regression) -----------------------------
@@ -322,19 +257,3 @@ def test_vl_column_survives_large_values():
     _assert_instr_equal(t[0], big)
     assert np.int64(t[0].stride) == 1 << 40
 
-
-def test_stale_summary_records_refuse_to_desynchronize():
-    """A summary held across a mutation must not lazily build records of
-    the *new* stream under the *old* statistics -- it raises instead."""
-    t = _fill(Trace("mom"), _mixed_rows(6))
-    stale = t.summary()                     # stats computed, records lazy
-    t.append(DynInstr(ALPHA["addq"]))       # invalidates the cache
-    with pytest.raises(RuntimeError, match="stale TraceSummary"):
-        stale.records
-    # The fresh summary works, and a summary whose records were built
-    # *before* the mutation keeps serving them (snapshot semantics).
-    assert len(t.summary().records) == 7
-    snap = t.summary()
-    records = snap.records
-    t.append(DynInstr(ALPHA["addq"]))
-    assert snap.records is records
