@@ -79,15 +79,19 @@ if store == "objects":
     # Builders resolve Trace through base_builder, so rebinding it there
     # reproduces the old storage behaviour without keeping dead code.
     import repro.emulib.base_builder as bb
+    from repro.emulib.trace import DynInstr
 
     class LegacyTrace:
         def __init__(self, isa):
             self.isa = isa
             self.instructions = []
 
-        def append(self, instr):
-            self.instructions.append(instr)
-            return instr
+        def emit(self, op, srcs, dsts, addr=None, nbytes=0, stride=0,
+                 vl=1, taken=None, site=0):
+            # Builders write rows; the seed stored one DynInstr per row.
+            self.instructions.append(DynInstr(
+                op, srcs=srcs, dsts=dsts, addr=addr, nbytes=nbytes,
+                stride=stride, vl=vl, taken=taken, site=site))
 
         def __len__(self):
             return len(self.instructions)

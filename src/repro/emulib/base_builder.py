@@ -8,9 +8,9 @@ Builders are our equivalent: a kernel is a Python function that manipulates
 
 * computes the architecturally-correct result (so outputs can be validated
   against numpy golden references), and
-* appends one :class:`~repro.emulib.trace.DynInstr` to the trace, carrying
-  the register dependences, memory addresses and branch outcome the
-  out-of-order timing model needs.
+* writes one row to the trace (:meth:`~repro.emulib.trace.Trace.emit`, with
+  no per-instruction object), carrying the register dependences, memory
+  addresses and branch outcome the out-of-order timing model needs.
 
 :class:`BaseBuilder` implements the scalar Alpha baseline -- the ISA every
 media extension sits on -- including register allocation, 64-bit arithmetic,
@@ -25,9 +25,10 @@ import numpy as np
 from ..isa.alpha import ALPHA
 from ..isa.model import Opcode, RegPool
 from .memory import Memory
-from .trace import DynInstr, Trace, reg
+from .trace import Trace, reg
 
 _U64 = (1 << 64) - 1
+_ALPHA_OPS = ALPHA.opcodes
 
 
 def wrap64(value: int) -> int:
@@ -166,18 +167,23 @@ class BaseBuilder:
 
     # --- emit helpers ----------------------------------------------------------
 
-    def _emit(self, op: Opcode, srcs=(), dsts=(), **kw) -> DynInstr:
-        instr = DynInstr(
-            op,
-            srcs=tuple(s.encoded for s in srcs),
-            dsts=tuple(d.encoded for d in dsts),
-            **kw,
-        )
-        return self.trace.append(instr)
+    def _emit(self, op: Opcode, srcs=(), dsts=(), addr=None, nbytes=0,
+              stride=0, vl=1, taken=None, site=0) -> None:
+        """Write one row to the trace; ``srcs``/``dsts`` are handles."""
+        self.trace.emit(op, tuple([s.encoded for s in srcs]),
+                        tuple([d.encoded for d in dsts]), addr, nbytes,
+                        stride, vl, taken, site)
 
-    def _alu(self, name: str, dst: RegHandle, srcs, value: int) -> RegHandle:
+    def _alu(self, name: str, dst: RegHandle, srcs: tuple[int, ...],
+             value: int) -> RegHandle:
+        """Set ``dst`` and write the row of Alpha op ``name``.
+
+        ``srcs`` holds the sources' *encoded* operands, written at the
+        call site as a tuple literal: this is the hottest emit path, and
+        a literal is several times cheaper than mapping handles here.
+        """
         dst.value = wrap64(value)
-        self._emit(ALPHA[name], srcs=srcs, dsts=(dst,))
+        self.trace.emit(_ALPHA_OPS[name], srcs, (dst.encoded,))
         return dst
 
     # --- constants & moves --------------------------------------------------------
@@ -188,123 +194,129 @@ class BaseBuilder:
 
     def mov(self, dst: RegHandle, src: RegHandle) -> RegHandle:
         """Register move (``bis rd, rs, rs``)."""
-        return self._alu("bis", dst, (src,), src.value)
+        return self._alu("bis", dst, (src.encoded,), src.value)
 
     # --- integer arithmetic ----------------------------------------------------------
 
     def addq(self, dst, a, b) -> RegHandle:
-        return self._alu("addq", dst, (a, b), a.value + b.value)
+        return self._alu("addq", dst, (a.encoded, b.encoded), a.value + b.value)
 
     def addi(self, dst, a, imm: int) -> RegHandle:
         """Add immediate (``lda rd, imm(ra)``)."""
-        return self._alu("lda", dst, (a,), a.value + imm)
+        return self._alu("lda", dst, (a.encoded,), a.value + imm)
 
     def subq(self, dst, a, b) -> RegHandle:
-        return self._alu("subq", dst, (a, b), a.value - b.value)
+        return self._alu("subq", dst, (a.encoded, b.encoded), a.value - b.value)
 
     def subi(self, dst, a, imm: int) -> RegHandle:
-        return self._alu("lda", dst, (a,), a.value - imm)
+        return self._alu("lda", dst, (a.encoded,), a.value - imm)
 
     def addl(self, dst, a, b) -> RegHandle:
-        return self._alu("addl", dst, (a, b), _sext32(a.value + b.value))
+        return self._alu("addl", dst, (a.encoded, b.encoded), _sext32(a.value + b.value))
 
     def subl(self, dst, a, b) -> RegHandle:
-        return self._alu("subl", dst, (a, b), _sext32(a.value - b.value))
+        return self._alu("subl", dst, (a.encoded, b.encoded), _sext32(a.value - b.value))
 
     def s4addq(self, dst, a, b) -> RegHandle:
-        return self._alu("s4addq", dst, (a, b), a.value * 4 + b.value)
+        return self._alu("s4addq", dst, (a.encoded, b.encoded), a.value * 4 + b.value)
 
     def s8addq(self, dst, a, b) -> RegHandle:
-        return self._alu("s8addq", dst, (a, b), a.value * 8 + b.value)
+        return self._alu("s8addq", dst, (a.encoded, b.encoded), a.value * 8 + b.value)
 
     def mulq(self, dst, a, b) -> RegHandle:
-        return self._alu("mulq", dst, (a, b), a.value * b.value)
+        return self._alu("mulq", dst, (a.encoded, b.encoded), a.value * b.value)
 
     def mull(self, dst, a, b) -> RegHandle:
-        return self._alu("mull", dst, (a, b), _sext32(a.value * b.value))
+        return self._alu("mull", dst, (a.encoded, b.encoded), _sext32(a.value * b.value))
 
     def muli(self, dst, a, imm: int) -> RegHandle:
         """Multiply by immediate (assembler idiom on top of ``mulq``)."""
-        return self._alu("mulq", dst, (a,), a.value * imm)
+        return self._alu("mulq", dst, (a.encoded,), a.value * imm)
 
     # --- logicals ----------------------------------------------------------------------
 
     def and_(self, dst, a, b) -> RegHandle:
-        return self._alu("and_", dst, (a, b), (a.value & _U64) & (b.value & _U64))
+        return self._alu("and_", dst, (a.encoded, b.encoded),
+                         (a.value & _U64) & (b.value & _U64))
 
     def andi(self, dst, a, imm: int) -> RegHandle:
-        return self._alu("and_", dst, (a,), (a.value & _U64) & (imm & _U64))
+        return self._alu("and_", dst, (a.encoded,), (a.value & _U64) & (imm & _U64))
 
     def bis(self, dst, a, b) -> RegHandle:
-        return self._alu("bis", dst, (a, b), (a.value & _U64) | (b.value & _U64))
+        return self._alu("bis", dst, (a.encoded, b.encoded),
+                         (a.value & _U64) | (b.value & _U64))
 
     def xor(self, dst, a, b) -> RegHandle:
-        return self._alu("xor", dst, (a, b), (a.value & _U64) ^ (b.value & _U64))
+        return self._alu("xor", dst, (a.encoded, b.encoded),
+                         (a.value & _U64) ^ (b.value & _U64))
 
     def sll(self, dst, a, count: int) -> RegHandle:
-        return self._alu("sll", dst, (a,), (a.value & _U64) << (count & 63))
+        return self._alu("sll", dst, (a.encoded,), (a.value & _U64) << (count & 63))
 
     def srl(self, dst, a, count: int) -> RegHandle:
-        return self._alu("srl", dst, (a,), (a.value & _U64) >> (count & 63))
+        return self._alu("srl", dst, (a.encoded,), (a.value & _U64) >> (count & 63))
 
     def sra(self, dst, a, count: int) -> RegHandle:
-        return self._alu("sra", dst, (a,), wrap64(a.value) >> (count & 63))
+        return self._alu("sra", dst, (a.encoded,), wrap64(a.value) >> (count & 63))
 
     # --- compares & conditional moves -----------------------------------------------------
 
     def cmpeq(self, dst, a, b) -> RegHandle:
-        return self._alu("cmpeq", dst, (a, b), int(wrap64(a.value) == wrap64(b.value)))
+        return self._alu("cmpeq", dst, (a.encoded, b.encoded),
+                         int(wrap64(a.value) == wrap64(b.value)))
 
     def cmplt(self, dst, a, b) -> RegHandle:
-        return self._alu("cmplt", dst, (a, b), int(wrap64(a.value) < wrap64(b.value)))
+        return self._alu("cmplt", dst, (a.encoded, b.encoded),
+                         int(wrap64(a.value) < wrap64(b.value)))
 
     def cmple(self, dst, a, b) -> RegHandle:
-        return self._alu("cmple", dst, (a, b), int(wrap64(a.value) <= wrap64(b.value)))
+        return self._alu("cmple", dst, (a.encoded, b.encoded),
+                         int(wrap64(a.value) <= wrap64(b.value)))
 
     def cmplti(self, dst, a, imm: int) -> RegHandle:
-        return self._alu("cmplt", dst, (a,), int(wrap64(a.value) < imm))
+        return self._alu("cmplt", dst, (a.encoded,), int(wrap64(a.value) < imm))
 
     def cmpult(self, dst, a, b) -> RegHandle:
-        return self._alu(
-            "cmpult", dst, (a, b), int((a.value & _U64) < (b.value & _U64))
-        )
+        return self._alu("cmpult", dst, (a.encoded, b.encoded),
+                         int((a.value & _U64) < (b.value & _U64)))
 
     def cmovne(self, dst, cond, src) -> RegHandle:
         """``if cond != 0: dst <- src`` -- note dst is also a source."""
         value = src.value if wrap64(cond.value) != 0 else dst.value
-        return self._alu("cmovne", dst, (cond, src, dst), value)
+        return self._alu("cmovne", dst, (cond.encoded, src.encoded, dst.encoded), value)
 
     def cmoveq(self, dst, cond, src) -> RegHandle:
         value = src.value if wrap64(cond.value) == 0 else dst.value
-        return self._alu("cmoveq", dst, (cond, src, dst), value)
+        return self._alu("cmoveq", dst, (cond.encoded, src.encoded, dst.encoded), value)
 
     def cmovlt(self, dst, cond, src) -> RegHandle:
         value = src.value if wrap64(cond.value) < 0 else dst.value
-        return self._alu("cmovlt", dst, (cond, src, dst), value)
+        return self._alu("cmovlt", dst, (cond.encoded, src.encoded, dst.encoded), value)
 
     def cmovge(self, dst, cond, src) -> RegHandle:
         value = src.value if wrap64(cond.value) >= 0 else dst.value
-        return self._alu("cmovge", dst, (cond, src, dst), value)
+        return self._alu("cmovge", dst, (cond.encoded, src.encoded, dst.encoded), value)
 
     # --- byte manipulation -------------------------------------------------------------------
 
     def sextb(self, dst, a) -> RegHandle:
         v = a.value & 0xFF
-        return self._alu("sextb", dst, (a,), v - 0x100 if v & 0x80 else v)
+        return self._alu("sextb", dst, (a.encoded,), v - 0x100 if v & 0x80 else v)
 
     def sextw(self, dst, a) -> RegHandle:
         v = a.value & 0xFFFF
-        return self._alu("sextw", dst, (a,), v - 0x1_0000 if v & 0x8000 else v)
+        return self._alu("sextw", dst, (a.encoded,), v - 0x1_0000 if v & 0x8000 else v)
 
     def zapnot(self, dst, a, byte_mask: int) -> RegHandle:
         keep = 0
         for i in range(8):
             if byte_mask & (1 << i):
                 keep |= 0xFF << (8 * i)
-        return self._alu("zapnot", dst, (a,), (a.value & _U64) & keep)
+        return self._alu("zapnot", dst, (a.encoded,), (a.value & _U64) & keep)
 
     def extbl(self, dst, a, byte_index: int) -> RegHandle:
-        return self._alu("extbl", dst, (a,), ((a.value & _U64) >> (8 * byte_index)) & 0xFF)
+        return self._alu("extbl", dst, (a.encoded,),
+                         ((a.value & _U64) >> (8 * byte_index)) & 0xFF)
 
     # --- memory ------------------------------------------------------------------------
 
@@ -312,13 +324,15 @@ class BaseBuilder:
               signed: bool) -> RegHandle:
         addr = (base.value + offset) & _U64
         dst.value = wrap64(self.mem.read(addr, nbytes, signed=signed))
-        self._emit(ALPHA[name], srcs=(base,), dsts=(dst,), addr=addr, nbytes=nbytes)
+        self.trace.emit(_ALPHA_OPS[name], (base.encoded,), (dst.encoded,),
+                        addr, nbytes)
         return dst
 
     def _store(self, name: str, src, base, offset: int, nbytes: int) -> None:
         addr = (base.value + offset) & _U64
         self.mem.write(addr, src.value, nbytes)
-        self._emit(ALPHA[name], srcs=(src, base), dsts=(), addr=addr, nbytes=nbytes)
+        self.trace.emit(_ALPHA_OPS[name], (src.encoded, base.encoded), (),
+                        addr, nbytes)
 
     def ldq(self, dst, base, offset: int = 0) -> RegHandle:
         return self._load("ldq", dst, base, offset, 8, signed=True)
@@ -347,7 +361,8 @@ class BaseBuilder:
     # --- control flow -----------------------------------------------------------------------
 
     def _branch(self, name: str, cond, taken: bool, site: int) -> bool:
-        self._emit(ALPHA[name], srcs=(cond,), taken=taken, site=site)
+        self.trace.emit(_ALPHA_OPS[name], (cond.encoded,), (), taken=taken,
+                        site=site)
         return taken
 
     def bne(self, cond, site: int) -> bool:

@@ -1,9 +1,10 @@
 """Trace disassembler: render dynamic instruction streams for humans.
 
-The emulation libraries produce :class:`~repro.emulib.trace.DynInstr`
-records; this module renders them in an assembly-like listing (one line per
-dynamic instruction, with operands, effective addresses, vector lengths and
-branch outcomes) and produces summary reports.  Used for debugging kernels,
+The emulation libraries record traces whose rows read back as
+:class:`~repro.emulib.trace.DynInstr` records; this module renders them in
+an assembly-like listing (one line per dynamic instruction, with operands,
+effective addresses, vector lengths and branch outcomes) and produces
+summary reports.  Used for debugging kernels,
 for documentation, and by the fetch-pressure study.
 """
 

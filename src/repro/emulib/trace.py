@@ -16,11 +16,14 @@ gigabytes per trace, all resident before the first simulated cycle.
 :class:`Trace` now stores instructions **columnar**: one structure-of-arrays
 chunk per :data:`CHUNK_ROWS` rows (numpy arrays for opcode id / operand CSR /
 address / size / stride / VL / branch outcome / site), with a small
-plain-list staging buffer for the rows of the not-yet-sealed tail.  The
-public API is unchanged -- :meth:`Trace.append` still takes a
-:class:`DynInstr`, iteration still yields :class:`DynInstr` objects
-(materialized on demand), and ``trace.instructions`` remains a mutable
-list-like escape hatch -- so builders, the vectorizing compiler and the
+plain-list staging buffer for the rows of the not-yet-sealed tail.
+Builders write rows through :meth:`Trace.emit`, the one row writer, which
+appends each emitted instruction's canonical fields to the staging lists:
+no :class:`DynInstr` is built on the way in.  :class:`DynInstr` stays the
+read-side type -- :meth:`Trace.append` still takes one (and hands its
+fields to the same writer), iteration still yields :class:`DynInstr`
+objects (materialized on demand), and ``trace.instructions`` remains a
+mutable list-like escape hatch -- so the vectorizing compiler and the
 digest code are untouched.  The timing engine reads the columns without
 materializing the object form: :class:`~repro.cpu.batch.BatchCore`
 decodes fixed-size column blocks (:meth:`Trace.iter_column_blocks`,
@@ -33,8 +36,9 @@ Two invariants the tests pin:
 
 * **Digest stability** -- :func:`repro.emulib.fingerprint.trace_digest`
   hashes the same bytes whether a row sits in the staging tail or a sealed
-  chunk; field values are canonicalized to plain Python ints/bools at
-  append time, so chunk geometry can never leak into a digest.
+  chunk; field values are plain Python ints/bools/``None`` from the moment
+  :meth:`Trace.emit` stages them, so chunk geometry can never leak into a
+  digest.
 * **Summary equivalence** -- :class:`TraceSummary` statistics are computed
   by vectorized reductions over the columns, but match the historical
   per-record loop integer-for-integer.
@@ -46,7 +50,8 @@ model can use them as dictionary keys and table indices cheaply.  Use
 :func:`reg` and :func:`reg_pool` / :func:`reg_index` to build and decode
 them.  Rows become columns only through one conversion (sealing, or the
 staging tail on its way to a reader), and it rejects any operand outside
-``[0, REG_LIMIT)`` with ``ValueError``.
+``[0, REG_LIMIT)`` -- or any scalar value its column cannot hold -- with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -65,16 +70,18 @@ CHUNK_ROWS = 1 << 16
 
 #: ``taken`` column encoding (int8): -1 = not a branch, 0/1 = outcome.
 _TAKEN_DECODE = (None, False, True)        # indexed by encoded + 1
+_TAKEN_ENCODE = {None: -1, False: 0, True: 1}
 
 #: Encoded operands lie in ``[0, REG_LIMIT)``; sealing rejects the rest.
 REG_LIMIT = len(RegPool) << 8
 
 
 def reg(pool: RegPool, index: int) -> int:
-    """Encode an architectural register operand."""
+    """Encode an architectural register operand (always a plain ``int``,
+    so operand tuples built from it need no per-row conversion)."""
     if index < 0 or index > 0xFF:
         raise ValueError(f"register index {index} out of range")
-    return (int(pool) << 8) | index
+    return (int(pool) << 8) | int(index)
 
 
 def reg_pool(encoded: int) -> RegPool:
@@ -186,11 +193,6 @@ class _Stage:
                 self.nbytes[i], self.stride[i], self.vl[i], self.taken[i],
                 self.site[i])
 
-    def set_row(self, i: int, row: tuple) -> None:
-        (self.op[i], self.srcs[i], self.dsts[i], self.addr[i],
-         self.nbytes[i], self.stride[i], self.vl[i], self.taken[i],
-         self.site[i]) = row
-
     def iter_rows(self):
         return zip(self.op, self.srcs, self.dsts, self.addr, self.nbytes,
                    self.stride, self.vl, self.taken, self.site)
@@ -241,14 +243,20 @@ def ragged_tuples(starts, counts, values, empty=None) -> np.ndarray:
     return out
 
 
-def _fit(values: list, small: np.dtype, wide: np.dtype) -> np.ndarray:
+def _fit(values: list, small: np.dtype, wide: np.dtype,
+         name: str) -> np.ndarray:
     """A column in its compact dtype, widened only when a value demands it.
 
     Almost every row fits the compact form (nbytes <= 8, strides within a
     frame, VL <= matrix rows); the wide fallback keeps the store correct
     for synthetic or adversarial traces without taxing the common case.
+    A value outside even the wide dtype raises ``ValueError`` naming the
+    column ``name``.
     """
-    arr = np.asarray(values, dtype=wide)
+    try:
+        arr = np.asarray(values, dtype=wide)
+    except OverflowError as exc:
+        raise ValueError(f"{name} value out of range: {exc}") from None
     if arr.size == 0:
         return arr.astype(small)
     info = np.iinfo(small)
@@ -274,19 +282,20 @@ class _Chunk:
 
     def __init__(self, stage: _Stage) -> None:
         self.n = len(stage)
-        self.op = _fit(stage.op, np.int16, np.int32)
-        self.has_addr = np.fromiter(
-            (a is not None for a in stage.addr), dtype=bool, count=self.n)
-        self.addr = np.fromiter(
-            (0 if a is None else a for a in stage.addr),
-            dtype=np.uint64, count=self.n)
-        self.nbytes = _fit(stage.nbytes, np.int16, np.int64)
-        self.stride = _fit(stage.stride, np.int32, np.int64)
-        self.vl = _fit(stage.vl, np.int16, np.int64)
-        self.taken = np.fromiter(
-            (-1 if t is None else int(t) for t in stage.taken),
-            dtype=np.int8, count=self.n)
-        self.site = _fit(stage.site, np.int32, np.int64)
+        self.op = _fit(stage.op, np.int16, np.int32, "op")
+        addr = np.array(stage.addr, dtype=object)
+        self.has_addr = np.not_equal(addr, None)
+        addr[~self.has_addr] = 0
+        try:
+            self.addr = addr.astype(np.uint64)
+        except OverflowError as exc:
+            raise ValueError(f"addr value out of range: {exc}") from None
+        self.nbytes = _fit(stage.nbytes, np.int16, np.int64, "nbytes")
+        self.stride = _fit(stage.stride, np.int32, np.int64, "stride")
+        self.vl = _fit(stage.vl, np.int16, np.int64, "vl")
+        self.taken = np.fromiter(map(_TAKEN_ENCODE.__getitem__, stage.taken),
+                                 dtype=np.int8, count=self.n)
+        self.site = _fit(stage.site, np.int32, np.int64, "site")
         self.src_off, self.src_val = _csr(stage.srcs)
         self.dst_off, self.dst_val = _csr(stage.dsts)
 
@@ -478,23 +487,46 @@ class Trace:
 
     # --- mutation ---------------------------------------------------------------
 
-    def append(self, instr: DynInstr) -> DynInstr:
-        """Append one instruction (columnar row) and return it."""
-        addr = instr.addr
-        taken = instr.taken
+    def emit(self, op: Opcode, srcs: tuple[int, ...], dsts: tuple[int, ...],
+             addr: int | None = None, nbytes: int = 0, stride: int = 0,
+             vl: int = 1, taken: bool | None = None, site: int = 0) -> None:
+        """Append one row: the trace's only row writer.
+
+        Builders call it once per emitted instruction, so no
+        :class:`DynInstr` is built on the way in.  ``srcs`` and ``dsts``
+        are stored as given and must be tuples of plain ``int`` operands
+        (what :func:`reg` returns); :meth:`append` canonicalizes a
+        caller's :class:`DynInstr` operands before calling this.  ``op``
+        is interned and the six scalar fields are canonicalized to
+        ``int``/``bool``/``None`` here, so every staged value is a plain
+        Python object whichever writer put it there.
+        """
+        op_id = self._op_ids.get(id(op))
+        if op_id is None:
+            op_id = self._intern(op)
         stage = self._stage
-        stage.op.append(self._op_id(instr.op))
-        stage.srcs.append(tuple(map(int, instr.srcs)))
-        stage.dsts.append(tuple(map(int, instr.dsts)))
+        stage.op.append(op_id)
+        stage.srcs.append(srcs)
+        stage.dsts.append(dsts)
         stage.addr.append(None if addr is None else int(addr))
-        stage.nbytes.append(int(instr.nbytes))
-        stage.stride.append(int(instr.stride))
-        stage.vl.append(int(instr.vl))
+        stage.nbytes.append(int(nbytes))
+        stage.stride.append(int(stride))
+        stage.vl.append(int(vl))
         stage.taken.append(None if taken is None else bool(taken))
-        stage.site.append(int(instr.site))
+        stage.site.append(int(site))
         self._summary = None
         if len(stage.op) >= self._chunk_rows:
             self._seal()
+
+    def append(self, instr: DynInstr) -> DynInstr:
+        """Append one instruction (columnar row) and return it.
+
+        The operands may be any sequences of integer-like values (lists,
+        numpy scalars); they are canonicalized to tuples of ``int``.
+        """
+        self.emit(instr.op, tuple(map(int, instr.srcs)),
+                  tuple(map(int, instr.dsts)), instr.addr, instr.nbytes,
+                  instr.stride, instr.vl, instr.taken, instr.site)
         return instr
 
     def extend(self, other: "Trace") -> None:
@@ -508,10 +540,9 @@ class Trace:
         rows = other._raw_rows()
         if other is self:
             rows = list(rows)           # snapshot before appending to self
-        for op, srcs, dsts, addr, nbytes, stride, vl, taken, site in rows:
-            self._append_row(self._op_id(op), srcs, dsts, addr, nbytes,
-                             stride, vl, taken, site)
-        self._summary = None
+        emit = self.emit
+        for row in rows:
+            emit(*row)
 
     def truncate(self, length: int) -> None:
         """Drop every row at index ``length`` and beyond."""
@@ -547,30 +578,13 @@ class Trace:
 
     # --- internal plumbing ------------------------------------------------------
 
-    def _op_id(self, op: Opcode) -> int:
-        """Intern an opcode; keyed by identity (opcodes are singletons)."""
-        op_id = self._op_ids.get(id(op))
-        if op_id is None:
-            op_id = len(self._ops)
-            self._ops.append(op)
-            self._op_ids[id(op)] = op_id
+    def _intern(self, op: Opcode) -> int:
+        """Give a first-seen opcode the next op id (opcodes are singletons,
+        so :meth:`emit` looks ids up by identity)."""
+        op_id = len(self._ops)
+        self._ops.append(op)
+        self._op_ids[id(op)] = op_id
         return op_id
-
-    def _append_row(self, op_id: int, srcs, dsts, addr, nbytes, stride,
-                    vl, taken, site) -> None:
-        """Raw append of already-canonical values (no DynInstr needed)."""
-        stage = self._stage
-        stage.op.append(op_id)
-        stage.srcs.append(srcs)
-        stage.dsts.append(dsts)
-        stage.addr.append(addr)
-        stage.nbytes.append(nbytes)
-        stage.stride.append(stride)
-        stage.vl.append(vl)
-        stage.taken.append(taken)
-        stage.site.append(site)
-        if len(stage.op) >= self._chunk_rows:
-            self._seal()
 
     def _seal(self) -> None:
         """Convert the staging tail into a sealed columnar chunk."""
@@ -748,9 +762,10 @@ class _InstructionList:
     Supports the operations historical callers used on the raw list --
     ``len`` / indexing / iteration / ``append`` / ``extend`` /
     ``del view[mark:]`` truncation / item assignment -- by translating
-    them onto the columnar store.  Tail truncation and appends are O(tail);
-    arbitrary deletions and insertions rebuild the store (escape-hatch
-    operations, not hot paths).
+    them onto the columnar store.  Appends and tail truncation are O(rows
+    written or dropped); item assignment, deletion and insertion truncate
+    at the edit and write the later rows back (escape-hatch operations,
+    not hot paths).
     """
 
     __slots__ = ("_trace",)
@@ -782,67 +797,41 @@ class _InstructionList:
         if isinstance(index, slice):
             raise TypeError("slice assignment is not supported; "
                             "rebuild the trace instead")
-        trace = self._trace
-        n = len(trace)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("trace index out of range")
-        sealed = trace._sealed
-        if index >= sealed:
-            trace._stage.set_row(index - sealed, (
-                trace._op_id(instr.op), tuple(map(int, instr.srcs)),
-                tuple(map(int, instr.dsts)),
-                None if instr.addr is None else int(instr.addr),
-                int(instr.nbytes), int(instr.stride), int(instr.vl),
-                None if instr.taken is None else bool(instr.taken),
-                int(instr.site)))
-            trace._summary = None
-        else:
-            rows = list(trace)
-            rows[index] = instr
-            self._rebuild(rows)
+        index = self._position(index)
+        self._splice(index, index + 1, (instr,))
 
     def __delitem__(self, index) -> None:
-        trace = self._trace
-        n = len(trace)
         if isinstance(index, slice):
-            start, stop, step = index.indices(n)
+            start, stop, step = index.indices(len(self._trace))
             if step != 1:
                 raise TypeError("extended-slice deletion is not supported")
-            if start >= stop:
-                return
-            if stop >= n:
-                trace.truncate(start)       # the common dry-run discard
-                return
-            rows = list(trace)
-            del rows[start:stop]
-            self._rebuild(rows)
+            if start < stop:
+                self._splice(start, stop, ())
             return
+        index = self._position(index)
+        self._splice(index, index + 1, ())
+
+    def insert(self, index: int, instr: DynInstr) -> None:
+        start = slice(index, None).indices(len(self._trace))[0]
+        self._splice(start, start, (instr,))
+
+    def _position(self, index: int) -> int:
+        n = len(self._trace)
         if index < 0:
             index += n
         if not 0 <= index < n:
             raise IndexError("trace index out of range")
-        if index == n - 1:
-            trace.truncate(index)
-            return
-        rows = list(trace)
-        del rows[index]
-        self._rebuild(rows)
+        return index
 
-    def insert(self, index: int, instr: DynInstr) -> None:
-        rows = list(self._trace)
-        rows.insert(index, instr)
-        self._rebuild(rows)
-
-    def _rebuild(self, rows: list[DynInstr]) -> None:
+    def _splice(self, start: int, stop: int, instrs) -> None:
+        """Replace rows ``[start, stop)`` with ``instrs``: keep the rows
+        after ``stop``, truncate at ``start``, then append ``instrs``
+        through :meth:`Trace.append` and the kept rows through
+        :meth:`Trace.emit` -- O(rows from ``start`` on)."""
         trace = self._trace
-        trace._chunks.clear()
-        trace._chunk_ends.clear()
-        trace._stage.clear()
-        trace._sealed = 0
-        trace._ops.clear()
-        trace._op_ids.clear()
-        for instr in rows:
+        rest = [trace._row(i) for i in range(stop, len(trace))]
+        trace.truncate(start)
+        for instr in instrs:
             trace.append(instr)
-        trace._summary = None
+        for row in rest:
+            trace.emit(*row)

@@ -12,6 +12,10 @@ and the full memory-system statistics dict -- so the event-driven lane
 stepper behind ``Core.run`` must reproduce the seed model bit-for-bit,
 stall cadence and all, not merely approximate it.
 
+A second table, ``TRACE_DIGESTS``, pins what the timing engine is fed:
+the ``trace_digest`` of each of the 47 builds behind Figures 5 and 7 at
+scale 1, so a change to how builders record rows cannot alter a field.
+
 If a deliberate timing-model change invalidates these values, re-capture
 them with ``python -m tests.test_golden_digest`` and update the table in
 the same commit as the model change.
@@ -22,9 +26,13 @@ import json
 
 import pytest
 
+from repro.apps import APP_ISAS, APP_ORDER
 from repro.cpu import Core, machine_config
 from repro.cpu.batch import BatchCore
-from repro.exp.engine import built_kernel
+from repro.emulib.fingerprint import trace_digest
+from repro.emulib.trace import Trace
+from repro.exp.engine import built_app, built_kernel
+from repro.kernels import KERNEL_ORDER
 from repro.memsys import (CollapsingBufferHierarchy, ConventionalHierarchy,
                           MultiAddressHierarchy, PerfectMemory,
                           VectorCacheHierarchy)
@@ -190,6 +198,90 @@ def test_reference_core_still_matches_seed_digest():
         assert result_digest(result) == GOLDEN_DIGESTS[point]
 
 
+def figure_builds():
+    """The 47 builds behind Figures 5 and 7 at scale 1: every Figure 5
+    kernel on the four kernel ISAs, every Figure 7 app on its three."""
+    for kernel in KERNEL_ORDER:
+        for isa in ISAS:
+            yield "kernel", kernel, isa
+    for app in APP_ORDER:
+        for isa in APP_ISAS:
+            yield "app", app, isa
+
+
+#: ``trace_digest`` of every figure-grid build, captured from the builders
+#: that still appended one ``DynInstr`` per emitted instruction: writing
+#: rows straight into the columnar store must not change a single field.
+TRACE_DIGESTS = {
+    ('kernel', 'idct', 'alpha'): '3312fadb6ad0f723',
+    ('kernel', 'idct', 'mmx'): '03eea6bd4d90856f',
+    ('kernel', 'idct', 'mdmx'): '9342012268d721b5',
+    ('kernel', 'idct', 'mom'): 'c3ce8bba24f55a0a',
+    ('kernel', 'motion2', 'alpha'): '18e9a2af46ef4b9e',
+    ('kernel', 'motion2', 'mmx'): '0e9a2beb5971bd09',
+    ('kernel', 'motion2', 'mdmx'): '29b2af326b0fe9c7',
+    ('kernel', 'motion2', 'mom'): 'f0709f768df2a88a',
+    ('kernel', 'rgb2ycc', 'alpha'): '97e830e5bc6c4839',
+    ('kernel', 'rgb2ycc', 'mmx'): 'e835454b8401ff92',
+    ('kernel', 'rgb2ycc', 'mdmx'): 'c0db981280a1b37c',
+    ('kernel', 'rgb2ycc', 'mom'): 'd8f25e3eed0703b0',
+    ('kernel', 'ltpparameters', 'alpha'): '96b0d0f55ff59b87',
+    ('kernel', 'ltpparameters', 'mmx'): '566f2d9e570a1625',
+    ('kernel', 'ltpparameters', 'mdmx'): 'dd26364f48cf93a3',
+    ('kernel', 'ltpparameters', 'mom'): 'e8631ad4a2ea25c5',
+    ('kernel', 'addblock', 'alpha'): '6ab4e9dad320c225',
+    ('kernel', 'addblock', 'mmx'): 'd581968f8ca8b3de',
+    ('kernel', 'addblock', 'mdmx'): '6606e553322dfa13',
+    ('kernel', 'addblock', 'mom'): 'b92a614af1fbc402',
+    ('kernel', 'compensation', 'alpha'): '4d44c0ea332da766',
+    ('kernel', 'compensation', 'mmx'): 'b2ed79446379331c',
+    ('kernel', 'compensation', 'mdmx'): '0d01e3429b1cb569',
+    ('kernel', 'compensation', 'mom'): '3f418a69d70e56e7',
+    ('kernel', 'h2v2upsample', 'alpha'): '0110bb51d1967d13',
+    ('kernel', 'h2v2upsample', 'mmx'): '397985907a419fd7',
+    ('kernel', 'h2v2upsample', 'mdmx'): 'efd26335565c2a66',
+    ('kernel', 'h2v2upsample', 'mom'): '7c972aabfd227352',
+    ('kernel', 'motion1', 'alpha'): '5cd58fd25fc35dc6',
+    ('kernel', 'motion1', 'mmx'): '42f6ce81819f581c',
+    ('kernel', 'motion1', 'mdmx'): 'a0351af713e6158d',
+    ('kernel', 'motion1', 'mom'): '208061b254d4aed2',
+    ('app', 'jpeg_encode', 'alpha'): 'cb103c82782b196d',
+    ('app', 'jpeg_encode', 'mmx'): '3be2e15305915f79',
+    ('app', 'jpeg_encode', 'mom'): '96571a2b75790424',
+    ('app', 'jpeg_decode', 'alpha'): '94b20fb9be84c02e',
+    ('app', 'jpeg_decode', 'mmx'): '21a640f2366617e5',
+    ('app', 'jpeg_decode', 'mom'): '8e39eda3d629a7ca',
+    ('app', 'gsm_encode', 'alpha'): '53f0b341d3f17cb0',
+    ('app', 'gsm_encode', 'mmx'): '191a115ff9474c92',
+    ('app', 'gsm_encode', 'mom'): 'bb5a4f73d0ca537f',
+    ('app', 'mpeg2_decode', 'alpha'): 'f53847b243a2e240',
+    ('app', 'mpeg2_decode', 'mmx'): '5836cb4913c27aee',
+    ('app', 'mpeg2_decode', 'mom'): '3a7d39c11f3573cd',
+    ('app', 'mpeg2_encode', 'alpha'): 'a77ef4b628ba021b',
+    ('app', 'mpeg2_encode', 'mmx'): '04f41ad4c61a4e72',
+    ('app', 'mpeg2_encode', 'mom'): '4c8d2af62c97e19f',
+}
+
+
+def test_figure_builds_match_trace_digest_table():
+    assert set(figure_builds()) == set(TRACE_DIGESTS)
+
+
+@pytest.mark.parametrize("kind,target,isa", list(figure_builds()),
+                         ids=lambda v: str(v))
+def test_figure_build_trace_digest(kind, target, isa):
+    build = built_kernel if kind == "kernel" else built_app
+    trace = build(target, isa).trace
+    digest = trace_digest(trace)
+    assert digest == TRACE_DIGESTS[(kind, target, isa)]
+    # The digest hashes the staging tail raw.  A copy sealed into one
+    # chunk reads every row back as plain ints, so it hashes the same
+    # only if no staged value is a numpy scalar or other non-plain type.
+    sealed = Trace(trace.isa, chunk_rows=len(trace))
+    sealed.extend(trace)
+    assert trace_digest(sealed) == digest
+
+
 def _recapture():     # pragma: no cover - maintenance helper
     """Print the table from the oracle, so the engine is never checked
     against digests it produced itself."""
@@ -199,6 +291,12 @@ def _recapture():     # pragma: no cover - maintenance helper
         core = Core(machine_config(way, isa), make_memsys(memory, way, isa))
         digest = result_digest(core.run_reference(built.trace))
         print(f"    {(kernel, isa, way, memory)!r}: {digest!r},")
+    print("}")
+    print("TRACE_DIGESTS = {")
+    for kind, target, isa in figure_builds():
+        build = built_kernel if kind == "kernel" else built_app
+        digest = trace_digest(build(target, isa).trace)
+        print(f"    {(kind, target, isa)!r}: {digest!r},")
     print("}")
 
 

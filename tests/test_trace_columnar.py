@@ -1,48 +1,62 @@
-"""Columnar trace store: chunk geometry, digests, mutation view.
+"""Columnar trace store: chunk geometry, digests, mutation view, writers.
 
 The contract under test (DESIGN.md section 5): the structure-of-arrays
 encoding behind :class:`~repro.emulib.trace.Trace` is invisible at the
 API -- iteration yields equal :class:`~repro.emulib.trace.DynInstr`
 objects, digests are bit-identical to the historical list encoding and
-independent of chunk boundaries, and the ``instructions`` escape hatch
-still behaves like the list it replaced.
+independent of chunk boundaries and of which writer staged a row, the
+``instructions`` escape hatch still behaves like the list it replaced,
+and builders write rows without constructing a ``DynInstr``.
 """
 
 import numpy as np
 import pytest
 
+from repro.apps import APPS
 from repro.emulib.fingerprint import trace_digest
 from repro.emulib.trace import CHUNK_ROWS, DynInstr, Trace, reg
 from repro.isa.alpha import ALPHA
 from repro.core.mom_isa import MOM
 from repro.isa.model import InstrClass, RegPool
+from repro.kernels import KERNELS, build_and_check
 
 
-def _mixed_rows(n):
-    """A deterministic mix of scalar / vector / memory / branch rows."""
+def _mixed_rows(n, numpy_typed=False):
+    """A deterministic mix of scalar / vector / memory / branch rows.
+
+    ``numpy_typed`` gives the same rows with numpy scalars where a caller
+    might hold them: ``np.int16`` operands, ``np.int64`` addr/stride and
+    ``np.bool_`` taken.
+    """
+    num = np.int64 if numpy_typed else int
+    flag = np.bool_ if numpy_typed else bool
+
+    def ops(*encoded):
+        return tuple(np.int16(e) for e in encoded) if numpy_typed else encoded
+
     rows = []
     for i in range(n):
         kind = i % 5
         if kind == 0:
             rows.append(DynInstr(ALPHA["addq"],
-                                 srcs=(reg(RegPool.INT, i % 7),),
-                                 dsts=(reg(RegPool.INT, (i + 1) % 7),)))
+                                 srcs=ops(reg(RegPool.INT, i % 7)),
+                                 dsts=ops(reg(RegPool.INT, (i + 1) % 7))))
         elif kind == 1:
-            rows.append(DynInstr(ALPHA["ldq"], addr=0x1000 + 8 * i,
+            rows.append(DynInstr(ALPHA["ldq"], addr=num(0x1000 + 8 * i),
                                  nbytes=8,
-                                 dsts=(reg(RegPool.INT, i % 7),)))
+                                 dsts=ops(reg(RegPool.INT, i % 7))))
         elif kind == 2:
-            rows.append(DynInstr(MOM["momldq"], addr=0x2000 + 64 * i,
-                                 nbytes=8, stride=32, vl=4 + i % 12,
-                                 dsts=(reg(RegPool.MED, i % 5),)))
+            rows.append(DynInstr(MOM["momldq"], addr=num(0x2000 + 64 * i),
+                                 nbytes=8, stride=num(32), vl=4 + i % 12,
+                                 dsts=ops(reg(RegPool.MED, i % 5))))
         elif kind == 3:
             rows.append(DynInstr(MOM["paddb"], vl=16,
-                                 srcs=(reg(RegPool.MED, 0),
-                                       reg(RegPool.MED, 1)),
-                                 dsts=(reg(RegPool.MED, 2),)))
+                                 srcs=ops(reg(RegPool.MED, 0),
+                                          reg(RegPool.MED, 1)),
+                                 dsts=ops(reg(RegPool.MED, 2))))
         else:
-            rows.append(DynInstr(ALPHA["bne"], srcs=(reg(RegPool.INT, 1),),
-                                 taken=bool(i % 3), site=1 + i % 4))
+            rows.append(DynInstr(ALPHA["bne"], srcs=ops(reg(RegPool.INT, 1)),
+                                 taken=flag(i % 3), site=1 + i % 4))
     return rows
 
 
@@ -50,6 +64,18 @@ def _fill(trace, rows):
     for row in rows:
         trace.append(row)
     return trace
+
+
+def _fill_emit(trace, rows):
+    """Write ``rows`` through the row writer: operands as plain-int tuples
+    (its contract), the scalar fields exactly as given."""
+    for r in rows:
+        trace.emit(r.op, tuple(map(int, r.srcs)), tuple(map(int, r.dsts)),
+                   r.addr, r.nbytes, r.stride, r.vl, r.taken, r.site)
+    return trace
+
+
+WRITERS = {"append": _fill, "emit": _fill_emit}
 
 
 def _assert_instr_equal(a, b):
@@ -91,11 +117,24 @@ def test_roundtrip_across_chunk_geometries(n, chunk):
     assert [i.op.name for i in t[1:4]] == [r.op.name for r in rows[1:4]]
 
 
-def test_digest_independent_of_chunk_geometry():
-    rows = _mixed_rows(23)
-    digests = {trace_digest(_fill(Trace("mom", chunk_rows=c), rows))
-               for c in (1, 4, 7, 23, CHUNK_ROWS)}
-    assert len(digests) == 1
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_digest_independent_of_chunk_geometry(writer):
+    """Both writers give the rows and digest of plain-typed rows appended
+    in one staging tail, whatever the chunk geometry and even from numpy
+    inputs (the staging tail is hashed raw, so a numpy scalar kept there
+    would change its ``repr``)."""
+    want = _mixed_rows(23)
+    want_digest = trace_digest(_fill(Trace("mom"), want))
+    for numpy_typed in (False, True):
+        rows = _mixed_rows(23, numpy_typed)
+        for chunk in (1, 4, 7, 23, CHUNK_ROWS):
+            t = WRITERS[writer](Trace("mom", chunk_rows=chunk), rows)
+            assert trace_digest(t) == want_digest, (numpy_typed, chunk)
+            for got, ref in zip(t, want, strict=True):
+                _assert_instr_equal(got, ref)
+                assert {type(got.addr), type(got.stride),
+                        type(got.taken)} <= {int, bool, type(None)}
+                assert {type(v) for v in got.srcs + got.dsts} <= {int}
 
 
 def test_summary_matches_reference_loop_per_chunk_geometry():
@@ -257,3 +296,63 @@ def test_vl_column_survives_large_values():
     _assert_instr_equal(t[0], big)
     assert np.int64(t[0].stride) == 1 << 40
 
+
+# --- range checks on the way into columns --------------------------------------
+
+@pytest.mark.parametrize("field,value", [
+    ("addr", -8),
+    ("addr", 1 << 64),
+    ("nbytes", 1 << 70),
+    ("stride", 1 << 70),
+    ("vl", 1 << 70),
+    ("site", 1 << 70),
+], ids=["addr-negative", "addr-2^64", "nbytes-2^70", "stride-2^70",
+        "vl-2^70", "site-2^70"])
+def test_out_of_range_scalar_column_names_the_column(field, value):
+    """A value no column dtype can hold is a ``ValueError`` naming the
+    column, as for operands, whether the row is converted by sealing or
+    on its way out of the staging tail."""
+    row = dict(addr=0x1000, nbytes=8, stride=8, vl=4, site=3)
+    row[field] = value
+    bad = DynInstr(MOM["momldq"], **row)
+    message = rf"^{field} value out of range"
+
+    sealing = Trace("mom", chunk_rows=2)
+    sealing.append(bad)
+    with pytest.raises(ValueError, match=message):
+        sealing.append(DynInstr(ALPHA["addq"]))        # seals the chunk
+
+    tail = Trace("mom")
+    tail.append(bad)
+    with pytest.raises(ValueError, match=message):
+        list(tail.iter_column_blocks(8))
+
+
+# --- the build path writes rows, never objects ---------------------------------
+
+@pytest.fixture
+def dyninstr_count(monkeypatch):
+    """Counts every :class:`DynInstr` constructed while the test runs."""
+    made = []
+    init = DynInstr.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DynInstr, "__init__", counting_init)
+    return made
+
+
+@pytest.mark.parametrize("isa", ["alpha", "mmx", "mdmx", "mom"])
+def test_kernel_build_constructs_no_dyninstr(dyninstr_count, isa):
+    spec = KERNELS["idct"]
+    built = build_and_check(spec, isa, spec.make_workload(1))
+    assert len(built.trace) > 0
+    assert not dyninstr_count
+
+
+def test_app_build_constructs_no_dyninstr(dyninstr_count):
+    built = APPS["mpeg2_decode"].build("mom", 1)
+    assert len(built.trace) > 0
+    assert not dyninstr_count
