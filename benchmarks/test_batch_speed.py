@@ -1,10 +1,10 @@
 """Batch-lane benchmark: aggregate sweep throughput, BatchCore vs Core.
 
 Times a same-trace configuration sweep run (a) sequentially through
-``Core.run`` -- one fresh one-lane pass per point, exactly what
-``--no-batch`` does -- and (b) as one ``BatchCore`` pass over the whole
-grid, which decodes the trace once for all lanes instead of once per
-point.  The headline regime is *streaming*: a long trace, where the
+``Core.run`` -- one fresh one-lane pass per point, as if each point were
+its own group -- and (b) as one ``BatchCore`` pass over the whole grid,
+which decodes the trace once for all lanes instead of once per point.
+The headline regime is *streaming*: a long trace, where the
 decode is a large share of every run; the benchmark reproduces it at a
 bench-friendly size (building a real 720x480 frame takes minutes, see
 the ``REPRO_BATCH_BENCH_FRAME`` gate below).

@@ -64,10 +64,9 @@ cycles, so there is no cross-lane cycle lockstep to vectorize; lockstep
 exists at the *trace* level instead: all lanes consume one decoded block
 stream, pausing at block boundaries, and identical lanes (same config,
 knobs and perfect-memory shape) collapse to one simulation whose result
-is replicated.  Between blocks every lane's scheduler state is
-snapshotted into numpy arrays -- the driver uses them for the
-ring-retention invariant, and they are the inter-block lane state of
-record.
+is replicated.  Each lane records how far it has committed whenever it
+pauses; :meth:`BatchCore.run` checks the ring-retention invariant
+against those marks before decoding over the oldest block.
 
 Divergent events -- mispredict redirects, structural parks, memory-model
 retries -- are per-lane by nature and handled inside each lane's
@@ -562,7 +561,8 @@ class _LaneState:
                  "fu_busy", "fu_of", "scan", "lanes_of",
                  "fu_simple", "fu_total",
                  "pm", "mem_try", "mem_hint", "ctl_key", "accounting",
-                 "cycles", "fetch_stalls", "rename_stalls", "stack", "sync")
+                 "cycles", "fetch_stalls", "rename_stalls", "stack",
+                 "committed")
 
     def __init__(self, spec: LaneSpec, index: int) -> None:
         cfg = spec.config
@@ -610,7 +610,7 @@ class _LaneState:
         self.fetch_stalls = 0
         self.rename_stalls = 0
         self.stack = None         # CPI-stack dict when accounting is on
-        self.sync = None          # bound by BatchCore.run
+        self.committed = 0        # commit mark, stored at every pause
 
 
 def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
@@ -663,14 +663,12 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
     front_latency = ls.front_latency
     fqcap = 2 * width
     redirect = Core.MISPREDICT_REDIRECT
-    sync = ls.sync
 
     fu_of = ls.fu_of
     scan = ls.scan
     lanes_of = ls.lanes_of
     fu_simple = ls.fu_simple
     busy_int = ls.fu_busy[0]
-    fu_busy = ls.fu_busy
 
     pm = ls.pm
     if pm is not None:
@@ -742,8 +740,7 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
 
     while committed < n:
         while fetch_idx > aw:
-            sync(cycle, committed, disp_idx, fetch_idx,
-                 fetch_stalls, rename_stalls, D, fu_busy)
+            ls.committed = committed
             yield
             avail = shared.avail
             aw = avail - width if avail < n else n
@@ -1167,8 +1164,7 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
         portset.element_accesses = pm_elem
         pm.acct_accesses += pm_acct_n
         pm.acct_occupancy += pm_acct_occ
-    sync(cycle, committed, disp_idx, fetch_idx,
-         fetch_stalls, rename_stalls, D, fu_busy)
+    ls.committed = committed
 
 
 class BatchCore:
@@ -1180,8 +1176,7 @@ class BatchCore:
     suites pin this.
 
     Args:
-        lanes: :class:`LaneSpec` sequence (or ``(config, memsys)`` pairs,
-            promoted with default knobs).  Order is preserved in
+        lanes: :class:`LaneSpec` sequence.  Order is preserved in
             :meth:`run`'s result list.
 
     Raises:
@@ -1199,11 +1194,7 @@ class BatchCore:
     RING = 1 << 14
 
     def __init__(self, lanes) -> None:
-        specs: list[LaneSpec] = []
-        for lane in lanes:
-            if not isinstance(lane, LaneSpec):
-                lane = LaneSpec(lane[0], lane[1])
-            specs.append(lane)
+        specs: list[LaneSpec] = list(lanes)
         if not specs:
             raise ValueError("BatchCore needs at least one lane")
         for lane in specs:
@@ -1261,46 +1252,6 @@ class BatchCore:
                                instrs=any(st.pm is None for st in states))
         _decode_t += _perf_counter() - _t
 
-        # Inter-block lane state of record: scheduler snapshots the
-        # driver reads for the retention invariant and callers can
-        # inspect for progress.
-        L = len(lanes)
-        npools = len(RegPool)
-        state = {
-            "cycle": _np.zeros(L, dtype=_np.int64),
-            "committed": _np.zeros(L, dtype=_np.int64),
-            "rob_occupancy": _np.zeros(L, dtype=_np.int64),
-            "fetch_index": _np.zeros(L, dtype=_np.int64),
-            "lsq_used": _np.zeros(L, dtype=_np.int64),
-            "fetch_stall_cycles": _np.zeros(L, dtype=_np.int64),
-            "rename_stall_events": _np.zeros(L, dtype=_np.int64),
-            "inflight_regs": _np.zeros((L, npools), dtype=_np.int64),
-            "fu_next_free": _np.zeros((L, 3), dtype=_np.int64),
-        }
-        self.state = state
-
-        def make_sync(row: int, limits, lsq_size: int):
-            def sync(cycle, committed, disp_idx, fetch_idx,
-                     fetch_stalls, rename_stalls, D, fu_busy):
-                state["cycle"][row] = cycle
-                state["committed"][row] = committed
-                state["rob_occupancy"][row] = disp_idx - committed
-                state["fetch_index"][row] = fetch_idx
-                state["lsq_used"][row] = lsq_size - (
-                    ((D >> _LSQ_SHIFT) & 0xffff) - _BIAS)
-                state["fetch_stall_cycles"][row] = fetch_stalls
-                state["rename_stall_events"][row] = rename_stalls
-                state["inflight_regs"][row] = [
-                    limits[p] - (((D >> (p << 4)) & 0xffff) - _BIAS)
-                    for p in range(npools)]
-                state["fu_next_free"][row] = [min(b) if b else 0
-                                              for b in fu_busy]
-            return sync
-
-        for st in states:
-            st.sync = make_sync(st.index, st.phys_limit, st.lsq_size)
-        rep_rows = _np.array(reps, dtype=_np.int64)
-
         _t = _perf_counter()
         steppers = [_lane_stepper(st, shared) for st in states]
         active = []
@@ -1324,7 +1275,7 @@ class BatchCore:
                         # hug it; this is the safety net for that proof).
                         m = min(self.BLOCK, n - shared.avail)
                         floor = shared.avail + m - shared.size
-                        cmin = int(state["committed"][rep_rows].min())
+                        cmin = min(st.committed for st in states)
                         if cmin < floor:
                             raise RuntimeError(
                                 "batch ring retention violated: lane "

@@ -20,8 +20,6 @@ value (exactly what an instrumented binary would produce).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..isa.alpha import ALPHA
 from ..isa.model import Opcode, RegPool
 from .memory import Memory
@@ -421,13 +419,3 @@ def _sext32(value: int) -> int:
     if value >= 1 << 31:
         value -= 1 << 32
     return value
-
-
-def make_table_lookup(builder: BaseBuilder, table: np.ndarray) -> int:
-    """Place a lookup table in memory and return its base address.
-
-    Several scalar kernels (notably ``addblock``) use memory tables for
-    saturation -- the very pattern the media ISAs replace with saturating
-    arithmetic.
-    """
-    return builder.mem.alloc_array(np.ascontiguousarray(table))

@@ -16,20 +16,11 @@ from dataclasses import dataclass
 from ..cpu import SimResult
 from ..exp.engine import built_kernel, default_session
 from ..exp.spec import PointSpec
-from ..memsys import PerfectMemory
 
 __all__ = [
-    "built_kernel", "perfect_memory_for", "simulate_kernel",
+    "built_kernel", "simulate_kernel",
     "SpeedupPoint", "kernel_speedup_grid", "format_grid",
 ]
-
-
-def perfect_memory_for(way: int, isa: str, latency: int = 1) -> PerfectMemory:
-    """The Section 4.1 idealized memory: Table 1 ports, fixed latency."""
-    from ..cpu import machine_config
-
-    cfg = machine_config(way, isa)
-    return PerfectMemory(latency, cfg.mem_ports, cfg.mem_port_width)
 
 
 def simulate_kernel(kernel: str, isa: str, way: int, latency: int = 1,

@@ -16,7 +16,6 @@ Examples::
     repro sweep vc-kernels             # the compiler-built kernels
     repro sweep frame-scale            # one full 720x480 MPEG-2 frame
     repro sweep --kernels idct,motion2 --isas mom --ways 1,2,4,8
-    repro sweep figure5 --no-batch     # per-point Core.run dispatch
     repro kernels                      # registry + per-ISA DLP coverage
     repro lint                         # static verification, whole grid
     repro lint --kernel ssd --isa mdmx --json --artifact findings.json
@@ -57,20 +56,27 @@ def _csv_int(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in _csv(text))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel simulation processes (default 1)")
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        help="parallel simulation processes; one trace's "
+                             "points are split across them (default 1)")
     parser.add_argument("--scale", type=int, default=1,
                         help="workload scale factor (default 1)")
     parser.add_argument("--cache-dir", default=None,
                         help="override the result-cache directory")
     parser.add_argument("--no-cache", action="store_true",
                         help="skip the persistent result cache")
-    parser.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="simulate same-trace config groups in one "
-                             "BatchCore pass (default: on; results are "
-                             "bit-identical either way)")
     parser.add_argument("--progress", action="store_true",
                         help="live done/total, points/s and ETA line on "
                              "stderr (honoured only when stderr is a TTY)")
@@ -78,8 +84,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _session(args: argparse.Namespace) -> Session:
     return Session(args.cache_dir, jobs=args.jobs,
-                   use_cache=not args.no_cache,
-                   batch=getattr(args, "batch", True))
+                   use_cache=not args.no_cache)
 
 
 def _progress_line(args, total: int, session: Session | None = None):

@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from ..cpu import Core, SimResult, machine_config
+from ..cpu import SimResult, machine_config
 from ..emulib.fingerprint import source_fingerprint
 from ..obs import OBS_OFF, Obs, obs_from_env
 from .cache import ResultCache
@@ -77,81 +77,29 @@ def _phase_meta(phases: dict) -> dict:
     return {key: round(value, 6) for key, value in phases.items()}
 
 
-def execute_point(point: PointSpec, *, obs: Obs | None = None,
-                  parent=None) -> SimResult:
-    """Build, verify and simulate one point (no caching).
-
-    The wall-clock cost of the cycle-level simulation itself is recorded
-    in ``result.meta`` (``sim_seconds``, ``sim_instructions_per_second``)
-    so sweeps and the core-speed benchmark can track simulator throughput,
-    and ``meta["phases"]`` breaks it into decode/step/writeback (see
-    :meth:`Core.run`); ``meta`` is excluded from result equality and
-    digests.  ``obs``/``parent`` attach trace.build and sim.point spans
-    under an existing handle when telemetry is enabled.
-    """
-    obs = obs if obs is not None else OBS_OFF
-    tracer = obs.tracer
-    build = built_kernel if point.kind == "kernel" else built_app
-    with tracer.span("trace.build", parent=parent, target=point.target,
-                     isa=point.isa, scale=point.scale):
-        built = build(point.target, point.isa, point.scale)
-    cfg = machine_config(point.way, point.isa)
-    core = Core(cfg, make_memsys(point), accounting=point.accounting)
-    phases: dict = {}
-    with tracer.span("sim.point", parent=parent, target=point.target,
-                     isa=point.isa, way=point.way,
-                     memory=point.memory) as span:
-        start_wall = time.time()
-        start = time.perf_counter()
-        result = core.run(built.trace, phases=phases)
-        elapsed = time.perf_counter() - start
-    result.meta["sim_seconds"] = round(elapsed, 6)
-    if elapsed > 0:
-        result.meta["sim_instructions_per_second"] = round(
-            result.instructions / elapsed)
-    result.meta["phases"] = _phase_meta(phases)
-    obs.phase_spans(span, start_wall, phases)
-    obs.metrics.counter("points_simulated").inc()
-    obs.metrics.counter("instructions_simulated").inc(result.instructions)
-    obs.metrics.histogram("sim_point_seconds").observe(elapsed)
-    _export_stack(obs, result)
-    return result
-
-
-def _export_stack(obs: Obs, result: SimResult) -> None:
-    """Mirror a result's CPI-stack components into the metrics registry."""
-    if result.stack is None:
-        return
-    for name, value in result.stack.to_dict().items():
-        obs.metrics.counter(
-            f'cpi_stack_cycles{{component="{name}"}}').inc(value)
-
-
-def _worker(payload: dict) -> dict:
-    """Process-pool entry: execute one point from its plain-data payload."""
-    result = execute_point(PointSpec.from_payload(payload))
-    return result.to_dict()
-
-
 def build_key(point: PointSpec) -> tuple[str, str, str, int]:
     """The build-memo key: points sharing it simulate the same trace."""
     return (point.kind, point.target, point.isa, point.scale)
 
 
-def execute_batch(points: list[PointSpec],
+def execute_group(points: list[PointSpec],
                   *, obs: Obs | None = None, parent=None) -> list[SimResult]:
-    """Simulate same-trace points as one :class:`BatchCore` pass.
+    """Build, verify and simulate same-trace points (no caching).
 
-    All points must share a :func:`build_key` (one build, one trace, one
-    decode); each returned :class:`SimResult` is bit-identical to
-    :func:`execute_point` on that point.  Raises ``ValueError`` when the
-    points span more than one trace or a lane is invalid.
+    The one way a point runs: the trace is built once and the points
+    simulate as the lanes of one :class:`~repro.cpu.batch.BatchCore`
+    pass, a single point as a one-lane pass.  All points must share a
+    :func:`build_key`; raises ``ValueError`` when they span more than one
+    trace or a lane is invalid.
 
-    Per-lane ``meta["sim_seconds"]`` is an *equal share* of the group
-    pass, not a measurement -- ``meta["sim_seconds_estimated"]`` flags
-    it and ``meta["batch_group_seconds"]`` carries the measured
-    whole-pass wall-clock; ``meta["phases"]`` holds the group's shared
-    decode/step/writeback split.
+    Each result's ``meta`` (excluded from equality and digests) records
+    the pass: ``batch_group_seconds`` is its measured wall-clock,
+    ``sim_seconds`` that divided by the lane count -- an equal share,
+    flagged by ``sim_seconds_estimated``, unless the pass had one lane --
+    ``phases`` its shared decode/step/writeback split, and
+    ``batch_lanes``/``batch_group`` the group it ran in.  ``obs``/
+    ``parent`` attach trace.build and sim.group spans under an existing
+    handle when telemetry is enabled.
     """
     from ..cpu.batch import BatchCore, LaneSpec
 
@@ -182,24 +130,19 @@ def execute_batch(points: list[PointSpec],
     share = elapsed / len(points)
     phase_meta = _phase_meta(phases)
     for result in results:
-        # sim_seconds is this lane's amortized share of the batch pass,
-        # keeping per-point throughput numbers comparable with the
-        # sequential path; sim_seconds_estimated marks it as a share
-        # rather than a measurement, and batch_group_seconds carries the
-        # measured whole-pass cost (batch_seconds is the historical
-        # alias, kept for existing readers).
         result.meta["sim_seconds"] = round(share, 6)
-        result.meta["sim_seconds_estimated"] = True
+        result.meta["sim_seconds_estimated"] = len(points) > 1
         if share > 0:
             result.meta["sim_instructions_per_second"] = round(
                 result.instructions / share)
         result.meta["batch_lanes"] = len(points)
         result.meta["batch_group"] = group
-        result.meta["batch_seconds"] = round(elapsed, 6)
         result.meta["batch_group_seconds"] = round(elapsed, 6)
         result.meta["phases"] = dict(phase_meta)
     obs.phase_spans(span, start_wall, phases)
     obs.metrics.counter("points_simulated").inc(len(points))
+    obs.metrics.counter("instructions_simulated").inc(
+        sum(result.instructions for result in results))
     obs.metrics.counter("batch_groups").inc()
     obs.metrics.histogram("sim_group_seconds").observe(elapsed)
     for result in results:
@@ -207,46 +150,38 @@ def execute_batch(points: list[PointSpec],
     return results
 
 
-def batching_enabled() -> bool:
-    """Process-wide batch toggle (``REPRO_NO_BATCH=1`` disables)."""
-    return os.environ.get("REPRO_NO_BATCH") != "1"
+def _export_stack(obs: Obs, result: SimResult) -> None:
+    """Mirror a result's CPI-stack components into the metrics registry."""
+    if result.stack is None:
+        return
+    for name, value in result.stack.to_dict().items():
+        obs.metrics.counter(
+            f'cpi_stack_cycles{{component="{name}"}}').inc(value)
 
 
-def execute_group(points: list[PointSpec],
-                  *, obs: Obs | None = None, parent=None) -> list[SimResult]:
-    """Execute one same-trace group: one :class:`BatchCore` pass, or one
-    per point for single-point groups and with batching off; results are
-    identical either way."""
-    if len(points) > 1 and batching_enabled():
-        return execute_batch(points, obs=obs, parent=parent)
-    return [execute_point(point, obs=obs, parent=parent)
-            for point in points]
-
-
-def _group_worker(task) -> dict | list:
+def _group_worker(task: dict) -> dict:
     """Process-pool entry: execute one same-trace group of points.
 
-    ``task`` is either the historical plain list of point payloads
-    (returns a plain list of result dicts) or a dict::
-
-        {"points": [payload, ...], "span": (trace_id, span_id) | None}
-
-    returning ``{"results": [...], "spans": [...]}``.  When a parent
-    span handle is present the worker records its spans into a local
-    memory sink -- no globals, so pool reuse and fork/spawn start
-    methods are both safe -- and ships the finished records back for
-    the parent tracer to stitch (:meth:`~repro.obs.Tracer.adopt`).
+    ``task`` is ``{"points": [payload, ...], "span": (trace_id, span_id)
+    | None}``; returns ``{"results": [result dict, ...], "spans": [...]}``.
+    When a parent span handle is present the worker records its spans
+    into a local memory sink -- no globals, so pool reuse and fork/spawn
+    start methods are both safe -- and ships the finished records back
+    for the parent tracer to stitch (:meth:`~repro.obs.Tracer.adopt`).
     """
-    if not isinstance(task, dict):
-        points = [PointSpec.from_payload(p) for p in task]
-        return [result.to_dict() for result in execute_group(points)]
     points = [PointSpec.from_payload(p) for p in task["points"]]
-    parent = task.get("span")
+    parent = task["span"]
     obs = Obs.make(trace_id=parent[0]) if parent is not None else OBS_OFF
     results = execute_group(points, obs=obs, parent=parent)
     spans = obs.sink.drain() if parent is not None else []
     return {"results": [result.to_dict() for result in results],
             "spans": spans}
+
+
+def _check_jobs(jobs: int) -> int:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return jobs
 
 
 def _default_cache_dir() -> Path:
@@ -274,29 +209,25 @@ class Session:
         jobs: default parallelism for :meth:`run` (overridable per call).
             ``1`` executes in process -- no pool, bit-identical to the
             historical sequential drivers.
+            Values below 1 raise ``ValueError``.
         salt: cache-key salt; defaults to the package source fingerprint,
             so editing any model file invalidates stale entries.
         use_cache: disable the persistent layer entirely (an in-memory
             memo still serves repeats within this session).  Also
             disabled by ``REPRO_NO_CACHE=1``.
-        batch: dispatch same-trace cache misses through
-            :class:`~repro.cpu.batch.BatchCore` (one decode pass for the
-            whole group) instead of looping ``Core.run``.  Results are
-            bit-identical; only wall-clock differs.  Also disabled by
-            ``REPRO_NO_BATCH=1``.
         obs: telemetry bundle (:class:`~repro.obs.Obs`).  Defaults to
             :func:`~repro.obs.obs_from_env` -- disabled no-op singletons
             unless ``REPRO_OBS=1`` / ``REPRO_OBS_TRACE=path`` is set.
             When enabled, :meth:`run` emits a span tree
             (``session.run`` → ``cache.lookup`` → ``trace.build`` →
-            ``sim.point``/``sim.group`` → ``cache.put``) stitched across
+            ``sim.group`` → ``cache.put``) stitched across
             pool workers, and mirrors hit/miss/simulated counts into
             ``obs.metrics``.
     """
 
     def __init__(self, cache_dir: str | Path | None = None, *,
                  jobs: int = 1, salt: str | None = None,
-                 use_cache: bool = True, batch: bool = True,
+                 use_cache: bool = True,
                  obs: Obs | None = None) -> None:
         if os.environ.get("REPRO_NO_CACHE") == "1":
             use_cache = False
@@ -305,8 +236,7 @@ class Session:
                                   metrics=self.obs.metrics)
                       if use_cache else None)
         self.salt = source_fingerprint() if salt is None else salt
-        self.jobs = jobs
-        self.batch = batch
+        self.jobs = _check_jobs(jobs)
         self.hits = 0
         self.misses = 0
         self._memo: dict[str, SimResult] = {}
@@ -376,16 +306,7 @@ class Session:
 
     def run_point(self, point: PointSpec) -> SimResult:
         """One point through the cache; executes in process on a miss."""
-        cached = self.lookup(point)
-        if cached is not None:
-            self.hits += 1
-            self.obs.metrics.counter("session_cache_hits").inc()
-            return cached
-        self.misses += 1
-        self.obs.metrics.counter("session_cache_misses").inc()
-        result = execute_point(point, obs=self.obs)
-        self.store(point, result)
-        return result
+        return self.run((point,), jobs=1)[point]
 
     def resolve(self, sweep) -> tuple[PointSpec, ...]:
         """A sweep (or iterable of points) as a concrete point tuple."""
@@ -396,16 +317,18 @@ class Session:
         return tuple(sweep)
 
     def run(self, sweep, jobs: int | None = None, *,
-            batch: bool | None = None,
             progress=None) -> dict[PointSpec, SimResult]:
         """Run a sweep; returns ``{point: result}`` in sweep order.
 
         Cache misses are grouped by :func:`build_key` -- points of one
-        group simulate the same trace -- and each group runs as a single
-        :class:`~repro.cpu.batch.BatchCore` pass (``batch=False`` runs
-        one ``Core.run`` per point instead; results are bit-identical).
-        Groups execute in process when the effective ``jobs`` is 1, else
-        on a process pool ``jobs`` wide.  Results
+        group simulate the same trace -- and each group runs through
+        :func:`execute_group` as the lanes of one
+        :class:`~repro.cpu.batch.BatchCore` pass.  When the effective
+        ``jobs`` is 1 the groups run in process, in first-appearance
+        order; otherwise they run on a process pool ``jobs`` wide, and a
+        group longer than the even share ``ceil(misses / jobs)`` is cut
+        into consecutive slices of that size, so a one-trace sweep still
+        keeps every worker busy.  Results are identical either way, and
         are stored back to the persistent cache so a warm rerun performs
         no simulation at all.
 
@@ -415,8 +338,7 @@ class Session:
         ``--progress`` line.
         """
         points = self.resolve(sweep)
-        jobs = self.jobs if jobs is None else jobs
-        batch = self.batch if batch is None else batch
+        jobs = self.jobs if jobs is None else _check_jobs(jobs)
         tracer = self.obs.tracer
         metrics = self.obs.metrics
         root = tracer.span("session.run", points=len(points), jobs=jobs)
@@ -436,68 +358,60 @@ class Session:
                 scan.set(hits=len(results), misses=len(missing))
             metrics.counter("session_cache_hits").inc(len(results))
             metrics.counter("session_cache_misses").inc(len(missing))
+            self.misses += len(missing)
             if progress is not None and results:
                 progress(len(results))
 
-            # Same-trace groups, in first-appearance order.  With batching
-            # off every point is its own group, which preserves the
-            # historical per-point dispatch exactly.
+            # Same-trace groups, in first-appearance order.
             groups: list[list[PointSpec]] = []
-            if batch:
-                by_key: dict[tuple, list[PointSpec]] = {}
-                for point in missing:
-                    key = build_key(point)
-                    if key in by_key:
-                        by_key[key].append(point)
-                    else:
-                        by_key[key] = group = [point]
-                        groups.append(group)
-            else:
-                groups = [[point] for point in missing]
+            by_key: dict[tuple, list[PointSpec]] = {}
+            for point in missing:
+                key = build_key(point)
+                if key in by_key:
+                    by_key[key].append(point)
+                else:
+                    by_key[key] = group = [point]
+                    groups.append(group)
 
-            if missing and jobs > 1:
-                self.misses += len(missing)
-                # One task per same-trace group: the group's build (and its
-                # decode, when batched) happens once in one worker instead of
-                # every worker rebuilding every target.
-                # (With batching off, groups are singletons and the group
-                # worker degenerates to the historical per-point worker.)
-                # Workers get the root span's handle and ship their span
-                # records back with the results; the sink is local to each
-                # worker call, so this survives pool reuse and either
-                # start method.
-                handle = root.handle    # None when telemetry is disabled
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    tasks = [{"points": [p.payload() for p in group],
-                              "span": handle}
-                             for group in groups]
-                    for group, reply in zip(groups,
-                                            pool.map(_group_worker, tasks)):
-                        tracer.adopt(reply.get("spans"))
-                        with tracer.span("cache.put", parent=root,
-                                         points=len(group)):
-                            for point, data in zip(group, reply["results"]):
-                                result = SimResult.from_dict(data)
-                                self.store(point, result)
-                                results[point] = result
-                        if progress is not None:
-                            progress(len(group))
-            else:
+            if jobs == 1:
                 for group in groups:
-                    self._run_group(group, results, parent=root)
+                    self._store_group(group, execute_group(
+                        group, obs=self.obs, parent=root), results, root)
                     if progress is not None:
                         progress(len(group))
+            elif groups:
+                # Each task builds its trace once in its worker.  Workers
+                # get the root span's handle and ship their span records
+                # back with the results; the sink is local to each worker
+                # call, so this survives pool reuse and either start
+                # method.
+                size = -(-len(missing) // jobs)     # ceil(misses / jobs)
+                tasks = [group[i:i + size] for group in groups
+                         for i in range(0, len(group), size)]
+                handle = root.handle    # None when telemetry is disabled
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                    replies = pool.map(_group_worker, [
+                        {"points": [p.payload() for p in task],
+                         "span": handle}
+                        for task in tasks])
+                    for task, reply in zip(tasks, replies):
+                        tracer.adopt(reply["spans"])
+                        self._store_group(
+                            task, [SimResult.from_dict(data)
+                                   for data in reply["results"]],
+                            results, root)
+                        if progress is not None:
+                            progress(len(task))
 
             return {point: results[point] for point in points}
         finally:
             root.end()
 
-    def _run_group(self, group: list[PointSpec],
-                   results: dict[PointSpec, SimResult],
-                   parent=None) -> None:
-        """Execute one same-trace group in process, caching per point."""
-        self.misses += len(group)
-        group_results = execute_group(group, obs=self.obs, parent=parent)
+    def _store_group(self, group: list[PointSpec],
+                     group_results: list[SimResult],
+                     results: dict[PointSpec, SimResult],
+                     parent) -> None:
+        """Cache one executed group point by point."""
         with self.obs.tracer.span("cache.put", parent=parent,
                                   points=len(group)):
             for point, result in zip(group, group_results):

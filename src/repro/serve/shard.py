@@ -7,8 +7,8 @@ build therefore land on the same worker process, whose per-process
 :data:`repro.exp.engine._BUILD_MEMO` builds and verifies the trace once
 and then serves every sibling point from memory.  The server batches
 same-build points into one task for the same reason: the worker runs the
-batch back to back, so at most the *first* point of a build pays the
-build-and-verify cost.
+batch as the lanes of one ``BatchCore`` pass, so the task builds and
+decodes its trace once.
 
 Workers receive task batches over a per-shard queue and report each
 point individually on one shared result queue as soon as it finishes,
@@ -75,7 +75,7 @@ def _shard_worker(task_queue, result_queue) -> None:
     """
     import signal
 
-    from ..exp.engine import batching_enabled, execute_batch, execute_point
+    from ..exp.engine import execute_group
     from ..exp.spec import PointSpec
     from ..obs import OBS_OFF, Obs
 
@@ -109,16 +109,16 @@ def _shard_worker(task_queue, result_queue) -> None:
                 result_queue.put((key, result, error))
 
         # Batches are same-build by construction (submit() asserts it),
-        # so a multi-point task is exactly a BatchCore lane group: one
-        # decode pass for the whole batch instead of a Core.run loop.
-        # Any failure -- an invalid lane, a model error -- is retried on
-        # the per-point path, which reports errors point by point, so
-        # one failing point does not fail the rest of its batch.
-        if len(batch) > 1 and batching_enabled():
+        # so a task is exactly a BatchCore lane group: one decode pass
+        # for the whole batch.  Any failure -- an invalid lane, a model
+        # error -- is retried one point at a time, which reports errors
+        # point by point, so one failing point does not fail the rest of
+        # its batch.
+        if len(batch) > 1:
             try:
                 points = [PointSpec.from_payload(p) for _, p in batch]
-                results = execute_batch(points, obs=obs, parent=span)
-            except BaseException:
+                results = execute_group(points, obs=obs, parent=span)
+            except Exception:
                 pass           # diagnose per point below
             else:
                 for (key, _payload), result in zip(batch, results):
@@ -126,10 +126,10 @@ def _shard_worker(task_queue, result_queue) -> None:
                 continue
         for key, payload in batch:
             try:
-                result = execute_point(PointSpec.from_payload(payload),
-                                       obs=obs, parent=span)
+                (result,) = execute_group([PointSpec.from_payload(payload)],
+                                          obs=obs, parent=span)
                 report(key, result.to_dict(), None)
-            except BaseException as exc:   # report, never kill the shard
+            except Exception as exc:   # report, never kill the shard
                 detail = "".join(
                     traceback.format_exception_only(type(exc), exc)).strip()
                 report(key, None, detail)

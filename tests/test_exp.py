@@ -7,7 +7,7 @@ import pytest
 from repro.cpu import SimResult
 from repro.emulib.fingerprint import source_fingerprint, trace_digest
 from repro.exp import PointSpec, ResultCache, Session, SweepSpec, preset
-from repro.exp.engine import built_kernel, execute_point
+from repro.exp.engine import built_kernel, execute_group
 from repro.exp.spec import PRESETS
 
 
@@ -102,7 +102,7 @@ def test_preset_replace_narrows_targets():
 # --- SimResult serialization ----------------------------------------------------
 
 def test_simresult_roundtrip():
-    result = execute_point(PointSpec(**KERNEL_POINT))
+    result = execute_group([PointSpec(**KERNEL_POINT)])[0]
     clone = SimResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert clone == result
     assert clone.ipc == result.ipc
@@ -125,8 +125,8 @@ def test_simresult_meta_excluded_from_equality():
     assert SimResult.from_dict(a.to_dict()).meta == {"sim_seconds": 0.25}
 
 
-def test_execute_point_records_wall_clock_meta():
-    result = execute_point(PointSpec(**KERNEL_POINT))
+def test_execute_group_records_wall_clock_meta():
+    result = execute_group([PointSpec(**KERNEL_POINT)])[0]
     assert result.meta["sim_seconds"] >= 0
     assert result.meta["sim_instructions_per_second"] > 0
 
@@ -308,19 +308,9 @@ BATCH_SWEEP = SweepSpec(name="batchy", kind="kernel", targets=("addblock",),
                         isas=("alpha", "mom"), ways=(1, 2, 4))
 
 
-def test_batched_sweep_matches_unbatched(tmp_path):
-    """Same-trace groups dispatched through BatchCore must reproduce the
-    point-at-a-time results exactly (equality excludes meta)."""
-    plain = Session(tmp_path / "a", salt="x").run(BATCH_SWEEP, batch=False)
-    batched = Session(tmp_path / "b", salt="x").run(BATCH_SWEEP, batch=True)
-    assert list(plain) == list(batched)
-    for point in plain:
-        assert plain[point] == batched[point], point
-
-
 def test_batch_meta_records_lanes_and_group(tmp_path):
     session = Session(tmp_path, salt="x")
-    results = session.run(BATCH_SWEEP, batch=True)
+    results = session.run(BATCH_SWEEP)
     for point, result in results.items():
         # Each (kernel, isa) build is one lane group of all three ways.
         assert result.meta["batch_lanes"] == 3, point
@@ -330,36 +320,59 @@ def test_batch_meta_records_lanes_and_group(tmp_path):
 
 
 def test_singleton_group_skips_batching(tmp_path):
+    """A lone point runs as a one-lane pass: the same meta as any group,
+    with a measured (not estimated) ``sim_seconds``."""
     session = Session(tmp_path, salt="x")
-    result = session.run_point(PointSpec(**KERNEL_POINT))
-    assert "batch_lanes" not in result.meta
-
-
-def test_repro_no_batch_env_disables_batching(tmp_path, monkeypatch):
-    from repro.exp.engine import batching_enabled
-
-    monkeypatch.setenv("REPRO_NO_BATCH", "1")
-    assert not batching_enabled()
-    results = Session(tmp_path, salt="x").run(BATCH_SWEEP, batch=True)
-    assert all("batch_lanes" not in r.meta for r in results.values())
+    meta = session.run_point(PointSpec(**KERNEL_POINT)).meta
+    assert meta["batch_lanes"] == 1
+    assert meta["batch_group"] == "kernel-addblock-mom-1"
+    assert meta["sim_seconds_estimated"] is False
+    assert meta["sim_seconds"] == meta["batch_group_seconds"]
+    assert meta["sim_instructions_per_second"] > 0
+    assert {"decode", "step", "writeback"} <= set(meta["phases"])
+    assert "batch_seconds" not in meta
 
 
 def test_jobs_parallel_batched_matches_sequential(tmp_path):
-    seq = Session(tmp_path / "a", salt="x").run(BATCH_SWEEP, jobs=1,
-                                                batch=False)
-    par = Session(tmp_path / "b", salt="x").run(BATCH_SWEEP, jobs=2,
-                                                batch=True)
+    seq = Session(tmp_path / "a", salt="x").run(BATCH_SWEEP, jobs=1)
+    par = Session(tmp_path / "b", salt="x").run(BATCH_SWEEP, jobs=2)
     for point in seq:
         assert seq[point] == par[point], point
     for result in par.values():
         assert result.meta["batch_lanes"] == 3
 
 
+#: One trace, sixteen configurations: with ``jobs=2`` the even share is
+#: eight points, so the group is cut into two eight-lane tasks.
+ONE_TRACE_SWEEP = SweepSpec(name="one-trace", kind="kernel",
+                            targets=("addblock",), isas=("mom",),
+                            ways=(1, 2, 4, 8), latencies=(1, 2, 3, 50))
+
+
+def test_jobs_split_one_trace_into_even_lane_groups(tmp_path):
+    seq = Session(tmp_path / "a", salt="x").run(ONE_TRACE_SWEEP, jobs=1)
+    par = Session(tmp_path / "b", salt="x").run(ONE_TRACE_SWEEP, jobs=2)
+    assert len(seq) == 16
+    assert list(seq) == list(par)
+    for point in seq:
+        assert seq[point] == par[point], point
+        assert seq[point].meta["batch_lanes"] == 16
+        assert par[point].meta["batch_lanes"] == 8
+
+
+def test_session_rejects_jobs_below_one(tmp_path):
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            Session(tmp_path, salt="x", jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            Session(tmp_path, salt="x").run(SMALL_SWEEP, jobs=jobs)
+
+
 def test_batched_results_are_cached_per_point(tmp_path):
     session = Session(tmp_path, salt="x")
-    session.run(BATCH_SWEEP, batch=True)
+    session.run(BATCH_SWEEP)
     warm = Session(tmp_path, salt="x")
-    warm.run(BATCH_SWEEP, batch=False)
+    warm.run(BATCH_SWEEP)
     assert warm.misses == 0
     assert warm.hits == len(BATCH_SWEEP.points())
 
@@ -399,6 +412,17 @@ def test_cli_sweep_runs_and_reports_cache(tmp_path, capsys):
         return [line.split() for line in text.splitlines()
                 if line.startswith("addblock")]
     assert cells(cold) == cells(warm)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_cli_rejects_non_positive_jobs(tmp_path, capsys, jobs):
+    from repro.exp.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--kernels", "addblock", "--jobs", jobs,
+              "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--jobs: must be a positive integer" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_inputs(tmp_path, capsys):

@@ -2,10 +2,11 @@
 phase profiling, and golden-digest parity with telemetry enabled.
 
 The digest-parity tests re-run golden mini-grid coordinates with spans
-and metrics fully enabled on every execution path (per-point, batch and
-the live service) and check the pinned seed digests still come out: telemetry observes the simulator, it never
-perturbs it.  The storm test holds the serving layer to the "stats must
-answer while saturated" contract behind ``repro stats``.
+and metrics fully enabled on both execution paths (an in-process session
+and the live service) and check the pinned seed digests still come out:
+telemetry observes the simulator, it never perturbs it.  The storm test
+holds the serving layer to the "stats must answer while saturated"
+contract behind ``repro stats``.
 """
 
 import threading
@@ -17,7 +18,7 @@ import pytest
 
 from repro.cpu import Core, machine_config
 from repro.exp import PointSpec, Session
-from repro.exp.engine import built_kernel, execute_batch, execute_point
+from repro.exp.engine import built_kernel, execute_group
 from repro.obs import (MemorySink, Obs, OBS_OFF, Registry, obs_from_env,
                        read_jsonl, render_prometheus)
 from repro.obs.metrics import NULL_REGISTRY, _NULL_METRIC
@@ -144,7 +145,7 @@ def test_spans_stitch_across_process_pool(tmp_path):
     """jobs=2 ships worker-side spans home: one trace, no dangling parents,
     and at least one record minted in a non-parent process."""
     obs = Obs.make()
-    session = Session(tmp_path / "cache", obs=obs, batch=True)
+    session = Session(tmp_path / "cache", obs=obs)
     session.run(list(MINI), jobs=2)
     records = obs.sink.records
     assert records
@@ -176,7 +177,7 @@ def test_phases_on_interpreted_core():
 
 def test_meta_phases_on_every_engine_path():
     point = PointSpec(kind="kernel", target="idct", isa="mom", way=2)
-    single = execute_point(point)
+    single = execute_group([point])[0]
     assert PHASES <= set(single.meta["phases"])
 
 
@@ -185,7 +186,7 @@ def test_batch_meta_is_honest_about_shared_wall_clock():
     with the measured whole-pass wall-clock alongside."""
     group = [PointSpec(kind="kernel", target="idct", isa="mom", way=w)
              for w in (2, 4, 8)]
-    results = execute_batch(group)
+    results = execute_group(group)
     group_seconds = {r.meta["batch_group_seconds"] for r in results}
     assert len(group_seconds) == 1          # one measured pass, shared
     (shared,) = group_seconds
@@ -212,15 +213,10 @@ PARITY = (
 )
 
 
-@pytest.mark.parametrize("batch", [
-    False,                 # per-point
-    True,                  # batch lanes
-], ids=("interpreted", "batch"))
-def test_digest_parity_with_telemetry_enabled(tmp_path, batch):
+def test_digest_parity_with_telemetry_enabled(tmp_path):
     points = [_golden_point(*coord) for coord in PARITY]
     obs = Obs.make()
-    session = Session(tmp_path / "cache", use_cache=False, obs=obs,
-                      batch=batch)
+    session = Session(tmp_path / "cache", use_cache=False, obs=obs)
     results = session.run(points)
     for coord, point in zip(PARITY, points):
         assert golden.result_digest(results[point]) == \
@@ -247,8 +243,8 @@ def test_served_digest_parity_with_telemetry_enabled(tmp_path, monkeypatch):
     assert {"serve.request", "serve.dispatch", "worker.sim",
             "serve.flush"} <= names
     # The four parity points are four distinct builds, so each simulates
-    # as its own (possibly singleton) group inside a worker.
-    assert names & {"sim.point", "sim.group"}
+    # as its own one-lane group inside a worker.
+    assert "sim.group" in names
     ids = {r["span"] for r in records}
     assert not [r for r in records
                 if r["parent"] is not None and r["parent"] not in ids]

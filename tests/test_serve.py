@@ -374,11 +374,11 @@ def test_worker_killed_while_idle_does_not_poison_the_queue():
 
 
 def test_multi_point_task_runs_through_batch_core():
-    """A same-build multi-point task takes the worker's BatchCore path:
-    results stream back per point, bit-identical to ``execute_point``,
-    with the batch provenance recorded in meta."""
+    """A same-build multi-point task runs as one BatchCore lane group:
+    results stream back per point, bit-identical to a one-lane
+    ``execute_group``, with the batch provenance recorded in meta."""
     from repro.cpu import SimResult
-    from repro.exp.engine import execute_point
+    from repro.exp.engine import execute_group
     from repro.serve.shard import ShardPool
 
     batch = [(f"k{way}", PointSpec(kind="kernel", target="idct", isa="mom",
@@ -404,4 +404,39 @@ def test_multi_point_task_runs_through_batch_core():
         assert error is None
         assert got["meta"]["batch_lanes"] == len(batch)
         assert SimResult.from_dict(got) == \
-            execute_point(PointSpec.from_payload(payload))
+            execute_group([PointSpec.from_payload(payload)])[0]
+
+
+def test_failing_lane_is_retried_point_by_point():
+    """When a task's lane group raises, the worker retries each point
+    alone: the failing point reports its error, its sibling still
+    answers, equal to running it by itself."""
+    from repro.cpu import SimResult
+    from repro.exp.engine import execute_group
+    from repro.serve.shard import ShardPool
+
+    batch = [(memory, PointSpec(kind="kernel", target="idct", isa="mom",
+                                way=4, memory=memory).payload())
+             for memory in ("conventional", "vectorcache")]
+    results: dict[str, tuple] = {}
+    done = threading.Event()
+
+    def on_result(key, result, error):
+        results[key] = (result, error)
+        if len(results) == len(batch):
+            done.set()
+
+    pool = ShardPool(1, on_result)
+    try:
+        pool.submit(batch)
+        assert done.wait(300), "task never completed"
+    finally:
+        pool.close()
+
+    result, error = results["conventional"]
+    assert result is None
+    assert "conventional hierarchy cannot issue matrix accesses" in error
+    result, error = results["vectorcache"]
+    assert error is None
+    assert SimResult.from_dict(result) == \
+        execute_group([PointSpec.from_payload(batch[1][1])])[0]
