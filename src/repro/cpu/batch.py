@@ -47,10 +47,11 @@ What is shared, and why it is exact
   integer (16-bit biased fields), and every record's allocation,
   rename-check, commit-release and writeback-release charges are packed
   once at decode, so dispatch admission is one subtract-mask-compare.
-* **Memory rows.**  The materialized ``DynInstr`` of each memory row is
-  handed read-only to every lane's memory model (no model mutates it).
-  It is built only when some lane's model is not ``PerfectMemory``: the
-  stepper inlines perfect memory and never reads it.
+* **Memory rows.**  A memory row's address, bytes per element and
+  stride sit in three more rings, filled from the columns like the rest,
+  and its store bit rides in the op tuple, so a lane hands its memory
+  model plain ints and no ``DynInstr`` is built for any row.  The
+  stepper inlines ``PerfectMemory``; every other model is called.
 
 Lane state and stepping
 -----------------------
@@ -271,11 +272,11 @@ class _SharedDecode:
       small int (scan index | latency << 3, the overwhelmingly common
       case and the stepper's fastest path); everything else is a
       (kind, scan index, unused, exec_rows, latency, non_pipelined,
-      chain_mode, vl, instr|None) tuple.  The ``_ac`` variant folds
-      accumulator chaining (latency 1 on eligible records).  ``instr``
-      is the row's :class:`~repro.emulib.trace.DynInstr` on memory rows
-      when ``instrs`` is set (some lane's memory model reads it), else
-      ``None``
+      chain_mode, vl, is_store) tuple, ``is_store`` being ``None`` on
+      rows that are not memory rows.  The ``_ac`` variant folds
+      accumulator chaining (latency 1 on eligible records)
+    * ``addr`` / ``nbytes`` / ``stride`` -- the memory columns, as the
+      memory models take them (0 on rows without an address)
     * ``deps`` -- tuple of producer indices (static last-writer edges),
       or ``None``
     * ``chains`` -- consumer chains on producers' element streams
@@ -292,17 +293,17 @@ class _SharedDecode:
     Each block is computed from the trace's columns
     (:meth:`~repro.emulib.trace.Trace.iter_column_blocks`) with numpy;
     the rings are filled with ``tolist()`` slices, so they hold exactly
-    the plain ints and tuples a per-record decode would.  Three products
-    stay per-row Python: the predictor/BTB replay over control rows, the
-    memory rows' ``DynInstr``, and the ``deps`` tuples.
+    the plain ints and tuples a per-record decode would.  Two products
+    stay per-row Python: the predictor/BTB replay over control rows and
+    the ``deps`` tuples.  A memory row without an address raises
+    ``ValueError``.
     """
 
     def __init__(self, trace: Trace, dep_cap: int, ctl_classes,
-                 block: int, ring: int, *, instrs: bool) -> None:
+                 block: int, ring: int) -> None:
         n = len(trace)
         self.n = n
         self.blocks = trace.iter_column_blocks(block)
-        self.instrs = instrs
         self.dep_cap = dep_cap
         if n > ring:
             self.size = ring
@@ -316,6 +317,9 @@ class _SharedDecode:
         self.deps: list = [None] * size
         self.chains = [False] * size
         self.ismem = [0] * size
+        self.addr = [0] * size
+        self.nbytes = [0] * size
+        self.stride = [0] * size
         self.alloc_raw = [0] * size
         self.alloc_z = [0] * size
         self.chk = [0] * size
@@ -384,7 +388,8 @@ class _SharedDecode:
                      if meta.acc_pair and meta.is_media_compute and vl > 1
                      else op)
         elif kind == KIND_MEMORY:
-            op = op_ac = (kind, 0, False, 1, 0, False, chmode, vl, None)
+            op = op_ac = (kind, 0, False, 1, 0, False, chmode, vl,
+                          meta.iclass.is_store)
         else:
             op = op_ac = (kind, 0, False, 1, 0, False, 0, 1, None)
         # Rename charges: one row per destination, VL rows on the media
@@ -440,14 +445,16 @@ class _SharedDecode:
             _np.fromiter(col, dtype=object, count=len(table))[shape].tolist()
             for col in zip(*table))
         is_mem = kind == KIND_MEMORY
-        if self.instrs and is_mem.any():
-            rows = _np.flatnonzero(is_mem)
-            for k, instr in zip(rows.tolist(),
-                                blk.materialize(rows, self.opcodes)):
-                op_raw[k] = op_ac[k] = op_raw[k][:8] + (instr,)
+        lost = is_mem & ~blk.has_addr
+        if lost.any():
+            raise ValueError(f"memory row {start + int(lost.argmax())} "
+                             "has no address")
         self.op_raw[base:end] = op_raw
         self.op_ac[base:end] = op_ac
         self.ismem[base:end] = is_mem.astype(_np.int8).tolist()
+        self.addr[base:end] = blk.addr.tolist()
+        self.nbytes[base:end] = blk.nbytes.tolist()
+        self.stride[base:end] = blk.stride.tolist()
         self.alloc_raw[base:end] = alloc
         self.commit_full_raw[base:end] = alloc
         self.chk[base:end] = chk
@@ -640,6 +647,9 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
     g_deps = shared.deps
     g_chains = shared.chains
     g_ismem = shared.ismem
+    g_addr = shared.addr
+    g_nbytes = shared.nbytes
+    g_stride = shared.stride
     ctl = shared.ctl[ls.ctl_key]
     g_ctl = ctl.ring
     pos_idx = ctl.pos_idx
@@ -812,7 +822,7 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
                 e_completion[ws] = completion
                 e_chain[ws] = completion
             else:
-                kind, sidx, _fast, rows, lat, nonpip, chmode, vl, minstr = op
+                kind, sidx, _fast, rows, lat, nonpip, chmode, vl, is_store = op
                 completion = None
                 if kind == 0:               # multi-row / non-pipelined
                     busy = fu_of[sidx]
@@ -855,7 +865,9 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
                                     pm_acct_occ += pm_lat
                                     break
                     else:
-                        completion = mem_try(minstr, cycle)
+                        completion = mem_try(is_store, g_addr[gs],
+                                             g_nbytes[gs], vl,
+                                             g_stride[gs], cycle)
                 elif kind == 2:             # control: simple integer pipe
                     for u in range(len(busy_int)):
                         if busy_int[u] <= cycle:
@@ -873,8 +885,8 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
                         if pm_busy is not None:
                             hint = max(pm_busy) if vl > 1 else min(pm_busy)
                         else:
-                            hint = mem_hint(minstr, cycle) if mem_hint \
-                                else cycle
+                            hint = mem_hint(g_addr[gs], g_nbytes[gs], vl,
+                                            cycle) if mem_hint else cycle
                     elif kind == 2:
                         hint = min(busy_int)
                     else:
@@ -1244,12 +1256,9 @@ class BatchCore:
         _step_t = 0.0
         states = [_LaneState(lanes[i], i) for i in reps]
         dep_cap = max(st.rob_size for st in states)
-        # Perfect memory is inlined in the stepper; only the other
-        # memory models are handed a memory row's DynInstr.
         shared = _SharedDecode(trace, dep_cap,
                                {st.ctl_key for st in states},
-                               self.BLOCK, self.RING,
-                               instrs=any(st.pm is None for st in states))
+                               self.BLOCK, self.RING)
         _decode_t += _perf_counter() - _t
 
         _t = _perf_counter()

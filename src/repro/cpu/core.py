@@ -214,11 +214,11 @@ class Core:
 
     Args:
         config: a Table 1 machine configuration.
-        memsys: any object with ``try_issue(instr, cycle) -> int | None``
-            (perfect model or a full cache hierarchy).  A memory model may
-            additionally export ``earliest_issue(instr, cycle) -> int``, a
-            retry horizon the event scheduler uses to skip guaranteed-futile
-            reattempts (see :mod:`repro.memsys.cache` for the contract).
+        memsys: any object with ``try_issue(is_store, addr, nbytes, vl,
+            stride, cycle) -> int | None`` (perfect model or a cache
+            hierarchy).  It may also export ``earliest_issue(addr, nbytes,
+            vl, cycle) -> int``, a retry horizon the event scheduler uses
+            to skip futile reattempts (contract in :mod:`repro.memsys.cache`).
     """
 
     #: Extra cycles between a mispredicted branch resolving and useful
@@ -569,7 +569,9 @@ class Core:
         instr = entry.instr
         iclass = instr.iclass
         if iclass.is_memory:
-            return self.memsys.try_issue(instr, cycle)
+            return self.memsys.try_issue(iclass.is_store, instr.addr,
+                                         instr.nbytes, instr.vl,
+                                         instr.stride, cycle)
         if iclass == InstrClass.NOP:
             return cycle + 1
         if iclass in (InstrClass.BRANCH, InstrClass.JUMP):

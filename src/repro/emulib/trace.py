@@ -224,15 +224,14 @@ def _csr(tuples: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     return offsets, values.astype(np.int16)
 
 
-def ragged_tuples(starts, counts, values, empty=None) -> np.ndarray:
+def ragged_tuples(starts, counts, values) -> np.ndarray:
     """Object array holding, per row, ``tuple(values[start:start+count])``.
 
-    Rows with no values hold ``empty``.  Rows are grouped by count, so
+    Rows with no values hold ``None``.  Rows are grouped by count, so
     each tuple is built by ``zip`` over gathered columns rather than by a
     Python-level slice per row.
     """
     out = np.empty(len(counts), dtype=object)
-    out.fill(empty)
     for k in np.flatnonzero(np.bincount(counts)).tolist():
         if k:
             rows = np.flatnonzero(counts == k)
@@ -378,25 +377,6 @@ class _Chunk:
     def taken_at(self, rows) -> list:
         """Decoded ``taken`` (``None``/``False``/``True``) of ``rows``."""
         return [_TAKEN_DECODE[t + 1] for t in self.taken[rows].tolist()]
-
-    def materialize(self, rows, opcodes) -> list[DynInstr]:
-        """The :class:`DynInstr` of each row in ``rows`` (block-relative
-        indices), field for field what iteration would yield."""
-        operands = []
-        for off, val in ((self.src_off, self.src_val),
-                         (self.dst_off, self.dst_val)):
-            starts = off[rows]
-            operands.append(ragged_tuples(
-                starts, off[rows + 1] - starts, val, ()).tolist())
-        return list(map(
-            DynInstr,
-            [opcodes[o] for o in self.op[rows].tolist()],
-            *operands,
-            [a if has else None for a, has in zip(
-                self.addr[rows].tolist(), self.has_addr[rows].tolist())],
-            self.nbytes[rows].tolist(), self.stride[rows].tolist(),
-            self.vl[rows].tolist(), self.taken_at(rows),
-            self.site[rows].tolist()))
 
     def nbytes_storage(self) -> int:
         """Bytes of column storage this chunk occupies (diagnostics)."""

@@ -1,7 +1,9 @@
 """Memory-system models: perfect memory and the full cache hierarchies.
 
-Every class exposes ``try_issue(instr, cycle) -> completion | None`` -- the
-interface the out-of-order core drives -- plus ``stats()``.
+Every class exposes ``try_issue(is_store, addr, nbytes, vl, stride, cycle)
+-> completion | None`` -- the interface the out-of-order core drives, one
+access as plain ints -- plus ``stats()``; the hierarchies add the
+``earliest_issue(addr, nbytes, vl, cycle)`` hint (:mod:`repro.memsys.cache`).
 
 * :class:`PerfectMemory` -- fixed latency, Table 1 ports (Section 4.1).
 * :class:`ConventionalHierarchy` -- ports / banked L1 / write buffer / L2 /

@@ -8,13 +8,19 @@ lives in :mod:`repro.memsys.hierarchy`.
 
 All timing here is expressed as *completion cycles*; structural back
 pressure is expressed by methods returning ``None`` (the core retries the
-instruction next cycle).  The memory models built from these blocks may
-additionally export an ``earliest_issue(instr, cycle)`` hint for the
-event-driven core: a lower bound before which every retry is guaranteed to
-fail without touching any of the stateful structures below (ports, banks,
-MSHRs, write buffer) -- retries that *would* touch state must stay on the
-cycle-by-cycle cadence so the hierarchy's counters stay bit-identical to a
-busy-wait core.
+instruction next cycle).  The memory models built from these blocks take
+an access as plain ints, ``try_issue(is_store, addr, nbytes, vl, stride,
+cycle)``, and export an ``earliest_issue(addr, nbytes, vl, cycle)`` hint
+for the event-driven core.  The hint contract: every ``try_issue`` of that
+access strictly before the returned cycle fails *without side effects*
+(no port, bank, MSHR, write-buffer or counter is touched), so the core
+may skip those retries and stay cycle-exact against a core that retries
+every cycle.  A failing port claim touches nothing, so an aligned access
+may skip to the first port release; an access whose failure has effects
+-- an unaligned split is counted before the port claim, a store may find
+the write buffer full after claiming its port -- gets the current cycle,
+which keeps it on the cycle-by-cycle cadence.  Port claims only push busy
+horizons forward, so the bound stays valid while other accesses issue.
 """
 
 from __future__ import annotations

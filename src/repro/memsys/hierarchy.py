@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..emulib.trace import DynInstr
 from .cache import CacheArray, MshrFile, WriteBuffer
 from .dram import DirectRambus
 
@@ -69,13 +68,11 @@ class L2Cache:
         self.latency = latency
         self.writebacks = 0
 
-    def access(self, addr: int, is_store: bool, cycle: int,
-               allow_stall: bool = True) -> int | None:
-        """Access one L2 line; returns data-ready cycle (``None`` = retry).
+    def access(self, addr: int, is_store: bool, cycle: int) -> int:
+        """Access one L2 line; returns the data-ready cycle.
 
-        ``allow_stall=False`` callers (vector element streams that cannot
-        roll back) get a pessimistic completion instead of a retry when the
-        MSHR file is full.
+        Its callers cannot roll back, so a miss that finds every MSHR
+        busy is charged a serialization penalty instead of a retry.
         """
         line_addr = (addr // self.LINE) * self.LINE
         if self.array.probe(addr):
@@ -87,17 +84,12 @@ class L2Cache:
             return max(inflight, cycle + self.latency)
         fill_done = self.dram.access(line_addr, self.LINE, cycle + self.latency)
         if not self.mshr.allocate(self.array.line_of(addr), fill_done, cycle):
-            if allow_stall:
-                return None
             fill_done += self.latency  # charge a serialization penalty
         victim = self.array.fill(addr, dirty=is_store)
         if victim is not None:
             self.writebacks += 1
             self.dram.access(victim, self.LINE, fill_done)
         return fill_done + self.latency
-
-    def invalidate(self, addr: int) -> None:
-        self.array.invalidate(addr)
 
     def stats(self) -> dict[str, float]:
         return {
@@ -127,40 +119,61 @@ class L1Cache:
         self.wbuf = WriteBuffer(self.WBUF_DEPTH, L2Cache.LINE,
                                 drain_interval=l2.latency)
 
-    def _bank_delay(self, addr: int, cycle: int) -> int:
-        """Serialize accesses that collide on one interleaved bank."""
-        bank = self.array.line_of(addr) % self.banks
-        start = max(cycle, self.bank_free[bank])
-        self.bank_free[bank] = start + 1
-        return start
+    def load(self, addr: int, cycle: int) -> int:
+        """Load one aligned word; returns its data-ready cycle.
 
-    def load(self, addr: int, cycle: int, allow_stall: bool = True) -> int | None:
-        start = self._bank_delay(addr, cycle)
-        flush = self.wbuf.flush_line(addr, start)
-        if self.array.probe(addr):
+        The hit path is inline, in this order: the interleaved bank
+        serializes colliding accesses, the write buffer selectively
+        flushes a buffered copy of the line, then the tag test (a set of
+        the direct-mapped array holds at most one line).  A miss merges
+        into an in-flight fill or goes to the L2; one that finds every
+        MSHR busy pays a serialization penalty.
+        """
+        line = addr // self.LINE
+        bank_free = self.bank_free
+        bank = line % self.banks
+        start = bank_free[bank]
+        if start < cycle:
+            start = cycle
+        bank_free[bank] = start + 1
+        wbuf = self.wbuf
+        flush = 0
+        wline = addr // wbuf.line_bytes
+        if wline in wbuf.lines:
+            del wbuf.lines[wline]
+            wbuf.selective_flushes += 1
+            flush = wbuf.drain_interval
+        array = self.array
+        entries = array._sets[line % array.sets]
+        if entries and entries[0][0] == line // array.sets:
+            array.hits += 1
             return start + self.latency + flush
-        line = self.array.line_of(addr)
+        array.misses += 1
         inflight = self.mshr.lookup(line, start)
         if inflight is not None:
             return max(inflight, start + self.latency) + flush
-        l2_done = self.l2.access(addr, False, start + self.latency + flush,
-                                 allow_stall=allow_stall)
-        if l2_done is None:
-            return None
+        l2_done = self.l2.access(addr, False, start + self.latency + flush)
         if not self.mshr.allocate(line, l2_done + self.latency, start):
-            if allow_stall:
-                return None
             l2_done += self.latency
-        self.array.fill(addr)        # write-through L1: lines never dirty
+        array.fill(addr)             # write-through L1: lines never dirty
         return l2_done + self.latency
 
     def store(self, addr: int, cycle: int) -> int | None:
-        """Write-through, no-allocate; completes when buffered."""
-        start = self._bank_delay(addr, cycle)
+        """Write-through, no-allocate; completes when buffered (``None``
+        when the buffer is full, after the bank was claimed)."""
+        line = addr // self.LINE
+        bank_free = self.bank_free
+        bank = line % self.banks
+        start = bank_free[bank]
+        if start < cycle:
+            start = cycle
+        bank_free[bank] = start + 1
         if not self.wbuf.push(addr, start):
             return None
-        if self.array.contains(addr):
-            self.array.probe(addr)   # update LRU/hit stats on write hit
+        array = self.array
+        entries = array._sets[line % array.sets]
+        if entries and entries[0][0] == line // array.sets:
+            array.hits += 1          # a write hit counts as an L1 hit
         return start + self.latency
 
     def invalidate(self, addr: int) -> bool:
@@ -192,79 +205,67 @@ class ConventionalHierarchy:
         self.l1 = L1Cache(self.l2, self.params.l1_latency, self.params.l1_banks)
         self.port_free = [0] * self.params.l1_ports
         self.unaligned_splits = 0
-        # Cycle-accounting counters (success-path occupancy plus retry
-        # pressure; kept out of digest-pinned ``stats``).
+        # Cycle-accounting counters (success-path occupancy; kept out of
+        # digest-pinned ``stats``).
         self.acct_accesses = 0
         self.acct_occupancy = 0
-        self.acct_conflict_retries = 0
-
-    # --- port machinery ----------------------------------------------------------
-
-    def _claim_port(self, cycle: int, slots: int) -> int | None:
-        """Claim one port for ``slots`` cycles; returns start cycle."""
-        for i, free in enumerate(self.port_free):
-            if free <= cycle:
-                self.port_free[i] = cycle + slots
-                return cycle
-        return None
-
-    def _split_unaligned(self, instr: DynInstr) -> list[int]:
-        """Aligned sub-accesses of a (possibly unaligned) scalar access."""
-        addr = instr.addr
-        nbytes = max(1, instr.nbytes)
-        if addr % nbytes == 0:
-            return [addr]
-        self.unaligned_splits += 1
-        first = (addr // nbytes) * nbytes
-        return [first, first + nbytes]
 
     # --- core-facing API ------------------------------------------------------------
 
-    def try_issue(self, instr: DynInstr, cycle: int) -> int | None:
-        if instr.vl > 1:
+    def try_issue(self, is_store: bool, addr: int, nbytes: int, vl: int,
+                  stride: int, cycle: int) -> int | None:
+        if vl > 1:
             raise ValueError(
                 "conventional hierarchy cannot issue matrix accesses; "
                 "use the multi-address / vector-cache systems"
             )
-        return self._scalar_access(instr, cycle)
+        return self._scalar_access(is_store, addr, nbytes, cycle)
 
-    def earliest_issue(self, instr: DynInstr, cycle: int) -> int:
+    def earliest_issue(self, addr: int, nbytes: int, vl: int,
+                       cycle: int) -> int:
         """Scheduler hint: earliest cycle :meth:`try_issue` could succeed.
 
-        Same contract as :meth:`repro.memsys.perfect.PerfectMemory.\
-earliest_issue`: every attempt strictly before the returned cycle must
-        fail without side effects.  An *unaligned* scalar access counts a
-        split on every attempt, so it gets no skip (the hint is ``cycle``
-        itself, i.e. retry next cycle); an aligned access whose ports are
-        all claimed can safely skip to the first port-release, because
-        :meth:`_claim_port` fails before any state is touched.  Failures
-        past the port claim (a full write buffer) also carry side effects,
-        so a cycle with a free port never skips either.
+        Follows the contract in :mod:`repro.memsys.cache`: an aligned
+        scalar whose ports are all claimed skips to the first port
+        release, because a failed port claim touches nothing.  An
+        unaligned scalar counts a split on every attempt, so it gets no
+        skip (the hint is ``cycle`` itself); nor does a cycle with a free
+        port, where a full write buffer fails with effects.
         """
-        if instr.vl > 1:
-            return cycle         # decoupled subclasses override vector hints
-        if instr.addr % max(1, instr.nbytes):
-            return cycle
-        if all(free > cycle for free in self.port_free):
-            return min(self.port_free)
-        return cycle
+        if vl > 1 or nbytes > 1 and addr % nbytes:
+            return cycle     # decoupled subclasses override vector hints
+        earliest = min(self.port_free)
+        return earliest if earliest > cycle else cycle
 
-    def _scalar_access(self, instr: DynInstr, cycle: int) -> int | None:
-        pieces = self._split_unaligned(instr)
-        start = self._claim_port(cycle, len(pieces))
-        if start is None:
-            self.acct_conflict_retries += 1
+    def _scalar_access(self, is_store: bool, addr: int, nbytes: int,
+                       cycle: int) -> int | None:
+        """One scalar access: a port, then the L1 for each aligned piece.
+
+        The port splits an unaligned word into its two aligned words,
+        counted before the port claim (a failed attempt counts too); they
+        issue at ``cycle`` and ``cycle + 1``.  A store whose second piece
+        finds the write buffer full keeps the first piece's effects.
+        """
+        if nbytes < 1:
+            nbytes = 1
+        offset = addr % nbytes
+        if offset:
+            self.unaligned_splits += 1
+            addr -= offset
+        port_free = self.port_free
+        for port, free in enumerate(port_free):
+            if free <= cycle:
+                port_free[port] = cycle + 2 if offset else cycle + 1
+                break
+        else:
             return None
-        completion = start
-        for i, addr in enumerate(pieces):
-            if instr.iclass.is_store:
-                done = self.l1.store(addr, start + i)
-            else:
-                done = self.l1.load(addr, start + i, allow_stall=False)
-            if done is None:     # write buffer full: retry whole access
-                self.acct_conflict_retries += 1
-                return None
-            completion = max(completion, done)
+        access = self.l1.store if is_store else self.l1.load
+        completion = access(addr, cycle)
+        if offset and completion is not None:
+            done = access(addr + nbytes, cycle + 1)
+            completion = None if done is None else max(completion, done)
+        if completion is None:       # write buffer full: retry it whole
+            return None
         self.acct_accesses += 1
         self.acct_occupancy += completion - cycle
         return completion
@@ -279,15 +280,12 @@ earliest_issue`: every attempt strictly before the returned cycle must
     def accounting_stats(self) -> dict[str, int]:
         """Per-access occupancy detail for CPI-stack ``meta`` reporting.
 
-        ``conflict_retries`` counts failed issues (port/bank/write-buffer
-        structural pressure -- the ``mem_conflict`` side of the stack);
-        the fill-wait counters expose the raw miss latency the MSHR files
-        absorbed (the ``mem_latency`` side).
+        The fill-wait counters expose the raw miss latency the MSHR files
+        absorbed (the ``mem_latency`` side of the stack).
         """
         return {
             "accesses": self.acct_accesses,
             "occupancy_cycles": self.acct_occupancy,
-            "conflict_retries": self.acct_conflict_retries,
             "l1_fill_wait_cycles": self.l1.mshr.acct_fill_cycles,
             "l2_fill_wait_cycles": self.l2.mshr.acct_fill_cycles,
         }

@@ -15,7 +15,6 @@ pressure at higher widths.
 
 from __future__ import annotations
 
-from ..emulib.trace import DynInstr
 from .hierarchy import ConventionalHierarchy, HierarchyParams
 
 
@@ -27,41 +26,47 @@ class MultiAddressHierarchy(ConventionalHierarchy):
         self.vector_accesses = 0
         self.vector_elements = 0
 
-    def try_issue(self, instr: DynInstr, cycle: int) -> int | None:
-        if instr.vl <= 1:
-            return self._scalar_access(instr, cycle)
-        return self._vector_access(instr, cycle)
+    def try_issue(self, is_store: bool, addr: int, nbytes: int, vl: int,
+                  stride: int, cycle: int) -> int | None:
+        if vl <= 1:
+            return self._scalar_access(is_store, addr, nbytes, cycle)
+        return self._vector_access(is_store, addr, vl, stride, cycle)
 
-    def earliest_issue(self, instr: DynInstr, cycle: int) -> int:
+    def earliest_issue(self, addr: int, nbytes: int, vl: int,
+                       cycle: int) -> int:
         """Scheduler hint; a MOM access needs *every* port simultaneously."""
-        if instr.vl > 1:
+        if vl > 1:
             return max(cycle, max(self.port_free))
-        return super().earliest_issue(instr, cycle)
+        return super().earliest_issue(addr, nbytes, vl, cycle)
 
-    def _vector_access(self, instr: DynInstr, cycle: int) -> int | None:
-        """Stream VL element accesses round-robin over every port."""
-        ports = len(self.port_free)
-        if any(free > cycle for free in self.port_free):
-            self.acct_conflict_retries += 1
-            return None              # a MOM request reserves all ports
-        addresses = instr.element_addresses()
+    def _vector_access(self, is_store: bool, addr: int, vl: int, stride: int,
+                       cycle: int) -> int | None:
+        """Stream the elements round-robin over every port."""
+        port_free = self.port_free
+        for free in port_free:
+            if free > cycle:
+                return None          # a MOM request reserves all ports
+        ports = len(port_free)
+        elements = vl if stride else 1      # stride 0: one word
         self.vector_accesses += 1
-        self.vector_elements += len(addresses)
+        self.vector_elements += elements
+        l1 = self.l1
         completion = cycle
-        slots_per_port = -(-len(addresses) // ports)   # ceil
-        for i, addr in enumerate(addresses):
+        for i in range(elements):
             slot_cycle = cycle + i // ports
-            if instr.iclass.is_store:
-                done = self.l1.store(addr, slot_cycle)
+            if is_store:
+                done = l1.store(addr + i * stride, slot_cycle)
                 if done is None:
                     # Write buffer full mid-stream: charge a drain delay
                     # instead of rolling back the issued elements.
-                    done = slot_cycle + self.l1.wbuf.drain_interval
+                    done = slot_cycle + l1.wbuf.drain_interval
             else:
-                done = self.l1.load(addr, slot_cycle, allow_stall=False)
-            completion = max(completion, done)
+                done = l1.load(addr + i * stride, slot_cycle)
+            if done > completion:
+                completion = done
+        until = cycle - (-elements // ports)   # ceil
         for p in range(ports):
-            self.port_free[p] = cycle + slots_per_port
+            port_free[p] = until
         self.acct_accesses += 1
         self.acct_occupancy += completion - cycle
         return completion

@@ -11,8 +11,6 @@ element rate, exactly like the multi-address scheme.
 
 from __future__ import annotations
 
-from ..emulib.trace import DynInstr
-
 
 class PortSet:
     """Occupancy tracker for the processor's cache ports."""
@@ -77,10 +75,15 @@ class PerfectMemory:
         self.acct_accesses = 0
         self.acct_occupancy = 0
 
-    def try_issue(self, instr: DynInstr, cycle: int) -> int | None:
-        """Start a memory instruction; returns its completion cycle or None."""
-        if instr.vl > 1:
-            occupancy = self.portset.try_vector(cycle, instr.vl)
+    def try_issue(self, is_store: bool, addr: int, nbytes: int, vl: int,
+                  stride: int, cycle: int) -> int | None:
+        """Start a memory access; returns its completion cycle or None.
+
+        Only the vector length matters here: ``vl`` elements stream over
+        the ports whatever their addresses.
+        """
+        if vl > 1:
+            occupancy = self.portset.try_vector(cycle, vl)
             if occupancy is None:
                 return None
             completion = cycle + occupancy - 1 + self.latency
@@ -92,22 +95,6 @@ class PerfectMemory:
         self.acct_accesses += 1
         self.acct_occupancy += self.latency
         return cycle + self.latency
-
-    def earliest_issue(self, instr: DynInstr, cycle: int) -> int:
-        """Scheduler hint: earliest cycle :meth:`try_issue` could succeed.
-
-        Contract (shared by every memory model that offers this hint):
-        every ``try_issue`` strictly before the returned cycle is
-        guaranteed to fail *without side effects*, so an event-driven core
-        may skip those retry cycles and still be cycle-exact against a
-        model that retries every cycle.  Port claims only push busy
-        horizons forward, so the bound stays valid under interleaved
-        issues by other instructions.
-        """
-        busy = self.portset.busy_until
-        if instr.vl > 1:
-            return max(cycle, max(busy))     # a vector claims every port
-        return max(cycle, min(busy))         # a scalar needs any one port
 
     def stats(self) -> dict[str, int]:
         return {

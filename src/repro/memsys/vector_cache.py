@@ -18,7 +18,6 @@ discussed in Section 4.2.2.
 
 from __future__ import annotations
 
-from ..emulib.trace import DynInstr
 from .hierarchy import ConventionalHierarchy, HierarchyParams, L2Cache
 
 
@@ -68,47 +67,55 @@ class VectorCacheHierarchy(ConventionalHierarchy):
 
     # --- vector access ------------------------------------------------------------
 
-    def try_issue(self, instr: DynInstr, cycle: int) -> int | None:
-        if instr.vl <= 1:
-            return self._scalar_access(instr, cycle)
-        return self._vector_access(instr, cycle)
+    def try_issue(self, is_store: bool, addr: int, nbytes: int, vl: int,
+                  stride: int, cycle: int) -> int | None:
+        if vl <= 1:
+            return self._scalar_access(is_store, addr, nbytes, cycle)
+        return self._vector_access(is_store, addr, vl, stride, cycle)
 
-    def earliest_issue(self, instr: DynInstr, cycle: int) -> int:
+    def earliest_issue(self, addr: int, nbytes: int, vl: int,
+                       cycle: int) -> int:
         """Scheduler hint; vector traffic waits on the single vector port."""
-        if instr.vl > 1:
+        if vl > 1:
             return max(cycle, self.vector_port_free)
-        return super().earliest_issue(instr, cycle)
+        return super().earliest_issue(addr, nbytes, vl, cycle)
 
-    def _vector_access(self, instr: DynInstr, cycle: int) -> int | None:
+    def _vector_access(self, is_store: bool, addr: int, vl: int, stride: int,
+                       cycle: int) -> int | None:
+        """Line-pair transactions through the L2, bypassing the L1."""
         if self.vector_port_free > cycle:
-            self.acct_conflict_retries += 1
             return None
-        addresses = instr.element_addresses()
+        addresses = ([addr + i * stride for i in range(vl)] if stride
+                     else [addr])            # stride 0: one word
         windows = self._windows(addresses)
         self.vector_transactions += len(windows)
         self.vector_elements += len(addresses)
-        is_store = instr.iclass.is_store
         width = self.params.vector_port_width
+        wbuf = self.l1.wbuf
+        line = L2Cache.LINE
         completion = cycle
         txn_start = cycle
         for window in windows:
             # Selective write-buffer flush keeps the bypass coherent.
-            flush = max((self.l1.wbuf.flush_line(a, txn_start) for a in window),
-                        default=0)
+            flush = 0
+            for element in window:
+                if wbuf.flush_line(element, txn_start):
+                    flush = wbuf.drain_interval
             # Both lines of the pair travel through the L2 tag path.
-            first_line = (window[0] // L2Cache.LINE) * L2Cache.LINE
+            first_line = window[0] // line * line
             data_ready = txn_start + flush
-            for line_addr in (first_line, first_line + L2Cache.LINE):
-                done = self.l2.access(line_addr, is_store, txn_start + flush,
-                                      allow_stall=False)
-                data_ready = max(data_ready, done)
+            for line_addr in (first_line, first_line + line):
+                done = self.l2.access(line_addr, is_store, txn_start + flush)
+                if done > data_ready:
+                    data_ready = done
             if is_store:
-                for addr in window:
-                    if self.l1.invalidate(addr):
+                for element in window:
+                    if self.l1.invalidate(element):
                         self.l1_invalidations += 1
-            transfer = max(1, -(-len(window) // width))
+            transfer = -(-len(window) // width)     # windows are never empty
             txn_start += transfer          # the single vector port streams
-            completion = max(completion, data_ready + transfer)
+            if data_ready + transfer > completion:
+                completion = data_ready + transfer
         self.vector_port_free = txn_start
         self.acct_accesses += 1
         self.acct_occupancy += completion - cycle

@@ -87,6 +87,17 @@ def test_batch_stack_parity(group, points):
         assert batched.stack.total() == batched.cycles
 
 
+@pytest.mark.parametrize("kernel,isa,way,memory", list(grid_points()),
+                         ids=lambda v: str(v))
+def test_mem_accounting_parity(kernel, isa, way, memory):
+    """The memory model's accounting tallies (``meta["mem_accounting"]``)
+    equal the oracle's: the stepper skips futile retries, so no tally
+    may count failed attempts."""
+    event = _accounted(kernel, isa, way, memory)
+    oracle = _accounted(kernel, isa, way, memory, reference=True)
+    assert event.meta["mem_accounting"] == oracle.meta["mem_accounting"]
+
+
 def test_reference_oracle_stack_parity():
     """The retained busy-wait oracle agrees bucket for bucket (spot check:
     one point per memory-model family)."""

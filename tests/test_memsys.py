@@ -4,9 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mom_isa import MOM
-from repro.emulib.trace import DynInstr
-from repro.isa.alpha import ALPHA
 from repro.memsys import (CollapsingBufferHierarchy, ConventionalHierarchy,
                           MultiAddressHierarchy, PerfectMemory,
                           VectorCacheHierarchy)
@@ -16,55 +13,58 @@ from repro.memsys.hierarchy import HierarchyParams, L2Cache
 from repro.memsys.perfect import PortSet
 
 
+# An access as the memory models take it: (is_store, addr, nbytes, vl,
+# stride), followed by the issue cycle.
+
 def load(addr, nbytes=8):
-    return DynInstr(ALPHA["ldq"], addr=addr, nbytes=nbytes)
+    return False, addr, nbytes, 1, 0
 
 
 def store(addr, nbytes=8):
-    return DynInstr(ALPHA["stq"], addr=addr, nbytes=nbytes)
+    return True, addr, nbytes, 1, 0
 
 
 def vload(addr, stride, vl):
-    return DynInstr(MOM["momldq"], addr=addr, nbytes=8, stride=stride, vl=vl)
+    return False, addr, 8, vl, stride
 
 
 def vstore(addr, stride, vl):
-    return DynInstr(MOM["momstq"], addr=addr, nbytes=8, stride=stride, vl=vl)
+    return True, addr, 8, vl, stride
 
 
 # --- PerfectMemory / ports ---------------------------------------------------------
 
 def test_perfect_scalar_latency():
     mem = PerfectMemory(latency=1, ports=1)
-    assert mem.try_issue(load(0x100), 10) == 11
+    assert mem.try_issue(*load(0x100), 10) == 11
 
 
 def test_perfect_port_contention():
     mem = PerfectMemory(latency=1, ports=1)
-    assert mem.try_issue(load(0x100), 5) is not None
-    assert mem.try_issue(load(0x108), 5) is None       # port busy this cycle
-    assert mem.try_issue(load(0x108), 6) is not None
+    assert mem.try_issue(*load(0x100), 5) is not None
+    assert mem.try_issue(*load(0x108), 5) is None       # port busy this cycle
+    assert mem.try_issue(*load(0x108), 6) is not None
 
 
 def test_perfect_vector_reserves_all_ports():
     mem = PerfectMemory(latency=1, ports=2, port_width=1)
-    done = mem.try_issue(vload(0x100, 8, 16), 0)
+    done = mem.try_issue(*vload(0x100, 8, 16), 0)
     assert done == 0 + 8 - 1 + 1       # 16 elems / 2 ports = 8 cycles
-    assert mem.try_issue(load(0x500), 3) is None       # both ports held
-    assert mem.try_issue(load(0x500), 8) is not None
+    assert mem.try_issue(*load(0x500), 3) is None       # both ports held
+    assert mem.try_issue(*load(0x500), 8) is not None
 
 
 def test_perfect_wide_ports_speed_vectors():
     narrow = PerfectMemory(latency=1, ports=2, port_width=1)
     wide = PerfectMemory(latency=1, ports=2, port_width=2)
-    t_narrow = narrow.try_issue(vload(0x100, 8, 16), 0)
-    t_wide = wide.try_issue(vload(0x100, 8, 16), 0)
+    t_narrow = narrow.try_issue(*vload(0x100, 8, 16), 0)
+    t_wide = wide.try_issue(*vload(0x100, 8, 16), 0)
     assert t_wide < t_narrow
 
 
 def test_perfect_high_latency():
     mem = PerfectMemory(latency=50, ports=1)
-    assert mem.try_issue(load(0x100), 0) == 50
+    assert mem.try_issue(*load(0x100), 0) == 50
 
 
 def test_portset_validation():
@@ -76,8 +76,8 @@ def test_portset_validation():
 
 def test_perfect_stats():
     mem = PerfectMemory(latency=1, ports=2)
-    mem.try_issue(load(0x100), 0)
-    mem.try_issue(vload(0x200, 8, 4), 1)
+    mem.try_issue(*load(0x100), 0)
+    mem.try_issue(*vload(0x200, 8, 4), 1)
     stats = mem.stats()
     assert stats["scalar_accesses"] == 1
     assert stats["vector_accesses"] == 1
@@ -243,35 +243,36 @@ def test_dram_validation():
 
 def test_conventional_cold_miss_then_hit():
     mem = ConventionalHierarchy(4)
-    cold = mem.try_issue(load(0x2000), 0)
+    cold = mem.try_issue(*load(0x2000), 0)
     assert cold > 40                      # through L2 + DRAM
-    warm = mem.try_issue(load(0x2000), cold + 1)
+    warm = mem.try_issue(*load(0x2000), cold + 1)
     assert warm == cold + 1 + mem.params.l1_latency
 
 
 def test_conventional_store_buffered():
     mem = ConventionalHierarchy(4)
-    done = mem.try_issue(store(0x3000), 0)
+    done = mem.try_issue(*store(0x3000), 0)
     assert done is not None and done <= 2     # absorbed by write buffer
 
 
 def test_conventional_unaligned_split():
     mem = ConventionalHierarchy(4)
-    mem.try_issue(load(0x2001, nbytes=8), 0)
+    mem.try_issue(*load(0x2001, nbytes=8), 0)
     assert mem.unaligned_splits == 1
 
 
 def test_conventional_rejects_vector():
     mem = ConventionalHierarchy(4)
     with pytest.raises(ValueError):
-        mem.try_issue(vload(0x100, 8, 16), 0)
+        mem.try_issue(*vload(0x100, 8, 16), 0)
 
 
 def test_write_through_keeps_l2_current():
     mem = ConventionalHierarchy(4)
-    t = mem.try_issue(load(0x4000), 0)        # fill both levels
-    mem.try_issue(store(0x4000), t + 1)
-    assert mem.l2.array.contains(0x4000) or True   # line present somewhere
+    t = mem.try_issue(*load(0x4000), 0)        # fill both levels
+    mem.try_issue(*store(0x4000), t + 1)
+    assert mem.l2.array.contains(0x4000)
+    assert 0x4000 // L2Cache.LINE in mem.l1.wbuf.lines   # store buffered
     stats = mem.stats()
     assert stats["l1_hits"] >= 1
 
@@ -302,63 +303,63 @@ def test_table3_params():
 
 def test_multi_address_handles_vectors():
     mem = MultiAddressHierarchy(4)
-    done = mem.try_issue(vload(0x2000, 8, 16), 0)
+    done = mem.try_issue(*vload(0x2000, 8, 16), 0)
     assert done is not None
     assert mem.stats()["vector_elements"] == 16
 
 
 def test_multi_address_reserves_all_ports():
     mem = MultiAddressHierarchy(4)
-    mem.try_issue(vload(0x2000, 8, 16), 0)
-    assert mem.try_issue(load(0x100), 1) is None
+    mem.try_issue(*vload(0x2000, 8, 16), 0)
+    assert mem.try_issue(*load(0x100), 1) is None
 
 
 def test_vector_cache_unit_stride_groups_lines():
     mem = VectorCacheHierarchy(4)
-    mem.try_issue(vload(0x2000, 8, 16), 0)        # 128 contiguous bytes
+    mem.try_issue(*vload(0x2000, 8, 16), 0)        # 128 contiguous bytes
     assert mem.stats()["vector_transactions"] == 1
 
 
 def test_vector_cache_large_stride_degenerates():
     mem = VectorCacheHierarchy(4)
-    mem.try_issue(vload(0x2000, 512, 16), 0)
+    mem.try_issue(*vload(0x2000, 512, 16), 0)
     assert mem.stats()["vector_transactions"] == 16
 
 
 def test_collapsing_buffer_groups_moderate_strides():
     vc = VectorCacheHierarchy(4)
     col = CollapsingBufferHierarchy(4)
-    vc.try_issue(vload(0x2000, 32, 16), 0)
-    col.try_issue(vload(0x2000, 32, 16), 0)
+    vc.try_issue(*vload(0x2000, 32, 16), 0)
+    col.try_issue(*vload(0x2000, 32, 16), 0)
     assert col.stats()["vector_transactions"] < vc.stats()["vector_transactions"]
 
 
 def test_collapsing_buffer_no_help_for_huge_strides():
     """The mpeg2-encode exception: far-apart words cannot be compressed."""
     col = CollapsingBufferHierarchy(4)
-    col.try_issue(vload(0x2000, 4096, 16), 0)
+    col.try_issue(*vload(0x2000, 4096, 16), 0)
     assert col.stats()["vector_transactions"] == 16
 
 
 def test_vector_store_invalidates_l1():
     mem = VectorCacheHierarchy(4)
-    t = mem.try_issue(load(0x2000), 0)            # bring line into L1
-    mem.try_issue(vstore(0x2000, 8, 4), t + 1)
+    t = mem.try_issue(*load(0x2000), 0)            # bring line into L1
+    mem.try_issue(*vstore(0x2000, 8, 4), t + 1)
     assert mem.stats()["l1_invalidations"] >= 1
     assert not mem.l1.array.contains(0x2000)
 
 
 def test_vector_load_bypasses_l1():
     mem = VectorCacheHierarchy(4)
-    mem.try_issue(vload(0x6000, 8, 16), 0)
+    mem.try_issue(*vload(0x6000, 8, 16), 0)
     assert not mem.l1.array.contains(0x6000)
 
 
 def test_vector_cache_warm_hits_faster():
     mem = VectorCacheHierarchy(4)
-    cold = mem.try_issue(vload(0x2000, 8, 16), 0)
+    cold = mem.try_issue(*vload(0x2000, 8, 16), 0)
     warm_start = cold + 10
-    warm = mem.try_issue(vload(0x2000, 8, 16), warm_start) - warm_start
+    warm = mem.try_issue(*vload(0x2000, 8, 16), warm_start) - warm_start
     assert warm < cold
 
 
@@ -366,4 +367,4 @@ def test_scalar_path_still_works_in_mom_hierarchies():
     for cls in (MultiAddressHierarchy, VectorCacheHierarchy,
                 CollapsingBufferHierarchy):
         mem = cls(4)
-        assert mem.try_issue(load(0x9000), 0) is not None
+        assert mem.try_issue(*load(0x9000), 0) is not None

@@ -7,13 +7,13 @@ ran before its decode moved onto the trace columns, walking one
 ``_Record`` classifies an instruction from its opcode alone, independent
 of the per-opcode tables the columnar decode uses.  After every
 block the tests compare every ring of the columnar decode against it --
-op tuples (memory ``DynInstr``\\ s field by field), dependence edges,
-chain flags, memory flags, every SWAR variant and every predictor/BTB
-class -- over every kernel and application trace, and over synthetic
-traces that reach the corner cases the real ones may not: chunk and
-block geometries that do not line up, truncated and unsealed storage,
-repeated and self-referencing operands, multi-pool destinations, both
-zeroing idioms and dependence distances on either side of the cap.
+op tuples, memory columns, dependence edges, chain flags, memory flags,
+every SWAR variant and every predictor/BTB class -- over every kernel
+and application trace, and over synthetic traces that reach the corner
+cases the real ones may not: chunk and block geometries that do not
+line up, truncated and unsealed storage, repeated and self-referencing
+operands, multi-pool destinations, both zeroing idioms and dependence
+distances on either side of the cap.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ from repro.isa.model import InstrClass, RegPool
 from repro.kernels import KERNELS
 from repro.memsys import PerfectMemory
 
-from test_golden_digest import result_digest
+from test_golden_digest import GOLDEN_DIGESTS, make_memsys, result_digest
 
 ISAS = ("alpha", "mmx", "mdmx", "mom")
 APP_ISAS = ("alpha", "mmx", "mom")
@@ -85,6 +85,11 @@ class _Record:
             for dst in instr.dsts)
         self.site = instr.site
         self.taken = instr.taken
+        #: the memory columns, as the columnar store keeps them.
+        self.addr = 0 if instr.addr is None else instr.addr
+        self.nbytes = instr.nbytes
+        self.stride = instr.stride
+        self.is_store = iclass.is_store
 
 
 _KIND_MEMORY = _Record.KIND_MEMORY
@@ -114,6 +119,9 @@ class _RecordDecode:
         self.deps: list = [None] * size
         self.chains = [False] * size
         self.ismem = [0] * size
+        self.addr = [0] * size
+        self.nbytes = [0] * size
+        self.stride = [0] * size
         self.alloc_raw = [0] * size
         self.alloc_z = [0] * size
         self.chk = [0] * size
@@ -168,6 +176,9 @@ class _RecordDecode:
         deps_r = self.deps
         chains_r = self.chains
         ismem_r = self.ismem
+        addr_r = self.addr
+        nbytes_r = self.nbytes
+        stride_r = self.stride
         alloc_raw = self.alloc_raw
         alloc_z = self.alloc_z
         chk_r = self.chk
@@ -195,6 +206,9 @@ class _RecordDecode:
             kind = rec.kind
             vl = rec.vl
             is_mem = kind == _KIND_MEMORY
+            addr_r[slot] = rec.addr
+            nbytes_r[slot] = rec.nbytes
+            stride_r[slot] = rec.stride
             if vl <= 1:
                 chmode = 0
             elif is_mem:
@@ -230,7 +244,8 @@ class _RecordDecode:
             else:
                 if is_mem:
                     ismem_r[slot] = 1
-                    op = (1, 0, False, 1, 0, False, chmode, vl, rec.instr)
+                    op = (1, 0, False, 1, 0, False, chmode, vl,
+                          rec.is_store)
                 elif kind == _KIND_CONTROL:
                     op = (2, 0, False, 1, 0, False, 0, 1, None)
                     ctl_rows.append((i, slot, rec.is_jump, rec.site,
@@ -358,7 +373,8 @@ class _RecordDecode:
 
 # --- comparison ---------------------------------------------------------------
 
-_RINGS = ("deps", "chains", "ismem", "alloc_raw", "alloc_z", "chk",
+_RINGS = ("deps", "chains", "ismem", "addr", "nbytes", "stride",
+          "alloc_raw", "alloc_z", "chk",
           "smask_raw", "smask_z", "commit_if_raw", "commit_if_z",
           "commit_full_raw", "commit_full_z", "rel_raw", "rel_z")
 
@@ -366,28 +382,13 @@ _RINGS = ("deps", "chains", "ismem", "alloc_raw", "alloc_z", "chk",
 CTL_CLASSES = {(16, 4), (4096, 512)}
 
 
-def _canon_op(op, *, instrs: bool):
-    """An op ring entry with its DynInstr (if any) replaced by its fields,
-    or by ``None`` when the decode under test builds none."""
-    if type(op) is tuple and op[8] is not None:
-        if not instrs:
-            return op[:8] + (None,)
-        instr = op[8]
-        return op[:8] + ((instr.op, instr.srcs, instr.dsts, instr.addr,
-                          instr.nbytes, instr.stride, instr.vl, instr.taken,
-                          instr.site),)
-    return op
-
-
-def _assert_same_rings(ref, new, *, instrs: bool, lo: int, hi: int) -> None:
+def _assert_same_rings(ref, new, *, lo: int, hi: int) -> None:
     """Every ring equal in value and type over slots ``[lo, hi)``, and
     every predictor class equal in full."""
     assert (new.avail, new.size, new.mask) == (ref.avail, ref.size, ref.mask)
-    for name in ("op_raw", "op_ac"):
-        want = [_canon_op(op, instrs=instrs)
-                for op in getattr(ref, name)[lo:hi]]
-        got = [_canon_op(op, instrs=True) for op in getattr(new, name)[lo:hi]]
-        assert repr(got) == repr(want), name
+    for name in ("op_raw", "op_ac"):    # tuple members' types too
+        assert repr(getattr(new, name)[lo:hi]) == \
+            repr(getattr(ref, name)[lo:hi]), name
     for name in _RINGS:
         want = getattr(ref, name)[lo:hi]
         got = getattr(new, name)[lo:hi]
@@ -402,13 +403,12 @@ def _assert_same_rings(ref, new, *, instrs: bool, lo: int, hi: int) -> None:
 
 
 def assert_decode_parity(trace: Trace, *, block: int, ring: int,
-                         dep_cap: int = 32, instrs: bool = True) -> int:
+                         dep_cap: int = 32) -> int:
     """Decode ``trace`` both ways, comparing after every block; returns
     the number of blocks decoded."""
     ref = _RecordDecode(len(trace), map(_Record, trace).__next__,
                         dep_cap, CTL_CLASSES, block, ring)
-    new = _SharedDecode(trace, dep_cap, CTL_CLASSES, block, ring,
-                        instrs=instrs)
+    new = _SharedDecode(trace, dep_cap, CTL_CLASSES, block, ring)
     blocks = 0
     while ref.avail < ref.n:
         start = ref.avail
@@ -416,8 +416,7 @@ def assert_decode_parity(trace: Trace, *, block: int, ring: int,
         new.decode_block()
         blocks += 1
         lo = start & ref.mask
-        _assert_same_rings(ref, new, instrs=instrs, lo=lo,
-                           hi=lo + ref.avail - start)
+        _assert_same_rings(ref, new, lo=lo, hi=lo + ref.avail - start)
     new.decode_block()                  # past the end: a no-op
     assert new.avail == len(trace)
     assert next(new.blocks, None) is None
@@ -446,11 +445,29 @@ def test_app_traces(app, isa):
     assert assert_decode_parity(trace, block=BLOCK, ring=RING) > 2
 
 
-def test_perfect_memory_decode_builds_no_instrs():
-    """Without a memory model that reads them, memory rows carry no
-    DynInstr; everything else is unchanged."""
-    trace = built_kernel("motion1", "mom").trace
-    assert_decode_parity(trace, block=256, ring=512, instrs=False)
+def test_cache_lanes_build_no_dyninstr(monkeypatch):
+    """Memory rows reach every memory model as ints from the decode
+    rings: a batch on all four cache hierarchies builds no DynInstr,
+    and each lane still matches its golden digest."""
+    groups = {"mom": (2, "cache"), "alpha": (8, "cache")}
+    lanes, points = {}, {}
+    for isa, (way, _) in groups.items():
+        points[isa] = [(way, "cache")] + ([(8, "vectorcache"),
+                                           (2, "collapsing")]
+                                          if isa == "mom" else [])
+        lanes[isa] = [LaneSpec(machine_config(w, isa), make_memsys(m, w, isa))
+                      for w, m in points[isa]]
+    traces = {isa: built_kernel("idct", isa).trace for isa in groups}
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a DynInstr was built")
+
+    monkeypatch.setattr(DynInstr, "__init__", refuse)
+    for isa, trace in traces.items():
+        results = BatchCore(lanes[isa]).run(trace)
+        for (way, memory), result in zip(points[isa], results):
+            assert result_digest(result) == \
+                GOLDEN_DIGESTS[("idct", isa, way, memory)]
 
 
 # --- synthetic corner cases ----------------------------------------------------
@@ -591,7 +608,7 @@ def test_both_zero_idioms():
         DynInstr(MOM["momzero"], vl=1, dsts=(_m(3), _i(2))),
     ] * 7
     trace = _trace(rows)
-    new = _SharedDecode(trace, 32, CTL_CLASSES, 64, 64, instrs=True)
+    new = _SharedDecode(trace, 32, CTL_CLASSES, 64, 64)
     new.decode_block()
     assert new.alloc_raw[0] and not new.alloc_z[0]
     assert new.alloc_raw[2] and not new.alloc_z[2]
@@ -608,7 +625,7 @@ def test_dependence_distance_at_the_cap(dep_cap):
         rows += [DynInstr(ALPHA["nop"])] * (distance - 1)
         rows.append(DynInstr(ALPHA["addq"], srcs=(_i(20),), dsts=(_i(21),)))
     trace = _trace(rows * 3, isa="alpha")
-    new = _SharedDecode(trace, dep_cap, CTL_CLASSES, 64, 64, instrs=True)
+    new = _SharedDecode(trace, dep_cap, CTL_CLASSES, 64, 64)
     new.decode_block()
     assert new.deps[dep_cap] == (0,)
     assert new.deps[2 * dep_cap + 2] is None
@@ -659,12 +676,25 @@ def test_out_of_range_operand_rejected_in_unsealed_tail(operand):
         Core(machine_config(4, "alpha"), PerfectMemory(1, 2, 1)).run(trace)
 
 
+# --- memory rows without an address ------------------------------------------
+
+@pytest.mark.parametrize("memory", ["perfect", "cache"])
+def test_memory_row_without_address_rejected(memory):
+    """Every lane type refuses it at decode, before any model sees it."""
+    rows = [DynInstr(ALPHA["addq"], srcs=(_i(1),), dsts=(_i(2),)),
+            DynInstr(ALPHA["ldq"], srcs=(_i(2),), dsts=(_i(3),), nbytes=8)]
+    trace = _trace(rows * 3, isa="alpha")
+    lane = LaneSpec(machine_config(4, "alpha"),
+                    make_memsys(memory, 4, "alpha"))
+    with pytest.raises(ValueError, match="memory row 1 has no address"):
+        BatchCore([lane]).run(trace)
+
+
 # --- the decode inside BatchCore ---------------------------------------------
 
 def test_batch_with_forced_small_blocks_matches_core(monkeypatch):
     """The whole engine over a small-block decode, cache and perfect
     memory lanes mixed, against per-point busy-wait oracle runs."""
-    from test_golden_digest import make_memsys
     trace = _trace(_mixed(3000), chunk_rows=700)
     monkeypatch.setattr(BatchCore, "BLOCK", 128)
     monkeypatch.setattr(BatchCore, "RING", 256)
