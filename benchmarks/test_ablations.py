@@ -16,7 +16,7 @@ import pytest
 
 from repro.cpu import Core, machine_config
 from repro.cpu.config import FuConfig
-from repro.eval.runner import built_kernel
+from repro.exp import built_kernel
 from repro.memsys import PerfectMemory
 
 import dataclasses

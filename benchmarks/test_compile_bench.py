@@ -4,18 +4,13 @@ Times the vectorizing compiler itself -- workload binding plus the
 lowering pass, i.e. everything between a kernel description and a
 simulatable trace -- for every compiler-known kernel (the three
 digest-pinned mirrors and the three compiler-only kernels) on all four
-ISAs.  Emits ``benchmarks/BENCH_compile.json`` next to the core/serve
-artifacts so the build-side cost of the compilation layer is tracked
-run over run.
+ISAs.
 
-Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the workload; the JSON then
-carries ``"smoke": true`` so trajectories are not cross-compared.
+Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the workload.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -25,36 +20,6 @@ from repro.vc import COMPILED, compile_kernel
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 SCALE = 1 if SMOKE else 2
 REPS = 2 if SMOKE else 3
-OUTPUT = Path(__file__).parent / "BENCH_compile.json"
-
-_results: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def emit_bench_json():
-    """Write the accumulated measurements once the module finishes."""
-    yield
-    if not _results:
-        return
-    total_instrs = sum(row["instructions"]
-                       for per_isa in _results.values()
-                       for row in per_isa.values())
-    total_seconds = sum(row["build_seconds"]
-                        for per_isa in _results.values()
-                        for row in per_isa.values())
-    OUTPUT.write_text(json.dumps({
-        "benchmark": "compile",
-        "scale": SCALE,
-        "smoke": SMOKE,
-        "kernels": sorted(_results),
-        "total_instructions": total_instrs,
-        "total_build_seconds": round(total_seconds, 4),
-        "instructions_per_second": (round(total_instrs / total_seconds)
-                                    if total_seconds else None),
-        "results": _results,
-    }, indent=2) + "\n")
-    print(f"\ncompile bench ({total_instrs} instructions in "
-          f"{total_seconds:.2f}s) -> {OUTPUT}")
 
 
 @pytest.mark.parametrize("kernel", sorted(COMPILED))
@@ -71,9 +36,5 @@ def test_compile_speed(kernel, isa):
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     assert len(built.trace) > 0
-    _results.setdefault(kernel, {})[isa] = {
-        "build_seconds": round(best, 6),
-        "instructions": len(built.trace),
-        "instructions_per_second": (round(len(built.trace) / best)
-                                    if best else None),
-    }
+    print(f"\n{kernel}/{isa}: {len(built.trace)} instructions in "
+          f"{best:.4f}s")

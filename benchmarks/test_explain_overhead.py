@@ -8,17 +8,14 @@ a handful of integer comparisons per simulated cycle (and a closed-form
 multiply per skipped span), so the accounted path should cost well under
 the asserted bound.
 
-Emits ``benchmarks/BENCH_explain.json``.  ``REPRO_BENCH_SMOKE=1``
-shrinks the grid and repetitions; ``REPRO_EXPLAIN_OVERHEAD_MAX``
-(percent, default 5) loosens the assertion for pathologically noisy
-hosts without editing code.
+``REPRO_BENCH_SMOKE=1`` shrinks the grid and repetitions;
+``REPRO_EXPLAIN_OVERHEAD_MAX`` (percent, default 5) loosens the
+assertion for pathologically noisy hosts without editing code.
 """
 
-import json
 import os
 import time
 from dataclasses import replace
-from pathlib import Path
 
 from repro.exp import Session
 from repro.exp.engine import built_kernel
@@ -28,7 +25,6 @@ from test_obs_overhead import _grid_points
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 REPS = 2 if SMOKE else 3
 MAX_OVERHEAD_PCT = float(os.environ.get("REPRO_EXPLAIN_OVERHEAD_MAX", "5"))
-OUTPUT = Path(__file__).parent / "BENCH_explain.json"
 
 
 def _timed_pass(points) -> float:
@@ -74,9 +70,8 @@ def test_accounting_overhead_under_bound():
         "attempts": attempts,
         "bound_pct": MAX_OVERHEAD_PCT,
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\naccounting overhead: off {base:.3f}s  on "
           f"{instrumented:.3f}s  ({overhead_pct:+.2f}%, bound "
-          f"{MAX_OVERHEAD_PCT}%) -> {OUTPUT}")
+          f"{MAX_OVERHEAD_PCT}%)")
 
     assert overhead_pct < MAX_OVERHEAD_PCT, payload

@@ -9,7 +9,7 @@ instruction-count argument and its measured counterpart are asserted.
 """
 
 from repro.eval.fetch_pressure import mom_fetch_advantage, run
-from repro.eval.runner import built_kernel
+from repro.exp import built_kernel
 from repro.kernels import KERNEL_ORDER
 
 
@@ -18,8 +18,7 @@ def test_fetch_pressure(benchmark):
         for isa in ("alpha", "mmx", "mdmx", "mom"):
             built_kernel(kernel, isa, 1)
 
-    results = benchmark.pedantic(run, kwargs={"quiet": True},
-                                 rounds=1, iterations=1)
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     instr_ratios = {
         kernel: row["mmx"].instructions / row["mom"].instructions

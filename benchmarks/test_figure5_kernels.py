@@ -8,7 +8,8 @@ paper's shape claims; the resulting speed-up rows are attached as
 
 import pytest
 
-from repro.eval.runner import built_kernel, kernel_speedup_grid
+from repro.eval import figure5
+from repro.exp import built_kernel
 from repro.kernels import KERNEL_ORDER
 
 
@@ -17,8 +18,8 @@ def test_figure5_panel(benchmark, kernel):
     for isa in ("alpha", "mmx", "mdmx", "mom"):
         built_kernel(kernel, isa, 1)      # build + verify outside the timer
 
-    points = benchmark.pedantic(kernel_speedup_grid, args=(kernel,),
-                                rounds=1, iterations=1)
+    points = benchmark.pedantic(figure5.run, kwargs={"kernels": (kernel,)},
+                                rounds=1, iterations=1)[kernel]
 
     grid = {(p.isa, p.way): p.speedup for p in points}
     benchmark.extra_info["speedups"] = {

@@ -8,7 +8,8 @@ caches) at 4- and 8-way issue, normalized to the 4-way Alpha run.
 import pytest
 
 from repro.apps import APP_ORDER
-from repro.eval.figure7 import built_app, run_app
+from repro.eval import figure7
+from repro.exp import built_app
 
 
 @pytest.mark.parametrize("app", APP_ORDER)
@@ -16,9 +17,8 @@ def test_figure7_panel(benchmark, app):
     for isa in ("alpha", "mmx", "mom"):
         built_app(app, isa, 1)            # build + verify outside the timer
 
-    points = benchmark.pedantic(run_app, args=(app,),
-                                kwargs={"quiet": True},
-                                rounds=1, iterations=1)
+    points = benchmark.pedantic(figure7.run, kwargs={"apps": (app,)},
+                                rounds=1, iterations=1)[app]
 
     grid = {(p.config, p.way): p.speedup for p in points}
     benchmark.extra_info["speedups"] = {

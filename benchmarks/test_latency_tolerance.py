@@ -7,7 +7,7 @@ ordering (MOM most tolerant, scalar least) per kernel and print the table.
 import pytest
 
 from repro.eval.latency import run
-from repro.eval.runner import built_kernel
+from repro.exp import built_kernel
 from repro.kernels import KERNEL_ORDER
 
 
@@ -17,7 +17,7 @@ def test_latency_tolerance(benchmark):
             built_kernel(kernel, isa, 1)
 
     results = benchmark.pedantic(
-        run, kwargs={"way": 4, "quiet": True}, rounds=1, iterations=1
+        run, kwargs={"way": 4}, rounds=1, iterations=1
     )
 
     benchmark.extra_info["slowdowns"] = {

@@ -10,16 +10,13 @@ record), so the enabled path should cost well under the asserted bound;
 phase timing itself runs identically in both configurations and cancels
 out of the comparison.
 
-Emits ``benchmarks/BENCH_obs.json``.  ``REPRO_BENCH_SMOKE=1`` shrinks
-the grid and repetitions; ``REPRO_OBS_OVERHEAD_MAX`` (percent, default
-3) loosens the assertion for pathologically noisy hosts without editing
-code.
+``REPRO_BENCH_SMOKE=1`` shrinks the grid and repetitions;
+``REPRO_OBS_OVERHEAD_MAX`` (percent, default 3) loosens the assertion
+for pathologically noisy hosts without editing code.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.exp import PointSpec, Session
 from repro.exp.engine import built_kernel
@@ -28,7 +25,6 @@ from repro.obs import Obs
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 REPS = 2 if SMOKE else 3
 MAX_OVERHEAD_PCT = float(os.environ.get("REPRO_OBS_OVERHEAD_MAX", "3"))
-OUTPUT = Path(__file__).parent / "BENCH_obs.json"
 
 #: Realistic-cache model per ISA, as in tests/test_golden_digest.py.
 _CACHE = {"alpha": "conventional", "mmx": "conventional",
@@ -104,9 +100,8 @@ def test_enabled_telemetry_overhead_under_bound():
         "bound_pct": MAX_OVERHEAD_PCT,
         "spans_per_sweep": spans,
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nobs overhead: disabled {base:.3f}s  enabled "
           f"{instrumented:.3f}s  ({overhead_pct:+.2f}%, bound "
-          f"{MAX_OVERHEAD_PCT}%) -> {OUTPUT}")
+          f"{MAX_OVERHEAD_PCT}%)")
 
     assert overhead_pct < MAX_OVERHEAD_PCT, payload

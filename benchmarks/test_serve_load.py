@@ -2,7 +2,7 @@
 
 Replays a figure5+figure7-sized grid through a load pattern modeled on
 how a shared service is actually hit -- many clients asking for the
-same popular grids -- and emits ``benchmarks/BENCH_serve.json``:
+same popular grids -- in three passes:
 
 1. **baseline** -- a single sequential in-process :class:`Session` runs
    the grid once on a cold cache: the pre-service cost of answering one
@@ -19,23 +19,19 @@ The headline numbers: ``aggregate.speedup_vs_baseline`` -- total points
 answered across all clients and passes divided by total service wall,
 over the baseline's points/sec -- must be >= 2x, and the replay pass
 must show a >= 90% dedup-or-cache hit rate.  Both are sanity-asserted
-on the full grid; the claim's provenance (grid size, workers, clients,
-CPUs) is recorded in the JSON.
+on the full grid.
 
 The server pool is forked *before* the baseline runs so its workers
 inherit no memoized builds -- both sides pay full build costs.
 
-Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the grid; the JSON then
-carries ``"smoke": true`` so trajectories are not cross-compared.
+Set ``REPRO_BENCH_SMOKE=1`` (CI) to shrink the grid.
 """
 
 import asyncio
-import json
 import os
 import shutil
 import threading
 import time
-from pathlib import Path
 
 from repro.exp import Session, preset
 from repro.serve import Client, SimServer, run_server
@@ -43,7 +39,6 @@ from repro.serve import Client, SimServer, run_server
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 WORKERS = 2 if SMOKE else 4
 CLIENTS = 2
-OUTPUT = Path(__file__).parent / "BENCH_serve.json"
 
 
 def load_grid():
@@ -150,50 +145,13 @@ def test_serve_load(tmp_path):
     total_answered = 2 * CLIENTS * n          # both passes, every client
     aggregate_pps = total_answered / (cold_s + replay_s)
     speedup = aggregate_pps / baseline_pps
-    report = {
-        "benchmark": "serve_load",
-        "smoke": SMOKE,
-        "grid_points": n,
-        "workers": WORKERS,
-        "clients": CLIENTS,
-        "cpus": (len(os.sched_getaffinity(0))
-                 if hasattr(os, "sched_getaffinity") else os.cpu_count()),
-        "baseline": {
-            "seconds": round(baseline_s, 2),
-            "points_per_sec": round(baseline_pps, 2),
-        },
-        "cold_storm": {
-            "seconds": round(cold_s, 2),
-            "points_per_sec": round(CLIENTS * n / cold_s, 2),
-            "p50_latency_s": round(percentile(latencies, 0.50), 3),
-            "p95_latency_s": round(percentile(latencies, 0.95), 3),
-            "simulated": sum(d["simulated"] for d in cold_dones),
-            "dedup_hits": sum(d["dedup_hits"] for d in cold_dones),
-            "cache_hits": sum(d["cache_hits"] for d in cold_dones),
-            "dedup_ratio": round(
-                sum(d["dedup_hits"] for d in cold_dones) / (CLIENTS * n), 4),
-        },
-        "replay": {
-            "seconds": round(replay_s, 2),
-            "points_per_sec": round(CLIENTS * n / replay_s, 2),
-            "cache_hits": sum(d["cache_hits"] for d in replay_dones),
-            "dedup_hits": sum(d["dedup_hits"] for d in replay_dones),
-            "simulated": sum(d["simulated"] for d in replay_dones),
-            "dedup_or_cache_hit_rate": round(hit_rate, 4),
-        },
-        "aggregate": {
-            "points_answered": total_answered,
-            "seconds": round(cold_s + replay_s, 2),
-            "points_per_sec": round(aggregate_pps, 2),
-            "speedup_vs_baseline": round(speedup, 2),
-        },
-    }
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
     shutil.rmtree(tmp_path, ignore_errors=True)
     print(f"\nserve load: {n} points x {CLIENTS} clients x 2 passes, "
           f"{WORKERS} workers -- baseline {baseline_pps:.2f} pts/s, "
           f"aggregate {aggregate_pps:.2f} pts/s ({speedup:.2f}x), "
-          f"replay hit rate {hit_rate:.0%} -> {OUTPUT}")
+          f"cold p50/p95 {percentile(latencies, 0.50):.3f}/"
+          f"{percentile(latencies, 0.95):.3f}s, "
+          f"replay hit rate {hit_rate:.0%}")
 
     # The smoke grid is too small to amortize builds, so the throughput
     # bound is only enforced on the real grid.

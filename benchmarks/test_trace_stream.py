@@ -9,13 +9,9 @@ measured cleanly per point.  Each configuration is also rebuilt with the
 quantify what the columnar store buys; the headline criterion is the
 scalar configuration, whose trace is ~61 million dynamic instructions.
 
-Writes ``benchmarks/BENCH_trace.json``:
-
-* per configuration: instruction count, columnar build seconds, sealed
-  column storage, peak RSS, simulation seconds and core consume rate
-  (instructions simulated per second), plus the object-encoding baseline's
-  build seconds and peak RSS;
-* ``headline``: build-speed and peak-RSS ratios for the scalar config.
+Each configuration prints its instruction count, columnar build and
+simulation seconds, core consume rate and peak RSS, plus the
+object-encoding baseline's peak RSS and the ratio between the two.
 
 Modes (the full frame is minutes of wall-clock per configuration):
 
@@ -38,7 +34,6 @@ from repro.exp.spec import FRAME_SCALE_CONFIGS
 
 FULL = os.environ.get("REPRO_TRACE_BENCH_FULL") == "1"
 BASELINE = os.environ.get("REPRO_TRACE_BASELINE", "1") != "0"
-OUTPUT = Path(__file__).parent / "BENCH_trace.json"
 
 #: Smoke geometry: big enough that the scalar trace (~700k instructions)
 #: dwarfs interpreter overhead, small enough for the tier-1 budget.
@@ -157,13 +152,7 @@ def _selected_configs():
 
 
 def test_frame_scale_trace_benchmark():
-    report = {
-        "mode": "full" if FULL else "smoke",
-        "frame": list(FRAME),
-        "way": WAY,
-        "workload": "mpeg2_frame (one P-frame over a reference frame)",
-        "configs": {},
-    }
+    report = {"configs": {}}
     for label, isa, memory in _selected_configs():
         entry = {"isa": isa, "memory": memory}
         col = _run_child(isa, memory, "columnar")
@@ -204,20 +193,3 @@ def test_frame_scale_trace_benchmark():
             assert (head["build_speedup_vs_objects"] >= 3.0
                     or head["peak_rss_ratio_vs_objects"] >= 5.0), (
                 report["headline"])
-
-    # Only a complete full-geometry run may claim BENCH_trace.json --
-    # like the other BENCH_*.json artifacts it is gitignored, produced
-    # locally or uploaded from CI, and holds the frame-scale acceptance
-    # numbers (the headline figures are recorded in CHANGES.md).  Smoke
-    # and subset runs (tier-1 locally, the CI memory-smoke job) write
-    # alongside it instead of silently replacing it.
-    complete = FULL and BASELINE and set(report["configs"]) == {
-        label for label, _isa, _mem in FRAME_SCALE_CONFIGS}
-    if complete:
-        target = OUTPUT
-    elif FULL:          # distinct names so CI's smoke and full-subset
-        target = OUTPUT.with_name("BENCH_trace.partial.json")
-    else:               # steps upload side by side instead of clobbering
-        target = OUTPUT.with_name("BENCH_trace.smoke.json")
-    target.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nwrote {target}")

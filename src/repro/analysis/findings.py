@@ -86,9 +86,6 @@ class Report:
     def ok(self) -> bool:
         return not self.errors
 
-    def by_pass(self, pass_name: str) -> list[Finding]:
-        return [f for f in self.findings if f.pass_name == pass_name]
-
     def to_dict(self) -> dict[str, object]:
         return {
             "ok": self.ok,

@@ -38,14 +38,6 @@ class Interval:
     def within(self, lo: int, hi: int) -> bool:
         return lo <= self.lo and self.hi <= hi
 
-    @property
-    def is_u8(self) -> bool:
-        return self.within(0, U8_MAX)
-
-    @property
-    def is_i16(self) -> bool:
-        return self.within(I16_MIN, I16_MAX)
-
     # --- transfer functions ------------------------------------------------
 
     def add(self, other: "Interval") -> "Interval":

@@ -4,7 +4,7 @@ The paper's methodology instruments real Alpha binaries with ATOM; our
 builders instead execute kernels functionally against this memory, so the
 dynamic traces carry *real* effective addresses that later drive the cache
 models.  Little-endian layout matches the packed-word lane order used by
-:mod:`repro.emulib.packed`.
+:mod:`repro.core.packed`.
 """
 
 from __future__ import annotations

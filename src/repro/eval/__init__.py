@@ -1,1 +1,5 @@
-"""Experiment drivers regenerating every table and figure of the paper."""
+"""Experiment drivers behind every table and figure of the paper.
+
+Each driver only returns data; ``repro <command>`` (:mod:`repro.exp.cli`)
+renders it.
+"""

@@ -23,16 +23,12 @@ The sweep runs with cycle accounting on, so every point carries its CPI
 stack; :func:`mom_fetch_advantage` compares the *measured*
 fetch-bound cycles of MMX and MOM over the same workload.
 
-A thin formatter over the ``fetch-pressure`` preset of the unified
-experiment engine; run through the CLI (``repro fetch-pressure``) or as a
-module::
-
-    python -m repro.eval.fetch_pressure [--jobs N]
+A thin driver over the ``fetch-pressure`` preset of the unified
+experiment engine; ``repro fetch-pressure`` renders its rows.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 from ..emulib.disasm import summarize
@@ -56,13 +52,12 @@ class FetchPressurePoint:
     retention_1way: float       # speedup(1-way) / speedup(8-way)
 
 
-def run(kernels=KERNEL_ORDER, scale: int = 1, quiet: bool = False,
-        session=None, jobs: int | None = None
+def run(kernels=KERNEL_ORDER, scale: int = 1, session=None
         ) -> dict[str, dict[str, FetchPressurePoint]]:
     session = session or default_session()
     sweep = preset("fetch-pressure").replace(targets=tuple(kernels),
                                              scale=scale, accounting=True)
-    grid = session.run(sweep, jobs=jobs)
+    grid = session.run(sweep)
 
     def result(kernel: str, isa: str, way: int):
         key = PointSpec(kind="kernel", target=kernel, isa=isa, way=way,
@@ -89,14 +84,6 @@ def run(kernels=KERNEL_ORDER, scale: int = 1, quiet: bool = False,
                                 / narrow.cycles),
             )
         results[kernel] = row
-        if not quiet:
-            cells = "  ".join(
-                f"{isa}:{p.ops_per_instruction:5.1f}op/i"
-                f"/f{p.fetch_bound_share:4.0%}"
-                f"/{p.retention_1way:4.0%}"
-                for isa, p in row.items()
-            )
-            print(f"{kernel:16s} {cells}")
     return results
 
 
@@ -115,21 +102,3 @@ def mom_fetch_advantage(results) -> dict[str, float]:
                  / max(1, row["mom"].fetch_bound_cycles))
         for kernel, row in results.items()
     }
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
-    print("ops/instruction, measured 1-way fetch-bound share (f) and "
-          "1-way retention of 8-way performance:\n")
-    results = run(scale=args.scale, jobs=args.jobs)
-    print("\nFetch economy: measured MMX fetch-bound cycles per MOM "
-          "fetch-bound cycle at 1-way (paper: 'an order of magnitude'):")
-    for kernel, ratio in mom_fetch_advantage(results).items():
-        print(f"  {kernel:16s} {ratio:5.1f}x")
-
-
-if __name__ == "__main__":
-    main()

@@ -4,10 +4,8 @@ Reproduces the five panels of Figure 7: each application runs in five
 configurations -- Alpha and MMX on the conventional cache, MOM on the
 multi-address cache, the vector cache and the collapsing-buffer cache --
 at 4-way and 8-way issue, normalized to the 4-way Alpha/conventional run.
-A thin formatter over the ``figure7`` preset of the unified experiment
-engine; run through the CLI (``repro figure7``) or as a module::
-
-    python -m repro.eval.figure7 [--scale N] [--app NAME] [--jobs N]
+A thin driver over the ``figure7`` preset of the unified experiment
+engine; ``repro figure7`` renders its panels.
 
 Paper claims checked here (Section 4.2.2): MMX gains 1.1x-3.1x over Alpha,
 MOM 1.5x-4.3x (about 20% over MMX on average); the multi-address cache wins
@@ -18,20 +16,16 @@ defeat the line-pair organizations.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 from ..apps import APP_ORDER
-from ..exp import PointSpec, built_app, default_session, preset
+from ..exp import PointSpec, default_session, preset
 from ..exp.spec import FIGURE7_CONFIGS
 
 #: The five configurations of Figure 7: (label, app ISA, memory model).
 CONFIGS = FIGURE7_CONFIGS
 
 WAYS = (4, 8)
-
-__all__ = ["CONFIGS", "WAYS", "AppPoint", "built_app", "run_app", "run",
-           "summarize", "main"]
 
 
 @dataclass
@@ -62,40 +56,16 @@ def _panel(app: str, results, scale: int) -> list[AppPoint]:
     ]
 
 
-def run_app(app: str, scale: int = 1, quiet: bool = False,
-            session=None, jobs: int | None = None) -> list[AppPoint]:
-    """All ten bars for one application panel."""
-    session = session or default_session()
-    sweep = preset("figure7").replace(targets=(app,), scale=scale)
-    points = _panel(app, session.run(sweep, jobs=jobs), scale)
-    if not quiet:
-        _print_panel(app, points)
-    return points
-
-
-def _print_panel(app: str, points: list[AppPoint]) -> None:
-    print(f"\n=== Figure 7: {app} (speed-up vs 4-way Alpha) ===")
-    for way in WAYS:
-        row = [p for p in points if p.way == way]
-        cells = "  ".join(f"{p.config}={p.speedup:5.2f}x" for p in row)
-        print(f"{way}-way: {cells}")
-
-
-def run(scale: int = 1, apps=APP_ORDER, quiet: bool = False,
-        session=None, jobs: int | None = None, progress=None) -> dict:
+def run(scale: int = 1, apps=APP_ORDER, session=None,
+        progress=None) -> dict:
     """All panels through one engine sweep (parallel across every point).
 
     ``progress`` is forwarded to :meth:`Session.run`.
     """
     session = session or default_session()
     sweep = preset("figure7").replace(targets=tuple(apps), scale=scale)
-    results = session.run(sweep, jobs=jobs, progress=progress)
-    output = {}
-    for app in apps:
-        output[app] = _panel(app, results, scale)
-        if not quiet:
-            _print_panel(app, output[app])
-    return output
+    results = session.run(sweep, progress=progress)
+    return {app: _panel(app, results, scale) for app in apps}
 
 
 def summarize(results: dict) -> dict[str, float]:
@@ -107,21 +77,3 @@ def summarize(results: dict) -> dict[str, float]:
         ratios[app] = best_mom / at4["mmx-conv"]
     ratios["average"] = sum(ratios.values()) / len(ratios)
     return ratios
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument("--app", action="append")
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
-    apps = tuple(args.app) if args.app else APP_ORDER
-    results = run(scale=args.scale, apps=apps, jobs=args.jobs)
-    print("\n=== MOM (best cache) gain over MMX at 4-way "
-          "(paper: ~20% average) ===")
-    for app, ratio in summarize(results).items():
-        print(f"  {app:16s} {ratio:5.2f}x")
-
-
-if __name__ == "__main__":
-    main()

@@ -11,48 +11,37 @@ references") and reports the slow-down of every ISA relative to its own
   instructions, since one matrix load amortizes the latency over up to 16
   element accesses.
 
-A thin formatter over the ``latency`` preset of the unified experiment
-engine; run through the CLI (``repro latency``) or as a module::
-
-    python -m repro.eval.latency [--scale N] [--jobs N]
+A thin driver over the ``latency`` preset of the unified experiment
+engine; ``repro latency`` renders its rows.
 """
 
 from __future__ import annotations
-
-import argparse
 
 from ..exp import PointSpec, default_session, preset
 from ..exp.spec import HIGH_LATENCY
 from ..kernels import KERNEL_ORDER
 
-__all__ = ["HIGH_LATENCY", "run", "summarize", "main"]
+__all__ = ["HIGH_LATENCY", "run", "summarize"]
 
 ISAS = ("alpha", "mmx", "mdmx", "mom")
 
 
 def run(scale: int = 1, way: int = 4, kernels=KERNEL_ORDER,
-        quiet: bool = False, session=None,
-        jobs: int | None = None) -> dict[str, dict[str, float]]:
+        session=None) -> dict[str, dict[str, float]]:
     """Slow-down factors {kernel: {isa: slowdown}} at ``way``-wide issue."""
     session = session or default_session()
     sweep = preset("latency").replace(targets=tuple(kernels), ways=(way,),
                                       scale=scale)
-    grid = session.run(sweep, jobs=jobs)
+    grid = session.run(sweep)
 
     def cycles(kernel: str, isa: str, latency: int) -> int:
         key = PointSpec(kind="kernel", target=kernel, isa=isa, way=way,
                         latency=latency, scale=scale)
         return grid[key].cycles
 
-    results: dict[str, dict[str, float]] = {}
-    for kernel in kernels:
-        row = {isa: cycles(kernel, isa, HIGH_LATENCY) / cycles(kernel, isa, 1)
-               for isa in ISAS}
-        results[kernel] = row
-        if not quiet:
-            cells = "  ".join(f"{isa}={v:5.2f}x" for isa, v in row.items())
-            print(f"{kernel:16s} {cells}")
-    return results
+    return {kernel: {isa: (cycles(kernel, isa, HIGH_LATENCY)
+                           / cycles(kernel, isa, 1)) for isa in ISAS}
+            for kernel in kernels}
 
 
 def summarize(results: dict[str, dict[str, float]]) -> dict[str, tuple[float, float]]:
@@ -62,21 +51,3 @@ def summarize(results: dict[str, dict[str, float]]) -> dict[str, tuple[float, fl
         values = [row[isa] for row in results.values()]
         out[isa] = (min(values), max(values))
     return out
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", type=int, default=1)
-    parser.add_argument("--way", type=int, default=4, choices=(1, 2, 4, 8))
-    parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args()
-    print(f"Slow-down going from 1-cycle to {HIGH_LATENCY}-cycle memory "
-          f"({args.way}-way machine):\n")
-    results = run(scale=args.scale, way=args.way, jobs=args.jobs)
-    print("\nRange per ISA (paper: Alpha 3-9x, MMX/MDMX 4-8x, MOM 2-4x):")
-    for isa, (lo, hi) in summarize(results).items():
-        print(f"  {isa:6s} {lo:.1f}x .. {hi:.1f}x")
-
-
-if __name__ == "__main__":
-    main()

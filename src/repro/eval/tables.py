@@ -1,8 +1,6 @@
 """Tables 1-3: processor, register-file and cache-port configurations.
 
-Run as a module to print all three tables::
-
-    python -m repro.eval.tables
+``repro tables`` prints all three.
 """
 
 from __future__ import annotations
@@ -110,11 +108,3 @@ def render_table3() -> str:
 def render_all() -> str:
     """All three configuration tables, as printed by ``repro tables``."""
     return "\n\n".join((render_table1(), render_table2(), render_table3()))
-
-
-def main() -> None:
-    print(render_all())
-
-
-if __name__ == "__main__":
-    main()

@@ -14,8 +14,8 @@ The engine separates *what* to simulate from *how* it runs:
 * :mod:`repro.exp.cli` -- the ``repro`` console command (``repro figure5``,
   ``repro sweep``, ``repro cache`` ...).
 
-Every figure/table driver in :mod:`repro.eval` is a thin preset +
-formatter over this package.
+Every figure/table driver in :mod:`repro.eval` is a thin preset over this
+package that returns data; the ``repro`` command renders it.
 """
 
 from .spec import PointSpec, SweepSpec, PRESETS, preset

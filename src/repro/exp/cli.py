@@ -19,8 +19,6 @@ Examples::
     repro kernels                      # registry + per-ISA DLP coverage
     repro lint                         # static verification, whole grid
     repro lint --kernel ssd --isa mdmx --json --artifact findings.json
-    repro bench                        # regenerate BENCH_batch.json + delta
-    repro bench all --smoke            # fast sanity pass over every suite
     repro cache                        # show cache location / size
     repro cache --clear
     repro cache --prune 7d             # evict entries older than a week
@@ -118,6 +116,9 @@ def _cmd_figure5(args) -> int:
     finally:
         if line is not None:
             line.close()
+    for kernel, points in results.items():
+        print(f"\n=== Figure 5: {kernel} (speed-up vs 1-way Alpha) ===")
+        print(figure5.format_grid(points))
     print("\n=== MOM gain over best 1D SIMD ISA at 4-way ===")
     for kernel, ratio in figure5.mom_vs_best_simd(results).items():
         print(f"  {kernel:16s} {ratio:5.2f}x")
@@ -140,6 +141,12 @@ def _cmd_figure7(args) -> int:
     finally:
         if line is not None:
             line.close()
+    for app, points in results.items():
+        print(f"\n=== Figure 7: {app} (speed-up vs 4-way Alpha) ===")
+        for way in figure7.WAYS:
+            cells = "  ".join(f"{p.config}={p.speedup:5.2f}x"
+                              for p in points if p.way == way)
+            print(f"{way}-way: {cells}")
     print("\n=== MOM (best cache) gain over MMX at 4-way "
           "(paper: ~20% average) ===")
     for app, ratio in figure7.summarize(results).items():
@@ -156,6 +163,9 @@ def _cmd_latency(args) -> int:
           f"memory ({args.way}-way machine):\n")
     results = latency.run(scale=args.scale, way=args.way,
                           session=_session(args))
+    for kernel, row in results.items():
+        cells = "  ".join(f"{isa}={v:5.2f}x" for isa, v in row.items())
+        print(f"{kernel:16s} {cells}")
     print("\nRange per ISA (paper: Alpha 3-9x, MMX/MDMX 4-8x, MOM 2-4x):")
     for isa, (lo, hi) in latency.summarize(results).items():
         print(f"  {isa:6s} {lo:.1f}x .. {hi:.1f}x")
@@ -165,10 +175,17 @@ def _cmd_latency(args) -> int:
 def _cmd_fetch_pressure(args) -> int:
     from ..eval import fetch_pressure
 
-    print("ops/instruction and 1-way retention of 8-way performance:\n")
+    print("ops/instruction, measured 1-way fetch-bound share (f) and "
+          "1-way retention of 8-way performance:\n")
     results = fetch_pressure.run(scale=args.scale, session=_session(args))
-    print("\nFetch economy: MMX instructions per MOM instruction "
-          "(paper: 'an order of magnitude'):")
+    for kernel, row in results.items():
+        cells = "  ".join(f"{isa}:{p.ops_per_instruction:5.1f}op/i"
+                          f"/f{p.fetch_bound_share:4.0%}"
+                          f"/{p.retention_1way:4.0%}"
+                          for isa, p in row.items())
+        print(f"{kernel:16s} {cells}")
+    print("\nFetch economy: measured MMX fetch-bound cycles per MOM "
+          "fetch-bound cycle at 1-way (paper: 'an order of magnitude'):")
     for kernel, ratio in fetch_pressure.mom_fetch_advantage(results).items():
         print(f"  {kernel:16s} {ratio:5.1f}x")
     return 0
@@ -408,100 +425,6 @@ def _cmd_explain(args) -> int:
     if args.diff:
         _print_stack_diff(points, results, tuple(args.diff))
     print(f"\ncache: {session.hits} hits, {session.misses} misses")
-    return 0
-
-
-#: ``repro bench`` suites -> the benchmark module(s) that regenerate
-#: each ``BENCH_*.json``.
-_BENCH_SUITES = {
-    "batch": ("test_batch_speed.py",),
-    "core": ("test_core_speed.py",),
-    "compile": ("test_compile_bench.py",),
-    "serve": ("test_serve_load.py",),
-    "obs": ("test_obs_overhead.py",),
-    "trace": ("test_trace_stream.py",),
-    "explain": ("test_explain_overhead.py",),
-}
-_BENCH_SUITES["all"] = tuple(f for files in
-                             (_BENCH_SUITES[k] for k in
-                              ("batch", "core", "compile", "serve", "obs",
-                               "trace", "explain"))
-                             for f in files)
-
-
-def _flatten_json(data, prefix: str = "") -> dict[str, object]:
-    out: dict[str, object] = {}
-    if isinstance(data, dict):
-        for key, value in data.items():
-            out.update(_flatten_json(value, f"{prefix}{key}."))
-    elif isinstance(data, list):
-        for i, value in enumerate(data):
-            out.update(_flatten_json(value, f"{prefix}{i}."))
-    else:
-        out[prefix[:-1]] = data
-    return out
-
-
-def _bench_delta_lines(old: dict, new: dict) -> list[str]:
-    """Old-vs-new lines over the *union* of flattened keys.
-
-    BENCH schemas drift between PRs (new fields, retired counters), so
-    a key may exist on only one side; those print with an ``n/a`` marker
-    instead of raising ``KeyError``.  Unchanged keys are omitted.
-    """
-    lines = []
-    for key in sorted(old.keys() | new.keys()):
-        if key in old and key in new and old[key] == new[key]:
-            continue
-        was = old.get(key, "n/a")
-        now = new.get(key, "n/a")
-        delta = ""
-        if (isinstance(was, (int, float)) and isinstance(now, (int, float))
-                and not isinstance(was, bool) and not isinstance(now, bool)
-                and was):
-            delta = f"  ({(now - was) / was:+.1%})"
-        lines.append(f"  {key}: {was} -> {now}{delta}")
-    return lines
-
-
-def _cmd_bench(args) -> int:
-    """Regenerate BENCH_*.json locally and print the old-vs-new delta."""
-    import json
-    import os
-    import subprocess
-    from pathlib import Path
-
-    bench_dir = Path(__file__).resolve().parents[3] / "benchmarks"
-    if not bench_dir.is_dir():
-        print("repro bench: no benchmarks/ directory next to this checkout "
-              f"(looked at {bench_dir}); run from a source tree",
-              file=sys.stderr)
-        return 1
-    files = [bench_dir / name for name in _BENCH_SUITES[args.suite]]
-    before = {p.name: json.loads(p.read_text())
-              for p in bench_dir.glob("BENCH_*.json")}
-    env = dict(os.environ)
-    if args.smoke:
-        env["REPRO_BENCH_SMOKE"] = "1"
-    command = [sys.executable, "-m", "pytest", "-q",
-               *(str(f) for f in files)]
-    print("repro bench:", " ".join(command[2:]))
-    status = subprocess.run(command, cwd=bench_dir.parent, env=env)
-    if status.returncode != 0:
-        print(f"repro bench: pytest exited {status.returncode}",
-              file=sys.stderr)
-        return status.returncode
-    changed = False
-    for path in sorted(bench_dir.glob("BENCH_*.json")):
-        new = _flatten_json(json.loads(path.read_text()))
-        old = _flatten_json(before.get(path.name, {}))
-        lines = _bench_delta_lines(old, new)
-        if lines:
-            changed = True
-            print(f"\n{path.name}:")
-            print("\n".join(lines))
-    if not changed:
-        print("\nno BENCH_*.json changes")
     return 0
 
 
@@ -956,17 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artifact", metavar="PATH",
                    help="write the JSON findings/proof artifact to PATH")
     p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser("bench",
-                       help="regenerate BENCH_*.json locally and print the "
-                            "old-vs-new delta")
-    p.add_argument("suite", nargs="?", default="batch",
-                   choices=sorted(_BENCH_SUITES),
-                   help="benchmark subset to run (default: batch)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny workloads (REPRO_BENCH_SMOKE=1): fast sanity "
-                        "pass, numbers not representative")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("cache", help="inspect, clear or prune the result "
                                      "cache")

@@ -10,9 +10,8 @@ when ``jobs > 1``.  Simulation is deterministic, so the two paths produce
 identical results; only wall-clock differs.
 
 Build products (verified traces) are memoized per process in
-:data:`_BUILD_MEMO`, which subsumes the old ``eval.runner._BUILD_CACHE`` and
-``eval.figure7._APP_CACHE``; cycle-level results persist across processes in
-the on-disk :class:`~repro.exp.cache.ResultCache`.
+:data:`_BUILD_MEMO`; cycle-level results persist across processes in the
+on-disk :class:`~repro.exp.cache.ResultCache`.
 """
 
 from __future__ import annotations

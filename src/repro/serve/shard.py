@@ -204,9 +204,6 @@ class ShardPool:
 
     # --- submission -------------------------------------------------------
 
-    def shard_for(self, payload: dict) -> int:
-        return shard_index(build_key(payload), self.workers)
-
     def submit(self, batch: list[tuple[str, dict]], *,
                span=None) -> int:
         """Queue one same-build batch of ``(key, payload)``; returns the

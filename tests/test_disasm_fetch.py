@@ -96,7 +96,7 @@ def test_class_mix_report():
 
 
 def test_fetch_pressure_study():
-    results = run(kernels=("compensation", "motion1"), quiet=True)
+    results = run(kernels=("compensation", "motion1"))
     comp = results["compensation"]
     # ops/instruction ordering: MOM >> MMX > scalar (the paper's
     # "order of magnitude more operations per instruction").

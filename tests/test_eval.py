@@ -4,15 +4,25 @@ import pytest
 
 from repro.core.vectorize import (LoopNest, compare, conventional_vector,
                                   dist1_nest, mmx_like, mom_matrix)
-from repro.eval.figure5 import mom_vs_best_simd
+from repro.eval.figure5 import format_grid, mom_vs_best_simd, speedup_points
 from repro.eval.figure7 import CONFIGS
 from repro.eval.latency import HIGH_LATENCY, summarize
-from repro.eval.runner import (built_kernel, format_grid, kernel_speedup_grid,
-                               simulate_kernel)
 from repro.eval.tables import table1_rows, table2_rows, table3_rows
+from repro.exp import PointSpec, built_kernel, default_session, preset
 
 
-# --- runner -------------------------------------------------------------------
+def compensation_speedups(isas, ways):
+    """Figure 5 bars for compensation on an (isas x ways) sub-grid that
+    includes the 1-way Alpha baseline."""
+    sweep = preset("figure5").replace(targets=("compensation",), isas=isas,
+                                      ways=ways)
+    results = default_session().run(sweep)
+    baseline = results[PointSpec(kind="kernel", target="compensation",
+                                 isa="alpha", way=1)].cycles
+    return speedup_points("compensation", results, isas, ways, baseline)
+
+
+# --- drivers -----------------------------------------------------------------
 
 def test_built_kernel_memoized():
     a = built_kernel("compensation", "mom", 1)
@@ -21,14 +31,14 @@ def test_built_kernel_memoized():
 
 
 def test_simulate_kernel_returns_result():
-    result = simulate_kernel("compensation", "mom", 4)
+    result = default_session().run_point(
+        PointSpec(kind="kernel", target="compensation", isa="mom", way=4))
     assert result.cycles > 0
     assert result.instructions == len(built_kernel("compensation", "mom", 1).trace)
 
 
 def test_speedup_grid_structure():
-    points = kernel_speedup_grid("compensation", isas=("alpha", "mom"),
-                                 ways=(1, 4))
+    points = compensation_speedups(isas=("alpha", "mom"), ways=(1, 4))
     assert len(points) == 4
     baseline = [p for p in points if p.isa == "alpha" and p.way == 1][0]
     assert baseline.speedup == pytest.approx(1.0)
@@ -37,15 +47,14 @@ def test_speedup_grid_structure():
 
 
 def test_format_grid_renders():
-    points = kernel_speedup_grid("compensation", isas=("alpha", "mom"),
-                                 ways=(1,))
+    points = compensation_speedups(isas=("alpha", "mom"), ways=(1,))
     text = format_grid(points)
     assert "alpha" in text and "mom" in text and "1-way" in text
 
 
 def test_mom_beats_simd_on_motion(capsys):
     from repro.eval import figure5
-    results = figure5.run(kernels=("motion2",), quiet=True)
+    results = figure5.run(kernels=("motion2",))
     ratios = mom_vs_best_simd(results)
     assert ratios["motion2"] > 1.3
 
@@ -62,7 +71,7 @@ def test_latency_summary_shape():
 def test_latency_tolerance_ordering():
     """MOM must tolerate the 50-cycle memory better than scalar Alpha."""
     from repro.eval.latency import run
-    results = run(way=4, kernels=("compensation",), quiet=True)
+    results = run(way=4, kernels=("compensation",))
     row = results["compensation"]
     assert row["mom"] < row["alpha"]
     assert row["mom"] < row["mmx"]

@@ -1,6 +1,7 @@
 """Tests for the unified experiment engine (specs, cache, sessions, CLI)."""
 
 import json
+import re
 
 import pytest
 
@@ -472,23 +473,88 @@ def test_cli_cache_inspect_and_clear(tmp_path, capsys):
     assert not list(tmp_path.glob("*.json"))
 
 
-def test_bench_delta_lines_tolerate_schema_drift():
-    from repro.exp.cli import _bench_delta_lines
-    old = {"a": 1, "dropped": 2.0, "same": "x", "renamed": 3}
-    new = {"a": 2, "added": True, "same": "x"}
-    text = "\n".join(_bench_delta_lines(old, new))
-    assert "a: 1 -> 2  (+100.0%)" in text
-    assert "dropped: 2.0 -> n/a" in text
-    assert "added: n/a -> True" in text
-    assert "renamed: 3 -> n/a" in text
-    assert "same" not in text
-    assert _bench_delta_lines({}, {}) == []
-    assert _bench_delta_lines({"k": 1}, {"k": 1}) == []
-
-
 def test_cli_tables(capsys):
     from repro.exp.cli import main
 
     assert main(["tables"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out and "Table 2" in out and "Table 3" in out
+
+
+# --- figure commands: the drivers return data, the CLI renders it -----------
+# Each runs on the session's result cache (the repo-root conftest.py).
+
+def test_cli_figure5_renders_panel_and_summary(capsys):
+    from repro.exp.cli import main
+
+    assert main(["figure5", "--kernel", "addblock"]) == 0
+    out = capsys.readouterr().out
+    assert "\n=== Figure 5: addblock (speed-up vs 1-way Alpha) ===\n" in out
+    assert re.search(r"^ +alpha +mmx +mdmx +mom$", out, re.M)
+    for way in (1, 2, 4, 8):
+        assert re.search(rf"^{way}-way  ( +\d+\.\dx){{4}}$", out, re.M)
+    assert "\n=== MOM gain over best 1D SIMD ISA at 4-way ===\n" in out
+    assert re.search(r"^  addblock +\d+\.\d\dx$", out, re.M)
+
+
+def test_cli_figure7_renders_panel_and_summary(capsys):
+    from repro.exp.cli import main
+
+    assert main(["figure7", "--app", "gsm_encode"]) == 0
+    out = capsys.readouterr().out
+    assert "\n=== Figure 7: gsm_encode (speed-up vs 4-way Alpha) ===\n" in out
+    for way in (4, 8):
+        assert re.search(rf"^{way}-way: alpha-conv= *\d+\.\d\dx  mmx-conv=.*"
+                         rf"  mom-collapsing= *\d+\.\d\dx$", out, re.M)
+    assert ("\n=== MOM (best cache) gain over MMX at 4-way "
+            "(paper: ~20% average) ===\n" in out)
+    assert re.search(r"^  gsm_encode +\d+\.\d\dx$", out, re.M)
+    assert re.search(r"^  average +\d+\.\d\dx$", out, re.M)
+
+
+def test_cli_latency_renders_rows_and_ranges(capsys):
+    from repro.exp.cli import main
+    from repro.kernels import KERNEL_ORDER
+
+    assert main(["latency"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Slow-down going from 1-cycle to 50-cycle memory "
+                          "(4-way machine):\n\n")
+    for kernel in KERNEL_ORDER:
+        assert re.search(
+            rf"^{kernel} +alpha= *\d+\.\d\dx .* mom= *\d+\.\d\dx$", out, re.M)
+    assert ("\nRange per ISA (paper: Alpha 3-9x, MMX/MDMX 4-8x, "
+            "MOM 2-4x):\n" in out)
+    for isa in ("alpha", "mmx", "mdmx", "mom"):
+        assert re.search(rf"^  {isa} +\d+\.\dx \.\. \d+\.\dx$", out, re.M)
+
+
+def test_cli_fetch_pressure_names_fetch_bound_cycles(capsys):
+    """The fetch-economy column holds measured fetch-bound-cycle ratios,
+    so its heading must say so, not call them instruction ratios."""
+    from repro.exp.cli import main
+    from repro.kernels import KERNEL_ORDER
+
+    assert main(["fetch-pressure"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ops/instruction, measured 1-way fetch-bound share "
+                          "(f) and 1-way retention of 8-way performance:\n\n")
+    for kernel in KERNEL_ORDER:
+        assert re.search(rf"^{kernel} +alpha: *\d+\.\dop/i/f *\d+%/ *\d+%  ",
+                         out, re.M)
+    assert ("\nFetch economy: measured MMX fetch-bound cycles per MOM "
+            "fetch-bound cycle at 1-way (paper: 'an order of magnitude'):\n"
+            in out)
+    assert "instructions per MOM instruction" not in out
+    summary = out.partition("\nFetch economy:")[2].splitlines()[1:]
+    assert [line.split()[0] for line in summary] == list(KERNEL_ORDER)
+    assert all(re.fullmatch(r"  \S+ +\d+\.\dx", line) for line in summary)
+
+
+def test_cli_has_no_bench_command(capsys):
+    from repro.exp.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro import MdmxBuilder, MomBuilder
 from repro.cpu import Core, machine_config
-from repro.eval.runner import built_kernel
+from repro.exp import built_kernel
 from repro.kernels.reduce import (mdmx_sad_total, mdmx_sqd_total,
                                   mom_sad_total, mom_sqd_total)
 from repro.memsys import (CollapsingBufferHierarchy, ConventionalHierarchy,
