@@ -24,7 +24,7 @@ import time
 import pytest
 
 from repro.cpu import Core, machine_config
-from repro.cpu.batch import BatchCore, LaneSpec
+from repro.cpu.batch import BatchCore
 from repro.emulib.trace import Trace
 from repro.exp.engine import built_app, built_kernel
 from repro.memsys import PerfectMemory
@@ -54,8 +54,7 @@ def _grid():
 
 def _lane(way, lat, isa="mmx"):
     cfg = machine_config(way, isa)
-    return LaneSpec(cfg, PerfectMemory(lat, cfg.mem_ports,
-                                       cfg.mem_port_width))
+    return Core(cfg, PerfectMemory(lat, cfg.mem_ports, cfg.mem_port_width))
 
 
 def _sweep(trace, grid):
@@ -66,10 +65,7 @@ def _sweep(trace, grid):
     seq_results = []
     t0 = time.perf_counter()
     for way, lat in grid:
-        cfg = machine_config(way, "mmx")
-        core = Core(cfg, PerfectMemory(lat, cfg.mem_ports,
-                                       cfg.mem_port_width))
-        seq_results.append(core.run(trace))
+        seq_results.append(_lane(way, lat).run(trace))
     seq_s = time.perf_counter() - t0
 
     batch = BatchCore(lanes)

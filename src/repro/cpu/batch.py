@@ -63,11 +63,10 @@ in flat rings of plain ints indexed by ``instruction_index & (window-1)``
 different configurations retire the same instruction at different
 cycles, so there is no cross-lane cycle lockstep to vectorize; lockstep
 exists at the *trace* level instead: all lanes consume one decoded block
-stream, pausing at block boundaries, and identical lanes (same config,
-knobs and perfect-memory shape) collapse to one simulation whose result
-is replicated.  Each lane records how far it has committed whenever it
-pauses; :meth:`BatchCore.run` checks the ring-retention invariant
-against those marks before decoding over the oldest block.
+stream, pausing at block boundaries.  Each lane records how far it has
+committed whenever it pauses; :meth:`BatchCore.run` checks the
+ring-retention invariant against those marks before decoding over the
+oldest block.
 
 Divergent events -- mispredict redirects, structural parks, memory-model
 retries -- are per-lane by nature and handled inside each lane's
@@ -75,11 +74,13 @@ stepper, the event-driven scheduler of DESIGN.md section 1.5: every
 timing and CPI-attribution rule is written once, here, and pinned
 bit-identical to the busy-wait oracle :meth:`Core.run_reference
 <repro.cpu.core.Core.run_reference>` by the golden-digest and
-accounting parity tests.  :meth:`Core.run <repro.cpu.core.Core.run>`
-is a one-lane :class:`BatchCore`.
+accounting parity tests.  A lane *is* a :class:`~repro.cpu.core.Core`
+(its configuration, memory system and knobs), and :meth:`Core.run
+<repro.cpu.core.Core.run>` is a one-lane :class:`BatchCore`.
 
 Lanes a batch cannot express -- predictor tables that are not a power
-of two, a memory model without ``try_issue`` -- raise ``ValueError``.
+of two, a memory model without ``try_issue``, two lanes sharing one
+memory model -- raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ import numpy as _np
 from ..emulib.trace import REG_LIMIT, Trace, ragged_tuples
 from ..isa.model import InstrClass, Opcode, RegPool
 from ..memsys.perfect import PerfectMemory
-from .config import MachineConfig
 from .core import Core, SimResult, TimingStats, checked_stack, _FAR_FUTURE
 from .funit import _NON_PIPELINED
 
@@ -165,43 +165,6 @@ class OpMeta:
         self.latency = op.latency
         self.acc_pair = op.reads_acc and op.writes_acc
         self.writes_acc = op.writes_acc
-
-
-class LaneSpec:
-    """One configuration lane: what ``Core(config, memsys, **knobs)`` takes.
-
-    The memory system is owned by the lane (mutated during the run and
-    read for ``mem_stats``), exactly as ``Core`` owns the one it is
-    constructed with.
-    """
-
-    __slots__ = ("config", "memsys", "acc_chaining", "late_release",
-                 "zero_idiom_elision", "accounting")
-
-    def __init__(self, config: MachineConfig, memsys, *,
-                 acc_chaining: bool = True, late_release: bool = True,
-                 zero_idiom_elision: bool = True,
-                 accounting: bool = False) -> None:
-        self.config = config
-        self.memsys = memsys
-        self.acc_chaining = acc_chaining
-        self.late_release = late_release
-        self.zero_idiom_elision = zero_idiom_elision
-        self.accounting = accounting
-
-    def dedup_key(self):
-        """Lanes with equal keys are provably identical simulations.
-
-        Only perfect-memory lanes participate: a cache hierarchy is a
-        stateful object whose identity matters, so such lanes never
-        collapse.  Returns ``None`` for non-deduplicable lanes.
-        """
-        ms = self.memsys
-        if type(ms) is not PerfectMemory:
-            return None
-        return (self.config, self.acc_chaining, self.late_release,
-                self.zero_idiom_elision, self.accounting, ms.latency,
-                ms.portset.ports, ms.portset.port_width)
 
 
 class _CtlState:
@@ -284,9 +247,9 @@ class _SharedDecode:
     * SWAR charge rings, in raw / zero-idiom-elided variants:
       ``alloc`` (sum of charges + LSQ slot, dispatch), ``chk``/``smask``
       (per-pool max charge and presence mask, rename/LSQ admission),
-      ``commit_if`` / ``commit_full`` (commit-time decrements for
-      late-release on/off), ``rel`` (writeback-release charges of the
-      MED/ACC pools)
+      ``commit_if`` (commit-time decrements under late release; a lane
+      without it refunds its whole ``alloc`` at commit), ``rel``
+      (writeback-release charges of the MED/ACC pools)
     * per (bimodal, BTB) class, ``ctl`` -- fetch-control codes (ring)
       plus the positional nonzero-control lists
 
@@ -327,8 +290,6 @@ class _SharedDecode:
         self.smask_z = [0] * size
         self.commit_if_raw = [0] * size
         self.commit_if_z = [0] * size
-        self.commit_full_raw = [0] * size
-        self.commit_full_z = [0] * size
         self.rel_raw = [0] * size
         self.rel_z = [0] * size
         #: all-zero ring late_release=False lanes read their releases from.
@@ -354,8 +315,8 @@ class _SharedDecode:
     def _shape(self, op_id: int, vl: int, counts) -> tuple:
         """The op and SWAR products of every row with this opcode, vector
         length and count of destinations per register pool:
-        ``(op_raw, op_ac, alloc, chk, smask, commit_if, rel)``; the
-        full-commit charge equals ``alloc``."""
+        ``(op_raw, op_ac, alloc, chk, smask, commit_if, rel)``; a lane
+        without late release refunds ``alloc`` at commit."""
         meta = self._meta[op_id]
         kind = meta.kind
         if vl <= 1:
@@ -456,7 +417,6 @@ class _SharedDecode:
         self.nbytes[base:end] = blk.nbytes.tolist()
         self.stride[base:end] = blk.stride.tolist()
         self.alloc_raw[base:end] = alloc
-        self.commit_full_raw[base:end] = alloc
         self.chk[base:end] = chk
         self.smask_raw[base:end] = smask
         self.commit_if_raw[base:end] = commit_if
@@ -468,7 +428,6 @@ class _SharedDecode:
                 _zeroed(words, zero_rows)
                 for words in (alloc, smask, commit_if, rel))
         self.alloc_z[base:end] = alloc
-        self.commit_full_z[base:end] = alloc
         self.smask_z[base:end] = smask
         self.commit_if_z[base:end] = commit_if
         self.rel_z[base:end] = rel
@@ -562,7 +521,7 @@ class _SharedDecode:
 class _LaneState:
     """Per-lane constants and end-of-run outputs for one stepper."""
 
-    __slots__ = ("spec", "index", "width", "rob_size", "lsq_size",
+    __slots__ = ("memsys", "index", "width", "rob_size", "lsq_size",
                  "front_latency", "phys_limit", "acc_chaining",
                  "late_release", "zero_elision", "window",
                  "fu_busy", "fu_of", "scan", "lanes_of",
@@ -571,18 +530,19 @@ class _LaneState:
                  "cycles", "fetch_stalls", "rename_stalls", "stack",
                  "committed")
 
-    def __init__(self, spec: LaneSpec, index: int) -> None:
-        cfg = spec.config
-        self.spec = spec
+    def __init__(self, core: Core, index: int) -> None:
+        cfg = core.config
+        ms = core.memsys
+        self.memsys = ms
         self.index = index
         self.width = cfg.width
         self.rob_size = cfg.rob_size
         self.lsq_size = cfg.lsq_size
         self.front_latency = cfg.front_latency
         self.phys_limit = [cfg.phys_limit(pool) for pool in RegPool]
-        self.acc_chaining = spec.acc_chaining
-        self.late_release = spec.late_release
-        self.zero_elision = spec.zero_idiom_elision
+        self.acc_chaining = core.acc_chaining
+        self.late_release = core.late_release
+        self.zero_elision = core.zero_idiom_elision
         need = cfg.rob_size + 2 * cfg.width
         self.window = 1 << (need - 1).bit_length()
         # One busy-horizon list per FU family, simple units first -- the
@@ -607,12 +567,11 @@ class _LaneState:
                      range(0, self.fu_total[2]),
                      range(self.fu_simple[2], self.fu_total[2])]
         self.lanes_of = [1, 1, 1, 1, cfg.med_lanes, cfg.med_lanes]
-        ms = spec.memsys
         self.pm = ms if type(ms) is PerfectMemory else None
         self.mem_try = ms.try_issue
         self.mem_hint = getattr(ms, "earliest_issue", None)
         self.ctl_key = (cfg.bimodal_entries, cfg.btb_entries)
-        self.accounting = spec.accounting
+        self.accounting = core.accounting
         self.cycles = 0
         self.fetch_stalls = 0
         self.rename_stalls = 0
@@ -664,7 +623,7 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
         g_commit = shared.commit_if_z if zel else shared.commit_if_raw
     else:
         g_rel = shared.zero_ring
-        g_commit = shared.commit_full_z if zel else shared.commit_full_raw
+        g_commit = g_alloc          # every charge refunds at commit
     heappush = heapq.heappush
     heappop = heapq.heappop
 
@@ -1183,33 +1142,34 @@ class BatchCore:
     """Run N configuration lanes over one trace in a single decode pass.
 
     Every lane's :class:`SimResult` is bit-identical to what
-    ``Core(lane.config, lane.memsys, **knobs).run_reference(trace)``
-    returns on a fresh core -- the golden-digest and accounting parity
-    suites pin this.
+    ``lane.run_reference(trace)`` returns on a fresh memory model -- the
+    golden-digest and accounting parity suites pin this.
 
     Args:
-        lanes: :class:`LaneSpec` sequence.  Order is preserved in
-            :meth:`run`'s result list.
+        lanes: :class:`~repro.cpu.core.Core` sequence, each with its own
+            memory model.  Order is preserved in :meth:`run`'s result
+            list.
 
     Raises:
         ValueError: no lanes, a predictor table that is not a power of
-            two, or a memory model without ``try_issue``.
+            two, a memory model without ``try_issue``, or two lanes
+            sharing one memory model.
     """
 
     #: Records decoded per pause-resume round.  The shared rings hold
     #: two blocks, so a lane may trail the decode frontier by up to one
     #: whole block (its live window is only ``rob + 2*width`` anyway).
-    #: The rings (about 460 bytes per slot) are what a one-lane run adds
+    #: The rings (about 445 bytes per slot) are what a one-lane run adds
     #: to peak memory above the trace itself, so the block is kept small
     #: at the cost of more pause-resume rounds.
     BLOCK = 1 << 13
     RING = 1 << 14
 
     def __init__(self, lanes) -> None:
-        specs: list[LaneSpec] = list(lanes)
-        if not specs:
+        lanes = list(lanes)
+        if not lanes:
             raise ValueError("BatchCore needs at least one lane")
-        for lane in specs:
+        for lane in lanes:
             cfg = lane.config
             for entries in (cfg.bimodal_entries, cfg.btb_entries):
                 if entries <= 0 or entries & (entries - 1):
@@ -1219,7 +1179,9 @@ class BatchCore:
                 raise ValueError(
                     f"memory model {type(lane.memsys).__name__} lacks "
                     "try_issue")
-        self.lanes = specs
+        if len({id(lane.memsys) for lane in lanes}) < len(lanes):
+            raise ValueError("lanes must not share a memory model")
+        self.lanes = lanes
 
     def run(self, trace: Trace,
             phases: dict | None = None) -> list[SimResult]:
@@ -1232,29 +1194,13 @@ class BatchCore:
         covers building the shared rings block by block, step the lane
         steppers, writeback result assembly.
         """
-        lanes = self.lanes
         n = len(trace)
         operations = trace.operation_count()
-
-        # Identical perfect-memory lanes collapse onto one representative
-        # simulation -- true lane lockstep.  share[i] is i for
-        # representatives, else the index of the lane it mirrors.
-        share = list(range(len(lanes)))
-        rep_of: dict = {}
-        for idx, lane in enumerate(lanes):
-            key = lane.dedup_key()
-            if key is None:
-                continue
-            if key in rep_of:
-                share[idx] = rep_of[key]
-            else:
-                rep_of[key] = idx
-        reps = [i for i in range(len(lanes)) if share[i] == i]
 
         _t = _perf_counter()
         _decode_t = 0.0
         _step_t = 0.0
-        states = [_LaneState(lanes[i], i) for i in reps]
+        states = [_LaneState(lane, i) for i, lane in enumerate(self.lanes)]
         dep_cap = max(st.rob_size for st in states)
         shared = _SharedDecode(trace, dep_cap,
                                {st.ctl_key for st in states},
@@ -1307,13 +1253,8 @@ class BatchCore:
                 gc.enable()
 
         _t = _perf_counter()
-        by_rep = {st.index: st for st in states}
-        results: list[SimResult] = []
-        for idx, lane in enumerate(lanes):
-            st = by_rep[share[idx]]
-            results.append(self._result(
-                st, shared.ctl[st.ctl_key], n, operations,
-                mirrored=st.index != idx))
+        results = [self._result(st, shared.ctl[st.ctl_key], n, operations)
+                   for st in states]
         if phases is not None:
             phases["decode"] = phases.get("decode", 0.0) + _decode_t
             phases["step"] = phases.get("step", 0.0) + _step_t
@@ -1322,12 +1263,10 @@ class BatchCore:
         return results
 
     @staticmethod
-    def _result(st: _LaneState, ctl: _CtlState, n: int, operations: int,
-                *, mirrored: bool) -> SimResult:
-        """A lane's result from its representative's final state; a
-        mirrored lane replicates the representative's statistics (it is
-        the same simulation, and its own memory model never ran)."""
-        source = st.spec.memsys
+    def _result(st: _LaneState, ctl: _CtlState, n: int,
+                operations: int) -> SimResult:
+        """A lane's result from its final state."""
+        source = st.memsys
         mem_stats = source.stats() if hasattr(source, "stats") else {}
         result = SimResult(
             cycles=st.cycles,
@@ -1341,10 +1280,7 @@ class BatchCore:
             mem_stats=dict(mem_stats),
         )
         if st.stack is not None:
-            # Conservation is re-checked per result, mirrors included.
             result.stack = checked_stack(st.cycles, TimingStats(**st.stack))
             if hasattr(source, "accounting_stats"):
                 result.meta["mem_accounting"] = source.accounting_stats()
-        if mirrored:
-            result.meta["batch_mirrored"] = True
         return result

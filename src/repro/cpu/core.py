@@ -13,8 +13,10 @@ One timing engine plus one oracle implement the machine:
 
 * :meth:`Core.run` -- the single-point entry to the production
   **event-driven scheduler**, which lives in :mod:`repro.cpu.batch` as
-  the lane stepper of :class:`~repro.cpu.batch.BatchCore`; ``Core.run``
-  is a one-lane batch.  Instead of rescanning the whole reorder buffer
+  the lane stepper of :class:`~repro.cpu.batch.BatchCore`.  A ``Core``
+  *is* a batch lane (its configuration, memory system and knobs are
+  what a lane reads), so ``Core.run`` runs the core as the one lane of
+  a ``BatchCore``.  Instead of rescanning the whole reorder buffer
   every cycle the stepper keeps per-producer wakeup lists (an
   instruction is re-examined only when a dependence completes), an
   oldest-first ready list, structural-stall horizons from the functional
@@ -210,7 +212,13 @@ class SimResult:
 
 
 class Core:
-    """The cycle-level engine.
+    """One machine: a configuration, a memory system and the ablation knobs.
+
+    A ``Core`` is also a lane of :class:`~repro.cpu.batch.BatchCore`,
+    which reads exactly these attributes; :meth:`run` is a one-lane
+    batch and :meth:`run_reference` the busy-wait oracle.  Neither
+    engine keeps state on the core between runs: predictor tables and
+    functional-unit horizons are built fresh for every run.
 
     Args:
         config: a Table 1 machine configuration.
@@ -219,6 +227,7 @@ class Core:
             hierarchy).  It may also export ``earliest_issue(addr, nbytes,
             vl, cycle) -> int``, a retry horizon the event scheduler uses
             to skip futile reattempts (contract in :mod:`repro.memsys.cache`).
+            It is caller-owned and not reset between runs.
     """
 
     #: Extra cycles between a mispredicted branch resolving and useful
@@ -257,41 +266,17 @@ class Core:
         """
         self.config = config
         self.memsys = memsys
-        self.accounting = accounting
         self.acc_chaining = acc_chaining
-        self.late_release_pools = (self.LATE_RELEASE_POOLS if late_release
-                                   else frozenset())
-        self.zero_idioms = (self.ZERO_IDIOMS if zero_idiom_elision
-                            else frozenset())
-        self._reset_frontend()
-
-    def _reset_frontend(self) -> None:
-        """Rebuild the run-scoped microarchitectural state.
-
-        Called at construction and at the top of every :meth:`run_reference`
-        so a reused ``Core`` instance starts each run with cold predictor
-        tables and idle functional units, exactly like a fresh one --
-        predictor counters, BTB tags and FU busy horizons would otherwise
-        leak from the previous trace and silently skew the second run.
-        (:meth:`run` builds its lane state fresh on every call.  The memory
-        system is caller-owned and deliberately *not* reset.)
-        """
-        config = self.config
-        self.bpred = BimodalPredictor(config.bimodal_entries)
-        self.btb = BranchTargetBuffer(config.btb_entries)
-        self.pools = {
-            "int": FuPool(config.int_units),
-            "fp": FuPool(config.fp_units),
-            "med": FuPool(config.med_units, lanes=config.med_lanes),
-        }
+        self.late_release = late_release
+        self.zero_idiom_elision = zero_idiom_elision
+        self.accounting = accounting
 
     # --- public API --------------------------------------------------------------
 
     def run(self, trace: Trace, *, phases: dict | None = None) -> SimResult:
         """Simulate a full trace to completion and return statistics.
 
-        Runs the trace as a one-lane :class:`~repro.cpu.batch.BatchCore`
-        built from this core's configuration, memory system and knobs:
+        Runs this core as a one-lane :class:`~repro.cpu.batch.BatchCore`:
         the event-driven lane stepper is the one timing engine, and it is
         bit-identical to :meth:`run_reference` in every result field --
         including stall counters and memory-model statistics, whose
@@ -301,13 +286,8 @@ class Core:
             phases: optional dict the run *adds* decode/step/writeback
                 wall-clock seconds into (see :meth:`BatchCore.run`).
         """
-        from .batch import BatchCore, LaneSpec
-        spec = LaneSpec(self.config, self.memsys,
-                        acc_chaining=self.acc_chaining,
-                        late_release=bool(self.late_release_pools),
-                        zero_idiom_elision=bool(self.zero_idioms),
-                        accounting=self.accounting)
-        (result,) = BatchCore([spec]).run(trace, phases=phases)
+        from .batch import BatchCore
+        (result,) = BatchCore([self]).run(trace, phases=phases)
         return result
 
     def run_reference(self, trace: Trace) -> SimResult:
@@ -317,9 +297,19 @@ class Core:
         instruction cycle-by-cycle.  Slow, but trivially correct; the
         golden-digest and differential tests pin :meth:`run` against it.
         """
-        self._reset_frontend()
         cfg = self.config
         width = cfg.width
+        bpred = BimodalPredictor(cfg.bimodal_entries)
+        btb = BranchTargetBuffer(cfg.btb_entries)
+        pools = {
+            "int": FuPool(cfg.int_units),
+            "fp": FuPool(cfg.fp_units),
+            "med": FuPool(cfg.med_units, lanes=cfg.med_lanes),
+        }
+        late_release_pools = (self.LATE_RELEASE_POOLS if self.late_release
+                              else frozenset())
+        zero_idioms = (self.ZERO_IDIOMS if self.zero_idiom_elision
+                       else frozenset())
         rob: list[_Entry] = []          # in program order; head at index 0
         fetch_queue: list[_Entry] = []
         last_writer: dict[int, _Entry] = {}
@@ -329,8 +319,7 @@ class Core:
 
         releases: list[tuple[int, RegPool, int]] = []  # (completion, pool, rows)
 
-        instrs = trace.instructions
-        n = len(instrs)
+        n = len(trace)
         fetch_idx = 0
         cycle = 0
         committed = 0
@@ -358,10 +347,10 @@ class Core:
                 if head.completion is None or head.completion > cycle:
                     break
                 rob.pop(0)
-                head_zero = head.instr.op.name in self.zero_idioms
+                head_zero = head.instr.op.name in zero_idioms
                 for dst in head.instr.dsts:
                     pool = reg_pool(dst)
-                    if pool not in self.late_release_pools and not head_zero:
+                    if pool not in late_release_pools and not head_zero:
                         inflight_dsts[pool] -= self._charge(head.instr, dst)
                     if last_writer.get(dst) is head:
                         del last_writer[dst]
@@ -379,17 +368,17 @@ class Core:
                     continue
                 if not self._deps_ready(entry, cycle, self._chains(entry)):
                     continue
-                completion = self._execute(entry, cycle)
+                completion = self._execute(entry, cycle, pools)
                 if completion is None:
                     continue        # structural hazard; younger ops may go
                 entry.issued = True
                 entry.completion = completion
                 entry.chain_ready = self._chain_ready(entry, cycle, completion)
                 issued += 1
-                if entry.instr.op.name not in self.zero_idioms:
+                if entry.instr.op.name not in zero_idioms:
                     for dst in entry.instr.dsts:
                         pool = reg_pool(dst)
-                        if pool in self.late_release_pools:
+                        if pool in late_release_pools:
                             charge = self._charge(entry.instr, dst)
                             heapq.heappush(releases, (completion, pool, charge))
                 if entry.mispredicted:
@@ -407,12 +396,13 @@ class Core:
                 if instr.iclass.is_memory and lsq_used >= cfg.lsq_size:
                     admission_blocked = True
                     break
-                if not self._rename_ok(instr, inflight_dsts, phys_limit):
+                zero_idiom = instr.op.name in zero_idioms
+                if not zero_idiom and not self._rename_ok(
+                        instr, inflight_dsts, phys_limit):
                     rename_stalls += 1
                     admission_blocked = True
                     break
                 fetch_queue.pop(0)
-                zero_idiom = instr.op.name in self.zero_idioms
                 for src in instr.srcs:
                     producer = last_writer.get(src)
                     if producer is not None:
@@ -432,13 +422,13 @@ class Core:
                 fetched = 0
                 while (fetch_idx < n and fetched < width
                        and len(fetch_queue) < fetch_queue_cap):
-                    instr = instrs[fetch_idx]
+                    instr = trace[fetch_idx]
                     entry = _Entry(instr, cycle)
                     fetch_queue.append(entry)
                     fetch_idx += 1
                     fetched += 1
                     if instr.iclass == InstrClass.BRANCH:
-                        prediction = self.bpred.predict_and_update(
+                        prediction = bpred.predict_and_update(
                             instr.site, bool(instr.taken)
                         )
                         if prediction != instr.taken:
@@ -448,11 +438,11 @@ class Core:
                             next_fetch_cycle = _FAR_FUTURE
                             break
                         if instr.taken:
-                            hit = self.btb.lookup_insert(instr.site)
+                            hit = btb.lookup_insert(instr.site)
                             next_fetch_cycle = cycle + (1 if hit else 2)
                             break
                     elif instr.iclass == InstrClass.JUMP:
-                        hit = self.btb.lookup_insert(instr.site)
+                        hit = btb.lookup_insert(instr.site)
                         next_fetch_cycle = cycle + (1 if hit else 2)
                         break
             elif fetch_idx < n:
@@ -492,9 +482,9 @@ class Core:
             cycles=cycle,
             instructions=n,
             operations=trace.operation_count(),
-            branch_lookups=self.bpred.lookups,
-            branch_mispredicts=self.bpred.mispredicts,
-            btb_misses=self.btb.misses,
+            branch_lookups=bpred.lookups,
+            branch_mispredicts=bpred.mispredicts,
+            btb_misses=btb.misses,
             fetch_stall_cycles=fetch_stall_cycles,
             rename_stall_events=rename_stalls,
             mem_stats=self.memsys.stats() if hasattr(self.memsys, "stats") else {},
@@ -556,15 +546,13 @@ class Core:
 
     def _rename_ok(self, instr: DynInstr, inflight, limits) -> bool:
         """Check physical-register headroom for every destination pool."""
-        if instr.op.name in self.zero_idioms:
-            return True
         for dst in instr.dsts:
             pool = reg_pool(dst)
             if inflight[pool] + self._charge(instr, dst) - 1 >= limits[pool]:
                 return False
         return True
 
-    def _execute(self, entry: _Entry, cycle: int) -> int | None:
+    def _execute(self, entry: _Entry, cycle: int, pools) -> int | None:
         """Acquire execution resources; return the completion cycle."""
         instr = entry.instr
         iclass = instr.iclass
@@ -576,9 +564,9 @@ class Core:
             return cycle + 1
         if iclass in (InstrClass.BRANCH, InstrClass.JUMP):
             # Branches resolve on a simple integer pipe.
-            return self.pools["int"].try_issue(False, cycle, 1, instr.op.name, 1)
+            return pools["int"].try_issue(False, cycle, 1, instr.op.name, 1)
         family = fu_family(iclass)
-        pool = self.pools[family]
+        pool = pools[family]
         rows = instr.vl if family == "med" else 1
         op = instr.op
         latency = op.latency

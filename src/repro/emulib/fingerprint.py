@@ -43,18 +43,11 @@ def trace_digest(trace: Trace) -> str:
     iter_field_tuples`) with the same Python value types a materialized
     :class:`~repro.emulib.trace.DynInstr` carries, so digests are
     bit-identical to the historical list-of-objects encoding and
-    independent of chunk geometry; any other sequence of instruction
-    records hashes through the object fields.
+    independent of chunk geometry.
     """
     digest = hashlib.sha256(trace.isa.encode())
     update = digest.update
-    if isinstance(trace, Trace):
-        rows = trace.iter_field_tuples()
-    else:
-        rows = ((ins.op.isa, ins.op.name, ins.srcs, ins.dsts, ins.addr,
-                 ins.nbytes, ins.stride, ins.vl, ins.taken, ins.site)
-                for ins in trace)
-    for record in rows:
+    for record in trace.iter_field_tuples():
         update(repr(record).encode())
         update(b"\n")
     return digest.hexdigest()[:16]

@@ -21,10 +21,10 @@ Builders write rows through :meth:`Trace.emit`, the one row writer, which
 appends each emitted instruction's canonical fields to the staging lists:
 no :class:`DynInstr` is built on the way in.  :class:`DynInstr` stays the
 read-side type -- :meth:`Trace.append` still takes one (and hands its
-fields to the same writer), iteration still yields :class:`DynInstr`
-objects (materialized on demand), and ``trace.instructions`` remains a
-mutable list-like escape hatch -- so the vectorizing compiler and the
-digest code are untouched.  The timing engine reads the columns without
+fields to the same writer), and iteration and indexing yield
+:class:`DynInstr` objects (materialized on demand).  Rows are only ever
+appended or cut off the end (:meth:`Trace.truncate`); no row is edited
+in place.  The timing engine reads the columns without
 materializing the object form: :class:`~repro.cpu.batch.BatchCore`
 decodes fixed-size column blocks (:meth:`Trace.iter_column_blocks`,
 which cuts blocks across chunk boundaries and converts the staging tail
@@ -433,19 +433,15 @@ class TraceSummary:
 class Trace:
     """An ordered dynamic instruction stream plus summary statistics.
 
-    Statistics are computed once and cached; mutating
-    the trace through any path -- :meth:`append` / :meth:`extend` /
-    :meth:`truncate` or the ``instructions`` view -- invalidates the
-    cache.  Code holding a previously returned :class:`TraceSummary` can
-    still call :meth:`invalidate_summary` explicitly, which remains the
-    documented contract for direct ``instructions`` mutation.
+    Statistics are computed once and cached; every mutation --
+    :meth:`emit` / :meth:`append` / :meth:`extend` / :meth:`truncate` --
+    invalidates the cache.
     """
 
     __slots__ = ("isa", "_ops", "_op_ids", "_chunks", "_chunk_ends",
                  "_stage", "_sealed", "_chunk_rows", "_summary")
 
-    def __init__(self, isa: str, instructions=None, *,
-                 chunk_rows: int = CHUNK_ROWS) -> None:
+    def __init__(self, isa: str, *, chunk_rows: int = CHUNK_ROWS) -> None:
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
         self.isa = isa
@@ -457,9 +453,6 @@ class Trace:
         self._sealed = 0                        # rows in sealed chunks
         self._chunk_rows = chunk_rows
         self._summary: TraceSummary | None = None
-        if instructions:
-            for instr in instructions:
-                self.append(instr)
 
     def __repr__(self) -> str:
         return (f"Trace(isa={self.isa!r}, instructions={len(self)}, "
@@ -552,10 +545,6 @@ class Trace:
             self._stage.clear()
         self._summary = None
 
-    def invalidate_summary(self) -> None:
-        """Drop cached statistics after direct ``instructions`` mutation."""
-        self._summary = None
-
     # --- internal plumbing ------------------------------------------------------
 
     def _intern(self, op: Opcode) -> int:
@@ -581,7 +570,7 @@ class Trace:
 
         Sealed rows locate their chunk by bisecting the cumulative-end
         table, so indexed access stays O(log chunks) however long the
-        trace grows (the reference core walks ``instructions`` by index).
+        trace grows (the reference core walks the trace by index).
         """
         if index < self._sealed:
             which = bisect_right(self._chunk_ends, index)
@@ -632,19 +621,6 @@ class Trace:
         if not 0 <= idx < n:
             raise IndexError("trace index out of range")
         return self._materialize(self._row(idx))
-
-    @property
-    def instructions(self) -> "_InstructionList":
-        """Mutable list-like view of the stream (the escape hatch).
-
-        Reads materialize :class:`DynInstr` objects on demand; writes are
-        decoded back into the columnar store, so the view never aliases
-        storage with another trace.  Callers that mutate through it should
-        still call :meth:`invalidate_summary` per the historical contract
-        (mutations also invalidate automatically, making that call
-        idempotent rather than load-bearing).
-        """
-        return _InstructionList(self)
 
     # --- digest / streaming access ----------------------------------------------
 
@@ -734,84 +710,3 @@ class Trace:
         """Approximate bytes of sealed column storage (diagnostics; the
         staging tail and interning tables are not counted)."""
         return sum(chunk.nbytes_storage() for chunk in self._chunks)
-
-
-class _InstructionList:
-    """Mutable list-like view over a :class:`Trace` (the escape hatch).
-
-    Supports the operations historical callers used on the raw list --
-    ``len`` / indexing / iteration / ``append`` / ``extend`` /
-    ``del view[mark:]`` truncation / item assignment -- by translating
-    them onto the columnar store.  Appends and tail truncation are O(rows
-    written or dropped); item assignment, deletion and insertion truncate
-    at the edit and write the later rows back (escape-hatch operations,
-    not hot paths).
-    """
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: Trace) -> None:
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace)
-
-    def __iter__(self):
-        return iter(self._trace)
-
-    def __getitem__(self, idx):
-        return self._trace[idx]
-
-    def append(self, instr: DynInstr) -> None:
-        self._trace.append(instr)
-
-    def extend(self, instrs) -> None:
-        trace = self._trace
-        for instr in instrs:
-            trace.append(instr)
-
-    def clear(self) -> None:
-        self._trace.truncate(0)
-
-    def __setitem__(self, index: int, instr: DynInstr) -> None:
-        if isinstance(index, slice):
-            raise TypeError("slice assignment is not supported; "
-                            "rebuild the trace instead")
-        index = self._position(index)
-        self._splice(index, index + 1, (instr,))
-
-    def __delitem__(self, index) -> None:
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self._trace))
-            if step != 1:
-                raise TypeError("extended-slice deletion is not supported")
-            if start < stop:
-                self._splice(start, stop, ())
-            return
-        index = self._position(index)
-        self._splice(index, index + 1, ())
-
-    def insert(self, index: int, instr: DynInstr) -> None:
-        start = slice(index, None).indices(len(self._trace))[0]
-        self._splice(start, start, (instr,))
-
-    def _position(self, index: int) -> int:
-        n = len(self._trace)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("trace index out of range")
-        return index
-
-    def _splice(self, start: int, stop: int, instrs) -> None:
-        """Replace rows ``[start, stop)`` with ``instrs``: keep the rows
-        after ``stop``, truncate at ``start``, then append ``instrs``
-        through :meth:`Trace.append` and the kept rows through
-        :meth:`Trace.emit` -- O(rows from ``start`` on)."""
-        trace = self._trace
-        rest = [trace._row(i) for i in range(stop, len(trace))]
-        trace.truncate(start)
-        for instr in instrs:
-            trace.append(instr)
-        for row in rest:
-            trace.emit(*row)

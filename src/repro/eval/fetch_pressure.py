@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..emulib.disasm import summarize
-from ..exp import PointSpec, built_kernel, default_session, preset
+from ..exp import PointSpec, default_session, preset
 from ..kernels import KERNEL_ORDER
 
 ISAS = ("alpha", "mmx", "mdmx", "mom")
@@ -52,12 +51,15 @@ class FetchPressurePoint:
     retention_1way: float       # speedup(1-way) / speedup(8-way)
 
 
-def run(kernels=KERNEL_ORDER, scale: int = 1, session=None
-        ) -> dict[str, dict[str, FetchPressurePoint]]:
+def run(kernels=KERNEL_ORDER, scale: int = 1, session=None,
+        progress=None) -> dict[str, dict[str, FetchPressurePoint]]:
+    """Per-kernel, per-ISA fetch-pressure rows, read off the sweep's
+    results alone (a warm cache builds no trace).  ``progress`` is
+    forwarded to :meth:`Session.run`."""
     session = session or default_session()
     sweep = preset("fetch-pressure").replace(targets=tuple(kernels),
                                              scale=scale, accounting=True)
-    grid = session.run(sweep)
+    grid = session.run(sweep, progress=progress)
 
     def result(kernel: str, isa: str, way: int):
         key = PointSpec(kind="kernel", target=kernel, isa=isa, way=way,
@@ -68,15 +70,13 @@ def run(kernels=KERNEL_ORDER, scale: int = 1, session=None
     for kernel in kernels:
         row = {}
         for isa in ISAS:
-            built = built_kernel(kernel, isa, scale)
-            stats = summarize(built.trace)
             narrow = result(kernel, isa, 1)
             bound = narrow.stack.base + narrow.stack.fetch
             row[isa] = FetchPressurePoint(
                 kernel=kernel,
                 isa=isa,
-                instructions=stats["instructions"],
-                ops_per_instruction=stats["ops_per_instruction"],
+                instructions=narrow.instructions,
+                ops_per_instruction=narrow.operations / narrow.instructions,
                 fetch_bound_cycles=bound,
                 fetch_bound_share=(bound / narrow.cycles
                                    if narrow.cycles else 0.0),

@@ -27,12 +27,15 @@ ISAS = ("alpha", "mmx", "mdmx", "mom")
 
 
 def run(scale: int = 1, way: int = 4, kernels=KERNEL_ORDER,
-        session=None) -> dict[str, dict[str, float]]:
-    """Slow-down factors {kernel: {isa: slowdown}} at ``way``-wide issue."""
+        session=None, progress=None) -> dict[str, dict[str, float]]:
+    """Slow-down factors {kernel: {isa: slowdown}} at ``way``-wide issue.
+
+    ``progress`` is forwarded to :meth:`Session.run`.
+    """
     session = session or default_session()
     sweep = preset("latency").replace(targets=tuple(kernels), ways=(way,),
                                       scale=scale)
-    grid = session.run(sweep)
+    grid = session.run(sweep, progress=progress)
 
     def cycles(kernel: str, isa: str, latency: int) -> int:
         key = PointSpec(kind="kernel", target=kernel, isa=isa, way=way,

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from .. import __version__
 from .engine import Session
@@ -85,8 +86,11 @@ def _session(args: argparse.Namespace) -> Session:
                    use_cache=not args.no_cache)
 
 
-def _progress_line(args, total: int, session: Session | None = None):
-    """A live :class:`ProgressLine`, or ``None`` (no --progress / no TTY).
+@contextmanager
+def _progress(args, total: int, session: Session):
+    """Yield the ``progress`` hook for ``total`` points: a live
+    :class:`ProgressLine`'s ``tick``, closed on the way out, or ``None``
+    (no --progress / no TTY).
 
     When the session's telemetry is enabled the line keeps its counters in
     the session's own metrics registry, so ``progress_done`` shows up in
@@ -94,11 +98,15 @@ def _progress_line(args, total: int, session: Session | None = None):
     """
     from ..obs.progress import ProgressLine, progress_wanted
 
-    if not progress_wanted(getattr(args, "progress", False)):
-        return None
-    registry = (session.obs.metrics
-                if session is not None and session.obs.enabled else None)
-    return ProgressLine(total, registry=registry)
+    if not progress_wanted(args.progress):
+        yield None
+        return
+    registry = session.obs.metrics if session.obs.enabled else None
+    line = ProgressLine(total, registry=registry)
+    try:
+        yield line.tick
+    finally:
+        line.close()
 
 
 def _cmd_figure5(args) -> int:
@@ -108,14 +116,9 @@ def _cmd_figure5(args) -> int:
     kernels = tuple(args.kernel) if args.kernel else KERNEL_ORDER
     session = _session(args)
     sweep = preset("figure5").replace(targets=kernels, scale=args.scale)
-    line = _progress_line(args, len(sweep.points()), session)
-    try:
+    with _progress(args, len(sweep.points()), session) as tick:
         results = figure5.run(scale=args.scale, kernels=kernels,
-                              session=session,
-                              progress=line.tick if line else None)
-    finally:
-        if line is not None:
-            line.close()
+                              session=session, progress=tick)
     for kernel, points in results.items():
         print(f"\n=== Figure 5: {kernel} (speed-up vs 1-way Alpha) ===")
         print(figure5.format_grid(points))
@@ -134,13 +137,9 @@ def _cmd_figure7(args) -> int:
     apps = tuple(args.app) if args.app else APP_ORDER
     session = _session(args)
     sweep = preset("figure7").replace(targets=apps, scale=args.scale)
-    line = _progress_line(args, len(sweep.points()), session)
-    try:
+    with _progress(args, len(sweep.points()), session) as tick:
         results = figure7.run(scale=args.scale, apps=apps, session=session,
-                              progress=line.tick if line else None)
-    finally:
-        if line is not None:
-            line.close()
+                              progress=tick)
     for app, points in results.items():
         print(f"\n=== Figure 7: {app} (speed-up vs 4-way Alpha) ===")
         for way in figure7.WAYS:
@@ -161,8 +160,11 @@ def _cmd_latency(args) -> int:
 
     print(f"Slow-down going from 1-cycle to {latency.HIGH_LATENCY}-cycle "
           f"memory ({args.way}-way machine):\n")
-    results = latency.run(scale=args.scale, way=args.way,
-                          session=_session(args))
+    session = _session(args)
+    total = len(preset("latency").replace(ways=(args.way,)).points())
+    with _progress(args, total, session) as tick:
+        results = latency.run(scale=args.scale, way=args.way,
+                              session=session, progress=tick)
     for kernel, row in results.items():
         cells = "  ".join(f"{isa}={v:5.2f}x" for isa, v in row.items())
         print(f"{kernel:16s} {cells}")
@@ -177,7 +179,11 @@ def _cmd_fetch_pressure(args) -> int:
 
     print("ops/instruction, measured 1-way fetch-bound share (f) and "
           "1-way retention of 8-way performance:\n")
-    results = fetch_pressure.run(scale=args.scale, session=_session(args))
+    session = _session(args)
+    with _progress(args, len(preset("fetch-pressure").points()),
+                   session) as tick:
+        results = fetch_pressure.run(scale=args.scale, session=session,
+                                     progress=tick)
     for kernel, row in results.items():
         cells = "  ".join(f"{isa}:{p.ops_per_instruction:5.1f}op/i"
                           f"/f{p.fetch_bound_share:4.0%}"
@@ -274,13 +280,8 @@ def _cmd_sweep(args) -> int:
         sweep = sweep.replace(accounting=True)
     points = sweep.points()
     print(f"sweep {sweep.name}: {len(points)} points, jobs={args.jobs}")
-    line = _progress_line(args, len(points), session)
-    try:
-        results = session.run(points, jobs=args.jobs,
-                              progress=line.tick if line else None)
-    finally:
-        if line is not None:
-            line.close()
+    with _progress(args, len(points), session) as tick:
+        results = session.run(points, jobs=args.jobs, progress=tick)
     _print_grid(points, results)
     if getattr(args, "explain", False):
         _print_stacks(points, results)
@@ -414,13 +415,8 @@ def _cmd_explain(args) -> int:
     sweep = _sweep_from_args(args).replace(accounting=True)
     points = sweep.points()
     print(f"explain {sweep.name}: {len(points)} points, jobs={args.jobs}")
-    line = _progress_line(args, len(points), session)
-    try:
-        results = session.run(points, jobs=args.jobs,
-                              progress=line.tick if line else None)
-    finally:
-        if line is not None:
-            line.close()
+    with _progress(args, len(points), session) as tick:
+        results = session.run(points, jobs=args.jobs, progress=tick)
     _print_stacks(points, results)
     if args.diff:
         _print_stack_diff(points, results, tuple(args.diff))

@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from ..cpu import SimResult, machine_config
+from ..cpu import Core, SimResult, machine_config
 from ..emulib.fingerprint import source_fingerprint
 from ..obs import OBS_OFF, Obs, obs_from_env
 from .cache import ResultCache
@@ -100,7 +100,7 @@ def execute_group(points: list[PointSpec],
     ``parent`` attach trace.build and sim.group spans under an existing
     handle when telemetry is enabled.
     """
-    from ..cpu.batch import BatchCore, LaneSpec
+    from ..cpu.batch import BatchCore
 
     if not points:
         return []
@@ -114,17 +114,17 @@ def execute_group(points: list[PointSpec],
     with tracer.span("trace.build", parent=parent, target=first.target,
                      isa=first.isa, scale=first.scale):
         built = build(first.target, first.isa, first.scale)
-    lanes = [LaneSpec(machine_config(p.way, p.isa), make_memsys(p),
-                      accounting=p.accounting)
+    lanes = [Core(machine_config(p.way, p.isa), make_memsys(p),
+                  accounting=p.accounting)
              for p in points]
-    core = BatchCore(lanes)     # validates lanes before simulation
+    batch = BatchCore(lanes)    # validates lanes before simulation
     group = "-".join(str(k) for k in build_key(first))
     phases: dict = {}
     with tracer.span("sim.group", parent=parent, group=group,
                      lanes=len(points)) as span:
         start_wall = time.time()
         start = time.perf_counter()
-        results = core.run(built.trace, phases=phases)
+        results = batch.run(built.trace, phases=phases)
         elapsed = time.perf_counter() - start
     share = elapsed / len(points)
     phase_meta = _phase_meta(phases)

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cpu import Core, machine_config
-from repro.cpu.batch import BatchCore, LaneSpec
+from repro.cpu.batch import BatchCore
 from repro.cpu.core import STACK_COMPONENTS, SimResult, TimingStats, \
     checked_stack
 from repro.exp.engine import built_kernel
@@ -77,8 +77,8 @@ def test_batch_stack_parity(group, points):
     accounting off, do not cover the stacks)."""
     kernel, isa = group
     trace = built_kernel(kernel, isa).trace
-    lanes = [LaneSpec(machine_config(way, isa), make_memsys(mem, way, isa),
-                      accounting=True)
+    lanes = [Core(machine_config(way, isa), make_memsys(mem, way, isa),
+                  accounting=True)
              for _, _, way, mem in points]
     results = BatchCore(lanes).run(trace)
     for (k, i, way, mem), batched in zip(points, results):
@@ -113,16 +113,14 @@ def test_reference_oracle_stack_parity():
 
 
 def test_mirrored_lanes_carry_the_stack():
-    """Collapsed duplicate lanes mirror the representative's stack."""
+    """Duplicate lanes in one batch attribute identical stacks."""
     cfg = machine_config(8, "mom")
     trace = built_kernel("idct", "mom").trace
 
     def lane():
-        return LaneSpec(cfg, make_memsys("perfect", 8, "mom"),
-                        accounting=True)
+        return Core(cfg, make_memsys("perfect", 8, "mom"), accounting=True)
 
     results = BatchCore([lane(), lane()]).run(trace)
-    assert results[1].meta.get("batch_mirrored") is True
     assert results[0].stack == results[1].stack
     assert results[1].stack.total() == results[1].cycles
 

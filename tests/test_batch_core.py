@@ -7,9 +7,9 @@ each lane's ``SimResult`` digests identically to running that lane alone
 through ``Core.run_reference`` (or to the seed digests).  Covered: the
 full golden mini-grid batched per trace, randomized mixed-lane batches
 (Table-1 configs x ablation knobs x perfect-vs-cache memory),
-duplicate-lane collapsing, ring wrap-around with artificially small
-decode blocks, the ring-retention safety check, the lanes a batch
-rejects, and the empty trace.
+duplicate lanes, ring wrap-around with artificially small decode
+blocks, the ring-retention safety check, the lanes a batch rejects,
+and the empty trace.  A lane is a ``Core``.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.cpu import Core, machine_config
-from repro.cpu.batch import BatchCore, LaneSpec
+from repro.cpu.batch import BatchCore
 from repro.cpu.core import STACK_COMPONENTS
 from repro.emulib.trace import Trace
 from repro.exp.engine import built_kernel
@@ -41,7 +41,7 @@ def test_golden_grid_batched_per_trace(group, points):
     """All (way, memory) lanes of one trace in a single batch pass."""
     kernel, isa = group
     trace = built_kernel(kernel, isa).trace
-    lanes = [LaneSpec(machine_config(way, isa), make_memsys(mem, way, isa))
+    lanes = [Core(machine_config(way, isa), make_memsys(mem, way, isa))
              for _, _, way, mem in points]
     results = BatchCore(lanes).run(trace)
     for (k, i, way, mem), result in zip(points, results):
@@ -69,8 +69,8 @@ def test_mixed_lane_fuzz_matches_per_lane_core():
         pool = [(way, mem, knobs) for way in (2, 8) for mem in memories
                 for knobs in KNOB_SPACE]
         picks = rng.sample(pool, 8)
-        lanes = [LaneSpec(machine_config(way, isa),
-                          make_memsys(mem, way, isa), **knobs)
+        lanes = [Core(machine_config(way, isa),
+                      make_memsys(mem, way, isa), **knobs)
                  for way, mem, knobs in picks]
         results = BatchCore(lanes).run(trace)
         for (way, mem, knobs), result in zip(picks, results):
@@ -81,36 +81,38 @@ def test_mixed_lane_fuzz_matches_per_lane_core():
 
 
 def test_duplicate_perfect_lanes_collapse_and_mirror():
-    """Identical perfect-memory lanes run once; mirrors are flagged and
-    digest identically to their representative."""
+    """Identical perfect-memory lanes each simulate and digest
+    identically (nothing is shared between them but the decode)."""
     trace = built_kernel("idct", "mom").trace
     cfg = machine_config(8, "mom")
 
     def lane():
-        return LaneSpec(cfg, PerfectMemory(1, cfg.mem_ports,
-                                           cfg.mem_port_width))
+        return Core(cfg, PerfectMemory(1, cfg.mem_ports, cfg.mem_port_width))
 
     results = BatchCore([lane(), lane(), lane()]).run(trace)
     digests = {result_digest(r) for r in results}
     assert len(digests) == 1
-    assert "batch_mirrored" not in results[0].meta
-    assert results[1].meta.get("batch_mirrored") is True
-    assert results[2].meta.get("batch_mirrored") is True
     assert digests.pop() == GOLDEN_DIGESTS[("idct", "mom", 8, "perfect")]
 
 
 def test_cache_lanes_never_collapse():
-    """Stateful hierarchies must not dedup even when configured equally."""
-    lane_a = LaneSpec(machine_config(2, "alpha"),
-                      make_memsys("cache", 2, "alpha"))
-    lane_b = LaneSpec(machine_config(2, "alpha"),
-                      make_memsys("cache", 2, "alpha"))
-    assert lane_a.dedup_key() is None and lane_b.dedup_key() is None
+    """Equally configured hierarchies each run their own cache."""
+    lane_a = Core(machine_config(2, "alpha"),
+                  make_memsys("cache", 2, "alpha"))
+    lane_b = Core(machine_config(2, "alpha"),
+                  make_memsys("cache", 2, "alpha"))
     trace = built_kernel("idct", "alpha").trace
     results = BatchCore([lane_a, lane_b]).run(trace)
-    assert all("batch_mirrored" not in r.meta for r in results)
     assert result_digest(results[0]) == result_digest(results[1]) \
         == GOLDEN_DIGESTS[("idct", "alpha", 2, "cache")]
+
+
+def test_lanes_sharing_a_memory_model_rejected():
+    """Each lane drives its own memory model: two lanes on one model
+    (the same core twice, say) would interleave their accesses."""
+    core = Core(machine_config(2, "alpha"), make_memsys("perfect", 2, "alpha"))
+    with pytest.raises(ValueError, match="share a memory model"):
+        BatchCore([core, core])
 
 
 def test_ring_wraparound_with_tiny_blocks(monkeypatch):
@@ -122,8 +124,7 @@ def test_ring_wraparound_with_tiny_blocks(monkeypatch):
                                   ("motion2", "mmx", 2, "perfect")):
         trace = built_kernel(kernel, isa).trace
         assert len(trace) > 512      # otherwise nothing wraps
-        lanes = [LaneSpec(machine_config(way, isa),
-                          make_memsys(mem, way, isa))]
+        lanes = [Core(machine_config(way, isa), make_memsys(mem, way, isa))]
         (result,) = BatchCore(lanes).run(trace)
         assert result_digest(result) == GOLDEN_DIGESTS[(kernel, isa, way,
                                                         mem)]
@@ -137,8 +138,8 @@ def test_ring_retention_violation_raises(monkeypatch):
     monkeypatch.setattr(BatchCore, "RING", 256)
     trace = built_kernel("idct", "alpha").trace
     assert len(trace) > 256
-    lanes = [LaneSpec(machine_config(2, "alpha"),
-                      make_memsys("perfect", 2, "alpha"))]
+    lanes = [Core(machine_config(2, "alpha"),
+                  make_memsys("perfect", 2, "alpha"))]
     with pytest.raises(RuntimeError, match="batch ring retention violated"):
         BatchCore(lanes).run(trace)
 
@@ -148,7 +149,7 @@ def test_memsys_without_try_issue_is_unbatchable():
         pass
 
     with pytest.raises(ValueError, match="try_issue"):
-        BatchCore([LaneSpec(machine_config(2, "alpha"), Weird())])
+        BatchCore([Core(machine_config(2, "alpha"), Weird())])
     with pytest.raises(ValueError, match="try_issue"):
         Core(machine_config(2, "alpha"), Weird()).run(
             built_kernel("idct", "alpha").trace)
@@ -158,7 +159,7 @@ def test_memsys_without_try_issue_is_unbatchable():
 def test_predictor_tables_must_be_powers_of_two(field):
     cfg = dataclasses.replace(machine_config(2, "alpha"), **{field: 1000})
     with pytest.raises(ValueError, match="powers of two"):
-        BatchCore([LaneSpec(cfg, PerfectMemory(1, 2, 1))])
+        BatchCore([Core(cfg, PerfectMemory(1, 2, 1))])
 
 
 def test_empty_lane_list_rejected():
@@ -178,10 +179,10 @@ def test_empty_trace_keeps_the_run_bookkeeping(accounting):
                   accounting=accounting).run(trace, phases=phases)
     assert set(phases) == {"decode", "step", "writeback"}
     assert result.cycles == 0 and result.instructions == 0
-    batch = BatchCore([LaneSpec(cfg, PerfectMemory(1, 2, 1),
-                                accounting=accounting),
-                       LaneSpec(cfg, make_memsys("cache", 4, "mom"),
-                                accounting=accounting)])
+    batch = BatchCore([Core(cfg, PerfectMemory(1, 2, 1),
+                            accounting=accounting),
+                       Core(cfg, make_memsys("cache", 4, "mom"),
+                            accounting=accounting)])
     phases = {}
     results = batch.run(trace, phases=phases)
     assert set(phases) == {"decode", "step", "writeback"}

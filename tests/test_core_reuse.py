@@ -3,8 +3,8 @@
 Regression for the reuse footgun: ``bpred``/``btb``/``FuPool`` state used
 to survive across ``run()`` calls on one instance, so a second run saw
 warm predictor tables and stale FU busy horizons and silently diverged
-from a fresh core.  ``Core`` now rebuilds that run-scoped state at the
-top of every run.
+from a fresh core.  ``Core`` now keeps no such state: both engines build
+it afresh inside every run.
 
 The *memory system* is caller-owned and deliberately not reset -- cache
 contents surviving a run is a feature (and perfect-memory port horizons a

@@ -7,7 +7,9 @@ from repro.emulib.disasm import (class_mix_report, disassemble, format_instr,
                                  format_operand, summarize)
 from repro.emulib.trace import reg
 from repro.eval.fetch_pressure import mom_fetch_advantage, run
+from repro.exp import Session, engine
 from repro.isa.model import RegPool
+import repro.kernels
 
 
 def test_format_operand_pools():
@@ -111,3 +113,18 @@ def test_fetch_pressure_study():
     assert motion["mom"].retention_1way >= motion["mmx"].retention_1way
     ratios = mom_fetch_advantage(results)
     assert ratios["motion1"] > 8       # "an order of magnitude"
+
+
+def test_warm_fetch_pressure_builds_no_trace(tmp_path, monkeypatch):
+    """Every row is read off the sweep's results: with the build memo
+    emptied and every kernel build refused, a warm run returns the cold
+    run's rows."""
+    kernels = ("compensation", "motion1")
+    cold = run(kernels=kernels, session=Session(tmp_path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel trace was built")
+
+    monkeypatch.setattr(engine, "_BUILD_MEMO", {})
+    monkeypatch.setattr(repro.kernels, "build_and_check", refuse)
+    assert run(kernels=kernels, session=Session(tmp_path)) == cold

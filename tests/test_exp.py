@@ -1,7 +1,9 @@
 """Tests for the unified experiment engine (specs, cache, sessions, CLI)."""
 
+import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -301,6 +303,12 @@ def test_run_accepts_point_iterables(tmp_path):
     results = session.run([point, point])
     assert list(results) == [point]
     assert results[point].cycles > 0
+    # Repeats are dropped before grouping, so no batch holds two copies
+    # of one point: [p, p, q] on one trace is a single two-lane group.
+    other = PointSpec(**{**KERNEL_POINT, "way": 8})
+    results = Session(tmp_path, salt="y").run([point, point, other])
+    assert list(results) == [point, other]
+    assert [r.meta["batch_lanes"] for r in results.values()] == [2, 2]
 
 
 # --- Session: batch-lane grouping -------------------------------------------------
@@ -549,6 +557,23 @@ def test_cli_fetch_pressure_names_fetch_bound_cycles(capsys):
     summary = out.partition("\nFetch economy:")[2].splitlines()[1:]
     assert [line.split()[0] for line in summary] == list(KERNEL_ORDER)
     assert all(re.fullmatch(r"  \S+ +\d+\.\dx", line) for line in summary)
+
+
+class _TTY(io.StringIO):
+    """A stderr that reports a terminal, so ``--progress`` is honoured."""
+
+    def isatty(self):
+        return True
+
+
+@pytest.mark.parametrize("command", ["latency", "fetch-pressure"])
+def test_cli_progress_draws_the_line(command, monkeypatch):
+    from repro.exp.cli import main
+
+    stderr = _TTY()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main([command, "--progress"]) == 0
+    assert "points/s" in stderr.getvalue()
 
 
 def test_cli_has_no_bench_command(capsys):

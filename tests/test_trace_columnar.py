@@ -1,12 +1,12 @@
-"""Columnar trace store: chunk geometry, digests, mutation view, writers.
+"""Columnar trace store: chunk geometry, digests, mutation, writers.
 
 The contract under test (DESIGN.md section 5): the structure-of-arrays
 encoding behind :class:`~repro.emulib.trace.Trace` is invisible at the
 API -- iteration yields equal :class:`~repro.emulib.trace.DynInstr`
 objects, digests are bit-identical to the historical list encoding and
-independent of chunk boundaries and of which writer staged a row, the
-``instructions`` escape hatch still behaves like the list it replaced,
-and builders write rows without constructing a ``DynInstr``.
+independent of chunk boundaries and of which writer staged a row,
+``extend`` copies rows by value, and builders write rows without
+constructing a ``DynInstr``.
 """
 
 import numpy as np
@@ -191,21 +191,21 @@ def test_extend_copies_rows_instead_of_aliasing():
     digest_a = trace_digest(a)
     summary_a = a.summary()
 
-    # Mutating the source trace must not reach through to the extended
-    # copy (the seed list encoding shared DynInstr instances here, so a
-    # later in-place edit corrupted both streams and silently
+    # Replacing the source trace's row must not reach through to the
+    # extended copy (the seed list encoding shared DynInstr instances
+    # here, so a later in-place edit corrupted both streams and silently
     # desynchronized whichever cached TraceSummary the other trace held).
-    b.instructions[0] = DynInstr(ALPHA["mulq"], dsts=(reg(RegPool.INT, 2),))
-    b.invalidate_summary()
+    b.truncate(0)
+    b.append(DynInstr(ALPHA["mulq"], dsts=(reg(RegPool.INT, 2),)))
     assert b.opcode_histogram() == {"mulq": 1}
     assert trace_digest(a) == digest_a
     assert a[1].op.name == "subq"
     assert a.summary() is summary_a
     assert a.opcode_histogram() == {"addq": 1, "subq": 1}
 
-    # And symmetrically: mutating the destination leaves the source alone.
-    a.instructions[1] = DynInstr(ALPHA["bis"], dsts=(reg(RegPool.INT, 3),))
-    a.invalidate_summary()
+    # And symmetrically: replacing the copied row leaves the source alone.
+    a.truncate(1)
+    a.append(DynInstr(ALPHA["bis"], dsts=(reg(RegPool.INT, 3),)))
     assert b[0].op.name == "mulq"
     assert a.opcode_histogram() == {"addq": 1, "bis": 1}
 
@@ -217,64 +217,6 @@ def test_self_extend_doubles_the_stream():
     assert len(t) == 10
     for got, want in zip(t, rows + rows):
         _assert_instr_equal(got, want)
-
-
-# --- the instructions escape hatch ---------------------------------------------
-
-def test_instructions_view_reads_like_a_list():
-    rows = _mixed_rows(9)
-    t = _fill(Trace("mom", chunk_rows=4), rows)
-    view = t.instructions
-    assert len(view) == 9
-    _assert_instr_equal(view[3], rows[3])
-    assert [i.op.name for i in view] == [r.op.name for r in rows]
-    assert [i.op.name for i in view[2:5]] == [r.op.name for r in rows[2:5]]
-
-
-def test_direct_mutation_then_invalidate_summary():
-    """The documented escape hatch: mutate ``instructions`` directly, then
-    call ``invalidate_summary()`` -- the refreshed summary reflects the
-    mutation, whatever storage block the row lived in."""
-    for chunk in (2, CHUNK_ROWS):       # sealed-row and staging-row cases
-        t = Trace("alpha", chunk_rows=chunk)
-        t.append(DynInstr(ALPHA["addq"]))
-        t.append(DynInstr(ALPHA["addq"]))
-        t.append(DynInstr(ALPHA["addq"]))
-        assert t.opcode_histogram() == {"addq": 3}
-        t.instructions[1] = DynInstr(ALPHA["ldq"], addr=16, nbytes=8)
-        t.invalidate_summary()
-        assert t.opcode_histogram() == {"addq": 2, "ldq": 1}
-        assert t.memory_references() == 1
-        assert t[1].op.name == "ldq" and t[1].addr == 16
-
-
-def test_view_tail_deletion_matches_list_semantics():
-    rows = _mixed_rows(10)
-    t = _fill(Trace("mom", chunk_rows=4), rows)
-    mark = 6
-    del t.instructions[mark:]           # the vc dry-run discard idiom
-    t.invalidate_summary()
-    assert len(t) == 6
-    assert trace_digest(t) == trace_digest(_fill(Trace("mom"), rows[:6]))
-    del t.instructions[2]
-    t.invalidate_summary()
-    expect = rows[:2] + rows[3:6]
-    assert [i.op.name for i in t] == [r.op.name for r in expect]
-    t.instructions.insert(0, rows[9])
-    t.invalidate_summary()
-    assert t[0].op.name == rows[9].op.name and len(t) == 6
-    t.instructions.clear()
-    assert len(t) == 0
-
-
-def test_view_append_and_extend_write_through():
-    t = Trace("alpha")
-    t.instructions.append(DynInstr(ALPHA["addq"]))
-    t.instructions.extend([DynInstr(ALPHA["subq"]),
-                           DynInstr(ALPHA["mulq"])])
-    t.invalidate_summary()
-    assert [i.op.name for i in t] == ["addq", "subq", "mulq"]
-    assert t.opcode_histogram() == {"addq": 1, "subq": 1, "mulq": 1}
 
 
 # --- storage economics ---------------------------------------------------------
