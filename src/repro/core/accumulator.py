@@ -23,9 +23,18 @@ MOM matrix instruction amortizes that recurrence over up to 16 rows of work
 folds them at the end, like classic vector machines.
 :class:`PipelinedAccumulation` models exactly that timing argument and is
 used by the examples and ablation benchmarks.
+
+Every accumulate operation takes its two word arguments in either form
+of :mod:`repro.core.packed`: plain ``int`` words (one MDMX instruction)
+or numpy rows (a MOM instruction's first VL rows), whose per-lane
+contributions are summed over the rows and folded in at once.  Lanes
+wrap modulo their width, so one fold of the row sum leaves exactly the
+bits that folding the rows one at a time would.
 """
 
 from __future__ import annotations
+
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -46,6 +55,25 @@ def _wrap_signed(value: int, bits: int) -> int:
     if value >= 1 << (bits - 1):
         value -= 1 << bits
     return value
+
+
+def _row_lanes(words, elem: ElemType, signed: bool) -> np.ndarray:
+    """numpy words as a ``(rows, lanes)`` matrix of lanes wide enough that
+    16 rows of products sum exactly (``W``/``Q`` lanes as Python ints)."""
+    lanes = packed.to_lanes(words, elem, signed=signed).reshape(-1, elem.lanes)
+    return lanes.astype(object if elem.bits >= 32 else np.int64)
+
+
+def _neg_product(x, y):
+    return -(x * y)
+
+
+def _abs_difference(x, y):
+    return abs(x - y)
+
+
+def _square_difference(x, y):
+    return (x - y) * (x - y)
 
 
 class PackedAccumulator:
@@ -71,54 +99,50 @@ class PackedAccumulator:
             for i in range(elem.lanes)
         ]
 
-    def _store_lanes(self, values: list[int], elem: ElemType) -> None:
-        width = _lane_width(elem)
-        mask = (1 << width) - 1
-        bits = 0
-        for i, v in enumerate(values):
-            bits |= (v & mask) << (i * width)
-        self.bits = bits & _ACC_MASK
-
     # --- accumulate operations ----------------------------------------------
 
     def clear(self) -> None:
         self.bits = 0
 
-    def _accumulate(self, deltas: np.ndarray, elem: ElemType) -> None:
+    def _accumulate(self, deltas, elem: ElemType) -> None:
+        """Add one delta per lane, each lane wrapping modulo its width."""
         width = _lane_width(elem)
-        lanes = self.lanes(elem)
-        updated = [
-            _wrap_signed(lane + int(delta), width)
-            for lane, delta in zip(lanes, deltas)
-        ]
-        self._store_lanes(updated, elem)
+        mask = (1 << width) - 1
+        bits = self.bits
+        out = 0
+        shift = 0
+        for delta in deltas:
+            out |= (((bits >> shift) + delta) & mask) << shift
+            shift += width
+        self.bits = out
+
+    def _fold(self, a, b, elem: ElemType, signed: bool, combine) -> None:
+        """``acc += combine(a, b)`` per lane, summed over every row of
+        ``a`` and ``b`` when they are numpy rows."""
+        if type(a) is int and type(b) is int:
+            self._accumulate(map(combine, packed.word_to_lanes(a, elem, signed),
+                                 packed.word_to_lanes(b, elem, signed)), elem)
+            return
+        la = _row_lanes(a, elem, signed)
+        lb = _row_lanes(b, elem, signed)
+        self._accumulate(combine(la, lb).sum(axis=0).tolist(), elem)
 
     def madd(self, a, b, elem: ElemType, signed: bool = True,
              subtract: bool = False) -> None:
         """``acc +/-= a * b`` per lane, full-precision products."""
-        la = packed.to_lanes(a, elem, signed=signed).astype(np.int64).reshape(-1)
-        lb = packed.to_lanes(b, elem, signed=signed).astype(np.int64).reshape(-1)
-        prod = la * lb
-        self._accumulate(-prod if subtract else prod, elem)
+        self._fold(a, b, elem, signed, _neg_product if subtract else mul)
 
     def acc_add(self, a, b, elem: ElemType, subtract: bool = False) -> None:
         """``acc += a + b`` (or ``a - b``) per unsigned lane."""
-        la = packed.to_lanes(a, elem, signed=False).astype(np.int64).reshape(-1)
-        lb = packed.to_lanes(b, elem, signed=False).astype(np.int64).reshape(-1)
-        self._accumulate(la - lb if subtract else la + lb, elem)
+        self._fold(a, b, elem, False, sub if subtract else add)
 
     def acc_sad(self, a, b, elem: ElemType) -> None:
         """``acc += |a - b|`` per unsigned lane (motion1's primitive)."""
-        la = packed.to_lanes(a, elem, signed=False).astype(np.int64).reshape(-1)
-        lb = packed.to_lanes(b, elem, signed=False).astype(np.int64).reshape(-1)
-        self._accumulate(np.abs(la - lb), elem)
+        self._fold(a, b, elem, False, _abs_difference)
 
     def acc_sqd(self, a, b, elem: ElemType) -> None:
         """``acc += (a - b)^2`` per unsigned lane (motion2's primitive)."""
-        la = packed.to_lanes(a, elem, signed=False).astype(np.int64).reshape(-1)
-        lb = packed.to_lanes(b, elem, signed=False).astype(np.int64).reshape(-1)
-        diff = la - lb
-        self._accumulate(diff * diff, elem)
+        self._fold(a, b, elem, False, _square_difference)
 
     def scalar_add(self, delta: int) -> None:
         """Accumulate into the register viewed as one 192-bit scalar.
@@ -179,13 +203,15 @@ class PackedAccumulator:
         """
         if shift < 0:
             raise ValueError("shift must be non-negative")
+        bits = elem.bits
+        lo, hi = ((-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed
+                  else (0, (1 << bits) - 1))
+        half = (1 << (shift - 1)) if shift else 0
         out = []
         for lane in self.lanes(elem):
-            if shift:
-                lane = (lane + (1 << (shift - 1))) >> shift
-            out.append(lane)
-        clipped = packed.saturate(np.asarray(out, dtype=np.int64), elem, signed)
-        return int(packed.from_lanes(clipped))
+            lane = (lane + half) >> shift
+            out.append(lo if lane < lo else hi if lane > hi else lane)
+        return packed.word_from_lanes(out, elem)
 
     def total(self, elem: ElemType) -> int:
         """Sum of all lanes -- convenient for reduction read-out in kernels."""

@@ -7,12 +7,27 @@ rows of a matrix register (MOM).
 
 Representation
 --------------
-A packed word is a ``numpy.uint64``.  Arrays of packed words (a MOM matrix
-register is an array of 16) work transparently: every function accepts
-``numpy`` arrays of any shape with ``dtype=uint64`` and returns an array of
-the same shape.  Lane access uses little-endian ``view`` reinterpretation,
-i.e. byte lane 0 is the least significant byte, matching how the kernels lay
-data out in the byte-addressable :class:`repro.emulib.memory.Memory`.
+Every operation the MMX/MDMX builders call has two forms, chosen by the
+type of its word arguments (:func:`abs_packed`, which only MOM calls, has
+the numpy form alone):
+
+* **int words** -- when every word argument is a plain Python ``int`` in
+  ``[0, 2**64)`` the operation computes on ints and returns an ``int``.
+  Wraparound add and subtract, logical shifts and the rounded average
+  are whole-word (SWAR) expressions with per-lane carry masks;
+  saturation, multiplies, compares, pack/unpack and shuffles loop over
+  the lanes, which :mod:`struct` splits and joins in one call each.  This
+  is the MMX/MDMX builders' path: one word per instruction.
+* **numpy rows** -- any other argument (a ``numpy.uint64`` scalar or an
+  array of any shape with ``dtype=uint64``; a MOM matrix register is an
+  array of 16) goes through numpy and returns an array of the same
+  shape.  Lane access uses little-endian ``view`` reinterpretation, i.e.
+  byte lane 0 is the least significant byte, matching how the kernels lay
+  data out in the byte-addressable :class:`repro.emulib.memory.Memory`.
+
+The two forms agree bit for bit on every input (``tests/test_packed.py``
+compares them on random and edge words for every element type); no
+option selects between them.
 
 Element types
 -------------
@@ -26,9 +41,13 @@ truncation, exactly as hardware would.
 
 from __future__ import annotations
 
+from struct import Struct
+
 import numpy as np
 
 from ..isa.model import ElemType
+
+_U64 = (1 << 64) - 1
 
 #: numpy dtypes used to reinterpret a packed uint64 word, per element type.
 _UNSIGNED_DTYPE = {
@@ -44,13 +63,70 @@ _SIGNED_DTYPE = {
     ElemType.Q: np.int64,
 }
 
-#: Saturation bounds per element type: (signed_min, signed_max, unsigned_max).
-_BOUNDS = {
-    ElemType.B: (-(1 << 7), (1 << 7) - 1, (1 << 8) - 1),
-    ElemType.H: (-(1 << 15), (1 << 15) - 1, (1 << 16) - 1),
-    ElemType.W: (-(1 << 31), (1 << 31) - 1, (1 << 32) - 1),
-    ElemType.Q: (-(1 << 63), (1 << 63) - 1, (1 << 64) - 1),
+class _Lanes:
+    """One element type's lane constants.
+
+    ``mask`` is one lane's bits (and its unsigned maximum), ``smin`` and
+    ``smax`` its signed range.  ``sign`` has the top bit of every lane set
+    and ``low`` every other bit (the SWAR carry masks); ``ones`` has bit 0
+    of every lane set, so ``ones * m`` repeats an ``m`` lane pattern
+    across the word.  The two :class:`~struct.Struct` codecs split a
+    word's little-endian bytes into unsigned or signed lane values and
+    join them back.
+    """
+
+    __slots__ = ("lanes", "bits", "mask", "smin", "smax", "sign", "low",
+                 "ones", "unsigned", "signed")
+
+    def __init__(self, lanes: int, code: str) -> None:
+        bits = 64 // lanes
+        self.lanes = lanes
+        self.bits = bits
+        self.mask = (1 << bits) - 1
+        self.smin = -(1 << (bits - 1))
+        self.smax = (1 << (bits - 1)) - 1
+        self.ones = _U64 // self.mask
+        self.sign = self.ones << (bits - 1)
+        self.low = _U64 ^ self.sign
+        self.unsigned = Struct(f"<{lanes}{code.upper()}")
+        self.signed = Struct(f"<{lanes}{code}")
+
+    def bounds(self, signed: bool) -> tuple[int, int]:
+        """The lane's saturation range, signed or unsigned."""
+        return (self.smin, self.smax) if signed else (0, self.mask)
+
+
+_LANES = {
+    ElemType.B: _Lanes(8, "b"),
+    ElemType.H: _Lanes(4, "h"),
+    ElemType.W: _Lanes(2, "i"),
+    ElemType.Q: _Lanes(1, "q"),
 }
+
+
+def _split(word: int, codec: Struct) -> tuple[int, ...]:
+    """Lane values of one int word through ``codec`` (lane 0 first)."""
+    return codec.unpack(word.to_bytes(8, "little"))
+
+
+def _join(values, codec: Struct) -> int:
+    """The int word of lane values that ``codec`` can hold."""
+    return int.from_bytes(codec.pack(*values), "little")
+
+
+def word_to_lanes(word: int, elem: ElemType, signed: bool = False) -> tuple[int, ...]:
+    """Int form of :func:`to_lanes`: the lanes of one int word, lane 0
+    first, as unsigned (or two's-complement signed) Python ints."""
+    spec = _LANES[elem]
+    return _split(word, spec.signed if signed else spec.unsigned)
+
+
+def word_from_lanes(values, elem: ElemType) -> int:
+    """Int form of :func:`from_lanes`: pack lane values, each taken
+    modulo the lane width (so negative values wrap), into one int word."""
+    spec = _LANES[elem]
+    mask = spec.mask
+    return _join([v & mask for v in values], spec.unsigned)
 
 
 def _as_words(a) -> np.ndarray:
@@ -102,10 +178,8 @@ def from_lanes(lanes: np.ndarray) -> np.ndarray:
 
 def saturate(values: np.ndarray, elem: ElemType, signed: bool) -> np.ndarray:
     """Clamp ``values`` (a wide-dtype lane array) to the lane's numeric range."""
-    smin, smax, umax = _BOUNDS[elem]
-    if signed:
-        return np.clip(values, smin, smax)
-    return np.clip(values, 0, umax)
+    lo, hi = _LANES[elem].bounds(signed)
+    return np.clip(values, lo, hi)
 
 
 def _wide(lanes: np.ndarray, elem: ElemType) -> np.ndarray:
@@ -128,52 +202,103 @@ def _binary_wide(a, b, elem: ElemType, signed: bool):
 
 
 # --- add / subtract ----------------------------------------------------------
+#
+# Each operation below but ``abs_packed`` starts with its int-word form,
+# taken when every word argument is a plain ``int``; the rest of the body
+# is the numpy form.
 
-def add_wrap(a, b, elem: ElemType) -> np.ndarray:
+def add_wrap(a, b, elem: ElemType):
     """Packed modular (wraparound) addition."""
+    if type(a) is int and type(b) is int:
+        # Add below each lane's top bit, then fold the top bits in by XOR:
+        # no carry ever crosses a lane boundary.
+        spec = _LANES[elem]
+        low = spec.low
+        return ((a & low) + (b & low)) ^ ((a ^ b) & spec.sign)
     la, lb = _binary_wide(a, b, elem, signed=False)
     return from_lanes(la + lb)
 
 
-def add_sat(a, b, elem: ElemType, signed: bool) -> np.ndarray:
+def add_sat(a, b, elem: ElemType, signed: bool):
     """Packed saturating addition (signed or unsigned)."""
+    if type(a) is int and type(b) is int:
+        spec = _LANES[elem]
+        codec = spec.signed if signed else spec.unsigned
+        lo, hi = spec.bounds(signed)
+        return _join([lo if (v := x + y) < lo else hi if v > hi else v
+                      for x, y in zip(_split(a, codec), _split(b, codec))],
+                     codec)
     la, lb = _binary_wide(a, b, elem, signed=signed)
     return from_lanes(saturate(la + lb, elem, signed))
 
 
-def sub_wrap(a, b, elem: ElemType) -> np.ndarray:
+def sub_wrap(a, b, elem: ElemType):
     """Packed modular (wraparound) subtraction."""
+    if type(a) is int and type(b) is int:
+        # Set each lane's top bit of ``a`` so no borrow leaves the lane,
+        # then fix the top bits up by XOR.
+        spec = _LANES[elem]
+        sign = spec.sign
+        return ((a | sign) - (b & spec.low)) ^ ((a ^ b ^ sign) & sign)
     la, lb = _binary_wide(a, b, elem, signed=False)
     return from_lanes(la - lb)
 
 
-def sub_sat(a, b, elem: ElemType, signed: bool) -> np.ndarray:
+def sub_sat(a, b, elem: ElemType, signed: bool):
     """Packed saturating subtraction (signed or unsigned)."""
+    if type(a) is int and type(b) is int:
+        spec = _LANES[elem]
+        codec = spec.signed if signed else spec.unsigned
+        lo, hi = spec.bounds(signed)
+        return _join([lo if (v := x - y) < lo else hi if v > hi else v
+                      for x, y in zip(_split(a, codec), _split(b, codec))],
+                     codec)
     la, lb = _binary_wide(a, b, elem, signed=signed)
     return from_lanes(saturate(la - lb, elem, signed))
 
 
 # --- multiply ----------------------------------------------------------------
 
-def mul_low(a, b, elem: ElemType) -> np.ndarray:
+def mul_low(a, b, elem: ElemType):
     """Packed multiply keeping the low half of each signed product."""
+    if type(a) is int and type(b) is int:
+        # The low half of a product is the same for signed and unsigned
+        # lanes.
+        spec = _LANES[elem]
+        codec, mask = spec.unsigned, spec.mask
+        return _join([(x * y) & mask
+                      for x, y in zip(_split(a, codec), _split(b, codec))],
+                     codec)
     la, lb = _binary_wide(a, b, elem, signed=True)
     return from_lanes(la * lb)
 
 
-def mul_high(a, b, elem: ElemType, signed: bool = True) -> np.ndarray:
+def mul_high(a, b, elem: ElemType, signed: bool = True):
     """Packed multiply keeping the high half of each product."""
+    if type(a) is int and type(b) is int:
+        spec = _LANES[elem]
+        codec = spec.signed if signed else spec.unsigned
+        bits, mask = spec.bits, spec.mask
+        return _join([((x * y) >> bits) & mask
+                      for x, y in zip(_split(a, codec), _split(b, codec))],
+                     spec.unsigned)
     la, lb = _binary_wide(a, b, elem, signed=signed)
     bits = elem.bits
     return from_lanes((la * lb) >> bits)
 
 
-def mul_add_pairs(a, b) -> np.ndarray:
+def mul_add_pairs(a, b):
     """MMX ``pmaddh``: multiply 16-bit lanes, sum adjacent pairs into 32-bit.
 
     ``result.w[i] = a.h[2i]*b.h[2i] + a.h[2i+1]*b.h[2i+1]`` (signed, full
     precision -- the 33-bit worst case wraps into the 32-bit lane as on x86).
     """
+    if type(a) is int and type(b) is int:
+        codec = _LANES[ElemType.H].signed
+        a0, a1, a2, a3 = _split(a, codec)
+        b0, b1, b2, b3 = _split(b, codec)
+        return (((a0 * b0 + a1 * b1) & 0xFFFF_FFFF)
+                | ((a2 * b2 + a3 * b3) & 0xFFFF_FFFF) << 32)
     la, lb = _binary_wide(a, b, ElemType.H, signed=True)
     prod = la * lb
     pairs = prod[..., 0::2] + prod[..., 1::2]
@@ -182,61 +307,94 @@ def mul_add_pairs(a, b) -> np.ndarray:
 
 # --- average / absolute difference --------------------------------------------
 
-def avg_round(a, b, elem: ElemType) -> np.ndarray:
+def avg_round(a, b, elem: ElemType):
     """Packed rounded average of unsigned lanes: ``(a + b + 1) >> 1``."""
+    if type(a) is int and type(b) is int:
+        # ceil((x + y) / 2) == (x | y) - ((x ^ y) >> 1), per lane; the
+        # mask drops the bits the shift moved across lane boundaries.
+        return (a | b) - (((a ^ b) >> 1) & _LANES[elem].low)
     la, lb = _binary_wide(a, b, elem, signed=False)
     return from_lanes((la + lb + 1) >> 1)
 
 
-def absdiff(a, b, elem: ElemType) -> np.ndarray:
+def absdiff(a, b, elem: ElemType):
     """Packed absolute difference of unsigned lanes."""
+    if type(a) is int and type(b) is int:
+        codec = _LANES[elem].unsigned
+        return _join([x - y if x > y else y - x
+                      for x, y in zip(_split(a, codec), _split(b, codec))],
+                     codec)
     la, lb = _binary_wide(a, b, elem, signed=False)
     return from_lanes(np.abs(la - lb))
 
 
-def sad(a, b, elem: ElemType = ElemType.B) -> np.ndarray:
+def sad(a, b, elem: ElemType = ElemType.B):
     """Sum of absolute differences, reduced into lane 0 of the result word."""
+    if type(a) is int and type(b) is int:
+        codec = _LANES[elem].unsigned
+        return sum([x - y if x > y else y - x
+                    for x, y in zip(_split(a, codec), _split(b, codec))])
     la, lb = _binary_wide(a, b, elem, signed=False)
-    total = np.abs(la - lb).sum(axis=-1)
+    # ``asarray``: one word of ``Q`` (object) lanes sums to a plain int.
+    total = np.asarray(np.abs(la - lb).sum(axis=-1))
     return total.astype(np.uint64)
 
 
-def abs_packed(a, elem: ElemType) -> np.ndarray:
-    """Packed absolute value of signed lanes (saturating ``abs(min)``)."""
+def abs_packed(a, elem: ElemType):
+    """Packed absolute value of signed lanes (saturating ``abs(min)``).
+
+    numpy form only: MOM's ``momabs*`` is the one caller."""
     la = _wide(to_lanes(a, elem, signed=True), elem)
     return from_lanes(saturate(np.abs(la), elem, signed=True))
 
 
 # --- min / max ------------------------------------------------------------------
 
-def minmax(a, b, elem: ElemType, signed: bool, take_max: bool) -> np.ndarray:
+def minmax(a, b, elem: ElemType, signed: bool, take_max: bool):
     """Packed lane-wise minimum or maximum."""
+    if type(a) is int and type(b) is int:
+        spec = _LANES[elem]
+        codec = spec.signed if signed else spec.unsigned
+        pairs = zip(_split(a, codec), _split(b, codec))
+        if take_max:
+            return _join([x if x > y else y for x, y in pairs], codec)
+        return _join([x if x < y else y for x, y in pairs], codec)
     la, lb = _binary_wide(a, b, elem, signed=signed)
     return from_lanes(np.maximum(la, lb) if take_max else np.minimum(la, lb))
 
 
 # --- compares / select ------------------------------------------------------------
 
-def cmp_mask(a, b, elem: ElemType, op: str) -> np.ndarray:
+def cmp_mask(a, b, elem: ElemType, op: str):
     """Packed compare producing an all-ones / all-zeros lane mask.
 
     Args:
         op: ``"eq"`` for equality or ``"gt"`` for signed greater-than.
     """
+    if op not in ("eq", "gt"):
+        raise ValueError(f"unknown compare op {op!r}")
+    if type(a) is int and type(b) is int:
+        spec = _LANES[elem]
+        umax = spec.mask
+        if op == "eq":
+            codec = spec.unsigned
+            hits = [umax if x == y else 0
+                    for x, y in zip(_split(a, codec), _split(b, codec))]
+        else:
+            codec = spec.signed
+            hits = [umax if x > y else 0
+                    for x, y in zip(_split(a, codec), _split(b, codec))]
+        return _join(hits, spec.unsigned)
     signed = op == "gt"
     la, lb = _binary_wide(a, b, elem, signed=signed)
-    if op == "eq":
-        hit = la == lb
-    elif op == "gt":
-        hit = la > lb
-    else:
-        raise ValueError(f"unknown compare op {op!r}")
-    umax = _BOUNDS[elem][2]
-    return from_lanes(np.where(hit, umax, 0))
+    hit = la == lb if op == "eq" else la > lb
+    return from_lanes(np.where(hit, _LANES[elem].mask, 0))
 
 
-def select(mask, a, b) -> np.ndarray:
+def select(mask, a, b):
     """Bitwise select: ``(mask & a) | (~mask & b)`` (the ``pcmov`` primitive)."""
+    if type(mask) is int and type(a) is int and type(b) is int:
+        return (mask & a) | (b & (_U64 ^ mask))
     m = _as_words(mask)
     wa = _as_words(a)
     wb = _as_words(b)
@@ -245,7 +403,7 @@ def select(mask, a, b) -> np.ndarray:
 
 # --- shifts --------------------------------------------------------------------------
 
-def shift(a, count: int, elem: ElemType, kind: str) -> np.ndarray:
+def shift(a, count: int, elem: ElemType, kind: str):
     """Packed shift of every lane by an immediate count.
 
     Args:
@@ -255,6 +413,22 @@ def shift(a, count: int, elem: ElemType, kind: str) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("shift count must be non-negative")
+    if kind not in ("sll", "srl", "sra"):
+        raise ValueError(f"unknown shift kind {kind!r}")
+    if type(a) is int:
+        spec = _LANES[elem]
+        bits = spec.bits
+        if kind == "sra":
+            eff = min(count, bits - 1)
+            codec = spec.signed
+            return _join([x >> eff for x in _split(a, codec)], codec)
+        if count >= bits:
+            return 0
+        # Shift the whole word, then clear the bits that crossed lanes.
+        mask = spec.mask
+        if kind == "sll":
+            return (a << count) & (spec.ones * ((mask << count) & mask))
+        return (a >> count) & (spec.ones * (mask >> count))
     bits = elem.bits
     if kind == "sra":
         la = to_lanes(a, elem, signed=True).astype(np.int64)
@@ -265,9 +439,7 @@ def shift(a, count: int, elem: ElemType, kind: str) -> np.ndarray:
         return from_lanes(np.zeros_like(la))
     if kind == "sll":
         return from_lanes(la << np.uint64(count))
-    if kind == "srl":
-        return from_lanes(la >> np.uint64(count))
-    raise ValueError(f"unknown shift kind {kind!r}")
+    return from_lanes(la >> np.uint64(count))
 
 
 # --- pack / unpack ----------------------------------------------------------------------
@@ -275,26 +447,42 @@ def shift(a, count: int, elem: ElemType, kind: str) -> np.ndarray:
 _NARROW = {ElemType.H: ElemType.B, ElemType.W: ElemType.H}
 
 
-def pack_sat(a, b, elem: ElemType, signed: bool) -> np.ndarray:
+def pack_sat(a, b, elem: ElemType, signed: bool):
     """Narrow two words into one with saturation (``packsshb`` family).
 
     Lanes of ``a`` fill the low half of the result, lanes of ``b`` the high
     half, each saturated to the next-narrower element type.
     """
     narrow = _NARROW[elem]
+    if type(a) is int and type(b) is int:
+        wide = _LANES[elem].signed
+        out = _LANES[narrow]
+        codec = out.signed if signed else out.unsigned
+        lo, hi = out.bounds(signed)
+        return _join([lo if x < lo else hi if x > hi else x
+                      for x in _split(a, wide) + _split(b, wide)], codec)
     la = to_lanes(a, elem, signed=True).astype(np.int64)
     lb = to_lanes(b, elem, signed=True).astype(np.int64)
     merged = np.concatenate([la, lb], axis=-1)
     return from_lanes(saturate(merged, narrow, signed))
 
 
-def unpack_interleave(a, b, elem: ElemType, high: bool) -> np.ndarray:
+def unpack_interleave(a, b, elem: ElemType, high: bool):
     """Interleave low (or high) lanes of two words (``punpckl*``/``punpckh*``).
 
     ``result`` alternates lanes ``a[i], b[i]`` starting from the low (or
     high) half of the sources; the result has the same lane width, so half
     the source lanes of each word survive.
     """
+    if type(a) is int and type(b) is int:
+        spec = _LANES[elem]
+        codec = spec.unsigned
+        half = spec.lanes // 2
+        sel = slice(half, None) if high else slice(0, half)
+        out = [0] * spec.lanes
+        out[0::2] = _split(a, codec)[sel]
+        out[1::2] = _split(b, codec)[sel]
+        return _join(out, codec)
     la = to_lanes(a, elem, signed=False)
     lb = to_lanes(b, elem, signed=False)
     lanes = elem.lanes
@@ -306,20 +494,26 @@ def unpack_interleave(a, b, elem: ElemType, high: bool) -> np.ndarray:
     return from_lanes(out)
 
 
-def shuffle_halves(a, order: tuple[int, int, int, int]) -> np.ndarray:
+def shuffle_halves(a, order: tuple[int, int, int, int]):
     """Rearrange the four 16-bit lanes of each word (``pshufh``)."""
     if len(order) != 4:
         raise ValueError("order must have four entries")
     if any(not 0 <= i < 4 for i in order):
         raise ValueError("shuffle indices must be in range(4)")
+    if type(a) is int:
+        codec = _LANES[ElemType.H].unsigned
+        lanes = _split(a, codec)
+        return _join([lanes[i] for i in order], codec)
     la = to_lanes(a, ElemType.H, signed=False)
     return from_lanes(la[..., list(order)])
 
 
 # --- horizontal reductions ---------------------------------------------------------------
 
-def horizontal_sum(a, elem: ElemType) -> np.ndarray:
+def horizontal_sum(a, elem: ElemType):
     """Sum all lanes of each word into a 64-bit scalar (``psum*`` family)."""
+    if type(a) is int:
+        return sum(_split(a, _LANES[elem].unsigned))
     la = to_lanes(a, elem, signed=False).astype(np.uint64)
     return la.sum(axis=-1, dtype=np.uint64)
 

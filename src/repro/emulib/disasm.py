@@ -3,9 +3,9 @@
 The emulation libraries record traces whose rows read back as
 :class:`~repro.emulib.trace.DynInstr` records; this module renders them in
 an assembly-like listing (one line per dynamic instruction, with operands,
-effective addresses, vector lengths and branch outcomes) and produces
-summary reports.  Used for debugging kernels,
-for documentation, and by the fetch-pressure study.
+effective addresses, vector lengths and branch outcomes), parses such
+lines back, and renders an instruction-class mix report.  Used for
+debugging kernels and for documentation.
 """
 
 from __future__ import annotations
@@ -129,36 +129,6 @@ def disassemble(trace: Trace, start: int = 0, count: int | None = None) -> str:
     for i in range(start, end):
         lines.append(f"{i:6d}: {format_instr(trace[i])}")
     return "\n".join(lines)
-
-
-def summarize(trace: Trace) -> dict[str, float]:
-    """Summary statistics of a dynamic trace.
-
-    Returns a dictionary with instruction totals, the class mix, element
-    operations (lane-level work), memory traffic and branch statistics --
-    everything the fetch-pressure study reports.
-    """
-    n = len(trace)
-    if n == 0:
-        return {"instructions": 0}
-    hist = trace.class_histogram()
-    media = sum(v for k, v in hist.items() if k.is_media)
-    memory = sum(v for k, v in hist.items() if k.is_memory)
-    control = sum(v for k, v in hist.items() if k.is_control)
-    return {
-        "instructions": n,
-        "operations": trace.operation_count(),
-        "ops_per_instruction": trace.operation_count() / n,
-        "media_fraction": media / n,
-        "memory_fraction": memory / n,
-        "control_fraction": control / n,
-        "branches": trace.branch_count(),
-        "memory_references": trace.memory_references(),
-        "avg_vector_length": (
-            sum(i.vl for i in trace if i.iclass.is_media)
-            / max(1, sum(1 for i in trace if i.iclass.is_media))
-        ),
-    }
 
 
 def class_mix_report(trace: Trace) -> str:

@@ -55,13 +55,14 @@ class MmxBuilder(BaseBuilder):
     # --- emit helpers ------------------------------------------------------------
 
     def _med_op(self, name: str, dst: RegHandle, srcs, value: int) -> RegHandle:
-        dst.value = int(value) & _U64
+        dst.value = value & _U64
         self._emit(self.media_table[name], srcs=srcs, dsts=(dst,))
         return dst
 
     def _packed2(self, name: str, dst, a, b, fn, *fn_args) -> RegHandle:
-        """Two-source packed operation computed by a :mod:`packed` function."""
-        return self._med_op(name, dst, (a, b), int(fn(a.value, b.value, *fn_args)))
+        """Two-source packed operation computed by a :mod:`packed` function
+        on the registers' int words (its int-word form)."""
+        return self._med_op(name, dst, (a, b), fn(a.value, b.value, *fn_args))
 
     # --- memory --------------------------------------------------------------------
 
@@ -100,7 +101,7 @@ class MmxBuilder(BaseBuilder):
 
     def pshufh(self, dst, src, order: tuple[int, int, int, int]) -> RegHandle:
         return self._med_op(
-            "pshufh", dst, (src,), int(packed.shuffle_halves(src.value, order))
+            "pshufh", dst, (src,), packed.shuffle_halves(src.value, order)
         )
 
     def pextrh(self, int_dst, med_src, lane: int) -> RegHandle:
@@ -170,7 +171,7 @@ class MmxBuilder(BaseBuilder):
 
     def pmaddh(self, dst, a, b):
         return self._med_op(
-            "pmaddh", dst, (a, b), int(packed.mul_add_pairs(a.value, b.value))
+            "pmaddh", dst, (a, b), packed.mul_add_pairs(a.value, b.value)
         )
 
     # --- average / absolute difference / SAD ------------------------------------------------
@@ -188,7 +189,7 @@ class MmxBuilder(BaseBuilder):
         return self._packed2("pabsdiffh", dst, a, b, packed.absdiff, _E.H)
 
     def psadb(self, dst, a, b):
-        return self._med_op("psadb", dst, (a, b), int(packed.sad(a.value, b.value)))
+        return self._med_op("psadb", dst, (a, b), packed.sad(a.value, b.value))
 
     # --- min / max -----------------------------------------------------------------------------
 
@@ -222,7 +223,7 @@ class MmxBuilder(BaseBuilder):
 
     def _shift(self, name: str, dst, a, count: int, elem: ElemType, kind: str):
         return self._med_op(
-            name, dst, (a,), int(packed.shift(a.value, count, elem, kind))
+            name, dst, (a,), packed.shift(a.value, count, elem, kind)
         )
 
     def psllh(self, dst, a, count: int):
@@ -270,7 +271,7 @@ class MmxBuilder(BaseBuilder):
         return self._packed2("pcmpgtw", dst, a, b, packed.cmp_mask, _E.W, "gt")
 
     def pcmov(self, dst, mask, a, b):
-        value = int(packed.select(mask.value, a.value, b.value))
+        value = packed.select(mask.value, a.value, b.value)
         return self._med_op("pcmov", dst, (mask, a, b), value)
 
     # --- pack / unpack ----------------------------------------------------------------------------------------
@@ -305,10 +306,10 @@ class MmxBuilder(BaseBuilder):
     # --- reductions ----------------------------------------------------------------------------------------------
 
     def psumb(self, dst, a):
-        return self._med_op("psumb", dst, (a,), int(packed.horizontal_sum(a.value, _E.B)))
+        return self._med_op("psumb", dst, (a,), packed.horizontal_sum(a.value, _E.B))
 
     def psumh(self, dst, a):
-        return self._med_op("psumh", dst, (a,), int(packed.horizontal_sum(a.value, _E.H)))
+        return self._med_op("psumh", dst, (a,), packed.horizontal_sum(a.value, _E.H))
 
     def psumw(self, dst, a):
-        return self._med_op("psumw", dst, (a,), int(packed.horizontal_sum(a.value, _E.W)))
+        return self._med_op("psumw", dst, (a,), packed.horizontal_sum(a.value, _E.W))

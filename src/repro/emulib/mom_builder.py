@@ -396,10 +396,15 @@ class MomBuilder(BaseBuilder):
     # --- accumulator (matrix) operations ----------------------------------------------------------------------------
 
     def _acc_rows(self, name: str, acc, a, b, fold) -> RegHandle:
-        """Accumulate pairwise over the first VL rows of two matrices."""
-        for i in range(self.vl):
-            fold(acc.value, a.value.get_row(i), b.value.get_row(i))
-        self._emit(self.media_table[name], srcs=(a, b, acc), dsts=(acc,), vl=self.vl)
+        """Accumulate pairwise over the first VL rows of two matrices.
+
+        ``fold`` gets all VL rows at once and adds their per-lane sum in
+        one step: accumulator lanes wrap modulo their width, so that
+        equals folding the rows one at a time.
+        """
+        vl = self.vl
+        fold(acc.value, a.value.rows[:vl], b.value.rows[:vl])
+        self._emit(self.media_table[name], srcs=(a, b, acc), dsts=(acc,), vl=vl)
         return acc
 
     def pmaddab(self, acc, a, b):

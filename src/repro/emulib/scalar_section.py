@@ -114,46 +114,44 @@ def emit_scalar_section(b: BaseBuilder, profile: SectionProfile,
     loop_site = b.site()
     data_site = b.site()
 
-    remaining = {
-        "loads": profile.loads,
-        "stores": profile.stores,
-        "alu": profile.alu,
-        "muls": profile.muls,
-        "loop_branches": profile.loop_branches,
-        "data_branches": profile.data_branches,
-    }
+    # Remaining counts in the order ties break: loads, stores, alu, muls,
+    # loop branches, data branches.
+    remaining = [profile.loads, profile.stores, profile.alu, profile.muls,
+                 profile.loop_branches, profile.data_branches]
+    LOADS, STORES, ALU, MULS, LOOP, DATA = range(6)
+    # One draw for every data branch equals one draw per branch.
+    outcomes = iter(rng.integers(0, 2, size=max(0, profile.data_branches))
+                    .tolist())
     stride = 24
     offset = 0
-
-    def pick() -> str | None:
-        """Largest-remainder pick keeps the mix proportional throughout."""
-        live = {k: v for k, v in remaining.items() if v > 0}
-        if not live:
-            return None
-        return max(live, key=live.__getitem__)
+    span = max(64, profile.footprint - 8)
 
     while True:
-        kind = pick()
-        if kind is None:
+        # Largest-remainder pick keeps the mix proportional throughout;
+        # ``index`` breaks ties towards the first kind in the order above.
+        most = max(remaining)
+        if most <= 0:
             break
+        kind = remaining.index(most)
         remaining[kind] -= 1
-        if kind == "loads":
+        if kind == LOADS:
             b.ldbu(tmp, ptr, offset)
             b.addq(acc, acc, tmp)          # dependent use
-            remaining["alu"] -= 1 if remaining["alu"] > 0 else 0
-            offset = (offset + stride) % max(64, profile.footprint - 8)
-        elif kind == "stores":
+            if remaining[ALU] > 0:
+                remaining[ALU] -= 1
+            offset = (offset + stride) % span
+        elif kind == STORES:
             b.stb(acc, ptr, offset)
-            offset = (offset + stride) % max(64, profile.footprint - 8)
-        elif kind == "alu":
+            offset = (offset + stride) % span
+        elif kind == ALU:
             b.addi(acc, acc, 3)
-        elif kind == "muls":
+        elif kind == MULS:
             b.muli(acc, acc, 3)
-        elif kind == "loop_branches":
-            b.li(tmp, 0 if remaining["loop_branches"] == 0 else 1)
+        elif kind == LOOP:
+            b.li(tmp, 0 if remaining[LOOP] == 0 else 1)
             b.bne(tmp, loop_site)
-        else:  # data_branches
-            b.li(tmp, int(rng.integers(0, 2)))
+        else:  # DATA
+            b.li(tmp, next(outcomes))
             b.bne(tmp, data_site)
     b.free(ptr)
     b.free(acc)

@@ -18,13 +18,14 @@ chunk per :data:`CHUNK_ROWS` rows (numpy arrays for opcode id / operand CSR /
 address / size / stride / VL / branch outcome / site), with a small
 plain-list staging buffer for the rows of the not-yet-sealed tail.
 Builders write rows through :meth:`Trace.emit`, the one row writer, which
-appends each emitted instruction's canonical fields to the staging lists:
-no :class:`DynInstr` is built on the way in.  :class:`DynInstr` stays the
-read-side type -- :meth:`Trace.append` still takes one (and hands its
-fields to the same writer), and iteration and indexing yield
-:class:`DynInstr` objects (materialized on demand).  Rows are only ever
-appended or cut off the end (:meth:`Trace.truncate`); no row is edited
-in place.  The timing engine reads the columns without
+appends each emitted instruction's canonical fields to the staging lists
+(the scalar fields only for rows that carry one; sealing fills in the
+defaults of the rest): no :class:`DynInstr` is built on the way in.
+:class:`DynInstr` stays the read-side type -- :meth:`Trace.append` still
+takes one (and hands its fields to the same writer), and iteration and
+indexing yield :class:`DynInstr` objects (materialized on demand).  Rows
+are only ever appended or cut off the end (:meth:`Trace.truncate`); no
+row is edited in place.  The timing engine reads the columns without
 materializing the object form: :class:`~repro.cpu.batch.BatchCore`
 decodes fixed-size column blocks (:meth:`Trace.iter_column_blocks`,
 which cuts blocks across chunk boundaries and converts the staging tail
@@ -56,7 +57,7 @@ staging tail on its way to a reader), and it rejects any operand outside
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain
 
 import numpy as np
@@ -159,43 +160,71 @@ class DynInstr:
         return f"<{self.op.isa}:{self.op.name}{extra}>"
 
 
-class _Stage:
-    """Staging tail: parallel plain lists for the not-yet-sealed rows.
+#: The six scalar fields of a row that carries none of them: an ALU row.
+_PLAIN = (None, 0, 0, 1, None, 0)
 
-    Values are canonical Python objects exactly as a :class:`DynInstr`
-    would hold them (``addr``/``taken`` keep their ``None``), so reads from
-    the tail need no decoding and sealing is one bulk conversion.
+
+def _extra_row(extra: tuple) -> int:
+    return extra[0]
+
+
+class _Stage:
+    """Staging tail: plain lists for the not-yet-sealed rows.
+
+    ``op``, ``srcs`` and ``dsts`` hold one entry per row.  The six scalar
+    fields (``addr``, ``nbytes``, ``stride``, ``vl``, ``taken``, ``site``)
+    are sparse: a row that carries any of them -- a memory access, a
+    branch, a MOM row with a VL -- adds one ``(row, addr, nbytes, stride,
+    vl, taken, site)`` tuple to ``extra``; every other row has the
+    defaults :data:`_PLAIN`.  Values are canonical Python objects exactly
+    as a :class:`DynInstr` would hold them (``addr``/``taken`` keep their
+    ``None``), so reads from the tail need no decoding and sealing is one
+    bulk conversion.
     """
 
-    __slots__ = ("op", "srcs", "dsts", "addr", "nbytes", "stride", "vl",
-                 "taken", "site")
-
-    _FIELDS = ("op", "srcs", "dsts", "addr", "nbytes", "stride", "vl",
-               "taken", "site")
+    __slots__ = ("op", "srcs", "dsts", "extra")
 
     def __init__(self) -> None:
-        for name in self._FIELDS:
-            setattr(self, name, [])
+        self.op: list[int] = []
+        self.srcs: list[tuple[int, ...]] = []
+        self.dsts: list[tuple[int, ...]] = []
+        self.extra: list[tuple] = []        # ascending by row
 
     def __len__(self) -> int:
         return len(self.op)
 
     def clear(self) -> None:
-        for name in self._FIELDS:
-            getattr(self, name).clear()
+        self.truncate(0)
 
     def truncate(self, keep: int) -> None:
-        for name in self._FIELDS:
-            del getattr(self, name)[keep:]
+        del self.op[keep:]
+        del self.srcs[keep:]
+        del self.dsts[keep:]
+        del self.extra[bisect_left(self.extra, keep, key=_extra_row):]
 
     def row(self, i: int) -> tuple:
-        return (self.op[i], self.srcs[i], self.dsts[i], self.addr[i],
-                self.nbytes[i], self.stride[i], self.vl[i], self.taken[i],
-                self.site[i])
+        extra = self.extra
+        k = bisect_left(extra, i, key=_extra_row)
+        fields = (extra[k][1:] if k < len(extra) and extra[k][0] == i
+                  else _PLAIN)
+        return (self.op[i], self.srcs[i], self.dsts[i]) + fields
 
     def iter_rows(self):
-        return zip(self.op, self.srcs, self.dsts, self.addr, self.nbytes,
-                   self.stride, self.vl, self.taken, self.site)
+        extra = iter(self.extra)
+        nxt = next(extra, None)
+        for i, head in enumerate(zip(self.op, self.srcs, self.dsts)):
+            if nxt is not None and nxt[0] == i:
+                yield head + nxt[1:]
+                nxt = next(extra, None)
+            else:
+                yield head + _PLAIN
+
+    def vl(self) -> np.ndarray:
+        """The ``vl`` column of the staged rows."""
+        column = np.ones(len(self), dtype=np.int64)
+        if self.extra:
+            column[[e[0] for e in self.extra]] = [e[4] for e in self.extra]
+        return column
 
 
 def _csr(tuples: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +271,7 @@ def ragged_tuples(starts, counts, values) -> np.ndarray:
     return out
 
 
-def _fit(values: list, small: np.dtype, wide: np.dtype,
+def _fit(values, small: np.dtype, wide: np.dtype,
          name: str) -> np.ndarray:
     """A column in its compact dtype, widened only when a value demands it.
 
@@ -265,6 +294,17 @@ def _fit(values: list, small: np.dtype, wide: np.dtype,
     return arr
 
 
+def _scatter(n: int, at: np.ndarray, values, default: int,
+             small: np.dtype, wide: np.dtype, name: str) -> np.ndarray:
+    """An ``n``-row column holding ``default`` except ``values`` at rows
+    ``at``, in the dtype :func:`_fit` gives the whole column (every
+    default fits the compact dtype, so the staged values decide)."""
+    fitted = _fit(values, small, wide, name)
+    column = np.full(n, default, dtype=fitted.dtype)
+    column[at] = fitted
+    return column
+
+
 class _Chunk:
     """One sealed block of rows in structure-of-arrays form.
 
@@ -280,21 +320,29 @@ class _Chunk:
                  "taken", "site", "src_off", "src_val", "dst_off", "dst_val")
 
     def __init__(self, stage: _Stage) -> None:
-        self.n = len(stage)
+        n = self.n = len(stage)
         self.op = _fit(stage.op, np.int16, np.int32, "op")
-        addr = np.array(stage.addr, dtype=object)
-        self.has_addr = np.not_equal(addr, None)
-        addr[~self.has_addr] = 0
+        # The sparse fields: every column starts at its default and takes
+        # the staged rows' values in one scatter each.
+        at, addr, nbytes, stride, vl, taken, site = (
+            zip(*stage.extra) if stage.extra else ((),) * 7)
+        at = np.array(at, dtype=np.intp)
+        addr = np.array(addr, dtype=object)
+        has = np.not_equal(addr, None)
+        self.has_addr = np.zeros(n, dtype=bool)
+        self.has_addr[at[has]] = True
+        self.addr = np.zeros(n, dtype=np.uint64)
         try:
-            self.addr = addr.astype(np.uint64)
+            self.addr[at[has]] = addr[has].astype(np.uint64)
         except OverflowError as exc:
             raise ValueError(f"addr value out of range: {exc}") from None
-        self.nbytes = _fit(stage.nbytes, np.int16, np.int64, "nbytes")
-        self.stride = _fit(stage.stride, np.int32, np.int64, "stride")
-        self.vl = _fit(stage.vl, np.int16, np.int64, "vl")
-        self.taken = np.fromiter(map(_TAKEN_ENCODE.__getitem__, stage.taken),
-                                 dtype=np.int8, count=self.n)
-        self.site = _fit(stage.site, np.int32, np.int64, "site")
+        self.nbytes = _scatter(n, at, nbytes, 0, np.int16, np.int64, "nbytes")
+        self.stride = _scatter(n, at, stride, 0, np.int32, np.int64, "stride")
+        self.vl = _scatter(n, at, vl, 1, np.int16, np.int64, "vl")
+        self.taken = np.full(n, _TAKEN_ENCODE[None], dtype=np.int8)
+        self.taken[at] = np.fromiter(map(_TAKEN_ENCODE.__getitem__, taken),
+                                     dtype=np.int8, count=len(at))
+        self.site = _scatter(n, at, site, 0, np.int32, np.int64, "site")
         self.src_off, self.src_val = _csr(stage.srcs)
         self.dst_off, self.dst_val = _csr(stage.dsts)
 
@@ -392,13 +440,15 @@ class TraceSummary:
     mutated, so repeated simulation of the same trace (the experiment grid
     runs each trace under many machine/memory configurations) pays the
     O(trace) walk once instead of once per run.  The statistics are
-    vectorized reductions over the columnar store.
+    vectorized reductions over the columnar store; ``rows`` is the trace
+    length they cover.
     """
 
-    __slots__ = ("class_histogram", "opcode_histogram", "operation_count",
-                 "memory_references", "branch_count")
+    __slots__ = ("rows", "class_histogram", "opcode_histogram",
+                 "operation_count", "memory_references", "branch_count")
 
     def __init__(self, trace: "Trace") -> None:
+        self.rows = len(trace)
         ops = trace._ops
         nops = len(ops)
         counts = np.zeros(nops, dtype=np.int64)
@@ -435,7 +485,8 @@ class Trace:
 
     Statistics are computed once and cached; every mutation --
     :meth:`emit` / :meth:`append` / :meth:`extend` / :meth:`truncate` --
-    invalidates the cache.
+    invalidates the cache (rows only grow at the end, so a cached summary
+    is stale once the length differs; :meth:`truncate` drops it).
     """
 
     __slots__ = ("isa", "_ops", "_op_ids", "_chunks", "_chunk_ends",
@@ -470,25 +521,29 @@ class Trace:
         are stored as given and must be tuples of plain ``int`` operands
         (what :func:`reg` returns); :meth:`append` canonicalizes a
         caller's :class:`DynInstr` operands before calling this.  ``op``
-        is interned and the six scalar fields are canonicalized to
-        ``int``/``bool``/``None`` here, so every staged value is a plain
+        is interned; the six scalar fields are staged only when one of
+        them differs from its default, and then canonicalized to
+        ``int``/``bool``/``None``, so every staged value is a plain
         Python object whichever writer put it there.
         """
         op_id = self._op_ids.get(id(op))
         if op_id is None:
             op_id = self._intern(op)
         stage = self._stage
-        stage.op.append(op_id)
+        ops = stage.op
+        if (addr is not None or taken is not None or vl != 1 or nbytes
+                or stride or site):
+            # A field at its default needs no conversion call.
+            stage.extra.append((
+                len(ops), None if addr is None else int(addr),
+                int(nbytes) if nbytes else 0, int(stride) if stride else 0,
+                1 if vl == 1 else int(vl),
+                None if taken is None else bool(taken),
+                int(site) if site else 0))
+        ops.append(op_id)
         stage.srcs.append(srcs)
         stage.dsts.append(dsts)
-        stage.addr.append(None if addr is None else int(addr))
-        stage.nbytes.append(int(nbytes))
-        stage.stride.append(int(stride))
-        stage.vl.append(int(vl))
-        stage.taken.append(None if taken is None else bool(taken))
-        stage.site.append(int(site))
-        self._summary = None
-        if len(stage.op) >= self._chunk_rows:
+        if len(ops) >= self._chunk_rows:
             self._seal()
 
     def append(self, instr: DynInstr) -> DynInstr:
@@ -595,7 +650,7 @@ class Trace:
             yield chunk.op, chunk.vl
         if len(self._stage):
             yield (np.asarray(self._stage.op, dtype=np.int32),
-                   np.asarray(self._stage.vl, dtype=np.int64))
+                   self._stage.vl())
 
     def _materialize(self, row: tuple) -> DynInstr:
         op, srcs, dsts, addr, nbytes, stride, vl, taken, site = row
@@ -680,9 +735,10 @@ class Trace:
 
     def summary(self) -> TraceSummary:
         """The cached one-pass summary (recomputed after mutation)."""
-        if self._summary is None:
-            self._summary = TraceSummary(self)
-        return self._summary
+        summary = self._summary
+        if summary is None or summary.rows != len(self):
+            summary = self._summary = TraceSummary(self)
+        return summary
 
     def class_histogram(self) -> dict[InstrClass, int]:
         return dict(self.summary().class_histogram)

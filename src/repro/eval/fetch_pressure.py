@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exp import PointSpec, default_session, preset
+from ..exp import PointSpec, SweepSpec, default_session, preset
 from ..kernels import KERNEL_ORDER
 
 ISAS = ("alpha", "mmx", "mdmx", "mom")
@@ -51,15 +51,20 @@ class FetchPressurePoint:
     retention_1way: float       # speedup(1-way) / speedup(8-way)
 
 
+def sweep(kernels=KERNEL_ORDER, scale: int = 1) -> SweepSpec:
+    """The engine sweep :func:`run` executes: every kernel and ISA at 1
+    and 8 wide, with cycle accounting on."""
+    return preset("fetch-pressure").replace(targets=tuple(kernels),
+                                            scale=scale, accounting=True)
+
+
 def run(kernels=KERNEL_ORDER, scale: int = 1, session=None,
         progress=None) -> dict[str, dict[str, FetchPressurePoint]]:
     """Per-kernel, per-ISA fetch-pressure rows, read off the sweep's
     results alone (a warm cache builds no trace).  ``progress`` is
     forwarded to :meth:`Session.run`."""
     session = session or default_session()
-    sweep = preset("fetch-pressure").replace(targets=tuple(kernels),
-                                             scale=scale, accounting=True)
-    grid = session.run(sweep, progress=progress)
+    grid = session.run(sweep(kernels, scale), progress=progress)
 
     def result(kernel: str, isa: str, way: int):
         key = PointSpec(kind="kernel", target=kernel, isa=isa, way=way,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exp import PointSpec, default_session, preset
+from ..exp import PointSpec, SweepSpec, default_session, preset
 from ..kernels import KERNEL_ORDER
 
 ISAS = ("alpha", "mmx", "mdmx", "mom")
@@ -73,6 +73,12 @@ def format_grid(points: list[SpeedupPoint]) -> str:
     return "\n".join(lines)
 
 
+def sweep(scale: int = 1, kernels=KERNEL_ORDER) -> SweepSpec:
+    """The engine sweep :func:`run` executes: every kernel on every ISA
+    and width, baselines included."""
+    return preset("figure5").replace(targets=tuple(kernels), scale=scale)
+
+
 def run(scale: int = 1, kernels=KERNEL_ORDER, session=None,
         progress=None) -> dict:
     """Compute the full Figure 5 grid; returns {kernel: [SpeedupPoint]}.
@@ -83,8 +89,7 @@ def run(scale: int = 1, kernels=KERNEL_ORDER, session=None,
     (called with the count of newly resolved points).
     """
     session = session or default_session()
-    sweep = preset("figure5").replace(targets=tuple(kernels), scale=scale)
-    results = session.run(sweep, progress=progress)
+    results = session.run(sweep(scale, kernels), progress=progress)
     output = {}
     for kernel in kernels:
         baseline = results[PointSpec(kind="kernel", target=kernel,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..apps import APP_ORDER
-from ..exp import PointSpec, default_session, preset
+from ..exp import PointSpec, SweepSpec, default_session, preset
 from ..exp.spec import FIGURE7_CONFIGS
 
 #: The five configurations of Figure 7: (label, app ISA, memory model).
@@ -56,6 +56,12 @@ def _panel(app: str, results, scale: int) -> list[AppPoint]:
     ]
 
 
+def sweep(scale: int = 1, apps=APP_ORDER) -> SweepSpec:
+    """The engine sweep :func:`run` executes: every app in the five
+    configurations at both widths."""
+    return preset("figure7").replace(targets=tuple(apps), scale=scale)
+
+
 def run(scale: int = 1, apps=APP_ORDER, session=None,
         progress=None) -> dict:
     """All panels through one engine sweep (parallel across every point).
@@ -63,8 +69,7 @@ def run(scale: int = 1, apps=APP_ORDER, session=None,
     ``progress`` is forwarded to :meth:`Session.run`.
     """
     session = session or default_session()
-    sweep = preset("figure7").replace(targets=tuple(apps), scale=scale)
-    results = session.run(sweep, progress=progress)
+    results = session.run(sweep(scale, apps), progress=progress)
     return {app: _panel(app, results, scale) for app in apps}
 
 

@@ -17,13 +17,20 @@ engine; ``repro latency`` renders its rows.
 
 from __future__ import annotations
 
-from ..exp import PointSpec, default_session, preset
+from ..exp import PointSpec, SweepSpec, default_session, preset
 from ..exp.spec import HIGH_LATENCY
 from ..kernels import KERNEL_ORDER
 
-__all__ = ["HIGH_LATENCY", "run", "summarize"]
+__all__ = ["HIGH_LATENCY", "run", "summarize", "sweep"]
 
 ISAS = ("alpha", "mmx", "mdmx", "mom")
+
+
+def sweep(scale: int = 1, way: int = 4, kernels=KERNEL_ORDER) -> SweepSpec:
+    """The engine sweep :func:`run` executes: every kernel and ISA at
+    1-cycle and :data:`HIGH_LATENCY`-cycle memory, ``way``-wide."""
+    return preset("latency").replace(targets=tuple(kernels), ways=(way,),
+                                     scale=scale)
 
 
 def run(scale: int = 1, way: int = 4, kernels=KERNEL_ORDER,
@@ -33,9 +40,7 @@ def run(scale: int = 1, way: int = 4, kernels=KERNEL_ORDER,
     ``progress`` is forwarded to :meth:`Session.run`.
     """
     session = session or default_session()
-    sweep = preset("latency").replace(targets=tuple(kernels), ways=(way,),
-                                      scale=scale)
-    grid = session.run(sweep, progress=progress)
+    grid = session.run(sweep(scale, way, kernels), progress=progress)
 
     def cycles(kernel: str, isa: str, latency: int) -> int:
         key = PointSpec(kind="kernel", target=kernel, isa=isa, way=way,

@@ -115,7 +115,7 @@ def _cmd_figure5(args) -> int:
 
     kernels = tuple(args.kernel) if args.kernel else KERNEL_ORDER
     session = _session(args)
-    sweep = preset("figure5").replace(targets=kernels, scale=args.scale)
+    sweep = figure5.sweep(args.scale, kernels)
     with _progress(args, len(sweep.points()), session) as tick:
         results = figure5.run(scale=args.scale, kernels=kernels,
                               session=session, progress=tick)
@@ -136,7 +136,7 @@ def _cmd_figure7(args) -> int:
 
     apps = tuple(args.app) if args.app else APP_ORDER
     session = _session(args)
-    sweep = preset("figure7").replace(targets=apps, scale=args.scale)
+    sweep = figure7.sweep(args.scale, apps)
     with _progress(args, len(sweep.points()), session) as tick:
         results = figure7.run(scale=args.scale, apps=apps, session=session,
                               progress=tick)
@@ -161,7 +161,7 @@ def _cmd_latency(args) -> int:
     print(f"Slow-down going from 1-cycle to {latency.HIGH_LATENCY}-cycle "
           f"memory ({args.way}-way machine):\n")
     session = _session(args)
-    total = len(preset("latency").replace(ways=(args.way,)).points())
+    total = len(latency.sweep(args.scale, args.way).points())
     with _progress(args, total, session) as tick:
         results = latency.run(scale=args.scale, way=args.way,
                               session=session, progress=tick)
@@ -180,8 +180,8 @@ def _cmd_fetch_pressure(args) -> int:
     print("ops/instruction, measured 1-way fetch-bound share (f) and "
           "1-way retention of 8-way performance:\n")
     session = _session(args)
-    with _progress(args, len(preset("fetch-pressure").points()),
-                   session) as tick:
+    total = len(fetch_pressure.sweep(scale=args.scale).points())
+    with _progress(args, total, session) as tick:
         results = fetch_pressure.run(scale=args.scale, session=session,
                                      progress=tick)
     for kernel, row in results.items():

@@ -112,7 +112,7 @@ def test_reference_oracle_stack_parity():
         assert event.stack == oracle.stack, point
 
 
-def test_mirrored_lanes_carry_the_stack():
+def test_duplicate_accounted_lanes_each_simulate_and_agree():
     """Duplicate lanes in one batch attribute identical stacks."""
     cfg = machine_config(8, "mom")
     trace = built_kernel("idct", "mom").trace

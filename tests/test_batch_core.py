@@ -80,7 +80,7 @@ def test_mixed_lane_fuzz_matches_per_lane_core():
                 (kernel, isa, way, mem, knobs)
 
 
-def test_duplicate_perfect_lanes_collapse_and_mirror():
+def test_duplicate_perfect_lanes_each_simulate_and_agree():
     """Identical perfect-memory lanes each simulate and digest
     identically (nothing is shared between them but the decode)."""
     trace = built_kernel("idct", "mom").trace
@@ -95,7 +95,7 @@ def test_duplicate_perfect_lanes_collapse_and_mirror():
     assert digests.pop() == GOLDEN_DIGESTS[("idct", "mom", 8, "perfect")]
 
 
-def test_cache_lanes_never_collapse():
+def test_duplicate_cache_lanes_each_simulate_and_agree():
     """Equally configured hierarchies each run their own cache."""
     lane_a = Core(machine_config(2, "alpha"),
                   make_memsys("cache", 2, "alpha"))

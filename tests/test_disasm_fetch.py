@@ -4,7 +4,7 @@ import numpy as np
 
 from repro import AlphaBuilder, MomBuilder
 from repro.emulib.disasm import (class_mix_report, disassemble, format_instr,
-                                 format_operand, summarize)
+                                 format_operand)
 from repro.emulib.trace import reg
 from repro.eval.fetch_pressure import mom_fetch_advantage, run
 from repro.exp import Session, engine
@@ -67,26 +67,6 @@ def test_disassemble_listing():
     assert "isa=alpha" in text
     short = disassemble(b.trace, start=1, count=2)
     assert short.count("lda") == 2
-
-
-def test_summarize_counts():
-    b = MomBuilder()
-    data = np.zeros(128, dtype=np.uint8)
-    a = b.mem.alloc_array(data)
-    base, stride = b.ireg(a), b.ireg(8)
-    m, m2 = b.mreg(), b.mreg()
-    b.setvli(16)
-    b.momldq(m, base, stride)
-    b.paddb(m2, m, m)
-    stats = summarize(b.trace)
-    assert stats["instructions"] == 3   # setvli + momldq + paddb
-    assert stats["ops_per_instruction"] > 10
-    assert stats["avg_vector_length"] == 16.0
-
-
-def test_summarize_empty():
-    b = AlphaBuilder()
-    assert summarize(b.trace) == {"instructions": 0}
 
 
 def test_class_mix_report():

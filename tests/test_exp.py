@@ -568,12 +568,26 @@ class _TTY(io.StringIO):
 
 @pytest.mark.parametrize("command", ["latency", "fetch-pressure"])
 def test_cli_progress_draws_the_line(command, monkeypatch):
+    """The line is drawn, and its total is the number of points the
+    command's one sweep ran (the CLI counts the eval module's own sweep)."""
     from repro.exp.cli import main
 
+    ran = []
+    run = Session.run
+
+    def counting_run(self, sweep, *args, **kwargs):
+        ran.append(len(self.resolve(sweep)))
+        return run(self, sweep, *args, **kwargs)
+
+    monkeypatch.setattr(Session, "run", counting_run)
     stderr = _TTY()
     monkeypatch.setattr(sys, "stderr", stderr)
     assert main([command, "--progress"]) == 0
     assert "points/s" in stderr.getvalue()
+    totals = {int(total) for total in
+              re.findall(r"\d+/(\d+) points ", stderr.getvalue())}
+    assert len(ran) == 1
+    assert totals == {ran[0]}
 
 
 def test_cli_has_no_bench_command(capsys):

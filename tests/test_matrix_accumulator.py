@@ -240,3 +240,127 @@ def test_pipelined_validation():
     with pytest.raises(ValueError):
         PipelinedAccumulation(latency=1).mdmx_cycles(-1)
     assert PipelinedAccumulation(latency=3).mom_cycles(0) == 0
+
+
+# --- one fold per MOM instruction ---------------------------------------------------
+#
+# A MOM accumulate instruction folds all VL rows in one step (numpy rows
+# in, one per-lane sum out); an MDMX instruction folds one int word.
+# Lanes wrap modulo their width, so the one-step fold must leave exactly
+# the bits of folding the rows one at a time -- in either word form.
+
+U64_MAX = (1 << 64) - 1
+ACC_MAX = (1 << 192) - 1
+
+FOLDS = {
+    "madd-signed": lambda acc, a, b, e: acc.madd(a, b, e, signed=True),
+    "madd-unsigned": lambda acc, a, b, e: acc.madd(a, b, e, signed=False),
+    "msub": lambda acc, a, b, e: acc.madd(a, b, e, subtract=True),
+    "add": lambda acc, a, b, e: acc.acc_add(a, b, e),
+    "sub": lambda acc, a, b, e: acc.acc_add(a, b, e, subtract=True),
+    "sad": lambda acc, a, b, e: acc.acc_sad(a, b, e),
+    "sqd": lambda acc, a, b, e: acc.acc_sqd(a, b, e),
+}
+FOLD_ELEMS = (ElemType.B, ElemType.H, ElemType.W)
+
+
+def _fold_agrees(a_rows, b_rows, start):
+    a = np.asarray(a_rows, dtype=np.uint64)
+    b = np.asarray(b_rows, dtype=np.uint64)
+    for name, fold in FOLDS.items():
+        for elem in FOLD_ELEMS:
+            one_step = PackedAccumulator(start)
+            fold(one_step, a, b, elem)
+            by_int = PackedAccumulator(start)
+            by_numpy = PackedAccumulator(start)
+            for x, y in zip(a_rows, b_rows):
+                fold(by_int, int(x), int(y), elem)
+                fold(by_numpy, np.uint64(x), np.uint64(y), elem)
+            assert one_step == by_int == by_numpy, (name, elem)
+
+
+@given(words16, words16, st.integers(0, 16), st.integers(0, ACC_MAX))
+@settings(max_examples=40, deadline=None)
+def test_one_step_fold_matches_row_by_row(a_rows, b_rows, vl, start):
+    _fold_agrees(a_rows[:vl], b_rows[:vl], start)
+
+
+@pytest.mark.parametrize("a_word,b_word", [
+    (U64_MAX, U64_MAX),                         # every lane at its maximum
+    (0x8080808080808080, 0x8080808080808080),   # every byte lane at its minimum
+    (0x8000800080008000, 0x8000800080008000),   # every half lane at its minimum
+    (0x8000000080000000, U64_MAX),
+    (0, U64_MAX),
+])
+@pytest.mark.parametrize("start", [0, ACC_MAX, 1 << 191])
+def test_one_step_fold_at_the_extremes(a_word, b_word, start):
+    """Sixteen rows of the largest products and differences: the sums a
+    16-row fold adds at once must not overflow before the lanes wrap."""
+    _fold_agrees([a_word] * 16, [b_word] * 16, start)
+
+
+def test_fold_of_no_rows_leaves_the_accumulator():
+    acc = PackedAccumulator(12345)
+    empty = np.zeros(0, dtype=np.uint64)
+    for fold in FOLDS.values():
+        for elem in FOLD_ELEMS:
+            fold(acc, empty, empty, elem)
+    assert acc == PackedAccumulator(12345)
+
+
+#: Each fold's per-lane contribution, written out independently of the
+#: accumulator: (signed lanes?, contribution of one row's lanes x, y).
+LANE_REFERENCE = {
+    "madd-signed": (True, lambda x, y: x * y),
+    "madd-unsigned": (False, lambda x, y: x * y),
+    "msub": (True, lambda x, y: -x * y),
+    "add": (False, lambda x, y: x + y),
+    "sub": (False, lambda x, y: x - y),
+    "sad": (False, lambda x, y: abs(x - y)),
+    "sqd": (False, lambda x, y: (x - y) ** 2),
+}
+
+
+def _lanes(word, elem, signed):
+    bits = elem.bits
+    out = []
+    for i in range(elem.lanes):
+        lane = (word >> (i * bits)) & ((1 << bits) - 1)
+        if signed and lane >> (bits - 1):
+            lane -= 1 << bits
+        out.append(lane)
+    return out
+
+
+@given(words16, words16, st.integers(0, 16), st.integers(0, ACC_MAX))
+@settings(max_examples=30, deadline=None)
+def test_folds_match_a_lane_reference(a_rows, b_rows, vl, start):
+    a = np.asarray(a_rows[:vl], dtype=np.uint64)
+    b = np.asarray(b_rows[:vl], dtype=np.uint64)
+    for name, fold in FOLDS.items():
+        signed, contribution = LANE_REFERENCE[name]
+        for elem in FOLD_ELEMS:
+            acc = PackedAccumulator(start)
+            expected = acc.lanes(elem)
+            fold(acc, a, b, elem)
+            for x, y in zip(a_rows[:vl], b_rows[:vl]):
+                for i, (lx, ly) in enumerate(zip(_lanes(x, elem, signed),
+                                                 _lanes(y, elem, signed))):
+                    expected[i] += contribution(lx, ly)
+            width = 192 // elem.lanes
+            assert [v % (1 << width) for v in acc.lanes(elem)] == \
+                [v % (1 << width) for v in expected], (name, elem)
+
+
+@given(st.integers(0, ACC_MAX), st.integers(0, 12))
+@settings(max_examples=60)
+def test_read_saturated_matches_numpy_clip(bits, shift):
+    acc = PackedAccumulator(bits)
+    for elem in (ElemType.B, ElemType.H):
+        for signed in (False, True):
+            half = (1 << (shift - 1)) if shift else 0
+            rounded = np.asarray([(lane + half) >> shift
+                                  for lane in acc.lanes(elem)], dtype=np.int64)
+            want = int(packed.from_lanes(packed.saturate(rounded, elem,
+                                                         signed)))
+            assert acc.read_saturated(elem, signed, shift) == want

@@ -415,3 +415,147 @@ def test_narrow_elems_unchanged_by_wide_path():
     lq, _ = packed._binary_wide(np.uint64(5), np.uint64(6), ElemType.Q,
                                 signed=True)
     assert lq.dtype == object
+
+
+# --- int words vs numpy rows ----------------------------------------------------------------
+#
+# Every op the MMX/MDMX builders call has two forms chosen by argument
+# type: plain ``int`` words take the int form (SWAR masks and per-lane
+# loops), anything else the numpy form.  They must agree bit for bit on
+# every input.
+
+H, W = ElemType.H, ElemType.W
+
+
+def _cases():
+    """``(id, element types, fn(a, b, c, elem))`` for every op with an int
+    form and every signedness / variant it takes; unary ops ignore ``b``
+    and ``c``."""
+    cases = [
+        ("add_wrap", ALL_ELEMS, lambda a, b, c, e: packed.add_wrap(a, b, e)),
+        ("sub_wrap", ALL_ELEMS, lambda a, b, c, e: packed.sub_wrap(a, b, e)),
+        ("mul_low", ALL_ELEMS, lambda a, b, c, e: packed.mul_low(a, b, e)),
+        ("avg_round", ALL_ELEMS, lambda a, b, c, e: packed.avg_round(a, b, e)),
+        ("absdiff", ALL_ELEMS, lambda a, b, c, e: packed.absdiff(a, b, e)),
+        ("sad", ALL_ELEMS, lambda a, b, c, e: packed.sad(a, b, e)),
+        ("horizontal_sum", ALL_ELEMS,
+         lambda a, b, c, e: packed.horizontal_sum(a, e)),
+        ("mul_add_pairs", [H], lambda a, b, c, e: packed.mul_add_pairs(a, b)),
+        ("shuffle_halves", [H],
+         lambda a, b, c, e: packed.shuffle_halves(a, (3, 0, 2, 0))),
+        ("select", [ElemType.B], lambda a, b, c, e: packed.select(a, b, c)),
+    ]
+    for op in ("eq", "gt"):
+        cases.append((f"cmp_mask-{op}", ALL_ELEMS,
+                      lambda a, b, c, e, op=op: packed.cmp_mask(a, b, e, op)))
+    for high in (False, True):
+        cases.append((f"unpack_interleave-{'high' if high else 'low'}", ELEMS,
+                      lambda a, b, c, e, h=high:
+                      packed.unpack_interleave(a, b, e, h)))
+    for signed in (False, True):
+        tag = "signed" if signed else "unsigned"
+        cases += [
+            (f"add_sat-{tag}", ALL_ELEMS,
+             lambda a, b, c, e, s=signed: packed.add_sat(a, b, e, s)),
+            (f"sub_sat-{tag}", ALL_ELEMS,
+             lambda a, b, c, e, s=signed: packed.sub_sat(a, b, e, s)),
+            (f"mul_high-{tag}", ALL_ELEMS,
+             lambda a, b, c, e, s=signed: packed.mul_high(a, b, e, s)),
+            (f"pack_sat-{tag}", [H, W],
+             lambda a, b, c, e, s=signed: packed.pack_sat(a, b, e, s)),
+            (f"min-{tag}", ALL_ELEMS,
+             lambda a, b, c, e, s=signed: packed.minmax(a, b, e, s, False)),
+            (f"max-{tag}", ALL_ELEMS,
+             lambda a, b, c, e, s=signed: packed.minmax(a, b, e, s, True)),
+        ]
+    for kind in ("sll", "srl", "sra"):
+        for count in (0, 1, 7, 15, 31, 63, 64):
+            cases.append((f"shift-{kind}-{count}", ALL_ELEMS,
+                          lambda a, b, c, e, k=kind, n=count:
+                          packed.shift(a, n, e, k)))
+    return cases
+
+
+CASES = _cases()
+
+
+def edge_words(elem):
+    """Words with every lane at one edge value -- 0, 1, all-ones, the
+    lane's sign bit and signed maximum, and the same edges of the
+    half-width lane (what ``pack_sat`` narrows to) -- and words with one
+    lane alone at its sign bit or maximum."""
+    bits = elem.bits
+    mask = (1 << bits) - 1
+    ones = U64_MAX // mask                      # bit 0 of every lane
+    values = {0, 1, mask}
+    for width in {bits, max(bits // 2, 1)}:
+        for edge in (1 << (width - 1), (1 << width) - 1):
+            values.update({edge, edge - 1, edge + 1})
+            values.update({-edge & mask, (-edge - 1) & mask})
+    words = [ones * (v & mask) for v in sorted(values)]
+    singles = []
+    for lane in range(elem.lanes):
+        at = lane * bits
+        singles += [1 << (at + bits - 1), mask << at, (mask >> 1) << at]
+    return words, singles
+
+
+def edge_pairs(elem):
+    """Every pair of all-lane edge words, and each one-lane word against
+    0, all-ones and itself."""
+    words, singles = edge_words(elem)
+    pairs = [(a, b) for a in words for b in words]
+    for single in singles:
+        for other in (0, U64_MAX, single):
+            pairs += [(single, other), (other, single)]
+    return pairs
+
+
+def _agree(fn, elem, a, b, c):
+    got = fn(a, b, c, elem)
+    want = fn(np.uint64(a), np.uint64(b), np.uint64(c), elem)
+    assert type(got) is int
+    assert got == int(want), (hex(a), hex(b), hex(c), elem)
+
+
+@pytest.mark.parametrize("name,elems,fn", CASES, ids=[c[0] for c in CASES])
+def test_int_form_matches_numpy_on_edge_words(name, elems, fn):
+    for elem in elems:
+        for a, b in edge_pairs(elem):
+            _agree(fn, elem, a, b, a ^ b)
+
+
+@given(words, words, words)
+@settings(max_examples=60, deadline=None)
+def test_int_form_matches_numpy_property(a, b, c):
+    for _, elems, fn in CASES:
+        for elem in elems:
+            _agree(fn, elem, a, b, c)
+
+
+@given(words)
+@settings(max_examples=60)
+def test_word_lanes_match_numpy_lanes(word):
+    for elem in ALL_ELEMS:
+        for signed in (False, True):
+            lanes = packed.word_to_lanes(word, elem, signed)
+            assert lanes == tuple(packed.to_lanes(np.uint64(word), elem,
+                                                  signed=signed).tolist())
+            assert packed.word_from_lanes(lanes, elem) == word == int(
+                packed.from_lanes(np.asarray(lanes, dtype=object)))
+
+
+def test_both_forms_reject_the_same_arguments():
+    for word in (0, np.uint64(0)):
+        with pytest.raises(ValueError):
+            packed.shift(word, -1, ElemType.B, "sll")
+        with pytest.raises(ValueError):
+            packed.shift(word, 9, ElemType.B, "ror")
+        with pytest.raises(ValueError):
+            packed.cmp_mask(word, word, ElemType.B, "lt")
+        with pytest.raises(ValueError):
+            packed.unpack_interleave(word, word, ElemType.Q, False)
+        with pytest.raises(KeyError):
+            packed.pack_sat(word, word, ElemType.B, True)
+        with pytest.raises(ValueError):
+            packed.shuffle_halves(word, (0, 1, 2, 4))
