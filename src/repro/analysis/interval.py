@@ -11,7 +11,6 @@ needed -- a single forward walk reaches the fixpoint).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 U8_MAX = 255
 I16_MIN = -(1 << 15)
@@ -77,8 +76,3 @@ class Interval:
 
 def const(value: int) -> Interval:
     return Interval(value, value)
-
-
-def from_array(array: Any) -> Interval:
-    """Interval covering every element of a concrete bound numpy array."""
-    return Interval(int(array.min()), int(array.max()))

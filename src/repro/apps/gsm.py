@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..emulib.alpha_builder import emit_track_max
 from ..emulib.scalar_section import SectionProfile
 from .common import AppSpec, BuiltApp, PhaseTimer, make_stages, register
 from .workloads import pcm_audio
@@ -138,10 +139,7 @@ def build_gsm_encode(isa: str, scale: int = 1) -> BuiltApp:
             b.li(besti, 0)
             for li, lag in enumerate(range(LTP_MIN, LTP_MIN + n_lags)):
                 st.dot16(wt_addr, wt_addr - 2 * lag, SUBFRAME, corr)
-                b.li(cand, li)
-                b.cmplt(tmp, best, corr)
-                b.cmovne(best, tmp, corr)
-                b.cmovne(besti, tmp, cand)
+                emit_track_max(b, corr, best, besti, tmp, cand, li)
             lags.append(LTP_MIN + int(besti.value))
             timer.close("ltp_search")
             st.scalar_section(_rpe_profile(), seed=0x70 + 4 * f + sub)

@@ -12,6 +12,13 @@ configurations of Figure 7 (the paper omits MDMX there, "as MDMX exhibits
 similar behavior to MMX").  All three produce bit-identical data for every
 stage, which the application tests assert.
 
+Where a stage emits the same rows as its Figure 5 kernel, the body is the
+kernel module's ``emit_*`` function and the stage only picks registers,
+addresses and the branch site: here ``transform8``, ``sad16`` /
+``motion_search``, ``avg_block``, ``addblock8`` and ``dot16``.  DESIGN.md
+section 11 lists the shared pairs and how each remaining stage differs
+from its kernel.
+
 Fixed-point stage definitions (mirrored by the numpy reference in
 :mod:`repro.apps.reference`):
 
@@ -27,10 +34,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..emulib.alpha_builder import emit_abs_diff
+from ..emulib.alpha_builder import emit_track_min
 from ..emulib.scalar_section import SectionProfile, emit_scalar_section
+from ..kernels.addblock import TABLE_BIAS, clamp_table, emit_alpha_addblock
+from ..kernels.compensation import emit_alpha_average
 from ..kernels.idct import (N, OUT_MAX, OUT_MIN, PASS1_ROUND, PASS1_SHIFT,
-                            PASS2_ROUND, PASS2_SHIFT, idct_matrix)
+                            PASS2_ROUND, PASS2_SHIFT, emit_alpha_pass,
+                            idct_matrix)
+from ..kernels.ltp import emit_alpha_dot
+from ..kernels.motion import emit_alpha_distance
 from ..kernels.rgb2ycc import COMPONENTS as RGB2YCC
 
 #: ycc2rgb integer coefficients: value = clamp(Y + (sum + 64) >> 7).
@@ -70,23 +82,8 @@ class ScalarStages:
     def sad16(self, ref_addr: int, ref_stride: int, blk_addr: int,
               blk_stride: int, out):
         """SAD of one 16x16 block pair into integer register ``out``."""
-        b = self.b
-        pa, pb, va, vb, d, scr, rows = self.r[:7]
-        site = b.site()
-        b.li(pa, ref_addr)
-        b.li(pb, blk_addr)
-        b.li(out, 0)
-        b.li(rows, BLOCK16)
-        for _row in range(BLOCK16):
-            for i in range(BLOCK16):
-                b.ldbu(va, pa, i)
-                b.ldbu(vb, pb, i)
-                emit_abs_diff(b, d, va, vb, scr)
-                b.addq(out, out, d)
-            b.addi(pa, pa, ref_stride)
-            b.addi(pb, pb, blk_stride)
-            b.subi(rows, rows, 1)
-            b.bne(rows, site)
+        emit_alpha_distance(self.b, ref_addr, ref_stride, blk_addr,
+                            blk_stride, out, self.r[:7], self.b.site())
         return out
 
     def motion_search(self, candidates: list[int], ref_stride: int,
@@ -97,10 +94,7 @@ class ScalarStages:
                                      self.r[8], self.r[9])
         for index, addr in enumerate(candidates):
             self.sad16(addr, ref_stride, blk_addr, blk_stride, s)
-            b.li(cand, index)
-            b.cmplt(tmp, s, best)
-            b.cmovne(best, tmp, s)
-            b.cmovne(besti, tmp, cand)
+            emit_track_min(b, s, best, besti, tmp, cand, index)
         winner = int(besti.value)
         b.free(best)
         b.free(besti)
@@ -129,26 +123,8 @@ class ScalarStages:
     def avg_block(self, a: int, astride: int, c: int, cstride: int,
                   dst: int, dstride: int, h: int, w: int) -> None:
         """dst = (a + c + 1) >> 1 per pixel (motion compensation)."""
-        b = self.b
-        pa, pc, pd, va, vc, rows = self.r[:6]
-        b.li(pa, a)
-        b.li(pc, c)
-        b.li(pd, dst)
-        b.li(rows, h)
-        site = b.site()
-        for _ in range(h):
-            for x in range(w):
-                b.ldbu(va, pa, x)
-                b.ldbu(vc, pc, x)
-                b.addq(va, va, vc)
-                b.addi(va, va, 1)
-                b.srl(va, va, 1)
-                b.stb(va, pd, x)
-            b.addi(pa, pa, astride)
-            b.addi(pc, pc, cstride)
-            b.addi(pd, pd, dstride)
-            b.subi(rows, rows, 1)
-            b.bne(rows, site)
+        emit_alpha_average(self.b, a, astride, c, cstride, dst, dstride, h, w,
+                           self.r[:6], self.b.site())
 
     # --- residual / reconstruction ----------------------------------------------------
 
@@ -179,30 +155,11 @@ class ScalarStages:
         """dst = clamp(pred + resid) via the mpeg2play memory table."""
         b = self.b
         if not hasattr(self, "_clamp_tab"):
-            table = np.clip(np.arange(767) - 256, 0, 255).astype(np.uint8)
-            self._clamp_tab = b.mem.alloc_array(table) + 256
-        pp, pr, pd, vp, vr, idx, rows = self.r[:7]
+            self._clamp_tab = b.mem.alloc_array(clamp_table()) + TABLE_BIAS
         tab = self.r[7]
         b.li(tab, self._clamp_tab)
-        b.li(pp, pred)
-        b.li(pr, resid)
-        b.li(pd, dst)
-        b.li(rows, N)
-        site = b.site()
-        for _ in range(N):
-            for x in range(N):
-                b.ldbu(vp, pp, x)
-                b.ldwu(vr, pr, 2 * x)
-                b.sextw(vr, vr)
-                b.addq(vp, vp, vr)
-                b.addq(idx, tab, vp)
-                b.ldbu(vp, idx, 0)
-                b.stb(vp, pd, x)
-            b.addi(pp, pp, pstride)
-            b.addi(pr, pr, 2 * N)
-            b.addi(pd, pd, dstride)
-            b.subi(rows, rows, 1)
-            b.bne(rows, site)
+        emit_alpha_addblock(b, pred, pstride, resid, dst, dstride, tab,
+                            self.r[:7], b.site())
 
     # --- transforms ----------------------------------------------------------------------
 
@@ -211,41 +168,15 @@ class ScalarStages:
         """Two-pass fixed-point 8x8 transform (IDCT with ``mat=IDCT_MAT``,
         FDCT with ``mat=FDCT_MAT``)."""
         b = self.b
-        v, c, prod, s, psrc, pdst, t = self.r[:7]
         lo, hi = self.r[7], self.r[8]
         b.li(lo, OUT_MIN)
         b.li(hi, OUT_MAX)
+        regs = (*self.r[:6], lo, hi, self.r[6])
         site = b.site()
-
-        def one_pass(sbase, dbase, rnd, shift, column, do_clamp):
-            cnt = 0
-            for xo in range(N):
-                for yo in range(N):
-                    b.li(s, rnd)
-                    for u in range(N):
-                        off = (u * N + yo) if column else (yo * N + u)
-                        b.li(psrc, sbase + 2 * off)
-                        b.ldwu(v, psrc, 0)
-                        b.sextw(v, v)
-                        b.li(c, int(mat[xo][u]))
-                        b.mulq(prod, v, c)
-                        b.addq(s, s, prod)
-                    b.sra(s, s, shift)
-                    if do_clamp:
-                        b.cmplt(t, s, lo)
-                        b.cmovne(s, t, lo)
-                        b.cmplt(t, hi, s)
-                        b.cmovne(s, t, hi)
-                    off = (xo * N + yo) if column else (yo * N + xo)
-                    b.li(pdst, dbase + 2 * off)
-                    b.stw(s, pdst, 0)
-                    cnt += 1
-                    if cnt % 8 == 0:
-                        b.li(t, 1 if cnt == 64 else 0)
-                        b.beq(t, site)
-
-        one_pass(src, self._scratch8, PASS1_ROUND, PASS1_SHIFT, True, False)
-        one_pass(self._scratch8, dst, PASS2_ROUND, PASS2_SHIFT, False, clamp)
+        emit_alpha_pass(b, mat, src, self._scratch8, PASS1_ROUND, PASS1_SHIFT,
+                        True, False, regs, site)
+        emit_alpha_pass(b, mat, self._scratch8, dst, PASS2_ROUND, PASS2_SHIFT,
+                        False, clamp, regs, site)
 
     # --- quantization -----------------------------------------------------------------------
 
@@ -408,19 +339,7 @@ class ScalarStages:
     def dot16(self, a: int, c: int, n: int, out) -> None:
         """out = sum of products of two int16 vectors of length ``n``."""
         b = self.b
-        pa, pc, va, vc, prod, cnt = self.r[:6]
+        pa, pc = self.r[:2]
         b.li(pa, a)
         b.li(pc, c)
-        b.li(out, 0)
-        b.li(cnt, n // 4)
-        site = b.site()
-        for k in range(n):
-            b.ldwu(va, pa, 2 * k)
-            b.sextw(va, va)
-            b.ldwu(vc, pc, 2 * k)
-            b.sextw(vc, vc)
-            b.mulq(prod, va, vc)
-            b.addq(out, out, prod)
-            if k % 4 == 3:
-                b.subi(cnt, cnt, 1)
-                b.bne(cnt, site)
+        emit_alpha_dot(b, n, out, self.r[:6], b.site())

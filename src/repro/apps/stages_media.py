@@ -5,33 +5,29 @@ the hand-vectorized instruction sequence for its ISA while computing the
 identical fixed-point result; anything not overridden (and every emitted
 scalar bookkeeping instruction) falls back to the scalar baseline, exactly
 like a partially-vectorized real program.
+
+MMX ``transform8``, ``sad16``, ``addblock8`` and ``rgb2ycc`` and MOM's
+``transform8`` transpose call their kernel's ``emit_*`` function, so they
+run the rows Figure 5 measures (DESIGN.md section 11).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..emulib.alpha_builder import emit_track_min
 from ..isa.model import ElemType
-from ..kernels.idct import N, OUT_MAX, OUT_MIN, PASS1_SHIFT, PASS2_SHIFT
+from ..kernels.addblock import emit_packed_addblock
+from ..kernels.idct import (N, PASS1_SHIFT, PASS2_SHIFT, emit_mmx_row_pass,
+                            emit_mmx_transpose, emit_mom_transpose,
+                            mmx_transform_words, mom_broadcast_words,
+                            mom_clamp_words)
+from ..kernels.motion import emit_mmx_distance
 from ..kernels.rgb2ycc import COMPONENTS as RGB2YCC
+from ..kernels.rgb2ycc import broadcast_h, emit_mmx_rgb2ycc
 from .stages import BLOCK16, QUANT_SHIFT, ScalarStages
 
 _E = ElemType
-
-
-def _interleaved_k(mat: np.ndarray) -> np.ndarray:
-    """Pair-interleaved pmaddh constants for a transform matrix."""
-    k = np.zeros((4, 4, 4), dtype=np.int16)
-    for g in range(4):
-        for p in range(4):
-            k[g][p] = [mat[2 * g][2 * p], mat[2 * g][2 * p + 1],
-                       mat[2 * g + 1][2 * p], mat[2 * g + 1][2 * p + 1]]
-    return k
-
-
-def _broadcast_h(value: int) -> int:
-    """A packed word with ``value`` in all four halfword lanes."""
-    return int(np.asarray([value] * 4, dtype=np.int16).view(np.uint64)[0])
 
 
 class MmxStages(ScalarStages):
@@ -54,14 +50,8 @@ class MmxStages(ScalarStages):
 
     def _transform_consts(self, key: str, mat: np.ndarray) -> int:
         if key not in self._const_addrs:
-            words = np.concatenate([
-                _interleaved_k(mat).reshape(-1, 4).view(np.uint64).reshape(-1),
-                np.asarray([1 << (PASS1_SHIFT - 1)] * 2, dtype=np.int32).view(np.uint64),
-                np.asarray([1 << (PASS2_SHIFT - 1)] * 2, dtype=np.int32).view(np.uint64),
-                np.asarray([OUT_MIN] * 4, dtype=np.int16).view(np.uint64),
-                np.asarray([OUT_MAX] * 4, dtype=np.int16).view(np.uint64),
-            ])
-            self._const_addrs[key] = self.b.mem.alloc_array(words)
+            self._const_addrs[key] = self.b.mem.alloc_array(
+                mmx_transform_words(mat))
         return self._const_addrs[key]
 
     def _word_const(self, key: str, word: int) -> int:
@@ -82,28 +72,9 @@ class MmxStages(ScalarStages):
     def sad16(self, ref_addr: int, ref_stride: int, blk_addr: int,
               blk_stride: int, out):
         b = self.b
-        pa, pb, rows = self.r[:3]
-        a_lo, a_hi, b_lo, b_hi, acc, d1, d2 = self.m[:7]
-        site = b.site()
-        b.li(pa, ref_addr)
-        b.li(pb, blk_addr)
-        b.pxor(acc, acc, acc)
-        b.li(rows, BLOCK16 // 4)
-        for row in range(BLOCK16):
-            b.m_ldq(a_lo, pa, 0)
-            b.m_ldq(a_hi, pa, 8)
-            b.m_ldq(b_lo, pb, 0)
-            b.m_ldq(b_hi, pb, 8)
-            b.psadb(d1, a_lo, b_lo)
-            b.psadb(d2, a_hi, b_hi)
-            b.paddw(acc, acc, d1)
-            b.paddw(acc, acc, d2)
-            b.addi(pa, pa, ref_stride)
-            b.addi(pb, pb, blk_stride)
-            if row % 4 == 3:
-                b.subi(rows, rows, 1)
-                b.bne(rows, site)
-        b.movd_from(out, acc)
+        emit_mmx_distance(b, ref_addr, ref_stride, blk_addr, blk_stride,
+                          (*self.r[:3], *self.m[:7]), b.site())
+        b.movd_from(out, self.m[4])
         return out
 
     # -- block movement -----------------------------------------------------------------
@@ -176,30 +147,9 @@ class MmxStages(ScalarStages):
                 b.bne(rows, site)
 
     def addblock8(self, pred, pstride, resid, dst, dstride) -> None:
-        b = self.b
-        pp, pr, pd, rows = self.r[:4]
-        vp, p_lo, p_hi, r_lo, r_hi = self.m[:5]
-        b.li(pp, pred)
-        b.li(pr, resid)
-        b.li(pd, dst)
-        b.li(rows, N // 4)
-        site = b.site()
-        for row in range(N):
-            b.m_ldq(vp, pp, 0)
-            b.punpcklb(p_lo, vp, self.mzero)
-            b.punpckhb(p_hi, vp, self.mzero)
-            b.m_ldq(r_lo, pr, 0)
-            b.m_ldq(r_hi, pr, 8)
-            b.paddh(p_lo, p_lo, r_lo)
-            b.paddh(p_hi, p_hi, r_hi)
-            b.packushb(vp, p_lo, p_hi)
-            b.m_stq(vp, pd, 0)
-            b.addi(pp, pp, pstride)
-            b.addi(pr, pr, 2 * N)
-            b.addi(pd, pd, dstride)
-            if row % 4 == 3:
-                b.subi(rows, rows, 1)
-                b.bne(rows, site)
+        emit_packed_addblock(self.b, pred, pstride, resid, dst, dstride,
+                             self.mzero, (*self.r[:4], *self.m[:5]),
+                             self.b.site())
 
     # -- transforms ----------------------------------------------------------------------------
 
@@ -218,66 +168,15 @@ class MmxStages(ScalarStages):
             self._k_tag = key
         rnd1, rnd2, cmin, cmax = self.c4
         kregs = [self.k[4 * g : 4 * g + 4] for g in range(4)]
-        x_lo, x_hi, p01, p23, p45, p67 = self.m[:6]
-        accs = self.m[6:10]
-        t = self.m[10]
         site = b.site()
 
-        def transpose(sbase, dbase):
-            a0, a1, a2, a3 = self.m[:4]
-            t0, t1, t2, t3 = self.m[4:8]
-            for qr in range(2):
-                for qc in range(2):
-                    for i, reg in enumerate((a0, a1, a2, a3)):
-                        b.li(addr, sbase + ((4 * qr + i) * N + 4 * qc) * 2)
-                        b.m_ldq(reg, addr, 0)
-                    b.punpcklh(t0, a0, a1)
-                    b.punpckhh(t1, a0, a1)
-                    b.punpcklh(t2, a2, a3)
-                    b.punpckhh(t3, a2, a3)
-                    b.punpcklw(a0, t0, t2)
-                    b.punpckhw(a1, t0, t2)
-                    b.punpcklw(a2, t1, t3)
-                    b.punpckhw(a3, t1, t3)
-                    for i, reg in enumerate((a0, a1, a2, a3)):
-                        b.li(addr, dbase + ((4 * qc + i) * N + 4 * qr) * 2)
-                        b.m_stq(reg, addr, 0)
-
         def row_pass(sbase, dbase, rnd_reg, shift, do_clamp):
-            for row in range(N):
-                b.li(addr, sbase + row * N * 2)
-                b.m_ldq(x_lo, addr, 0)
-                b.m_ldq(x_hi, addr, 8)
-                b.pshufh(p01, x_lo, (0, 1, 0, 1))
-                b.pshufh(p23, x_lo, (2, 3, 2, 3))
-                b.pshufh(p45, x_hi, (0, 1, 0, 1))
-                b.pshufh(p67, x_hi, (2, 3, 2, 3))
-                for g in range(4):
-                    b.pmaddh(accs[g], p01, kregs[g][0])
-                    b.pmaddh(t, p23, kregs[g][1])
-                    b.paddw(accs[g], accs[g], t)
-                    b.pmaddh(t, p45, kregs[g][2])
-                    b.paddw(accs[g], accs[g], t)
-                    b.pmaddh(t, p67, kregs[g][3])
-                    b.paddw(accs[g], accs[g], t)
-                    b.paddw(accs[g], accs[g], rnd_reg)
-                    b.psraw(accs[g], accs[g], shift)
-                b.packsswh(p01, accs[0], accs[1])
-                b.packsswh(p23, accs[2], accs[3])
-                if do_clamp:
-                    for yreg in (p01, p23):
-                        b.pmaxsh(yreg, yreg, cmin)
-                        b.pminsh(yreg, yreg, cmax)
-                b.li(addr, dbase + row * N * 2)
-                b.m_stq(p01, addr, 0)
-                b.m_stq(p23, addr, 8)
-                if row % 4 == 3:
-                    b.li(ctr, 1 if row == N - 1 else 0)
-                    b.beq(ctr, site)
+            emit_mmx_row_pass(b, sbase, dbase, rnd_reg, shift, do_clamp, addr,
+                              ctr, kregs, (cmin, cmax), self.m[:11], site)
 
-        transpose(src, self._t_addr)
+        emit_mmx_transpose(b, src, self._t_addr, addr, self.m[:8])
         row_pass(self._t_addr, self._r_addr, rnd1, PASS1_SHIFT, False)
-        transpose(self._r_addr, self._t_addr)
+        emit_mmx_transpose(b, self._r_addr, self._t_addr, addr, self.m[:8])
         row_pass(self._t_addr, dst, rnd2, PASS2_SHIFT, clamp)
 
     # -- quantization -------------------------------------------------------------------------------
@@ -325,58 +224,30 @@ class MmxStages(ScalarStages):
 
     def rgb2ycc(self, r, g, bb, y, cb, cr, n) -> None:
         b = self.b
-        coefs = {}
-        for name, kr, kg, kb, _bias in RGB2YCC:
-            coefs[f"{name}_r"], coefs[f"{name}_g"], coefs[f"{name}_b"] = kr, kg, kb
-        ptr_in = {"r": r, "g": g, "b": bb}
-        ptr_out = {"y": y, "cb": cb, "cr": cr}
-        p = {k: b.ireg(v) for k, v in ptr_in.items()}
-        po = {k: b.ireg(v) for k, v in ptr_out.items()}
+        p = {k: b.ireg(v) for k, v in (("r", r), ("g", g), ("b", bb))}
+        po = {k: b.ireg(v) for k, v in (("y", y), ("cb", cb), ("cr", cr))}
         cnt = self.r[0]
-        raw = {k: self.m[i] for i, k in enumerate(("r", "g", "b"))}
-        h_lo = {k: self.m[3 + i] for i, k in enumerate(("r", "g", "b"))}
-        h_hi = {k: self.k[i] for i, k in enumerate(("r", "g", "b"))}
-        acc, prod, lo_out, packed = self.m[6], self.m[7], self.m[8], self.m[9]
+        halves = {k: (self.m[3 + i], self.k[i]) for i, k in enumerate("rgb")}
         rnd = self.k[3]
         bias_reg = self.k[4]
-        self._load_const(rnd, "h128", _broadcast_h(128))
-        self._load_const(bias_reg, "h128b", _broadcast_h(128))
+        self._load_const(rnd, "h128", broadcast_h(128))
+        self._load_const(bias_reg, "h128b", broadcast_h(128))
+        consts = {"round": rnd, "bias": bias_reg}
         coef_regs = {}
         next_k = 5
         for name, kr, kg, kb, _bias in RGB2YCC:
-            for coef in (kr, kg, kb):
+            for tag, coef in zip("rgb", (kr, kg, kb)):
                 if coef not in coef_regs:
                     coef_regs[coef] = self.k[next_k]
                     next_k += 1
                     self._load_const(coef_regs[coef], f"c{coef}",
-                                     _broadcast_h(coef))
+                                     broadcast_h(coef))
+                consts[f"{name}_{tag}"] = coef_regs[coef]
         self._k_tag = None
         b.li(cnt, n // 8)
-        site = b.site()
-        for i in range(0, n, 8):
-            for k in raw:
-                b.m_ldq(raw[k], p[k], i)
-                b.punpcklb(h_lo[k], raw[k], self.mzero)
-                b.punpckhb(h_hi[k], raw[k], self.mzero)
-            for name, kr, kg, kb, bias in RGB2YCC:
-                for h, halves in ((0, h_lo), (1, h_hi)):
-                    b.pmullh(acc, halves["r"], coef_regs[kr])
-                    b.pmullh(prod, halves["g"], coef_regs[kg])
-                    b.paddh(acc, acc, prod)
-                    b.pmullh(prod, halves["b"], coef_regs[kb])
-                    b.paddh(acc, acc, prod)
-                    b.paddh(acc, acc, rnd)
-                    if bias:
-                        b.psrah(acc, acc, 8)
-                        b.paddh(acc, acc, bias_reg)
-                    else:
-                        b.psrlh(acc, acc, 8)
-                    if h == 0:
-                        b.movq(lo_out, acc)
-                b.packushb(packed, lo_out, acc)
-                b.m_stq(packed, po[name], i)
-            b.subi(cnt, cnt, 1)
-            b.bne(cnt, site)
+        emit_mmx_rgb2ycc(b, n, p, po, halves, consts,
+                         (*self.m[:3], *self.m[6:10], self.mzero), cnt,
+                         b.site())
         for reg in list(p.values()) + list(po.values()):
             b.free(reg)
 
@@ -392,12 +263,12 @@ class MmxStages(ScalarStages):
                                      self.m[9])
         c128, rnd64 = self.k[3], self.k[4]
         c179, c227, cm44, cm91 = self.k[5], self.k[6], self.k[7], self.k[8]
-        self._load_const(c128, "h128", _broadcast_h(128))
-        self._load_const(rnd64, "h64", _broadcast_h(64))
-        self._load_const(c179, "c179", _broadcast_h(179))
-        self._load_const(c227, "c227", _broadcast_h(227))
-        self._load_const(cm44, "cm44", _broadcast_h(-44))
-        self._load_const(cm91, "cm91", _broadcast_h(-91))
+        self._load_const(c128, "h128", broadcast_h(128))
+        self._load_const(rnd64, "h64", broadcast_h(64))
+        self._load_const(c179, "c179", broadcast_h(179))
+        self._load_const(c227, "c227", broadcast_h(227))
+        self._load_const(cm44, "cm44", broadcast_h(-44))
+        self._load_const(cm91, "cm91", broadcast_h(-91))
         self._k_tag = None
         b.li(cnt, n // 8)
         site = b.site()
@@ -520,13 +391,8 @@ class MomStages(ScalarStages):
 
     def _mom_consts(self, key: str, mat: np.ndarray) -> int:
         if key not in self._const_addrs:
-            kmats = np.zeros((N, N, 4), dtype=np.int16)
-            for x in range(N):
-                for u in range(N):
-                    kmats[x][u] = mat[x][u]
             self._const_addrs[key] = self.b.mem.alloc_array(
-                kmats.reshape(-1, 4).view(np.uint64).reshape(-1)
-            )
+                mom_broadcast_words(mat))
         return self._const_addrs[key]
 
     # -- motion estimation ---------------------------------------------------------
@@ -576,10 +442,7 @@ class MomStages(ScalarStages):
             b.mommsadb(self.acc, a_lo, c_lo)
             b.mommsadb(self.acc, a_hi, c_hi)
             b.racl(s, self.acc, _E.Q)
-            b.li(cand, index)
-            b.cmplt(tmp, s, best)
-            b.cmovne(best, tmp, s)
-            b.cmovne(besti, tmp, cand)
+            emit_track_min(b, s, best, besti, tmp, cand, index)
         winner = int(besti.value)
         b.free(best)
         b.free(besti)
@@ -660,7 +523,7 @@ class MomStages(ScalarStages):
         b = self.b
         key = f"mom_{int(mat[0][0])}_{int(mat[0][1])}_{int(mat[1][0])}"
         kaddr = self._mom_consts(key, mat)
-        base, tmp_int = self.r[:2]
+        base, tmp_int, swap = self.r[:3]
         left, right, rac, cmin, cmax = self.m[:5]
         accs = (self.acc, self.acc2)
         b.setvli(N)
@@ -691,30 +554,17 @@ class MomStages(ScalarStages):
             b.li(base, addr + 8)
             b.momldq(right, base, self._stride(2 * N))
 
-        def transpose():
-            b.momtransh(left, left)
-            b.momtransh(right, right)
-            swap = self.r[2]
-            for row in range(4):
-                b.momextrow(tmp_int, left, 4 + row)
-                b.momextrow(swap, right, row)
-                b.mominsrow(left, swap, 4 + row)
-                b.mominsrow(right, tmp_int, row)
-
         load_pair(src)
         column_pass(PASS1_SHIFT, self._scratch_t1)
         load_pair(self._scratch_t1)
-        transpose()
+        emit_mom_transpose(b, left, right, tmp_int, swap)
         column_pass(PASS2_SHIFT, self._scratch_t2)
         load_pair(self._scratch_t2)
-        transpose()
+        emit_mom_transpose(b, left, right, tmp_int, swap)
         if clamp:
             if "clamp" not in self._const_addrs:
-                words = np.asarray([[OUT_MIN] * 4] * N + [[OUT_MAX] * 4] * N,
-                                   dtype=np.int16)
                 self._const_addrs["clamp"] = b.mem.alloc_array(
-                    words.view(np.uint64).reshape(-1)
-                )
+                    mom_clamp_words())
             b.li(base, self._const_addrs["clamp"])
             b.momldq(cmin, base, self._stride(8))
             b.li(base, self._const_addrs["clamp"] + N * 8)
@@ -767,8 +617,8 @@ class MomStages(ScalarStages):
             words = []
             for _name, kr, kg, kb, _bias in RGB2YCC:
                 for coef in (kr, kg, kb):
-                    words.append(_broadcast_h(coef))
-            words.append(_broadcast_h(128))
+                    words.append(broadcast_h(coef))
+            words.append(broadcast_h(128))
             self._const_addrs["rgbycc"] = b.mem.alloc_array(
                 np.asarray(words, dtype=np.uint64)
             )
@@ -825,7 +675,7 @@ class MomStages(ScalarStages):
             name = "ycc_" + key
             if name not in self._const_addrs:
                 self._const_addrs[name] = b.mem.alloc_array(
-                    np.asarray([_broadcast_h(val)] * 16, dtype=np.uint64)
+                    np.asarray([broadcast_h(val)] * 16, dtype=np.uint64)
                 )
         addr = self.r[0]
         consts = {}

@@ -155,12 +155,6 @@ class PackedAccumulator:
         """
         self.bits = (self.bits + delta) & _ACC_MASK
 
-    def scalar_total(self, signed: bool = False) -> int:
-        """The accumulator as one wide integer (two's complement option)."""
-        if signed and self.bits >= 1 << (ACC_BITS - 1):
-            return self.bits - (1 << ACC_BITS)
-        return self.bits
-
     # --- read-out / restore ------------------------------------------------------
 
     def read_third(self, which: str) -> int:

@@ -516,22 +516,3 @@ def horizontal_sum(a, elem: ElemType):
         return sum(_split(a, _LANES[elem].unsigned))
     la = to_lanes(a, elem, signed=False).astype(np.uint64)
     return la.sum(axis=-1, dtype=np.uint64)
-
-
-# --- scalar <-> lane helpers used by the builders -------------------------------------------
-
-def word_from_bytes(data: bytes) -> int:
-    """Build a packed word from up to 8 little-endian bytes."""
-    if len(data) > 8:
-        raise ValueError("at most 8 bytes fit a packed word")
-    return int.from_bytes(data.ljust(8, b"\0"), "little")
-
-
-def word_to_bytes(word: int) -> bytes:
-    """Little-endian byte image of a packed word."""
-    return int(word).to_bytes(8, "little")
-
-
-def lane_count(elem: ElemType) -> int:
-    """Lanes per 64-bit word for an element type."""
-    return elem.lanes

@@ -169,11 +169,6 @@ class SimResult:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    @property
-    def opc(self) -> float:
-        """Operations (lane-level work items) per cycle."""
-        return self.operations / self.cycles if self.cycles else 0.0
-
     def to_dict(self) -> dict:
         """Plain-data image for the persistent result cache (JSON-safe)."""
         data = {

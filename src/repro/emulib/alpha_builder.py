@@ -30,6 +30,28 @@ def emit_abs_diff(b: BaseBuilder, dst: RegHandle, x: RegHandle, y: RegHandle,
     return dst
 
 
+def emit_track_min(b: BaseBuilder, value: RegHandle, best: RegHandle,
+                   besti: RegHandle, tmp: RegHandle, cand: RegHandle,
+                   index: int) -> None:
+    """Emit the strictly-less running argmin: ``best, besti`` take
+    ``value, index`` when ``value < best`` (compare + conditional moves)."""
+    b.li(cand, index)
+    b.cmplt(tmp, value, best)
+    b.cmovne(best, tmp, value)
+    b.cmovne(besti, tmp, cand)
+
+
+def emit_track_max(b: BaseBuilder, value: RegHandle, best: RegHandle,
+                   besti: RegHandle, tmp: RegHandle, cand: RegHandle,
+                   index: int) -> None:
+    """Emit the strictly-greater running argmax (the twin of
+    :func:`emit_track_min`)."""
+    b.li(cand, index)
+    b.cmplt(tmp, best, value)
+    b.cmovne(best, tmp, value)
+    b.cmovne(besti, tmp, cand)
+
+
 def emit_clamp(b: BaseBuilder, value: RegHandle, lo: RegHandle, hi: RegHandle,
                scratch: RegHandle) -> RegHandle:
     """Emit ``value = min(max(value, lo), hi)`` with compare + cmov pairs."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ..isa.model import InstrClass, RegPool
+from ..isa.model import RegPool
 from .trace import DynInstr, Trace, reg_index, reg_pool
 
 _POOL_PREFIX = {
@@ -128,16 +128,4 @@ def disassemble(trace: Trace, start: int = 0, count: int | None = None) -> str:
     lines = [f"; trace: isa={trace.isa}, {len(trace)} instructions"]
     for i in range(start, end):
         lines.append(f"{i:6d}: {format_instr(trace[i])}")
-    return "\n".join(lines)
-
-
-def class_mix_report(trace: Trace) -> str:
-    """A printable instruction-class histogram."""
-    hist = trace.class_histogram()
-    total = len(trace)
-    lines = [f"instruction class mix ({total} instructions):"]
-    for iclass in sorted(hist, key=lambda c: -hist[c]):
-        share = hist[iclass] / total
-        lines.append(f"  {InstrClass(iclass).name:12s} {hist[iclass]:8d}"
-                     f"  {share:6.1%}")
     return "\n".join(lines)

@@ -21,7 +21,7 @@ numbers of Figure 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,26 +70,6 @@ class SectionProfile:
             data_branches=int(self.data_branches * factor),
             footprint=self.footprint,
         )
-
-
-@dataclass
-class SectionTally:
-    """Convenience counter used while the functional code runs."""
-
-    profile: SectionProfile = field(
-        default_factory=lambda: SectionProfile(name="phase")
-    )
-
-    def count(self, loads: int = 0, stores: int = 0, alu: int = 0,
-              muls: int = 0, loop_branches: int = 0,
-              data_branches: int = 0) -> None:
-        p = self.profile
-        p.loads += loads
-        p.stores += stores
-        p.alu += alu
-        p.muls += muls
-        p.loop_branches += loop_branches
-        p.data_branches += data_branches
 
 
 def emit_scalar_section(b: BaseBuilder, profile: SectionProfile,

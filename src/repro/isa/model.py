@@ -104,15 +104,11 @@ class ElemType(enum.Enum):
     Q = "q"     #: 1 x 64-bit quadword
     NONE = "-"  #: not a packed operation
 
-    @property
-    def lanes(self) -> int:
-        """Number of sub-word lanes in a 64-bit word."""
-        return {"b": 8, "h": 4, "w": 2, "q": 1, "-": 1}[self.value]
-
-    @property
-    def bits(self) -> int:
-        """Width of one sub-word element in bits."""
-        return 64 // self.lanes
+    def __init__(self, value: str) -> None:
+        #: Number of sub-word lanes in a 64-bit word.
+        self.lanes: int = {"b": 8, "h": 4, "w": 2, "q": 1, "-": 1}[value]
+        #: Width of one sub-word element in bits.
+        self.bits: int = 64 // self.lanes
 
 
 @dataclass(frozen=True)
@@ -184,10 +180,6 @@ class IsaTable:
 
     def __iter__(self):
         return iter(self.opcodes.values())
-
-    def by_category(self, category: str) -> list[Opcode]:
-        """All opcodes in a documentation category, in insertion order."""
-        return [op for op in self.opcodes.values() if op.category == category]
 
     def categories(self) -> dict[str, int]:
         """Histogram of opcode counts per category."""

@@ -68,14 +68,46 @@ def _read_blocks(b, out_addr: int, count: int) -> dict[str, np.ndarray]:
     return {"blocks": flat.reshape(count, N, N)}
 
 
+def clamp_table() -> np.ndarray:
+    """The saturation memory table, exactly as in mpeg2play's Add_Block:
+    entry ``v + TABLE_BIAS`` holds ``clip(v, 0, 255)``."""
+    return np.clip(np.arange(TABLE_SIZE) - TABLE_BIAS, 0, 255).astype(np.uint8)
+
+
+def emit_alpha_addblock(b, pred: int, pstride: int, resid: int, dst: int,
+                        dstride: int, tab, regs, site: int) -> None:
+    """``dst = clamp(pred + resid)`` over one 8x8 block, the clamp a
+    dependent load from the table ``tab`` points into (at its bias).
+
+    ``regs`` is ``(pp, pr, pd, vp, vr, idx, rows)``.
+    """
+    pp, pr, pd, vp, vr, idx, rows = regs
+    b.li(pp, pred)
+    b.li(pr, resid)
+    b.li(pd, dst)
+    b.li(rows, N)
+    for _row in range(N):
+        for i in range(N):
+            b.ldbu(vp, pp, i)
+            b.ldwu(vr, pr, 2 * i)
+            b.sextw(vr, vr)
+            b.addq(vp, vp, vr)
+            b.addq(idx, tab, vp)
+            b.ldbu(vp, idx, 0)      # dependent table load = the clamp
+            b.stb(vp, pd, i)
+        b.addi(pp, pp, pstride)
+        b.addi(pr, pr, 2 * N)
+        b.addi(pd, pd, dstride)
+        b.subi(rows, rows, 1)
+        b.bne(rows, site)
+
+
 def _build_alpha(workload: AddblockWorkload) -> BuiltKernel:
     b = AlphaBuilder()
     frame_addr = b.mem.alloc_array(workload.frame)
     resid_addr = b.mem.alloc_array(workload.residuals)
     out_addr = b.mem.alloc(len(workload.positions) * N * N)
-    # The saturation memory table, exactly as in mpeg2play's Add_Block.
-    clamp = np.clip(np.arange(TABLE_SIZE) - TABLE_BIAS, 0, 255).astype(np.uint8)
-    table_addr = b.mem.alloc_array(clamp)
+    table_addr = b.mem.alloc_array(clamp_table())
     width = workload.width
 
     pp, pr, po = b.ireg(), b.ireg(), b.ireg()
@@ -85,27 +117,42 @@ def _build_alpha(workload: AddblockWorkload) -> BuiltKernel:
     site = b.site()
 
     for n, (y, x) in enumerate(workload.positions):
-        b.li(pp, frame_addr + y * width + x)
-        b.li(pr, resid_addr + n * N * N * 2)
-        b.li(po, out_addr + n * N * N)
-        b.li(rows, N)
-        for _row in range(N):
-            for i in range(N):
-                b.ldbu(vp, pp, i)
-                b.ldwu(vr, pr, 2 * i)
-                b.sextw(vr, vr)
-                b.addq(vp, vp, vr)
-                b.addq(idx, tab, vp)
-                b.ldbu(vp, idx, 0)      # dependent table load = the clamp
-                b.stb(vp, po, i)
-            b.addi(pp, pp, width)
-            b.addi(pr, pr, 2 * N)
-            b.addi(po, po, N)
-            b.subi(rows, rows, 1)
-            b.bne(rows, site)
+        emit_alpha_addblock(b, frame_addr + y * width + x, width,
+                            resid_addr + n * N * N * 2, out_addr + n * N * N,
+                            N, tab, (pp, pr, po, vp, vr, idx, rows), site)
     return BuiltKernel(
         builder=b, outputs=_read_blocks(b, out_addr, len(workload.positions))
     )
+
+
+def emit_packed_addblock(b, pred: int, pstride: int, resid: int, dst: int,
+                         dstride: int, zero, regs, site: int) -> None:
+    """MMX/MDMX ``dst = clamp(pred + resid)`` over one 8x8 block: unpack,
+    ``paddh``, ``packushb``; rows unrolled by four.
+
+    ``regs`` is ``(pp, pr, pd, rows, vp, p_lo, p_hi, r_lo, r_hi)``.
+    """
+    pp, pr, pd, rows, vp, p_lo, p_hi, r_lo, r_hi = regs
+    b.li(pp, pred)
+    b.li(pr, resid)
+    b.li(pd, dst)
+    b.li(rows, N // 4)
+    for row in range(N):
+        b.m_ldq(vp, pp, 0)
+        b.punpcklb(p_lo, vp, zero)
+        b.punpckhb(p_hi, vp, zero)
+        b.m_ldq(r_lo, pr, 0)
+        b.m_ldq(r_hi, pr, 8)
+        b.paddh(p_lo, p_lo, r_lo)
+        b.paddh(p_hi, p_hi, r_hi)
+        b.packushb(vp, p_lo, p_hi)
+        b.m_stq(vp, pd, 0)
+        b.addi(pp, pp, pstride)
+        b.addi(pr, pr, 2 * N)
+        b.addi(pd, pd, dstride)
+        if row % 4 == 3:
+            b.subi(rows, rows, 1)
+            b.bne(rows, site)
 
 
 def _build_packed(workload: AddblockWorkload, builder_cls) -> BuiltKernel:
@@ -123,26 +170,10 @@ def _build_packed(workload: AddblockWorkload, builder_cls) -> BuiltKernel:
     site = b.site()
 
     for n, (y, x) in enumerate(workload.positions):
-        b.li(pp, frame_addr + y * width + x)
-        b.li(pr, resid_addr + n * N * N * 2)
-        b.li(po, out_addr + n * N * N)
-        b.li(rows, N // 4)
-        for row in range(N):
-            b.m_ldq(pred, pp, 0)
-            b.punpcklb(p_lo, pred, zero)
-            b.punpckhb(p_hi, pred, zero)
-            b.m_ldq(r_lo, pr, 0)
-            b.m_ldq(r_hi, pr, 8)
-            b.paddh(p_lo, p_lo, r_lo)
-            b.paddh(p_hi, p_hi, r_hi)
-            b.packushb(pred, p_lo, p_hi)
-            b.m_stq(pred, po, 0)
-            b.addi(pp, pp, width)
-            b.addi(pr, pr, 2 * N)
-            b.addi(po, po, N)
-            if row % 4 == 3:
-                b.subi(rows, rows, 1)
-                b.bne(rows, site)
+        emit_packed_addblock(b, frame_addr + y * width + x, width,
+                             resid_addr + n * N * N * 2, out_addr + n * N * N,
+                             N, zero, (pp, pr, po, rows, pred, p_lo, p_hi,
+                                       r_lo, r_hi), site)
     return BuiltKernel(
         builder=b, outputs=_read_blocks(b, out_addr, len(workload.positions))
     )

@@ -85,11 +85,14 @@ def build_and_check(spec: KernelSpec, isa: str, workload) -> BuiltKernel:
                 f"{spec.name}/{isa}: output {name!r} missing "
                 f"(has {sorted(built.outputs)})"
             )
-        actual = built.outputs[name]
-        if not np.array_equal(np.asarray(actual), np.asarray(expected)):
-            diff = np.flatnonzero(
-                np.asarray(actual).ravel() != np.asarray(expected).ravel()
+        actual, expected = np.asarray(built.outputs[name]), np.asarray(expected)
+        if actual.shape != expected.shape:
+            raise AssertionError(
+                f"{spec.name}/{isa}: output {name!r} has shape "
+                f"{actual.shape}, golden has {expected.shape}"
             )
+        if not np.array_equal(actual, expected):
+            diff = np.flatnonzero(actual.ravel() != expected.ravel())
             raise AssertionError(
                 f"{spec.name}/{isa}: output {name!r} mismatches golden at "
                 f"{diff.size} positions (first: {diff[:8]})"

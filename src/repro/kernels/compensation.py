@@ -65,6 +65,34 @@ def _read_preds(b, out_addr: int, count: int) -> dict[str, np.ndarray]:
     return {"pred": flat.reshape(count, BLOCK, BLOCK)}
 
 
+def emit_alpha_average(b, a: int, astride: int, c: int, cstride: int,
+                       dst: int, dstride: int, h: int, w: int, regs,
+                       site: int) -> None:
+    """``dst = (a + c + 1) >> 1`` per pixel of an ``h x w`` block, each row
+    unrolled, one loop branch per row.
+
+    ``regs`` is ``(pa, pc, pd, va, vc, rows)``.
+    """
+    pa, pc, pd, va, vc, rows = regs
+    b.li(pa, a)
+    b.li(pc, c)
+    b.li(pd, dst)
+    b.li(rows, h)
+    for _row in range(h):
+        for i in range(w):
+            b.ldbu(va, pa, i)
+            b.ldbu(vc, pc, i)
+            b.addq(va, va, vc)
+            b.addi(va, va, 1)
+            b.srl(va, va, 1)
+            b.stb(va, pd, i)
+        b.addi(pa, pa, astride)
+        b.addi(pc, pc, cstride)
+        b.addi(pd, pd, dstride)
+        b.subi(rows, rows, 1)
+        b.bne(rows, site)
+
+
 def _build_alpha(workload: CompensationWorkload) -> BuiltKernel:
     b = AlphaBuilder()
     frame_addr = b.mem.alloc_array(workload.frame)
@@ -77,23 +105,10 @@ def _build_alpha(workload: CompensationWorkload) -> BuiltKernel:
     site = b.site()
 
     for n, ((fy, fx), (by, bx)) in enumerate(workload.blocks):
-        b.li(pf, frame_addr + fy * width + fx)
-        b.li(pw, frame_addr + by * width + bx)
-        b.li(po, out_addr + n * BLOCK * BLOCK)
-        b.li(rows, BLOCK)
-        for _row in range(BLOCK):
-            for i in range(BLOCK):
-                b.ldbu(vf, pf, i)
-                b.ldbu(vw, pw, i)
-                b.addq(vf, vf, vw)
-                b.addi(vf, vf, 1)
-                b.srl(vf, vf, 1)
-                b.stb(vf, po, i)
-            b.addi(pf, pf, width)
-            b.addi(pw, pw, width)
-            b.addi(po, po, BLOCK)
-            b.subi(rows, rows, 1)
-            b.bne(rows, site)
+        emit_alpha_average(b, frame_addr + fy * width + fx, width,
+                           frame_addr + by * width + bx, width,
+                           out_addr + n * BLOCK * BLOCK, BLOCK, BLOCK, BLOCK,
+                           (pf, pw, po, vf, vw, rows), site)
     return BuiltKernel(
         builder=b, outputs=_read_preds(b, out_addr, len(workload.blocks))
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..emulib.alpha_builder import AlphaBuilder
+from ..emulib.alpha_builder import AlphaBuilder, emit_clamp
 from ..emulib.mdmx_builder import MdmxBuilder
 from ..emulib.mmx_builder import MmxBuilder
 from ..emulib.mom_builder import MomBuilder
@@ -97,6 +97,40 @@ def golden(workload: IdctWorkload) -> dict[str, np.ndarray]:
 
 # --- Alpha ---------------------------------------------------------------------------
 
+def emit_alpha_pass(b, mat: np.ndarray, src_base: int, dst_base: int,
+                    rnd: int, shift: int, column: bool, clamp: bool,
+                    regs, site: int) -> None:
+    """One pass of the 8x8 transform: 64 dot products of 8 terms, one
+    ``mat`` constant per ``lda``, with a loop branch every 8 outputs.
+
+    ``regs`` is ``(v, c, prod, s, src, dst, lo, hi, t)``; ``lo``/``hi``
+    must hold ``OUT_MIN``/``OUT_MAX`` when ``clamp`` is set.
+    """
+    v, c, prod, s, src, dst, lo, hi, t = regs
+    cnt = 0
+    for xo in range(N):
+        for yo in range(N):
+            b.li(s, rnd)
+            for u in range(N):
+                off = (u * N + yo) if column else (yo * N + u)
+                b.li(src, src_base + 2 * off)
+                b.ldwu(v, src, 0)
+                b.sextw(v, v)
+                b.li(c, int(mat[xo][u]))
+                b.mulq(prod, v, c)
+                b.addq(s, s, prod)
+            b.sra(s, s, shift)
+            if clamp:
+                emit_clamp(b, s, lo, hi, t)
+            off = (xo * N + yo) if column else (yo * N + xo)
+            b.li(dst, dst_base + 2 * off)
+            b.stw(s, dst, 0)
+            cnt += 1
+            if cnt % 8 == 0:
+                b.li(t, 1 if cnt == 64 else 0)
+                b.beq(t, site)
+
+
 def _build_alpha(workload: IdctWorkload) -> BuiltKernel:
     b = AlphaBuilder()
     blocks = workload.blocks
@@ -108,41 +142,16 @@ def _build_alpha(workload: IdctWorkload) -> BuiltKernel:
     src, dst = b.ireg(), b.ireg()
     lo, hi = b.ireg(OUT_MIN), b.ireg(OUT_MAX)
     t = b.ireg()
+    regs = (v, c, prod, s, src, dst, lo, hi, t)
     loop_site = b.site()
-
-    def pass_(src_base: int, dst_base: int, rnd: int, shift: int,
-              column: bool, clamp: bool) -> None:
-        cnt = 0
-        for xo in range(N):
-            for yo in range(N):
-                b.li(s, rnd)
-                for u in range(N):
-                    off = (u * N + yo) if column else (yo * N + u)
-                    b.li(src, src_base + 2 * off)
-                    b.ldwu(v, src, 0)
-                    b.sextw(v, v)
-                    b.li(c, int(_M[xo][u]))
-                    b.mulq(prod, v, c)
-                    b.addq(s, s, prod)
-                b.sra(s, s, shift)
-                if clamp:
-                    b.cmplt(t, s, lo)
-                    b.cmovne(s, t, lo)
-                    b.cmplt(t, hi, s)
-                    b.cmovne(s, t, hi)
-                off = (xo * N + yo) if column else (yo * N + xo)
-                b.li(dst, dst_base + 2 * off)
-                b.stw(s, dst, 0)
-                cnt += 1
-                if cnt % 8 == 0:
-                    b.li(t, 1 if cnt == 64 else 0)
-                    b.beq(t, loop_site)
 
     for n in range(blocks.shape[0]):
         base = in_addr + n * N * N * 2
         obase = out_addr + n * N * N * 2
-        pass_(base, tmp_addr, PASS1_ROUND, PASS1_SHIFT, column=True, clamp=False)
-        pass_(tmp_addr, obase, PASS2_ROUND, PASS2_SHIFT, column=False, clamp=True)
+        emit_alpha_pass(b, _M, base, tmp_addr, PASS1_ROUND, PASS1_SHIFT,
+                        True, False, regs, loop_site)
+        emit_alpha_pass(b, _M, tmp_addr, obase, PASS2_ROUND, PASS2_SHIFT,
+                        False, True, regs, loop_site)
 
     pixels = b.mem.load_array(out_addr, np.int16, blocks.shape[0] * N * N)
     return BuiltKernel(
@@ -153,7 +162,7 @@ def _build_alpha(workload: IdctWorkload) -> BuiltKernel:
 
 # --- MMX / MDMX ---------------------------------------------------------------------
 
-def _interleaved_constants() -> np.ndarray:
+def _interleaved_constants(mat: np.ndarray) -> np.ndarray:
     """Pair-interleaved pmaddh constant words ``K[group][pair]``.
 
     ``K[g][p]`` packs ``[M[2g][2p], M[2g][2p+1], M[2g+1][2p], M[2g+1][2p+1]]``
@@ -162,15 +171,26 @@ def _interleaved_constants() -> np.ndarray:
     k = np.zeros((4, 4, 4), dtype=np.int16)
     for g in range(4):
         for p in range(4):
-            k[g][p] = [_M[2 * g][2 * p], _M[2 * g][2 * p + 1],
-                       _M[2 * g + 1][2 * p], _M[2 * g + 1][2 * p + 1]]
+            k[g][p] = [mat[2 * g][2 * p], mat[2 * g][2 * p + 1],
+                       mat[2 * g + 1][2 * p], mat[2 * g + 1][2 * p + 1]]
     return k
 
 
-def _emit_mmx_transpose(b, src_base: int, dst_base: int, regs) -> None:
+def mmx_transform_words(mat: np.ndarray) -> np.ndarray:
+    """The packed constant table: 16 ``K`` words, both pass roundings as
+    32-bit pairs, then the output clamp bounds as halfword quads."""
+    return np.concatenate([
+        _interleaved_constants(mat).reshape(-1, 4).view(np.uint64).reshape(-1),
+        np.asarray([PASS1_ROUND, PASS1_ROUND], dtype=np.int32).view(np.uint64),
+        np.asarray([PASS2_ROUND, PASS2_ROUND], dtype=np.int32).view(np.uint64),
+        np.asarray([OUT_MIN] * 4, dtype=np.int16).view(np.uint64),
+        np.asarray([OUT_MAX] * 4, dtype=np.int16).view(np.uint64),
+    ])
+
+
+def emit_mmx_transpose(b, src_base: int, dst_base: int, addr, regs) -> None:
     """8x8 halfword transpose through memory, one 4x4 quadrant at a time."""
     a0, a1, a2, a3, t0, t1, t2, t3 = regs
-    addr = b.ireg()
     for qr in range(2):
         for qc in range(2):
             for i, reg in enumerate((a0, a1, a2, a3)):
@@ -187,7 +207,49 @@ def _emit_mmx_transpose(b, src_base: int, dst_base: int, regs) -> None:
             for i, reg in enumerate((a0, a1, a2, a3)):
                 b.li(addr, dst_base + ((4 * qc + i) * N + 4 * qr) * 2)
                 b.m_stq(reg, addr, 0)
-    b.free(addr)
+
+
+def emit_mmx_row_pass(b, src_base: int, dst_base: int, rnd_reg, shift: int,
+                      clamp: bool, addr, ctr, kregs, clamp_regs, regs,
+                      site: int) -> None:
+    """One row transform of all 8 rows: ``pmaddh`` against the resident
+    ``kregs[group][pair]``, rounding, ``packsswh``, optional clamp to
+    ``clamp_regs = (cmin, cmax)``; a loop branch every four rows.
+
+    ``regs`` is ``(x_lo, x_hi, p01, p23, p45, p67, acc0..acc3, t)``.
+    """
+    x_lo, x_hi, p01, p23, p45, p67, *accs, t = regs
+    cmin, cmax = clamp_regs
+    for r in range(N):
+        b.li(addr, src_base + r * N * 2)
+        b.m_ldq(x_lo, addr, 0)
+        b.m_ldq(x_hi, addr, 8)
+        b.pshufh(p01, x_lo, (0, 1, 0, 1))
+        b.pshufh(p23, x_lo, (2, 3, 2, 3))
+        b.pshufh(p45, x_hi, (0, 1, 0, 1))
+        b.pshufh(p67, x_hi, (2, 3, 2, 3))
+        for g in range(4):
+            b.pmaddh(accs[g], p01, kregs[g][0])
+            b.pmaddh(t, p23, kregs[g][1])
+            b.paddw(accs[g], accs[g], t)
+            b.pmaddh(t, p45, kregs[g][2])
+            b.paddw(accs[g], accs[g], t)
+            b.pmaddh(t, p67, kregs[g][3])
+            b.paddw(accs[g], accs[g], t)
+            b.paddw(accs[g], accs[g], rnd_reg)
+            b.psraw(accs[g], accs[g], shift)
+        b.packsswh(p01, accs[0], accs[1])
+        b.packsswh(p23, accs[2], accs[3])
+        if clamp:
+            for y in (p01, p23):
+                b.pmaxsh(y, y, cmin)
+                b.pminsh(y, y, cmax)
+        b.li(addr, dst_base + r * N * 2)
+        b.m_stq(p01, addr, 0)
+        b.m_stq(p23, addr, 8)
+        if r % 4 == 3:
+            b.li(ctr, 1 if r == N - 1 else 0)
+            b.beq(ctr, site)
 
 
 def _build_packed(workload: IdctWorkload, builder_cls) -> BuiltKernel:
@@ -197,16 +259,7 @@ def _build_packed(workload: IdctWorkload, builder_cls) -> BuiltKernel:
     t_addr = b.mem.alloc(N * N * 2)     # transposed input / intermediate
     r_addr = b.mem.alloc(N * N * 2)     # row-pass result
     out_addr = b.mem.alloc(blocks.shape[0] * N * N * 2)
-
-    kvals = _interleaved_constants()
-    const_words = np.concatenate([
-        kvals.reshape(-1, 4).view(np.uint64).reshape(-1),
-        np.asarray([PASS1_ROUND, PASS1_ROUND], dtype=np.int32).view(np.uint64),
-        np.asarray([PASS2_ROUND, PASS2_ROUND], dtype=np.int32).view(np.uint64),
-        np.asarray([OUT_MIN] * 4, dtype=np.int16).view(np.uint64),
-        np.asarray([OUT_MAX] * 4, dtype=np.int16).view(np.uint64),
-    ])
-    const_addr = b.mem.alloc_array(const_words)
+    const_addr = b.mem.alloc_array(mmx_transform_words(_M))
 
     addr = b.ireg()
     kregs = [[b.mreg() for _ in range(4)] for _ in range(4)]
@@ -216,53 +269,22 @@ def _build_packed(workload: IdctWorkload, builder_cls) -> BuiltKernel:
         b.li(addr, const_addr + 8 * i)
         b.m_ldq(reg, addr, 0)
 
-    x_lo, x_hi = b.mreg(), b.mreg()
-    p01, p23, p45, p67 = b.mreg(), b.mreg(), b.mreg(), b.mreg()
-    accs = [b.mreg() for _ in range(4)]
-    t = b.mreg()
-    trans_regs = (x_lo, x_hi, p01, p23, p45, p67, accs[0], accs[1])
+    regs = [b.mreg() for _ in range(11)]   # x_lo x_hi p01..p67 acc0..3 t
     site = b.site()
     ctr = b.ireg()
+    trans_addr = b.ireg()
 
     def row_pass(src_base: int, dst_base: int, rnd_reg, shift: int,
                  clamp: bool) -> None:
-        for r in range(N):
-            b.li(addr, src_base + r * N * 2)
-            b.m_ldq(x_lo, addr, 0)
-            b.m_ldq(x_hi, addr, 8)
-            b.pshufh(p01, x_lo, (0, 1, 0, 1))
-            b.pshufh(p23, x_lo, (2, 3, 2, 3))
-            b.pshufh(p45, x_hi, (0, 1, 0, 1))
-            b.pshufh(p67, x_hi, (2, 3, 2, 3))
-            for g in range(4):
-                b.pmaddh(accs[g], p01, kregs[g][0])
-                b.pmaddh(t, p23, kregs[g][1])
-                b.paddw(accs[g], accs[g], t)
-                b.pmaddh(t, p45, kregs[g][2])
-                b.paddw(accs[g], accs[g], t)
-                b.pmaddh(t, p67, kregs[g][3])
-                b.paddw(accs[g], accs[g], t)
-                b.paddw(accs[g], accs[g], rnd_reg)
-                b.psraw(accs[g], accs[g], shift)
-            b.packsswh(p01, accs[0], accs[1])
-            b.packsswh(p23, accs[2], accs[3])
-            if clamp:
-                for y in (p01, p23):
-                    b.pmaxsh(y, y, cmin)
-                    b.pminsh(y, y, cmax)
-            b.li(addr, dst_base + r * N * 2)
-            b.m_stq(p01, addr, 0)
-            b.m_stq(p23, addr, 8)
-            if r % 4 == 3:
-                b.li(ctr, 1 if r == N - 1 else 0)
-                b.beq(ctr, site)
+        emit_mmx_row_pass(b, src_base, dst_base, rnd_reg, shift, clamp, addr,
+                          ctr, kregs, (cmin, cmax), regs, site)
 
     for n in range(blocks.shape[0]):
         base = in_addr + n * N * N * 2
         obase = out_addr + n * N * N * 2
-        _emit_mmx_transpose(b, base, t_addr, trans_regs)
+        emit_mmx_transpose(b, base, t_addr, trans_addr, regs[:8])
         row_pass(t_addr, r_addr, rnd1, PASS1_SHIFT, clamp=False)
-        _emit_mmx_transpose(b, r_addr, t_addr, trans_regs)
+        emit_mmx_transpose(b, r_addr, t_addr, trans_addr, regs[:8])
         row_pass(t_addr, obase, rnd2, PASS2_SHIFT, clamp=True)
 
     pixels = b.mem.load_array(out_addr, np.int16, blocks.shape[0] * N * N)
@@ -274,7 +296,24 @@ def _build_packed(workload: IdctWorkload, builder_cls) -> BuiltKernel:
 
 # --- MOM -----------------------------------------------------------------------------
 
-def _mom_transpose(b: MomBuilder, left, right, tmp_int) -> None:
+def mom_broadcast_words(mat: np.ndarray) -> np.ndarray:
+    """Broadcast-constant matrices: ``K[x]`` row ``u`` holds ``mat[x][u]``
+    in all four halfword lanes (8 matrices of 8 words)."""
+    kmats = np.zeros((N, N, 4), dtype=np.int16)
+    for x in range(N):
+        for u in range(N):
+            kmats[x][u] = mat[x][u]
+    return kmats.reshape(-1, 4).view(np.uint64).reshape(-1)
+
+
+def mom_clamp_words() -> np.ndarray:
+    """Eight rows of ``OUT_MIN`` quads, then eight of ``OUT_MAX``."""
+    words = np.asarray([[OUT_MIN] * 4] * N + [[OUT_MAX] * 4] * N,
+                       dtype=np.int16)
+    return words.view(np.uint64).reshape(-1)
+
+
+def emit_mom_transpose(b: MomBuilder, left, right, tmp_int, swap) -> None:
     """Full 8x8 halfword transpose of a (left, right) matrix-register pair.
 
     ``momtransh`` transposes the 4x4 lane blocks in place; the off-diagonal
@@ -285,11 +324,9 @@ def _mom_transpose(b: MomBuilder, left, right, tmp_int) -> None:
     # Swap left[4..7] with right[0..3] row by row through the integer pool.
     for row in range(4):
         b.momextrow(tmp_int, left, 4 + row)
-        swap = b.ireg()
         b.momextrow(swap, right, row)
         b.mominsrow(left, swap, 4 + row)
         b.mominsrow(right, tmp_int, row)
-        b.free(swap)
 
 
 def _build_mom(workload: IdctWorkload) -> BuiltKernel:
@@ -297,19 +334,11 @@ def _build_mom(workload: IdctWorkload) -> BuiltKernel:
     blocks = workload.blocks
     in_addr = b.mem.alloc_array(blocks)
     out_addr = b.mem.alloc(blocks.shape[0] * N * N * 2)
-
-    # Broadcast-constant matrices: K[x] row u = M[x][u] in all 4 lanes.
-    kmats = np.zeros((N, N, 4), dtype=np.int16)
-    for x in range(N):
-        for u in range(N):
-            kmats[x][u] = _M[x][u]
-    kaddr = b.mem.alloc_array(kmats.reshape(-1, 4).view(np.uint64).reshape(-1))
-    clamp_words = np.asarray([[OUT_MIN] * 4] * N + [[OUT_MAX] * 4] * N,
-                             dtype=np.int16)
-    clamp_addr = b.mem.alloc_array(clamp_words.view(np.uint64).reshape(-1))
+    kaddr = b.mem.alloc_array(mom_broadcast_words(_M))
+    clamp_addr = b.mem.alloc_array(mom_clamp_words())
 
     base, stride8, stride16 = b.ireg(), b.ireg(8), b.ireg(16)
-    tmp_int = b.ireg()
+    tmp_int, swap = b.ireg(), b.ireg()
     kregs = [b.mreg() for _ in range(N)]
     cmin, cmax = b.mreg(), b.mreg()
     left, right, rac, outl, outr = (b.mreg() for _ in range(5))
@@ -346,9 +375,9 @@ def _build_mom(workload: IdctWorkload) -> BuiltKernel:
         b.momldq(right, base, stride16)
 
         column_pass(PASS1_SHIFT)
-        _mom_transpose(b, left, right, tmp_int)
+        emit_mom_transpose(b, left, right, tmp_int, swap)
         column_pass(PASS2_SHIFT)
-        _mom_transpose(b, left, right, tmp_int)
+        emit_mom_transpose(b, left, right, tmp_int, swap)
 
         b.pmaxsh(left, left, cmin)
         b.pminsh(left, left, cmax)

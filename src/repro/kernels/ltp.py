@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..emulib.alpha_builder import AlphaBuilder
+from ..emulib.alpha_builder import AlphaBuilder, emit_track_max
 from ..emulib.mdmx_builder import MdmxBuilder
 from ..emulib.mmx_builder import MmxBuilder
 from ..emulib.mom_builder import MomBuilder
@@ -68,15 +68,30 @@ def _outputs(corrs: list[int], best: int) -> dict[str, np.ndarray]:
     }
 
 
-def _track_max(b, corr, best, besti, tmp, cand, index: int) -> None:
-    b.li(cand, index)
-    b.cmplt(tmp, best, corr)
-    b.cmovne(best, tmp, corr)
-    b.cmovne(besti, tmp, cand)
-
-
 def _window_addr(dp_addr: int, dp_len: int, lag: int) -> int:
     return dp_addr + 2 * (dp_len - lag)
+
+
+def emit_alpha_dot(b, n: int, out, regs, site: int) -> None:
+    """``out`` = dot product of the ``n`` int16 samples at ``pa`` and
+    ``pc``, unrolled by four with one loop branch per four samples.
+
+    ``regs`` is ``(pa, pc, va, vc, prod, cnt)``; the caller points ``pa``
+    and ``pc`` at the two vectors.
+    """
+    pa, pc, va, vc, prod, cnt = regs
+    b.li(out, 0)
+    b.li(cnt, n // 4)
+    for k in range(n):
+        b.ldwu(va, pa, 2 * k)
+        b.sextw(va, va)
+        b.ldwu(vc, pc, 2 * k)
+        b.sextw(vc, vc)
+        b.mulq(prod, va, vc)
+        b.addq(out, out, prod)
+        if k % 4 == 3:
+            b.subi(cnt, cnt, 1)
+            b.bne(cnt, site)
 
 
 def _build_alpha(workload: LtpWorkload) -> BuiltKernel:
@@ -93,20 +108,9 @@ def _build_alpha(workload: LtpWorkload) -> BuiltKernel:
     corrs = []
     for index, lag in enumerate(workload.lags):
         b.li(pd, _window_addr(dp_addr, len(workload.dp), lag))
-        b.li(s, 0)
-        b.li(cnt, SUBFRAME // 4)
-        for k in range(SUBFRAME):
-            b.ldwu(vw, pw, 2 * k)
-            b.sextw(vw, vw)
-            b.ldwu(vd, pd, 2 * k)
-            b.sextw(vd, vd)
-            b.mulq(prod, vw, vd)
-            b.addq(s, s, prod)
-            if k % 4 == 3:
-                b.subi(cnt, cnt, 1)
-                b.bne(cnt, site)
+        emit_alpha_dot(b, SUBFRAME, s, (pw, pd, vw, vd, prod, cnt), site)
         corrs.append(s.value)
-        _track_max(b, s, best, besti, tmp, cand, index)
+        emit_track_max(b, s, best, besti, tmp, cand, index)
     return BuiltKernel(builder=b, outputs=_outputs(corrs, besti.value))
 
 
@@ -140,7 +144,7 @@ def _build_mmx(workload: LtpWorkload) -> BuiltKernel:
         b.sll(s, s, 32)
         b.sra(s, s, 32)          # sign-extend the 32-bit correlation
         corrs.append(s.value)
-        _track_max(b, s, best, besti, tmp, cand, index)
+        emit_track_max(b, s, best, besti, tmp, cand, index)
     return BuiltKernel(builder=b, outputs=_outputs(corrs, besti.value))
 
 
@@ -185,7 +189,7 @@ def _build_mdmx(workload: LtpWorkload) -> BuiltKernel:
             b.sra(tmp, tmp, 32)
             b.addq(s, s, tmp)
         corrs.append(s.value)
-        _track_max(b, s, best, besti, tmp, cand, index)
+        emit_track_max(b, s, best, besti, tmp, cand, index)
     return BuiltKernel(builder=b, outputs=_outputs(corrs, besti.value))
 
 
@@ -211,7 +215,7 @@ def _build_mom(workload: LtpWorkload) -> BuiltKernel:
         b.mommvmh(acc, mw, md)     # one matrix dot = the whole correlation
         b.racl(s, acc, ElemType.Q)
         corrs.append(s.value)
-        _track_max(b, s, best, besti, tmp, cand, index)
+        emit_track_max(b, s, best, besti, tmp, cand, index)
     return BuiltKernel(builder=b, outputs=_outputs(corrs, besti.value))
 
 

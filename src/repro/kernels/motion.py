@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..emulib.alpha_builder import AlphaBuilder, emit_abs_diff
+from ..emulib.alpha_builder import AlphaBuilder, emit_abs_diff, emit_track_min
 from ..emulib.mdmx_builder import MdmxBuilder
 from ..emulib.mmx_builder import MmxBuilder
 from ..emulib.mom_builder import MomBuilder
@@ -112,15 +112,36 @@ def _outputs(distances: list[int], best: int) -> dict[str, np.ndarray]:
     }
 
 
-def _track_min(b, dist, best, besti, tmp, cand_reg, index: int) -> None:
-    """Strictly-less minimum tracking with compare + conditional moves."""
-    b.li(cand_reg, index)
-    b.cmplt(tmp, dist, best)
-    b.cmovne(best, tmp, dist)
-    b.cmovne(besti, tmp, cand_reg)
-
-
 # --- Alpha -----------------------------------------------------------------------
+
+def emit_alpha_distance(b, ref_addr: int, ref_stride: int, blk_addr: int,
+                        blk_stride: int, out, regs, site: int,
+                        squared: bool = False) -> None:
+    """Distance of one 16x16 block pair into ``out``: each row's 16 pixels
+    unrolled, one loop branch per row.
+
+    ``regs`` is ``(pa, pb, va, vb, d, scr, rows)``.
+    """
+    pa, pb, va, vb, d, scr, rows = regs
+    b.li(pa, ref_addr)
+    b.li(pb, blk_addr)
+    b.li(out, 0)
+    b.li(rows, BLOCK)
+    for _row in range(BLOCK):
+        for i in range(BLOCK):
+            b.ldbu(va, pa, i)
+            b.ldbu(vb, pb, i)
+            if squared:
+                b.subq(d, va, vb)
+                b.mulq(d, d, d)
+            else:
+                emit_abs_diff(b, d, va, vb, scr)
+            b.addq(out, out, d)
+        b.addi(pa, pa, ref_stride)
+        b.addi(pb, pb, blk_stride)
+        b.subi(rows, rows, 1)
+        b.bne(rows, site)
+
 
 def _build_alpha(workload: MotionWorkload, squared: bool) -> BuiltKernel:
     b = AlphaBuilder()
@@ -136,30 +157,62 @@ def _build_alpha(workload: MotionWorkload, squared: bool) -> BuiltKernel:
 
     distances = []
     for index, (y, x) in enumerate(workload.candidates):
-        b.li(pa, ref_addr + y * width + x)
-        b.li(pb, blk_addr)
-        b.li(s, 0)
-        b.li(rows, BLOCK)
-        for _row in range(BLOCK):
-            for i in range(BLOCK):
-                b.ldbu(va, pa, i)
-                b.ldbu(vb, pb, i)
-                if squared:
-                    b.subq(d, va, vb)
-                    b.mulq(d, d, d)
-                else:
-                    emit_abs_diff(b, d, va, vb, scr)
-                b.addq(s, s, d)
-            b.addi(pa, pa, width)
-            b.addi(pb, pb, BLOCK)
-            b.subi(rows, rows, 1)
-            b.bne(rows, row_site)
+        emit_alpha_distance(b, ref_addr + y * width + x, width, blk_addr,
+                            BLOCK, s, (pa, pb, va, vb, d, scr, rows),
+                            row_site, squared)
         distances.append(s.value)
-        _track_min(b, s, best, besti, tmp, cand, index)
+        emit_track_min(b, s, best, besti, tmp, cand, index)
     return BuiltKernel(builder=b, outputs=_outputs(distances, besti.value))
 
 
 # --- MMX -------------------------------------------------------------------------
+
+def emit_mmx_distance(b, ref_addr: int, ref_stride: int, blk_addr: int,
+                      blk_stride: int, regs, site: int,
+                      squared: bool = False, promote=None) -> None:
+    """Distance of one 16x16 block pair, accumulated as packed words in
+    ``acc``: two 64-bit loads per row and block, rows unrolled by four.
+
+    ``regs`` is ``(pa, pb, rows, a_lo, a_hi, b_lo, b_hi, acc, d1, d2)``;
+    ``squared`` also needs ``promote = (zero, ta0, ta1, tb0, tb1)``.
+    """
+    pa, pb, rows, a_lo, a_hi, b_lo, b_hi, acc, d1, d2 = regs
+    b.li(pa, ref_addr)
+    b.li(pb, blk_addr)
+    b.pxor(acc, acc, acc)
+    b.li(rows, BLOCK // 4)
+    for row in range(BLOCK):
+        b.m_ldq(a_lo, pa, 0)
+        b.m_ldq(a_hi, pa, 8)
+        b.m_ldq(b_lo, pb, 0)
+        b.m_ldq(b_hi, pb, 8)
+        if squared:
+            zero, ta0, ta1, tb0, tb1 = promote
+            for src_a, src_b in ((a_lo, b_lo), (a_hi, b_hi)):
+                # Data promotion: unpack bytes to halves, subtract,
+                # square-and-sum pairs with pmaddh -- the pack/unpack
+                # overhead Section 2.1 blames on MMX reductions.
+                b.punpcklb(ta0, src_a, zero)
+                b.punpckhb(ta1, src_a, zero)
+                b.punpcklb(tb0, src_b, zero)
+                b.punpckhb(tb1, src_b, zero)
+                b.psubh(ta0, ta0, tb0)
+                b.psubh(ta1, ta1, tb1)
+                b.pmaddh(d1, ta0, ta0)
+                b.pmaddh(d2, ta1, ta1)
+                b.paddw(acc, acc, d1)
+                b.paddw(acc, acc, d2)
+        else:
+            b.psadb(d1, a_lo, b_lo)
+            b.psadb(d2, a_hi, b_hi)
+            b.paddw(acc, acc, d1)
+            b.paddw(acc, acc, d2)
+        b.addi(pa, pa, ref_stride)
+        b.addi(pb, pb, blk_stride)
+        if row % 4 == 3:      # rows unrolled by four
+            b.subi(rows, rows, 1)
+            b.bne(rows, site)
+
 
 def _build_mmx(workload: MotionWorkload, squared: bool) -> BuiltKernel:
     b = MmxBuilder()
@@ -173,54 +226,22 @@ def _build_mmx(workload: MotionWorkload, squared: bool) -> BuiltKernel:
     a_lo, a_hi, b_lo, b_hi = b.mreg(), b.mreg(), b.mreg(), b.mreg()
     acc, d1, d2 = b.mreg(), b.mreg(), b.mreg()
     zero = b.mreg()
-    if squared:
-        ta0, ta1, tb0, tb1 = b.mreg(), b.mreg(), b.mreg(), b.mreg()
+    promote = (zero, b.mreg(), b.mreg(), b.mreg(), b.mreg()) if squared else None
     b.pxor(zero, zero, zero)
     row_site = b.site()
+    regs = (pa, pb, rows, a_lo, a_hi, b_lo, b_hi, acc, d1, d2)
 
     distances = []
     for index, (y, x) in enumerate(workload.candidates):
-        b.li(pa, ref_addr + y * width + x)
-        b.li(pb, blk_addr)
-        b.pxor(acc, acc, acc)
-        b.li(rows, BLOCK // 4)
-        for row in range(BLOCK):
-            b.m_ldq(a_lo, pa, 0)
-            b.m_ldq(a_hi, pa, 8)
-            b.m_ldq(b_lo, pb, 0)
-            b.m_ldq(b_hi, pb, 8)
-            if squared:
-                for src_a, src_b in ((a_lo, b_lo), (a_hi, b_hi)):
-                    # Data promotion: unpack bytes to halves, subtract,
-                    # square-and-sum pairs with pmaddh -- the pack/unpack
-                    # overhead Section 2.1 blames on MMX reductions.
-                    b.punpcklb(ta0, src_a, zero)
-                    b.punpckhb(ta1, src_a, zero)
-                    b.punpcklb(tb0, src_b, zero)
-                    b.punpckhb(tb1, src_b, zero)
-                    b.psubh(ta0, ta0, tb0)
-                    b.psubh(ta1, ta1, tb1)
-                    b.pmaddh(d1, ta0, ta0)
-                    b.pmaddh(d2, ta1, ta1)
-                    b.paddw(acc, acc, d1)
-                    b.paddw(acc, acc, d2)
-            else:
-                b.psadb(d1, a_lo, b_lo)
-                b.psadb(d2, a_hi, b_hi)
-                b.paddw(acc, acc, d1)
-                b.paddw(acc, acc, d2)
-            b.addi(pa, pa, width)
-            b.addi(pb, pb, BLOCK)
-            if row % 4 == 3:      # rows unrolled by four
-                b.subi(rows, rows, 1)
-                b.bne(rows, row_site)
+        emit_mmx_distance(b, ref_addr + y * width + x, width, blk_addr, BLOCK,
+                          regs, row_site, squared, promote)
         if squared:
             b.psrlq(d1, acc, 32)
             b.paddw(acc, acc, d1)
         b.movd_from(s, acc)
         b.andi(s, s, 0xFFFF_FFFF)
         distances.append(s.value)
-        _track_min(b, s, best, besti, tmp, cand, index)
+        emit_track_min(b, s, best, besti, tmp, cand, index)
     return BuiltKernel(builder=b, outputs=_outputs(distances, besti.value))
 
 
@@ -271,7 +292,7 @@ def _build_mdmx(workload: MotionWorkload, squared: bool) -> BuiltKernel:
             total(extra, s2)
             b.addq(s, s, s2)
         distances.append(s.value)
-        _track_min(b, s, best, besti, tmp, cand, index)
+        emit_track_min(b, s, best, besti, tmp, cand, index)
     return BuiltKernel(builder=b, outputs=_outputs(distances, besti.value))
 
 
@@ -313,7 +334,7 @@ def _build_mom(workload: MotionWorkload, squared: bool) -> BuiltKernel:
         # the scalar total.
         b.racl(s, acc, ElemType.Q)
         distances.append(s.value)
-        _track_min(b, s, best, besti, tmp, cand, index)
+        emit_track_min(b, s, best, besti, tmp, cand, index)
     return BuiltKernel(builder=b, outputs=_outputs(distances, besti.value))
 
 

@@ -1,4 +1,4 @@
-"""Cross-lane reduction idioms shared by the MDMX and MOM kernels.
+"""Cross-lane reduction idioms of the MDMX kernels.
 
 A packed accumulator holds *per-lane* partial sums; kernels that need one
 scalar (a SAD, a dot product) must still sum across lanes.  Neither MDMX nor
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from ..emulib.base_builder import RegHandle
 from ..emulib.mdmx_builder import MdmxBuilder
-from ..emulib.mom_builder import MomBuilder
 from ..isa.model import ElemType
 
 _E = ElemType
@@ -70,55 +69,3 @@ def mdmx_sqd_total(b: MdmxBuilder, acc: RegHandle, scratch: list[RegHandle],
     b.andi(out, out, 0xFFFF_FFFF)
     return out
 
-
-def mom_sad_total(b: MomBuilder, acc: RegHandle, scratch: list[RegHandle],
-                  out: RegHandle) -> RegHandle:
-    """MOM version of :func:`mdmx_sad_total`, operating on matrix row 0.
-
-    The read-out runs under VL=1 so the packed tree touches only row 0,
-    then ``momextrow`` moves the scalar to the integer pool.
-    """
-    lo, mid, t0, t1 = scratch[:4]
-    saved_vl = b.vl
-    b.setvli(1)
-    b.racl(lo, acc, _E.B)
-    b.racm(mid, acc, _E.B)
-    b.punpcklb(t0, lo, mid)
-    b.punpckhb(t1, lo, mid)
-    b.paddh(t0, t0, t1)
-    b.psrlq(t1, t0, 32)
-    b.paddh(t0, t0, t1)
-    b.psrlq(t1, t0, 16)
-    b.paddh(t0, t0, t1)
-    b.momextrow(out, t0, 0)
-    b.andi(out, out, 0xFFFF)
-    b.setvli(saved_vl)
-    return out
-
-
-def mom_sqd_total(b: MomBuilder, acc: RegHandle, scratch: list[RegHandle],
-                  zero: RegHandle, out: RegHandle) -> RegHandle:
-    """MOM version of :func:`mdmx_sqd_total` (32-bit grand total)."""
-    lo, mid, hi, t0, t1, h0, h1 = scratch[:7]
-    saved_vl = b.vl
-    b.setvli(1)
-    b.racl(lo, acc, _E.B)
-    b.racm(mid, acc, _E.B)
-    b.rach(hi, acc, _E.B)
-    b.punpcklb(t0, lo, mid)
-    b.punpckhb(t1, lo, mid)
-    b.punpcklb(h0, hi, zero)
-    b.punpckhb(h1, hi, zero)
-    b.punpcklh(lo, t0, h0)
-    b.punpckhh(mid, t0, h0)
-    b.punpcklh(t0, t1, h1)
-    b.punpckhh(t1, t1, h1)
-    b.paddw(lo, lo, mid)
-    b.paddw(t0, t0, t1)
-    b.paddw(lo, lo, t0)
-    b.psrlq(t0, lo, 32)
-    b.paddw(lo, lo, t0)
-    b.momextrow(out, lo, 0)
-    b.andi(out, out, 0xFFFF_FFFF)
-    b.setvli(saved_vl)
-    return out

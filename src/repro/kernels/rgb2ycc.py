@@ -120,48 +120,39 @@ def _build_alpha(workload: RgbWorkload) -> BuiltKernel:
 
 # --- MMX ------------------------------------------------------------------------
 
+def broadcast_h(value: int) -> int:
+    """A packed word with ``value`` in all four halfword lanes."""
+    return int(np.asarray([value] * 4, dtype=np.int16).view(np.uint64)[0])
+
+
 def _const_words_mmx() -> tuple[np.ndarray, list[str]]:
     """Constant table: one broadcast halfword word per coefficient + biases."""
     words, labels = [], []
     for name, cr_, cg, cb, bias in COMPONENTS:
         for tag, coef in (("r", cr_), ("g", cg), ("b", cb)):
-            words.append(np.asarray([coef] * 4, dtype=np.int16).view(np.uint64)[0])
+            words.append(broadcast_h(coef))
             labels.append(f"{name}_{tag}")
-    words.append(np.asarray([128] * 4, dtype=np.int16).view(np.uint64)[0])
+    words.append(broadcast_h(128))
     labels.append("round")
-    words.append(np.asarray([128] * 4, dtype=np.int16).view(np.uint64)[0])
+    words.append(broadcast_h(128))
     labels.append("bias")
     return np.asarray(words, dtype=np.uint64), labels
 
 
-def _build_mmx(workload: RgbWorkload) -> BuiltKernel:
-    b = MmxBuilder()
-    n = workload.pixels
-    r_addr = b.mem.alloc_array(workload.r)
-    g_addr = b.mem.alloc_array(workload.g)
-    b_addr = b.mem.alloc_array(workload.b)
-    out_addrs = {name: b.mem.alloc(n) for name, *_ in COMPONENTS}
-    cwords, clabels = _const_words_mmx()
-    c_addr = b.mem.alloc_array(cwords)
+def emit_mmx_rgb2ycc(b, n: int, ptr, po, halves, consts, regs, cnt,
+                     site: int) -> None:
+    """Convert ``n`` pixels, 8 per iteration: unpack each plane's bytes to
+    halfwords, ``pmullh``/``paddh`` trees per component, ``packushb`` and
+    one store per component; one loop branch per 8 pixels.
 
-    addr = b.ireg()
-    consts = {}
-    for i, label in enumerate(clabels):
-        reg = b.mreg()
-        b.li(addr, c_addr + 8 * i)
-        b.m_ldq(reg, addr, 0)
-        consts[label] = reg
-
-    zero = b.mreg()
-    b.pxor(zero, zero, zero)
-    raw = {"r": b.mreg(), "g": b.mreg(), "b": b.mreg()}
-    halves = {k: (b.mreg(), b.mreg()) for k in raw}
-    acc, prod, lo_out, packed_out = b.mreg(), b.mreg(), b.mreg(), b.mreg()
-    ptr = {"r": b.ireg(r_addr), "g": b.ireg(g_addr), "b": b.ireg(b_addr)}
-    po = {name: b.ireg(a) for name, a in out_addrs.items()}
-    cnt = b.ireg(n // 8)
-    site = b.site()
-
+    ``ptr``/``po`` map plane/component names to pointer registers,
+    ``halves`` maps each plane to its (low, high) registers, ``consts``
+    holds ``"<component>_<plane>"`` coefficients plus ``"round"`` and
+    ``"bias"``, and ``regs`` is ``(raw_r, raw_g, raw_b, acc, prod, lo_out,
+    packed_out, zero)``.
+    """
+    *raws, acc, prod, lo_out, packed_out, zero = regs
+    raw = dict(zip("rgb", raws))
     for i in range(0, n, 8):
         for k in raw:
             b.m_ldq(raw[k], ptr[k], i)
@@ -186,6 +177,38 @@ def _build_mmx(workload: RgbWorkload) -> BuiltKernel:
             b.m_stq(packed_out, po[name], i)
         b.subi(cnt, cnt, 1)
         b.bne(cnt, site)
+
+
+def _build_mmx(workload: RgbWorkload) -> BuiltKernel:
+    b = MmxBuilder()
+    n = workload.pixels
+    r_addr = b.mem.alloc_array(workload.r)
+    g_addr = b.mem.alloc_array(workload.g)
+    b_addr = b.mem.alloc_array(workload.b)
+    out_addrs = {name: b.mem.alloc(n) for name, *_ in COMPONENTS}
+    cwords, clabels = _const_words_mmx()
+    c_addr = b.mem.alloc_array(cwords)
+
+    addr = b.ireg()
+    consts = {}
+    for i, label in enumerate(clabels):
+        reg = b.mreg()
+        b.li(addr, c_addr + 8 * i)
+        b.m_ldq(reg, addr, 0)
+        consts[label] = reg
+
+    zero = b.mreg()
+    b.pxor(zero, zero, zero)
+    raw = [b.mreg() for _ in "rgb"]
+    halves = {k: (b.mreg(), b.mreg()) for k in "rgb"}
+    acc, prod, lo_out, packed_out = b.mreg(), b.mreg(), b.mreg(), b.mreg()
+    ptr = {"r": b.ireg(r_addr), "g": b.ireg(g_addr), "b": b.ireg(b_addr)}
+    po = {name: b.ireg(a) for name, a in out_addrs.items()}
+    cnt = b.ireg(n // 8)
+    site = b.site()
+
+    emit_mmx_rgb2ycc(b, n, ptr, po, halves, consts,
+                     (*raw, acc, prod, lo_out, packed_out, zero), cnt, site)
 
     outputs = {
         name: b.mem.load_array(a, np.uint8, n) for name, a in out_addrs.items()
@@ -271,8 +294,8 @@ def _build_mom(workload: RgbWorkload) -> BuiltKernel:
     words = []
     for name, cr_, cg, cb, _bias in COMPONENTS:
         for coef in (cr_, cg, cb):
-            words.append(np.asarray([coef] * 4, dtype=np.int16).view(np.uint64)[0])
-    words.append(np.asarray([128] * 4, dtype=np.int16).view(np.uint64)[0])
+            words.append(broadcast_h(coef))
+    words.append(broadcast_h(128))
     c_addr = b.mem.alloc_array(np.asarray(words, dtype=np.uint64))
 
     addr, stride8, plane_stride = b.ireg(), b.ireg(8), b.ireg(n)

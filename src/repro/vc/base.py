@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..emulib.alpha_builder import emit_track_min
 from .ir import ELEM_BYTES, TABLE_BIAS, TABLE_SIZE, Binding, LoopKernel
 
 #: Row-loop unroll factor of the packed passes (the hand builders unroll
@@ -93,8 +94,9 @@ class ArgminTracker:
     """Strictly-less running minimum over per-instance scalars.
 
     Emits the hand builders' compare + conditional-move triple per
-    instance (``_track_min``) and remembers the functional values so the
-    outputs can be read back without re-walking registers.
+    instance (:func:`~repro.emulib.alpha_builder.emit_track_min`) and
+    remembers the functional values so the outputs can be read back
+    without re-walking registers.
     """
 
     def __init__(self, builder) -> None:
@@ -105,11 +107,8 @@ class ArgminTracker:
         self.cand = builder.ireg()
 
     def track(self, dist, index: int) -> None:
-        b = self.b
-        b.li(self.cand, index)
-        b.cmplt(self.tmp, dist, self.best)
-        b.cmovne(self.best, self.tmp, dist)
-        b.cmovne(self.besti, self.tmp, self.cand)
+        emit_track_min(self.b, dist, self.best, self.besti, self.tmp,
+                       self.cand, index)
 
     @property
     def best_index(self) -> int:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis import (Interval, check_ir, check_ranges, lint_kernel,
                             pressure_report, verified_status)
-from repro.analysis.interval import const, from_array
+from repro.analysis.interval import const
 from repro.analysis.runner import kernel_names
 from repro.exp.cli import main as cli_main
 from repro.kernels import ISAS, KERNELS
@@ -35,9 +35,7 @@ def test_interval_arithmetic():
 
 
 def test_interval_helpers():
-    import numpy as np
     assert const(7) == Interval(7, 7)
-    assert from_array(np.asarray([-4, 9, 2])) == Interval(-4, 9)
 
 
 def test_interval_shr_rejects_negative():

@@ -3,8 +3,7 @@
 import numpy as np
 
 from repro import AlphaBuilder, MomBuilder
-from repro.emulib.disasm import (class_mix_report, disassemble, format_instr,
-                                 format_operand)
+from repro.emulib.disasm import disassemble, format_instr, format_operand
 from repro.emulib.trace import reg
 from repro.eval.fetch_pressure import mom_fetch_advantage, run
 from repro.exp import Session, engine
@@ -67,14 +66,6 @@ def test_disassemble_listing():
     assert "isa=alpha" in text
     short = disassemble(b.trace, start=1, count=2)
     assert short.count("lda") == 2
-
-
-def test_class_mix_report():
-    b = AlphaBuilder()
-    x = b.ireg(0)
-    b.addi(x, x, 1)
-    report = class_mix_report(b.trace)
-    assert "INT_SIMPLE" in report
 
 
 def test_fetch_pressure_study():

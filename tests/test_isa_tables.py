@@ -129,12 +129,6 @@ def test_elem_type_geometry():
     assert ElemType.Q.lanes == 1 and ElemType.Q.bits == 64
 
 
-def test_category_lookup():
-    shifts = MMX.by_category("shift")
-    assert len(shifts) == 8
-    assert all(op.category == "shift" for op in shifts)
-
-
 def test_table_lookup_interfaces():
     assert "paddb" in MMX
     assert MMX["paddb"].elem == ElemType.B

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.emulib.alpha_builder import AlphaBuilder
 from repro.kernels import (ISAS, KERNEL_ORDER, KERNELS, VC_KERNEL_ORDER,
                            build_and_check)
+from repro.kernels.common import BuiltKernel, KernelSpec
 from repro.kernels.idct import golden_block, idct_matrix, make_workload as idct_workload
 from repro.kernels.motion import spiral_candidates
 from repro.isa.model import InstrClass
@@ -80,6 +82,32 @@ def test_scaled_workloads_still_verify():
         workload = spec.make_workload(2)
         for isa in ("alpha", "mom"):
             build_and_check(spec, isa, workload)
+
+
+def _stub_spec(outputs):
+    """A one-ISA spec whose golden is ``pixels = [[1, 2, 3], [4, 5, 6]]``."""
+    return KernelSpec(
+        name="stub", description="stub",
+        make_workload=lambda scale: None,
+        golden=lambda w: {"pixels": np.arange(1, 7).reshape(2, 3)},
+        builders={"alpha": lambda w: BuiltKernel(AlphaBuilder(), outputs)},
+    )
+
+
+@pytest.mark.parametrize("outputs,message", [
+    ({}, r"stub/alpha: output 'pixels' missing"),
+    ({"pixels": np.asarray([[1, 2, 3], [4, 0, 6]])},
+     r"stub/alpha: output 'pixels' mismatches golden at 1 positions"),
+    ({"pixels": np.arange(1, 7)},
+     r"stub/alpha: output 'pixels' has shape \(6,\), golden has \(2, 3\)"),
+    ({"pixels": np.arange(1, 7).reshape(3, 2)},
+     r"stub/alpha: output 'pixels' has shape \(3, 2\), golden has \(2, 3\)"),
+    ({"pixels": np.arange(1, 5)},
+     r"stub/alpha: output 'pixels' has shape \(4,\), golden has \(2, 3\)"),
+], ids=["missing", "values", "flat", "transposed", "short"])
+def test_build_and_check_names_the_failing_output(outputs, message):
+    with pytest.raises(AssertionError, match=message):
+        build_and_check(_stub_spec(outputs), "alpha", None)
 
 
 def test_workloads_deterministic():

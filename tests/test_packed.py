@@ -52,7 +52,6 @@ def test_to_lanes_array_shape():
     (ElemType.B, 8), (ElemType.H, 4), (ElemType.W, 2), (ElemType.Q, 1),
 ])
 def test_lane_count(elem, expected):
-    assert packed.lane_count(elem) == expected
     assert elem.lanes == expected
     assert elem.bits == 64 // expected
 
@@ -315,16 +314,6 @@ def test_horizontal_sum(elem):
     total = int(packed.horizontal_sum(word, elem))
     lanes = lanes_of(word, elem)
     assert total == int(lanes.sum())
-
-
-def test_word_bytes_roundtrip():
-    word = packed.word_from_bytes(bytes([1, 2, 3]))
-    assert packed.word_to_bytes(word) == bytes([1, 2, 3, 0, 0, 0, 0, 0])
-
-
-def test_word_from_bytes_too_long():
-    with pytest.raises(ValueError):
-        packed.word_from_bytes(bytes(range(9)))
 
 
 def test_saturate_unsigned_range():

@@ -6,16 +6,14 @@ kernel trace through all four memory organizations and check the ordering
 invariants the cache study rests on.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MdmxBuilder, MomBuilder
+from repro import MdmxBuilder
 from repro.cpu import Core, machine_config
 from repro.exp import built_kernel
-from repro.kernels.reduce import (mdmx_sad_total, mdmx_sqd_total,
-                                  mom_sad_total, mom_sqd_total)
+from repro.kernels.reduce import mdmx_sad_total, mdmx_sqd_total
 from repro.memsys import (CollapsingBufferHierarchy, ConventionalHierarchy,
                           MultiAddressHierarchy, PerfectMemory,
                           VectorCacheHierarchy)
@@ -57,36 +55,6 @@ def test_mdmx_sqd_total_matches_reference(xs, ys):
     mdmx_sqd_total(b, acc, scratch, zero, out)
     expected = 8 * sum((a - c) ** 2 for a, c in zip(xs, ys))
     assert int(out.value) == expected
-
-
-def test_mom_reduction_helpers():
-    b = MomBuilder()
-    acc = b.areg()
-    x, y = b.mreg(), b.mreg()
-    data = np.full(16, word_of([9] * 8), dtype=np.uint64)
-    from repro.core.matrix import MomRegister
-    x.value = MomRegister(data)
-    y.value = MomRegister(np.zeros(16, dtype=np.uint64))
-    b.setvli(4)
-    b.paccsadb(acc, x, y)            # per-lane: 4 rows x 9 per lane
-    scratch = [b.mreg() for _ in range(4)]
-    out = b.ireg()
-    mom_sad_total(b, acc, scratch, out)
-    assert int(out.value) == 4 * 8 * 9
-    assert b.vl == 4                 # helper restores the caller's VL
-
-
-def test_mom_sqd_total_restores_vl():
-    b = MomBuilder()
-    acc = b.areg()
-    zero = b.mreg()
-    b.momzero(zero)
-    scratch = [b.mreg() for _ in range(7)]
-    out = b.ireg()
-    b.setvli(10)
-    mom_sqd_total(b, acc, scratch, zero, out)
-    assert int(out.value) == 0
-    assert b.vl == 10
 
 
 # --- end-to-end memory-system integration -------------------------------------------

@@ -3,8 +3,7 @@
 import pytest
 
 from repro import AlphaBuilder
-from repro.emulib.scalar_section import (SectionProfile, SectionTally,
-                                         emit_scalar_section)
+from repro.emulib.scalar_section import SectionProfile, emit_scalar_section
 from repro.isa.model import InstrClass
 
 
@@ -26,15 +25,6 @@ def test_profile_scaling():
     half = p.scaled(0.5)
     assert half.loads == 50 and half.alu == 25
     assert half.name == p.name
-
-
-def test_tally_accumulates():
-    tally = SectionTally()
-    tally.count(loads=3, alu=5)
-    tally.count(loads=2, data_branches=1)
-    assert tally.profile.loads == 5
-    assert tally.profile.alu == 5
-    assert tally.profile.data_branches == 1
 
 
 def test_emission_matches_profile_shape():

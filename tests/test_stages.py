@@ -5,6 +5,8 @@ configurations, matching the numpy reference; these are the pieces from
 which Figure 7's applications are composed.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,81 @@ def test_media_stages_emit_fewer_instructions(isa):
         d = b.mem.alloc(128)
         st.residual8(c, 8, p, 8, d)
     assert len(media_b.trace) < len(scalar_b.trace)
+
+
+def _run_motion_search(b, st):
+    ref = RNG.integers(0, 256, (24, 64), dtype=np.uint8)
+    ref_addr = b.mem.alloc_array(ref)
+    blk_addr = b.mem.alloc_array(ref[4:20, 8:24].copy())
+    candidates = [ref_addr + y * 64 + x for y, x in ((0, 0), (4, 8))]
+    assert st.motion_search(candidates, 64, blk_addr, 16) == 1
+
+
+def _run_sad16(b, st):
+    ref = RNG.integers(0, 256, (16, 16), dtype=np.uint8)
+    ref_addr = b.mem.alloc_array(ref)
+    st.sad16(ref_addr, 16, ref_addr, 16, b.ireg())
+
+
+def _run_avg_block(b, st):
+    a_addr = b.mem.alloc_array(RNG.integers(0, 256, (16, 16), dtype=np.uint8))
+    st.avg_block(a_addr, 16, a_addr, 16, b.mem.alloc(256), 16, 16, 16)
+
+
+def _run_addblock8(b, st):
+    pred = b.mem.alloc_array(RNG.integers(0, 256, (8, 8), dtype=np.uint8))
+    resid = b.mem.alloc_array(RNG.integers(-256, 256, (8, 8)).astype(np.int16))
+    st.addblock8(pred, 8, resid, b.mem.alloc(64), 8)
+
+
+def _run_transform8(b, st):
+    block = RNG.integers(-256, 256, (8, 8)).astype(np.int16)
+    st.transform8(b.mem.alloc_array(block), b.mem.alloc(128), IDCT_MAT, True)
+
+
+def _run_rgb2ycc(b, st):
+    n = 64
+    base = b.mem.alloc_array(RNG.integers(0, 256, 3 * n, dtype=np.uint8))
+    outs = [b.mem.alloc(n) for _ in range(3)]
+    st.rgb2ycc(base, base + n, base + 2 * n, *outs, n)
+
+
+def _run_dot16(b, st):
+    x = b.mem.alloc_array(RNG.integers(-2048, 2048, 40).astype(np.int16))
+    st.dot16(x, x, 40, b.ireg())
+
+
+#: (isa, stage module, kernel emitter it imports, stage run) for every
+#: stage that shares its body with a Figure 5 kernel builder.
+SHARED = [
+    ("alpha", "stages", "emit_alpha_pass", _run_transform8),
+    ("alpha", "stages", "emit_alpha_distance", _run_motion_search),
+    ("alpha", "stages", "emit_alpha_average", _run_avg_block),
+    ("alpha", "stages", "emit_alpha_addblock", _run_addblock8),
+    ("alpha", "stages", "emit_alpha_dot", _run_dot16),
+    ("mmx", "stages_media", "emit_mmx_transpose", _run_transform8),
+    ("mmx", "stages_media", "emit_mmx_row_pass", _run_transform8),
+    ("mmx", "stages_media", "emit_mmx_distance", _run_sad16),
+    ("mmx", "stages_media", "emit_packed_addblock", _run_addblock8),
+    ("mmx", "stages_media", "emit_mmx_rgb2ycc", _run_rgb2ycc),
+    ("mom", "stages_media", "emit_mom_transpose", _run_transform8),
+]
+
+
+@pytest.mark.parametrize("isa,module,emitter,run", SHARED,
+                         ids=[f"{i}-{e}" for i, _m, e, _r in SHARED])
+def test_shared_stage_runs_its_kernel_emitter(monkeypatch, isa, module,
+                                              emitter, run):
+    """A stage forked off its kernel again fails here even if its trace
+    digest still matches."""
+    mod = importlib.import_module(f"repro.apps.{module}")
+    original = getattr(mod, emitter)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mod, emitter, counted)
+    run(*setup_stage(isa))
+    assert calls, f"{isa} stage never called {emitter}"
