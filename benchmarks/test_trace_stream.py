@@ -43,10 +43,12 @@ WAY = 4
 #: Peak-RSS budgets (MB) per configuration -- the "bounded memory" claim.
 #: The full-frame scalar trace is ~13 GB as objects; columnar plus
 #: the streaming consume path must stay within a laptop-class budget.
+#: The smoke budgets are about 1.5x the measured peaks (62.1, 54.3 and
+#: 47.4 MB on a 2-CPU Xeon VM, Python 3.11, numpy 2.4).
 RSS_BUDGET_MB = {
-    "alpha-conv": 8000 if FULL else 600,
-    "mmx-conv": 3000 if FULL else 500,
-    "mom-vectorcache": 1500 if FULL else 500,
+    "alpha-conv": 8000 if FULL else 95,
+    "mmx-conv": 3000 if FULL else 82,
+    "mom-vectorcache": 1500 if FULL else 72,
 }
 
 _CHILD = r"""

@@ -13,23 +13,30 @@ Frame-scale workloads (a single 720x480 MPEG-2 frame is tens of millions of
 dynamic instructions) made the original list-of-:class:`DynInstr` encoding
 the limiting factor: ~225 bytes and three heap objects per instruction,
 gigabytes per trace, all resident before the first simulated cycle.
-:class:`Trace` now stores instructions **columnar**: one structure-of-arrays
-chunk per :data:`CHUNK_ROWS` rows (numpy arrays for opcode id / operand CSR /
-address / size / stride / VL / branch outcome / site), with a small
-plain-list staging buffer for the rows of the not-yet-sealed tail.
+:class:`Trace` now stores instructions **columnar**: sealed
+structure-of-arrays chunks of at most :data:`CHUNK_ROWS` rows, with a
+small plain-list staging buffer for the rows of the not-yet-sealed tail.
 Builders write rows through :meth:`Trace.emit`, the one row writer, which
 appends each emitted instruction's canonical fields to the staging lists
-(the scalar fields only for rows that carry one; sealing fills in the
-defaults of the rest): no :class:`DynInstr` is built on the way in.
+(the six scalar fields only for rows that carry one): no
+:class:`DynInstr` is built on the way in.  A sealed chunk keeps that
+layout in numpy form -- per row an opcode id and two operand counts, the
+operands in row order, and the scalar fields only for the rows that
+carry any -- at 12-17 bytes per row on the Figure 7 traces.  The tail is
+sealed when it reaches :data:`CHUNK_ROWS` rows or, once, by the first
+column reader (:meth:`Trace.iter_column_blocks`, the summary statistics,
+:meth:`Trace.storage_bytes`), so a simulated trace keeps no staged rows.
+Sealing swaps in a fresh staging buffer and never clears the old one, so
+a row iterator already walking the tail still yields every row.
 :class:`DynInstr` stays the read-side type -- :meth:`Trace.append` still
 takes one (and hands its fields to the same writer), and iteration and
 indexing yield :class:`DynInstr` objects (materialized on demand).  Rows
 are only ever appended or cut off the end (:meth:`Trace.truncate`); no
 row is edited in place.  The timing engine reads the columns without
 materializing the object form: :class:`~repro.cpu.batch.BatchCore`
-decodes fixed-size column blocks (:meth:`Trace.iter_column_blocks`,
-which cuts blocks across chunk boundaries and converts the staging tail
-the way sealing does).  Only the reference core
+decodes fixed-size dense column blocks (:meth:`Trace.iter_column_blocks`,
+which cuts blocks across chunk boundaries and fills in the scalar
+fields' defaults).  Only the reference core
 (:meth:`~repro.cpu.core.Core.run_reference`) and the tests walk the
 :class:`DynInstr` view.
 
@@ -49,10 +56,10 @@ Register encoding
 Operands are encoded as small integers ``(pool << 8) | index`` so the timing
 model can use them as dictionary keys and table indices cheaply.  Use
 :func:`reg` and :func:`reg_pool` / :func:`reg_index` to build and decode
-them.  Rows become columns only through one conversion (sealing, or the
-staging tail on its way to a reader), and it rejects any operand outside
-``[0, REG_LIMIT)`` -- or any scalar value its column cannot hold -- with
-``ValueError``.
+them.  Rows become columns only through one conversion (sealing, by the
+writer or by the first column reader), and it rejects any operand
+outside ``[0, REG_LIMIT)`` -- or any scalar value its column cannot hold
+-- with ``ValueError`` naming the column, leaving the tail staged.
 """
 
 from __future__ import annotations
@@ -64,9 +71,10 @@ import numpy as np
 
 from ..isa.model import InstrClass, Opcode, RegPool
 
-#: Rows per sealed columnar chunk.  65536 rows cost ~3 MiB of column data;
-#: the staging tail holds at most this many Python-object rows, which is
-#: what bounds the per-trace object overhead regardless of trace length.
+#: Rows per sealed columnar chunk.  65536 rows cost about 1 MiB of column
+#: data (12-17 B/row on the Figure 7 traces); the staging tail holds at
+#: most this many Python-object rows while a trace is built, and its first
+#: column reader seals it.
 CHUNK_ROWS = 1 << 16
 
 #: ``taken`` column encoding (int8): -1 = not a branch, 0/1 = outcome.
@@ -163,9 +171,27 @@ class DynInstr:
 #: The six scalar fields of a row that carries none of them: an ALU row.
 _PLAIN = (None, 0, 0, 1, None, 0)
 
+#: Rows between operand marks: a sealed row's operands are found from the
+#: mark at or below it plus at most ``_MARK - 1`` operand counts.
+_MARK = 64
+
 
 def _extra_row(extra: tuple) -> int:
     return extra[0]
+
+
+def _rows(op, srcs, dsts, extra):
+    """Rows as canonical tuples: per-row ``op``/``srcs``/``dsts`` merged
+    with the ascending sparse ``(row, addr, nbytes, stride, vl, taken,
+    site)`` tuples of ``extra``; a row without one has :data:`_PLAIN`."""
+    extra = iter(extra)
+    nxt = next(extra, None)
+    for i, head in enumerate(zip(op, srcs, dsts)):
+        if nxt is not None and nxt[0] == i:
+            yield head + nxt[1:]
+            nxt = next(extra, None)
+        else:
+            yield head + _PLAIN
 
 
 class _Stage:
@@ -193,9 +219,6 @@ class _Stage:
     def __len__(self) -> int:
         return len(self.op)
 
-    def clear(self) -> None:
-        self.truncate(0)
-
     def truncate(self, keep: int) -> None:
         del self.op[keep:]
         del self.srcs[keep:]
@@ -210,47 +233,7 @@ class _Stage:
         return (self.op[i], self.srcs[i], self.dsts[i]) + fields
 
     def iter_rows(self):
-        extra = iter(self.extra)
-        nxt = next(extra, None)
-        for i, head in enumerate(zip(self.op, self.srcs, self.dsts)):
-            if nxt is not None and nxt[0] == i:
-                yield head + nxt[1:]
-                nxt = next(extra, None)
-            else:
-                yield head + _PLAIN
-
-    def vl(self) -> np.ndarray:
-        """The ``vl`` column of the staged rows."""
-        column = np.ones(len(self), dtype=np.int64)
-        if self.extra:
-            column[[e[0] for e in self.extra]] = [e[4] for e in self.extra]
-        return column
-
-
-def _csr(tuples: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a list of operand tuples into (offsets, values) arrays.
-
-    Offsets fit int32 by construction (at most ``CHUNK_ROWS`` rows of a
-    few operands each); values fit int16 because an encoded register is
-    ``(pool << 8) | index`` with four pools and 8-bit indices.  Anything
-    else names no register and raises ``ValueError``: consumers index
-    per-register tables with these values.
-    """
-    offsets = np.zeros(len(tuples) + 1, dtype=np.int32)
-    lengths = np.fromiter(map(len, tuples), dtype=np.int32, count=len(tuples))
-    np.cumsum(lengths, out=offsets[1:])
-    try:
-        values = np.fromiter(chain.from_iterable(tuples), dtype=np.int64,
-                             count=int(offsets[-1]))
-    except OverflowError as exc:
-        raise ValueError(f"register operand out of range: {exc}") from None
-    if values.size:
-        bad = (values < 0) | (values >= REG_LIMIT)
-        if bad.any():
-            raise ValueError(
-                f"register operand {int(values[bad][0])} outside "
-                f"[0, {REG_LIMIT})")
-    return offsets, values.astype(np.int16)
+        return _rows(self.op, self.srcs, self.dsts, self.extra)
 
 
 def ragged_tuples(starts, counts, values) -> np.ndarray:
@@ -276,10 +259,10 @@ def _fit(values, small: np.dtype, wide: np.dtype,
     """A column in its compact dtype, widened only when a value demands it.
 
     Almost every row fits the compact form (nbytes <= 8, strides within a
-    frame, VL <= matrix rows); the wide fallback keeps the store correct
-    for synthetic or adversarial traces without taxing the common case.
-    A value outside even the wide dtype raises ``ValueError`` naming the
-    column ``name``.
+    frame, VL <= matrix rows, a few operands); the wide fallback keeps
+    the store correct for synthetic or adversarial traces without taxing
+    the common case.  A value outside even the wide dtype raises
+    ``ValueError`` naming the column ``name``.
     """
     try:
         arr = np.asarray(values, dtype=wide)
@@ -294,143 +277,203 @@ def _fit(values, small: np.dtype, wide: np.dtype,
     return arr
 
 
-def _scatter(n: int, at: np.ndarray, values, default: int,
-             small: np.dtype, wide: np.dtype, name: str) -> np.ndarray:
-    """An ``n``-row column holding ``default`` except ``values`` at rows
-    ``at``, in the dtype :func:`_fit` gives the whole column (every
-    default fits the compact dtype, so the staged values decide)."""
-    fitted = _fit(values, small, wide, name)
-    column = np.full(n, default, dtype=fitted.dtype)
-    column[at] = fitted
-    return column
+class _Operands:
+    """The operand lists of a sealed chunk's rows.
+
+    ``count`` holds each row's operand count (uint8 unless a row has
+    more than 255), ``val`` the operands in row order, and ``mark`` the
+    position in ``val`` of rows 0, :data:`_MARK`, 2 * :data:`_MARK`, ...
+    up to the row count, so one row's operands are found without a
+    per-row offset column.  Values fit int16 because an encoded register
+    is ``(pool << 8) | index`` with four pools and 8-bit indices.
+    """
+
+    __slots__ = ("count", "val", "mark")
+
+    def __init__(self, count: np.ndarray, val: np.ndarray) -> None:
+        self.count = count
+        self.val = val
+        self.mark = np.concatenate((
+            np.zeros(1, dtype=np.int64),
+            np.cumsum(count, dtype=np.int64)[_MARK - 1::_MARK]))
+
+    @classmethod
+    def from_tuples(cls, tuples: list[tuple[int, ...]]) -> "_Operands":
+        """Seal staged operand tuples.  An operand outside ``[0,
+        REG_LIMIT)`` names no register and raises ``ValueError``:
+        consumers index per-register tables with these values."""
+        count = np.fromiter(map(len, tuples), dtype=np.int64,
+                            count=len(tuples))
+        try:
+            val = np.fromiter(chain.from_iterable(tuples), dtype=np.int64,
+                              count=int(count.sum()))
+        except OverflowError as exc:
+            raise ValueError(f"register operand out of range: {exc}") from None
+        if val.size:
+            bad = (val < 0) | (val >= REG_LIMIT)
+            if bad.any():
+                raise ValueError(
+                    f"register operand {int(val[bad][0])} outside "
+                    f"[0, {REG_LIMIT})")
+        return cls(_fit(count, np.uint8, np.int64, "operand count"),
+                   val.astype(np.int16))
+
+    def offset(self, i: int) -> int:
+        """Position in ``val`` of row ``i``'s first operand (``i`` may be
+        the row count)."""
+        return (int(self.mark[i // _MARK])
+                + sum(self.count[i - i % _MARK:i].tolist()))
+
+    def row(self, i: int) -> tuple[int, ...]:
+        start = self.offset(i)
+        return tuple(self.val[start:start + int(self.count[i])].tolist())
+
+    def rows(self, lo: int, hi: int) -> "_Operands":
+        """Rows ``[lo, hi)``: counts and values share storage."""
+        return _Operands(self.count[lo:hi],
+                         self.val[self.offset(lo):self.offset(hi)])
+
+    def tuples(self) -> list[tuple[int, ...]]:
+        """Every row's operand tuple."""
+        val = self.val.tolist()
+        ends = np.cumsum(self.count, dtype=np.int64).tolist()
+        return [tuple(val[a:b]) for a, b in zip(chain((0,), ends), ends)]
+
+    def nbytes(self) -> int:
+        return self.count.nbytes + self.val.nbytes + self.mark.nbytes
+
+
+def _csr(lists: list[_Operands]) -> tuple[np.ndarray, np.ndarray]:
+    """``lists``' rows in order as one CSR pair: offsets from 0, values."""
+    count = np.concatenate([ops.count for ops in lists])
+    offsets = np.zeros(len(count) + 1, dtype=np.int64)
+    np.cumsum(count, dtype=np.int64, out=offsets[1:])
+    return offsets, np.concatenate([ops.val for ops in lists])
+
+
+#: The sparse columns of a sealed chunk, each with the value a row that
+#: carries no scalar field reads as (``taken`` in its int8 encoding).
+_SPARSE = (("has_addr", False), ("addr", 0), ("nbytes", 0), ("stride", 0),
+           ("vl", 1), ("taken", _TAKEN_ENCODE[None]), ("site", 0))
 
 
 class _Chunk:
-    """One sealed block of rows in structure-of-arrays form.
+    """One sealed block of rows.
 
-    Fixed-width columns are numpy arrays of one scalar per row; the
-    variable-width operand lists use a CSR pair (``off[i]:off[i+1]`` slices
-    ``val``).  ``addr`` stores 0 for address-less rows, disambiguated by
-    ``has_addr`` (address 0 itself never occurs -- the functional memory
-    allocates above :data:`~repro.emulib.memory.Memory.BASE` -- but the
-    column does not rely on that).
+    ``op`` holds one opcode id per row and ``src``/``dst`` the operand
+    lists (:class:`_Operands`).  The six scalar fields stay sparse, as in
+    the staging tail: ``at`` lists the rows that carry any of them,
+    ascending, and ``has_addr``, ``addr``, ``nbytes``, ``stride``, ``vl``,
+    ``taken`` and ``site`` hold one value per listed row.  ``addr`` stores
+    0 for an address-less row, disambiguated by ``has_addr`` (address 0
+    itself never occurs -- the functional memory allocates above
+    :data:`~repro.emulib.memory.Memory.BASE` -- but the column does not
+    rely on that); ``taken`` is int8 (-1 not a branch, 0/1 outcome).
     """
 
-    __slots__ = ("n", "op", "addr", "has_addr", "nbytes", "stride", "vl",
-                 "taken", "site", "src_off", "src_val", "dst_off", "dst_val")
+    __slots__ = ("n", "op", "src", "dst", "at") + tuple(
+        name for name, _ in _SPARSE)
 
     def __init__(self, stage: _Stage) -> None:
         n = self.n = len(stage)
         self.op = _fit(stage.op, np.int16, np.int32, "op")
-        # The sparse fields: every column starts at its default and takes
-        # the staged rows' values in one scatter each.
+        self.src = _Operands.from_tuples(stage.srcs)
+        self.dst = _Operands.from_tuples(stage.dsts)
         at, addr, nbytes, stride, vl, taken, site = (
             zip(*stage.extra) if stage.extra else ((),) * 7)
-        at = np.array(at, dtype=np.intp)
+        # Row numbers fit uint16 in a chunk of at most 65536 rows, and
+        # stay re-basable (see ``rows``) in any chunk.
+        self.at = np.array(at, dtype=np.uint16 if n <= 1 << 16 else np.int64)
         addr = np.array(addr, dtype=object)
-        has = np.not_equal(addr, None)
-        self.has_addr = np.zeros(n, dtype=bool)
-        self.has_addr[at[has]] = True
-        self.addr = np.zeros(n, dtype=np.uint64)
+        self.has_addr = np.not_equal(addr, None)
+        addr[~self.has_addr] = 0
         try:
-            self.addr[at[has]] = addr[has].astype(np.uint64)
+            self.addr = addr.astype(np.uint64)
         except OverflowError as exc:
             raise ValueError(f"addr value out of range: {exc}") from None
-        self.nbytes = _scatter(n, at, nbytes, 0, np.int16, np.int64, "nbytes")
-        self.stride = _scatter(n, at, stride, 0, np.int32, np.int64, "stride")
-        self.vl = _scatter(n, at, vl, 1, np.int16, np.int64, "vl")
-        self.taken = np.full(n, _TAKEN_ENCODE[None], dtype=np.int8)
-        self.taken[at] = np.fromiter(map(_TAKEN_ENCODE.__getitem__, taken),
-                                     dtype=np.int8, count=len(at))
-        self.site = _scatter(n, at, site, 0, np.int32, np.int64, "site")
-        self.src_off, self.src_val = _csr(stage.srcs)
-        self.dst_off, self.dst_val = _csr(stage.dsts)
-
-    _ROW_COLUMNS = ("op", "has_addr", "addr", "nbytes", "stride", "vl",
-                    "taken", "site")
+        self.nbytes = _fit(nbytes, np.int16, np.int64, "nbytes")
+        self.stride = _fit(stride, np.int32, np.int64, "stride")
+        self.vl = _fit(vl, np.int16, np.int64, "vl")
+        self.taken = np.fromiter(map(_TAKEN_ENCODE.__getitem__, taken),
+                                 dtype=np.int8, count=len(self.at))
+        self.site = _fit(site, np.int32, np.int64, "site")
 
     def rows(self, lo: int, hi: int) -> "_Chunk":
-        """A chunk holding rows ``[lo, hi)``; the row columns and operand
-        values share storage, the CSR offsets are rebased copies."""
-        clone = _Chunk.__new__(_Chunk)
-        clone.n = hi - lo
-        for name in self._ROW_COLUMNS:
-            setattr(clone, name, getattr(self, name)[lo:hi])
-        for off, val in (("src_off", "src_val"), ("dst_off", "dst_val")):
-            offsets = getattr(self, off)[lo:hi + 1]
-            setattr(clone, off, offsets - offsets[0])
-            setattr(clone, val, getattr(self, val)[offsets[0]:offsets[-1]])
-        return clone
+        """A chunk holding rows ``[lo, hi)``; its columns share storage
+        with this one's, except the re-based ``at`` and operand marks."""
+        part = _Chunk.__new__(_Chunk)
+        part.n = hi - lo
+        part.op = self.op[lo:hi]
+        part.src = self.src.rows(lo, hi)
+        part.dst = self.dst.rows(lo, hi)
+        k0, k1 = self.at.searchsorted((lo, hi)).tolist()
+        part.at = self.at[k0:k1] - lo
+        for name, _ in _SPARSE:
+            setattr(part, name, getattr(self, name)[k0:k1])
+        return part
 
-    @staticmethod
-    def concat(parts: list["_Chunk"]) -> "_Chunk":
-        """One chunk holding ``parts``' rows in order (a copy, unless
-        there is only one part)."""
-        if len(parts) == 1:
-            return parts[0]
-        out = _Chunk.__new__(_Chunk)
-        out.n = sum(part.n for part in parts)
-        for name in _Chunk._ROW_COLUMNS:
-            setattr(out, name,
-                    np.concatenate([getattr(part, name) for part in parts]))
-        for off, val in (("src_off", "src_val"), ("dst_off", "dst_val")):
-            pieces = [np.zeros(1, dtype=np.int32)]
-            total = 0
-            for part in parts:
-                pieces.append(getattr(part, off)[1:] + total)
-                total += int(getattr(part, off)[-1])
-            setattr(out, off, np.concatenate(pieces))
-            setattr(out, val,
-                    np.concatenate([getattr(part, val) for part in parts]))
-        return out
+    def _fields(self, k: int) -> tuple:
+        """The scalar fields of the ``k``-th sparse row, decoded."""
+        return (int(self.addr[k]) if self.has_addr[k] else None,
+                int(self.nbytes[k]), int(self.stride[k]), int(self.vl[k]),
+                _TAKEN_DECODE[int(self.taken[k]) + 1], int(self.site[k]))
 
     def row(self, i: int) -> tuple:
         """One row decoded back to canonical Python values (op still an id)."""
-        s0, s1 = self.src_off[i], self.src_off[i + 1]
-        d0, d1 = self.dst_off[i], self.dst_off[i + 1]
-        return (
-            int(self.op[i]),
-            tuple(int(v) for v in self.src_val[s0:s1]),
-            tuple(int(v) for v in self.dst_val[d0:d1]),
-            int(self.addr[i]) if self.has_addr[i] else None,
-            int(self.nbytes[i]),
-            int(self.stride[i]),
-            int(self.vl[i]),
-            _TAKEN_DECODE[int(self.taken[i]) + 1],
-            int(self.site[i]),
-        )
+        k = int(self.at.searchsorted(i))
+        fields = (self._fields(k) if k < len(self.at) and self.at[k] == i
+                  else _PLAIN)
+        return (int(self.op[i]), self.src.row(i), self.dst.row(i)) + fields
 
     def iter_rows(self):
         """All rows as canonical Python tuples (bulk ``tolist`` decode)."""
-        op = self.op.tolist()
-        has_addr = self.has_addr.tolist()
-        addr = self.addr.tolist()
-        nbytes = self.nbytes.tolist()
-        stride = self.stride.tolist()
-        vl = self.vl.tolist()
-        taken = self.taken.tolist()
-        site = self.site.tolist()
-        src_off = self.src_off.tolist()
-        src_val = self.src_val.tolist()
-        dst_off = self.dst_off.tolist()
-        dst_val = self.dst_val.tolist()
-        for i in range(self.n):
-            yield (op[i],
-                   tuple(src_val[src_off[i]:src_off[i + 1]]),
-                   tuple(dst_val[dst_off[i]:dst_off[i + 1]]),
-                   addr[i] if has_addr[i] else None,
-                   nbytes[i], stride[i], vl[i],
-                   _TAKEN_DECODE[taken[i] + 1], site[i])
+        addr = [a if has else None for a, has in zip(
+            self.addr.tolist(), self.has_addr.tolist())]
+        taken = [_TAKEN_DECODE[t + 1] for t in self.taken.tolist()]
+        extra = zip(self.at.tolist(), addr, self.nbytes.tolist(),
+                    self.stride.tolist(), self.vl.tolist(), taken,
+                    self.site.tolist())
+        return _rows(self.op.tolist(), self.src.tuples(), self.dst.tuples(),
+                     extra)
+
+    def nbytes_storage(self) -> int:
+        """Bytes of column storage this chunk occupies (diagnostics)."""
+        return (self.op.nbytes + self.src.nbytes() + self.dst.nbytes()
+                + self.at.nbytes
+                + sum(getattr(self, name).nbytes for name, _ in _SPARSE))
+
+
+class _Block:
+    """Consecutive sealed rows in dense column form: what
+    :meth:`Trace.iter_column_blocks` yields.
+
+    ``n`` rows; ``op``, ``has_addr``, ``addr``, ``nbytes``, ``stride``,
+    ``vl``, ``taken`` and ``site`` hold one value per row (a row that
+    carries no scalar field reads the defaults), and the operand lists are
+    CSR pairs: ``src_off[i]:src_off[i + 1]`` slices ``src_val``, with
+    offsets starting at 0 (likewise ``dst``).
+    """
+
+    __slots__ = ("n", "op", "src_off", "src_val", "dst_off", "dst_val") + (
+        tuple(name for name, _ in _SPARSE))
+
+    def __init__(self, parts: list[_Chunk]) -> None:
+        n = self.n = sum(part.n for part in parts)
+        self.op = np.concatenate([part.op for part in parts])
+        self.src_off, self.src_val = _csr([part.src for part in parts])
+        self.dst_off, self.dst_val = _csr([part.dst for part in parts])
+        starts = np.cumsum([0] + [part.n for part in parts[:-1]]).tolist()
+        at = np.concatenate([part.at.astype(np.intp) + start
+                             for part, start in zip(parts, starts)])
+        for name, default in _SPARSE:
+            values = np.concatenate([getattr(part, name) for part in parts])
+            column = np.full(n, default, dtype=values.dtype)
+            column[at] = values
+            setattr(self, name, column)
 
     def taken_at(self, rows) -> list:
         """Decoded ``taken`` (``None``/``False``/``True``) of ``rows``."""
         return [_TAKEN_DECODE[t + 1] for t in self.taken[rows].tolist()]
-
-    def nbytes_storage(self) -> int:
-        """Bytes of column storage this chunk occupies (diagnostics)."""
-        return sum(getattr(self, name).nbytes
-                   for name in self._ROW_COLUMNS + ("src_off", "src_val",
-                                                    "dst_off", "dst_val"))
 
 
 class TraceSummary:
@@ -457,10 +500,14 @@ class TraceSummary:
             lanes = np.array([max(1, op.elem.lanes) for op in ops],
                              dtype=np.int64)
             is_mem = np.array([op.iclass.is_memory for op in ops], dtype=bool)
-            for op_ids, vl in trace._stat_blocks():
+            for op_ids, vl_ids, vl in trace._stat_blocks():
                 counts += np.bincount(op_ids, minlength=nops)
-                operations += int((vl * lanes[op_ids]).sum())
-                memory_refs += int(vl[is_mem[op_ids]].sum())
+                # Every row counts once; a row with a VL counts VL - 1 more.
+                more = vl.astype(np.int64) - 1
+                operations += int((more * lanes[vl_ids]).sum())
+                memory_refs += int(more[is_mem[vl_ids]].sum())
+            operations += int(counts @ lanes)
+            memory_refs += int(counts[is_mem].sum())
 
         class_hist: dict[InstrClass, int] = {}
         opcode_hist: dict[str, int] = {}
@@ -597,7 +644,7 @@ class Trace:
             self._chunks = kept
             self._chunk_ends = ends
             self._sealed = length
-            self._stage.clear()
+            self._stage = _Stage()
         self._summary = None
 
     # --- internal plumbing ------------------------------------------------------
@@ -611,14 +658,19 @@ class Trace:
         return op_id
 
     def _seal(self) -> None:
-        """Convert the staging tail into a sealed columnar chunk."""
+        """Convert the staging tail into a sealed chunk and start a new one.
+
+        The old tail's lists are swapped out, never cleared, so a row
+        iterator already walking them still yields every row.  A value
+        the conversion rejects raises before anything changes.
+        """
         if not len(self._stage):
             return
         chunk = _Chunk(self._stage)
         self._chunks.append(chunk)
         self._sealed += chunk.n
         self._chunk_ends.append(self._sealed)
-        self._stage.clear()
+        self._stage = _Stage()
 
     def _row(self, index: int) -> tuple:
         """Row ``index`` with the op decoded to its :class:`Opcode`.
@@ -645,12 +697,12 @@ class Trace:
             yield (ops[row[0]],) + row[1:]
 
     def _stat_blocks(self):
-        """(op_id array, vl array) per storage block, for summary stats."""
+        """Per sealed chunk, for summary stats: every row's op id, then the
+        op ids and ``vl`` of the rows that carry scalar fields (every
+        other row has ``vl`` 1).  A column reader: seals the tail first."""
+        self._seal()
         for chunk in self._chunks:
-            yield chunk.op, chunk.vl
-        if len(self._stage):
-            yield (np.asarray(self._stage.op, dtype=np.int32),
-                   self._stage.vl())
+            yield chunk.op, chunk.op[chunk.at], chunk.vl
 
     def _materialize(self, row: tuple) -> DynInstr:
         op, srcs, dsts, addr, nbytes, stride, vl, taken, site = row
@@ -694,42 +746,35 @@ class Trace:
         """The opcode intern table: column ``op`` values index it."""
         return tuple(self._ops)
 
-    def _column_chunks(self):
-        """The sealed chunks, then the staging tail converted the way
-        sealing converts it (operand checks included)."""
-        yield from self._chunks
-        if len(self._stage):
-            yield _Chunk(self._stage)
-
     def iter_column_blocks(self, rows: int):
         """The trace as consecutive column blocks of ``rows`` rows each
         (the last one shorter), in program order.
 
-        Each block has the column attributes of a sealed chunk (``n``,
-        ``op``, ``addr``/``has_addr``, ``nbytes``, ``stride``, ``vl``,
-        ``taken``, ``site`` and the ``src``/``dst`` CSR pairs with offsets
-        starting at 0), whatever the chunk geometry: blocks are cut
-        across chunk boundaries and the staging tail is converted on the
-        way, so a consumer holds the columns plus the block it reads.
+        Each block (``_Block``) has dense columns -- ``n``, ``op``,
+        ``addr``/``has_addr``, ``nbytes``, ``stride``, ``vl``, ``taken``,
+        ``site`` and the ``src``/``dst`` CSR pairs with offsets starting
+        at 0 -- whatever the chunk geometry: blocks are cut across chunk
+        boundaries, so a consumer holds the columns plus the block it
+        reads.  A column reader: the first block seals the staging tail.
         """
         if rows < 1:
             raise ValueError("rows must be >= 1")
+        self._seal()
         parts: list[_Chunk] = []
         have = 0
-        for chunk in self._column_chunks():
+        for chunk in self._chunks:
             lo = 0
             while lo < chunk.n:
                 take = min(rows - have, chunk.n - lo)
-                parts.append(chunk if take == chunk.n
-                             else chunk.rows(lo, lo + take))
+                parts.append(chunk.rows(lo, lo + take))
                 have += take
                 lo += take
                 if have == rows:
-                    yield _Chunk.concat(parts)
+                    yield _Block(parts)
                     parts = []
                     have = 0
         if parts:
-            yield _Chunk.concat(parts)
+            yield _Block(parts)
 
     # --- statistics ------------------------------------------------------------
 
@@ -763,6 +808,8 @@ class Trace:
         return self.summary().branch_count
 
     def storage_bytes(self) -> int:
-        """Approximate bytes of sealed column storage (diagnostics; the
-        staging tail and interning tables are not counted)."""
+        """Bytes of column storage over every row (diagnostics; the
+        interning tables are not counted).  A column reader: seals the
+        staging tail first."""
+        self._seal()
         return sum(chunk.nbytes_storage() for chunk in self._chunks)

@@ -12,13 +12,17 @@ constructing a ``DynInstr``.
 import numpy as np
 import pytest
 
-from repro.apps import APPS
+from repro.apps import APP_ISAS, APP_ORDER, APPS
+from repro.cpu import Core, machine_config
+from repro.cpu.batch import BatchCore
 from repro.emulib.fingerprint import trace_digest
 from repro.emulib.trace import CHUNK_ROWS, DynInstr, Trace, reg
+from repro.exp.engine import built_app
 from repro.isa.alpha import ALPHA
 from repro.core.mom_isa import MOM
 from repro.isa.model import InstrClass, RegPool
 from repro.kernels import KERNELS, build_and_check
+from repro.memsys import PerfectMemory
 
 
 def _mixed_rows(n, numpy_typed=False):
@@ -223,10 +227,61 @@ def test_self_extend_doubles_the_stream():
 
 def test_columnar_storage_is_compact():
     """Sealed storage stays within tens of bytes per instruction -- the
-    whole point of the encoding (the object form measured ~225 B/instr)."""
+    whole point of the encoding (the object form measured ~225 B/instr).
+    The synthetic mix carries scalar fields on four rows in five, so its
+    sparse columns cost most (26.7 B/row).  Every Fig. 7 trace keeps no
+    staged row after one simulation and seals at <= 18 B/row."""
     t = _fill(Trace("mom", chunk_rows=1024), _mixed_rows(4096))
     per_row = t.storage_bytes() / 4096
-    assert per_row < 80, per_row
+    assert per_row < 27, per_row
+    for app in APP_ORDER:
+        for isa in APP_ISAS:
+            trace = built_app(app, isa).trace
+            BatchCore([Core(machine_config(4, isa),
+                            PerfectMemory(1, 2, 1))]).run(trace)
+            assert not len(trace._stage), (app, isa)
+            per_row = trace.storage_bytes() / len(trace)
+            assert per_row <= 18, (app, isa, per_row)
+
+
+def test_storage_bytes_counts_the_staging_tail():
+    """A column reader seals the tail, so the bytes are those of the same
+    rows sealed by the writer, not 0."""
+    rows = _mixed_rows(10)
+    staged = _fill(Trace("mom"), rows)
+    assert len(staged._stage) == 10
+    sealed = _fill(Trace("mom", chunk_rows=10), rows)
+    assert not len(sealed._stage)
+    assert staged.storage_bytes() == sealed.storage_bytes() > 0
+    assert not len(staged._stage)
+
+
+@pytest.mark.parametrize("chunk", [4, CHUNK_ROWS])
+@pytest.mark.parametrize("started", [0, 1, 9])
+def test_sealing_never_cuts_a_live_reader_short(chunk, started):
+    """The first column reader seals the staging tail by swapping in a
+    fresh one, never by clearing the old lists in place, so row iterators
+    already walking the tail (or not yet started) still yield every row
+    once, in order; rows appended afterwards read back too."""
+    rows = _mixed_rows(11)
+    t = _fill(Trace("mom", chunk_rows=chunk), rows)
+    want = list(t.iter_field_tuples())
+    objects, fields = iter(t), t.iter_field_tuples()
+    got_objects = [next(objects) for _ in range(started)]
+    got_fields = [next(fields) for _ in range(started)]
+    assert len(t._stage) == 11 % chunk
+    assert t.operation_count() == sum(
+        r.vl * max(1, r.op.elem.lanes) for r in rows)
+    assert not len(t._stage)
+    assert sum(block.n for block in t.iter_column_blocks(3)) == 11
+    got_objects += objects
+    got_fields += fields
+    for got, ref in zip(got_objects, rows, strict=True):
+        _assert_instr_equal(got, ref)
+    assert got_fields == want
+    more = _mixed_rows(17)[11:]
+    _fill(t, more)
+    assert trace_digest(t) == trace_digest(_fill(Trace("mom"), rows + more))
 
 
 def test_vl_column_survives_large_values():
