@@ -315,6 +315,7 @@ class Core:
         releases: list[tuple[int, RegPool, int]] = []  # (completion, pool, rows)
 
         n = len(trace)
+        rows = iter(trace)              # fetch is strictly in program order
         fetch_idx = 0
         cycle = 0
         committed = 0
@@ -417,7 +418,7 @@ class Core:
                 fetched = 0
                 while (fetch_idx < n and fetched < width
                        and len(fetch_queue) < fetch_queue_cap):
-                    instr = trace[fetch_idx]
+                    instr = next(rows)
                     entry = _Entry(instr, cycle)
                     fetch_queue.append(entry)
                     fetch_idx += 1

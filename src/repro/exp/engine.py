@@ -245,9 +245,15 @@ class Session:
     def key_for(self, point: PointSpec) -> str:
         return point.content_hash(self.salt)
 
-    def lookup(self, point: PointSpec) -> SimResult | None:
-        """Cached result for a point, or ``None`` (does not execute)."""
-        key = self.key_for(point)
+    def lookup(self, point: PointSpec,
+               key: str | None = None) -> SimResult | None:
+        """Cached result for a point, or ``None`` (does not execute).
+
+        ``key`` is :meth:`key_for` of the point when the caller already
+        holds it (the serve layer's submit scan), so it is hashed once.
+        """
+        if key is None:
+            key = self.key_for(point)
         if key in self._memo:
             return self._memo[key]
         if self.cache is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 #: Valid point kinds.
 KINDS = ("kernel", "app")
@@ -69,11 +69,16 @@ class PointSpec:
 
         ``accounting`` is emitted only when set, so pre-v1.7 payloads,
         cache keys and serve requests are byte-identical for plain
-        points (and old servers accept them).
+        points (and old servers accept them).  Built field by field, not
+        with ``dataclasses.asdict`` (a recursive deep copy): the serve
+        layer builds one per answer.  A new field must be added here;
+        ``tests/test_exp.py`` holds this equal to ``asdict``.
         """
-        data = asdict(self)
-        if not data["accounting"]:
-            del data["accounting"]
+        data = {"kind": self.kind, "target": self.target, "isa": self.isa,
+                "way": self.way, "latency": self.latency,
+                "memory": self.memory, "scale": self.scale}
+        if self.accounting:
+            data["accounting"] = self.accounting
         return data
 
     def content_hash(self, salt: str = "") -> str:

@@ -7,9 +7,10 @@ the newline-delimited JSON protocol of :mod:`repro.serve.protocol` to
 any number of concurrent clients:
 
 * **Cache first** -- a point whose result is already in the session
-  memo or the on-disk cache is answered immediately on the event loop;
-  no worker is touched.  The service and in-process sessions share one
-  source-fingerprinted store, so either side can warm the other.
+  memo or the on-disk cache is answered on the event loop as soon as
+  the job's scan ends; no worker is touched.  The service and
+  in-process sessions share one source-fingerprinted store, so either
+  side can warm the other.
 * **Dedup** -- identical points in flight (same content hash, any
   client) share one future; the simulation runs once and every waiter
   receives the same bits.
@@ -17,10 +18,16 @@ any number of concurrent clients:
   queued to the shard that owns that build (see
   :mod:`repro.serve.shard`), so a worker builds each kernel/app once
   and then answers its whole batch from the build memo.
+* **Batched writes** -- the answers ready when the scan ends (cache
+  hits and in-flight futures already resolved) are encoded in ``seq``
+  order and leave with ``accepted`` (and ``done`` when nothing is
+  left in flight) in writes cut at about 64 KiB, so a warm job is one
+  socket write per 64 KiB.  Points still simulating stream one write each.
 * **Backpressure** -- a global in-flight budget (``max_inflight``,
   default ``8 x workers``) bounds queued-but-unfinished simulations;
-  a submit that exceeds it waits instead of ballooning worker queues,
-  and every streamed response awaits ``writer.drain()``.
+  a submit that exceeds it sends ``accepted`` and waits instead of
+  ballooning worker queues, and every write awaits ``writer.drain()``,
+  so a slow reader holds its job back.
 * **Graceful drain** -- shutdown (the ``shutdown`` op or
   :meth:`SimServer.stop`) stops accepting work, lets in-flight points
   finish and be streamed/cached, then joins the pool.
@@ -52,6 +59,24 @@ from ..obs import Obs, Registry, obs_from_env, render_prometheus
 from ..obs.spans import NULL_TRACER
 from . import protocol
 from .shard import ShardPool, build_key
+
+
+#: Answers ready when a submit scan ends leave in writes of about this
+#: many bytes (the write that crosses it ends it), each followed by
+#: ``drain()``, so a slow reader still backpressures the server.
+WRITE_CUT_BYTES = 64 * 1024
+
+
+def _result_line(job, seq: int, payload: dict, source: str,
+                 result: dict | None, error: str | None) -> bytes:
+    """One encoded ``result`` message for the point at ``seq``."""
+    response = {"ok": error is None, "op": "result", "id": job, "seq": seq,
+                "source": source, "point": payload}
+    if error is None:
+        response["result"] = result
+    else:
+        response["error"] = error
+    return protocol.encode(response)
 
 
 class SimServer:
@@ -288,8 +313,10 @@ class SimServer:
 
         self.stats["jobs"] += 1
         self.stats["points"] += len(points)
-        await self._send(writer, {"ok": True, "op": "accepted", "id": job,
-                                  "points": len(points)})
+        # ``accepted`` leaves with the job's first write: the answers
+        # ready after the scan, or alone just before the scan blocks.
+        head = [protocol.encode({"ok": True, "op": "accepted", "id": job,
+                                 "points": len(points)})]
         accepted_at = self._loop.time()
         tracer = self.obs.tracer
         request_span = tracer.span("serve.request", id=str(job),
@@ -302,15 +329,18 @@ class SimServer:
         # ``_complete``) or released here -- a slot that escaped both
         # would permanently shrink server capacity.
         counts = {"cache": 0, "dedup": 0, "sim": 0}
-        waiters: list[tuple[int, PointSpec, str, asyncio.Future]] = []
+        # (seq, payload, source, answer): ``answer`` is the ``(result,
+        # error)`` pair of a cache hit, else the point's in-flight future.
+        answers: list[tuple[int, dict, str, object]] = []
         batches: dict[tuple, list[tuple[str, dict]]] = {}
         slot_held = False
         dispatch_span = tracer.span("serve.dispatch", parent=request_span)
         try:
             for seq, point in enumerate(points):
                 key = self.session.key_for(point)
+                payload = point.payload()
                 while True:
-                    cached = self.session.lookup(point)
+                    cached = self.session.lookup(point, key)
                     if cached is not None:
                         source = "cache"
                         # Whatever layer replayed it (session memo or disk),
@@ -319,41 +349,44 @@ class SimServer:
                         # wall-clock can never be read as one.
                         data = cached.to_dict()
                         data.setdefault("meta", {})["cache_hit"] = True
-                        future = self._loop.create_future()
-                        future.set_result((data, None))
+                        answer = (data, None)
                         break
                     if key in self._inflight:
                         source = "dedup"
-                        future = self._inflight[key][1]
+                        answer = self._inflight[key][1]
                         break
                     # Backpressure: block the scan (and this client) until a
                     # simulation slot frees up, bounding worker queues.  Any
                     # batch collected so far must reach the workers *before*
-                    # blocking, or the slots it holds could never free.  The
-                    # await yields the loop, so another client may cache or
+                    # blocking, or the slots it holds could never free, and
+                    # the client hears ``accepted`` before any wait.  The
+                    # awaits yield the loop, so another client may cache or
                     # register this very point meanwhile -- reclassify after
                     # waking (classification and registration must be atomic,
                     # i.e. no await between them) instead of double-booking.
                     if self._slots.locked():
                         self._flush(batches, span=dispatch_span)
+                        if head:
+                            await self._write(writer, head)
+                            head = []
                     await self._slots.acquire()
                     slot_held = True
                     if (key in self._inflight
-                            or self.session.lookup(point) is not None):
+                            or self.session.lookup(point, key) is not None):
                         self._slots.release()
                         slot_held = False
                         continue
                     source = "sim"
-                    future = self._loop.create_future()
-                    self._inflight[key] = (point, future)
+                    answer = self._loop.create_future()
+                    self._inflight[key] = (point, answer)
                     slot_held = False      # _complete owns the release now
-                    batches.setdefault(build_key(point.payload()), []).append(
-                        (key, point.payload()))
+                    batches.setdefault(build_key(payload), []).append(
+                        (key, payload))
                     break
                 counts[source] += 1
                 self.stats[{"cache": "cache_hits", "dedup": "dedup_hits",
                             "sim": "simulated"}[source]] += 1
-                waiters.append((seq, point, source, future))
+                answers.append((seq, payload, source, answer))
         except Exception as exc:
             # A mid-scan failure (e.g. a corrupt cache entry raising out
             # of lookup) must not strand what was already registered:
@@ -366,45 +399,70 @@ class SimServer:
             dispatch_span.end()
             self.stats["errors"] += 1
             request_span.set(error="classification").end()
-            await self._send(writer, protocol.error_response(
-                f"submit failed mid-classification: {exc}", id=job))
+            await self._write(writer, [*head, protocol.encode(
+                protocol.error_response(
+                    f"submit failed mid-classification: {exc}", id=job))])
             return
 
         self._flush(batches, span=dispatch_span)
         dispatch_span.set(**counts).end()
 
         latency = self.metrics.histogram("submit_answer_seconds")
+        done = protocol.encode({
+            "ok": True, "op": "done", "id": job, "points": len(points),
+            "cache_hits": counts["cache"], "dedup_hits": counts["dedup"],
+            "simulated": counts["sim"]})
 
-        async def deliver(seq, point, source, future):
+        async def send(lines: list[bytes], answered: int) -> None:
+            await self._write(writer, lines)
+            # Submit-to-answer latency: from job acceptance to each
+            # point's result reaching the client's socket buffer.
+            elapsed = self._loop.time() - accepted_at
+            for _ in range(answered):
+                latency.observe(elapsed)
+
+        async def deliver(seq, payload, source, future):
             result, error = await asyncio.shield(future)
-            return seq, point, source, result, error
+            return seq, payload, source, result, error
 
-        tasks = [asyncio.ensure_future(deliver(*w)) for w in waiters]
+        pending: list[tuple[int, dict, str, asyncio.Future]] = []
+        tasks: list[asyncio.Task] = []
         flush_span = tracer.span("serve.flush", parent=request_span,
-                                 points=len(waiters))
+                                 points=len(answers))
         try:
+            # Answers ready now -- cache hits and futures that already
+            # resolved -- go out in seq order behind ``accepted``, in
+            # writes cut at about WRITE_CUT_BYTES; ``done`` rides the
+            # last write when nothing is left in flight.
+            lines, size, answered = head, sum(map(len, head)), 0
+            for seq, payload, source, answer in answers:
+                if isinstance(answer, asyncio.Future):
+                    if not answer.done():
+                        pending.append((seq, payload, source, answer))
+                        continue
+                    answer = answer.result()
+                lines.append(_result_line(job, seq, payload, source, *answer))
+                size += len(lines[-1])
+                answered += 1
+                if size >= WRITE_CUT_BYTES:
+                    await send(lines, answered)
+                    lines, size, answered = [], 0, 0
+            if not pending:
+                lines.append(done)
+            if lines:
+                await send(lines, answered)
+
+            # Points still simulating stream one write each, as they finish.
+            tasks = [asyncio.ensure_future(deliver(*p)) for p in pending]
             for task in asyncio.as_completed(tasks):
-                seq, point, source, result, error = await task
-                response = {"ok": error is None, "op": "result", "id": job,
-                            "seq": seq, "source": source,
-                            "point": point.payload()}
-                if error is None:
-                    response["result"] = result
-                else:
-                    response["error"] = error
-                await self._send(writer, response)
-                # Submit-to-answer latency: from job acceptance to this
-                # point's result hitting the client's socket buffer.
-                latency.observe(self._loop.time() - accepted_at)
+                await send([_result_line(job, *await task)], 1)
         finally:
             for task in tasks:
                 task.cancel()
             flush_span.end()
             request_span.end()
-        await self._send(writer, {
-            "ok": True, "op": "done", "id": job, "points": len(points),
-            "cache_hits": counts["cache"], "dedup_hits": counts["dedup"],
-            "simulated": counts["sim"]})
+        if pending:
+            await self._write(writer, [done])
 
     # --- helpers ----------------------------------------------------------
 
@@ -432,7 +490,13 @@ class SimServer:
 
     async def _send(self, writer: asyncio.StreamWriter,
                     message: dict) -> None:
-        writer.write(protocol.encode(message))
+        await self._write(writer, [protocol.encode(message)])
+
+    @staticmethod
+    async def _write(writer: asyncio.StreamWriter,
+                     lines: list[bytes]) -> None:
+        """One socket write of encoded messages, then ``drain()``."""
+        writer.write(b"".join(lines))
         await writer.drain()
 
     def _stat_snapshot(self) -> dict:

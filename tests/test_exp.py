@@ -40,6 +40,38 @@ def test_pointspec_content_hash_stability():
     assert changed.content_hash() != a.content_hash()
 
 
+def test_pointspec_content_hash_is_pinned():
+    """Every cached result is filed under its content hash, so a key that
+    changes silently orphans every user's result cache: the keys are
+    pinned literals, not compared with a second hash of the same point."""
+    assert PointSpec("kernel", "idct", "mmx", 2).content_hash() \
+        == "83b0b0b74e3b02e78f6ecaf05f8d40fe"
+    assert PointSpec("kernel", "idct", "mom", 4,
+                     accounting=True).content_hash("s1") \
+        == "4526cd4737e94cb12aacd4c32320ff57"
+    assert PointSpec("app", "mpeg2_encode", "alpha", 4, 1, "conventional",
+                     5).content_hash("x") \
+        == "82413b93bffb51b92dfd588c7d936727"
+
+
+def test_pointspec_payload_is_asdict_without_false_accounting():
+    """``payload()`` builds its dict field by field; it must equal the
+    dataclass image (same keys, order and values) minus ``accounting``
+    when that is false, over every preset the figures use."""
+    from dataclasses import asdict
+
+    points = [point for name in ("figure5", "figure7", "latency",
+                                 "frame-scale", "vc-kernels")
+              for point in preset(name).points()]
+    points.append(PointSpec("kernel", "idct", "mom", 4, accounting=True))
+    for point in points:
+        expected = asdict(point)
+        if not expected["accounting"]:
+            del expected["accounting"]
+        payload = point.payload()
+        assert list(payload.items()) == list(expected.items()), point
+
+
 def test_pointspec_validation():
     with pytest.raises(ValueError):
         PointSpec(kind="nope", target="addblock", isa="mom", way=4)

@@ -21,6 +21,7 @@ import threading
 import pytest
 
 from repro import __version__
+from repro.cpu import SimResult
 from repro.exp import PointSpec, Session
 from repro.serve import Client, ServeError, SimServer, run_server
 from repro.serve import protocol
@@ -205,6 +206,157 @@ def test_cache_round_trip_with_in_process_session(tmp_path):
         replay = after.lookup(point)
         assert replay is not None and replay == served[point]
         assert replay.meta["cache_hit"] is True
+
+
+# --- the write path -----------------------------------------------------------
+
+def _count_writes(monkeypatch) -> list[int]:
+    """Patch ``StreamWriter.write`` (only the server uses asyncio streams
+    here); returns the list the byte count of every write lands in."""
+    import asyncio
+
+    sizes: list[int] = []
+    write = asyncio.StreamWriter.write
+
+    def counting_write(self, data):
+        sizes.append(len(data))
+        return write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+    return sizes
+
+
+def _hold_batches(monkeypatch, server, keys):
+    """Keep the pool from receiving the batches that carry ``keys``: their
+    points stay in flight until the returned ``release()`` queues them."""
+    pool = server._pool
+    submit = pool.submit
+    held = []
+
+    def holding_submit(batch, *, span=None):
+        if any(key in keys for key, _payload in batch):
+            held.append(batch)
+            return 0
+        return submit(batch, span=span)
+
+    def release():
+        while held:
+            submit(held.pop(0))
+
+    monkeypatch.setattr(pool, "submit", holding_submit)
+    return release
+
+
+def test_warm_resubmit_is_one_socket_write(tmp_path, monkeypatch):
+    """A warm job's accepted, results and done leave in one write."""
+    with live_server(tmp_path) as server:
+        with Client("127.0.0.1", server.port, timeout=120) as client:
+            cold = client.run(MINI)
+            writes = _count_writes(monkeypatch)
+            messages = list(client.submit_iter(MINI))
+            writes = list(writes)
+    assert len(writes) == 1
+    assert [m["op"] for m in messages] == \
+        ["accepted"] + ["result"] * len(MINI) + ["done"]
+    results = messages[1:-1]
+    assert [m["seq"] for m in results] == list(range(len(MINI)))
+    for message, point in zip(results, MINI):
+        assert message["ok"] and message["source"] == "cache"
+        assert message["point"] == point.payload()
+        assert message["result"]["meta"]["cache_hit"] is True
+        assert SimResult.from_dict(message["result"]) == cold[point]
+    done = messages[-1]
+    assert done["cache_hits"] == len(MINI)
+    assert done["dedup_hits"] == done["simulated"] == 0
+
+
+def test_mixed_job_streams_warm_answers_first(tmp_path, monkeypatch):
+    """Warm, cold and in-flight (dedup) points in one job: accepted first,
+    done last, each seq once, warm answers ahead of simulated ones."""
+    cache_dir = tmp_path / "cache"
+    warm = MINI[:2]
+    Session(cache_dir).run(warm)
+    busy = PointSpec(kind="kernel", target="idct", isa="mom", way=8)
+    points = [MINI[2], warm[0], busy, MINI[3], warm[1]]
+    with live_server(tmp_path, cache_dir=cache_dir) as server:
+        release = _hold_batches(monkeypatch, server,
+                                {server.session.key_for(busy)})
+        with Client("127.0.0.1", server.port, timeout=120) as other, \
+                Client("127.0.0.1", server.port, timeout=120) as client:
+            other_stream = other.submit_iter([busy])
+            assert next(other_stream)["op"] == "accepted"   # busy in flight
+            stream = client.submit_iter(points)
+            messages = [next(stream) for _ in range(5)]    # all but busy
+            release()
+            messages += list(stream)
+            other_messages = list(other_stream)
+    assert messages[0]["op"] == "accepted"
+    assert messages[-1]["op"] == "done"
+    results = messages[1:-1]
+    assert sorted(m["seq"] for m in results) == list(range(len(points)))
+    assert all(m["ok"] for m in results)
+    sources = [m["source"] for m in results]
+    assert sources[:2] == ["cache", "cache"]
+    assert sorted(sources[2:]) == ["dedup", "sim", "sim"]
+    assert [m["seq"] for m in results[:2]] == [1, 4]
+    by_source = {m["seq"]: m["source"] for m in results}
+    assert by_source[2] == "dedup"
+    done = messages[-1]
+    assert (done["cache_hits"], done["dedup_hits"], done["simulated"]) \
+        == (2, 1, 2)
+    assert done["cache_hits"] + done["dedup_hits"] + done["simulated"] \
+        == done["points"] == len(points)
+    assert [m["op"] for m in other_messages] == ["result", "done"]
+    assert other_messages[0]["result"] == results[
+        [m["seq"] for m in results].index(2)]["result"]
+
+
+def test_accepted_precedes_a_slot_wait(tmp_path, monkeypatch):
+    """With one backpressure slot the scan blocks on its second point;
+    the client must hear ``accepted`` before that wait, then get every
+    result."""
+    points = MINI[:3]
+    with live_server(tmp_path, max_inflight=1) as server:
+        release = _hold_batches(monkeypatch, server,
+                                {server.session.key_for(points[0])})
+        with Client("127.0.0.1", server.port, timeout=120) as client:
+            stream = client.submit_iter(points)
+            client._sock.settimeout(30)
+            assert next(stream)["op"] == "accepted"   # the scan is blocked
+            client._sock.settimeout(120)
+            release()
+            messages = list(stream)
+    assert [m["op"] for m in messages] == ["result"] * 3 + ["done"]
+    assert sorted(m["seq"] for m in messages[:-1]) == [0, 1, 2]
+    assert all(m["ok"] and m["source"] == "sim" for m in messages[:-1])
+    assert messages[-1]["simulated"] == 3
+
+
+def test_large_warm_job_writes_are_cut(tmp_path, monkeypatch):
+    """A warm job larger than one write cut leaves in several writes,
+    none longer than the cut plus one message."""
+    from repro.serve.server import WRITE_CUT_BYTES
+
+    points = [PointSpec(kind="kernel", target="idct", isa="mom", way=4,
+                        latency=latency) for latency in range(1, 401)]
+    with live_server(tmp_path) as server:
+        for latency, point in enumerate(points, 1):
+            server.session.store(point, SimResult(
+                cycles=1000 + latency, instructions=500, operations=800))
+        with Client("127.0.0.1", server.port, timeout=120) as client:
+            writes = _count_writes(monkeypatch)
+            messages = list(client.submit_iter(points))
+            writes = list(writes)
+    assert [m["op"] for m in messages] == \
+        ["accepted"] + ["result"] * len(points) + ["done"]
+    assert [m["seq"] for m in messages[1:-1]] == list(range(len(points)))
+    assert [m["result"]["cycles"] for m in messages[1:-1]] == \
+        [1000 + latency for latency in range(1, 401)]
+    lines = [len(protocol.encode(m)) for m in messages]
+    assert sum(writes) == sum(lines)
+    assert sum(writes) > 2 * WRITE_CUT_BYTES
+    assert len(writes) >= 3
+    assert max(writes) < WRITE_CUT_BYTES + max(lines)
 
 
 # --- the golden mini-grid, served ---------------------------------------------
