@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..isa.alpha import ALPHA
 from ..isa.model import Opcode, RegPool
 from .memory import Memory
-from .trace import Trace, reg
+from .trace import RowSkeleton, Trace, reg
 
 _U64 = (1 << 64) - 1
 _ALPHA_OPS = ALPHA.opcodes
@@ -115,6 +115,9 @@ class BaseBuilder:
         #: back via ``.value``); dead-write analysis treats every write to
         #: them as observable.
         self.live_out: set[int] = set()
+        #: row skeletons the replayed emitters recorded on this builder,
+        #: keyed by call shape (see :func:`~repro.emulib.alpha_builder.replay`).
+        self.skeletons: dict[tuple, RowSkeleton] = {}
 
     # --- register & site management ------------------------------------------
 

@@ -16,13 +16,18 @@ gigabytes per trace, all resident before the first simulated cycle.
 :class:`Trace` now stores instructions **columnar**: sealed
 structure-of-arrays chunks of at most :data:`CHUNK_ROWS` rows, with a
 small plain-list staging buffer for the rows of the not-yet-sealed tail.
-Builders write rows through :meth:`Trace.emit`, the one row writer, which
+Builders write rows through :meth:`Trace.emit`, the row writer, which
 appends each emitted instruction's canonical fields to the staging lists
 (the six scalar fields only for rows that carry one): no
-:class:`DynInstr` is built on the way in.  A sealed chunk keeps that
-layout in numpy form -- per row an opcode id and two operand counts, the
-operands in row order, and the scalar fields only for the rows that
-carry any -- at 12-17 bytes per row on the Figure 7 traces.  The tail is
+:class:`DynInstr` is built on the way in.  Its bulk twin,
+:meth:`Trace.emit_skeleton`, appends the rows of a :class:`RowSkeleton`
+-- the rows one replayed emitter call wrote, recorded by
+:meth:`Trace.skeleton` -- with a later call's addresses, branch outcomes
+and site filled in, and leaves the store as per-row ``emit`` would.  A
+sealed chunk keeps that layout in numpy form -- per row an opcode id and
+two operand counts, the operands in row order, and the scalar fields
+only for the rows that carry any -- at 12-17 bytes per row on the
+Figure 7 traces.  The tail is
 sealed when it reaches :data:`CHUNK_ROWS` rows or, once, by the first
 column reader (:meth:`Trace.iter_column_blocks`, the summary statistics,
 :meth:`Trace.storage_bytes`), so a simulated trace keeps no staged rows.
@@ -65,7 +70,7 @@ outside ``[0, REG_LIMIT)`` -- or any scalar value its column cannot hold
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -180,16 +185,22 @@ def _extra_row(extra: tuple) -> int:
     return extra[0]
 
 
-def _rows(op, srcs, dsts, extra):
+def _rows(op, srcs, dsts, extra, first=0):
     """Rows as canonical tuples: per-row ``op``/``srcs``/``dsts`` merged
     with the ascending sparse ``(row, addr, nbytes, stride, vl, taken,
-    site)`` tuples of ``extra``; a row without one has :data:`_PLAIN`."""
-    extra = iter(extra)
-    nxt = next(extra, None)
-    for i, head in enumerate(zip(op, srcs, dsts)):
+    site)`` tuples of ``extra``; a row without one has :data:`_PLAIN`.
+    Rows are numbered from ``first``.  ``extra`` is a list, indexed
+    rather than iterated, so a reader walking live staging lists also
+    merges the tuples of rows appended after it passed the last one."""
+    k = 0
+    nxt = extra[0] if extra else None
+    for i, head in enumerate(zip(op, srcs, dsts), first):
+        if nxt is None and k < len(extra):
+            nxt = extra[k]
         if nxt is not None and nxt[0] == i:
             yield head + nxt[1:]
-            nxt = next(extra, None)
+            k += 1
+            nxt = extra[k] if k < len(extra) else None
         else:
             yield head + _PLAIN
 
@@ -232,8 +243,104 @@ class _Stage:
                   else _PLAIN)
         return (self.op[i], self.srcs[i], self.dsts[i]) + fields
 
-    def iter_rows(self):
-        return _rows(self.op, self.srcs, self.dsts, self.extra)
+    def iter_rows(self, start: int = 0):
+        """Rows ``start`` onward.  From row 0 the reader walks the live
+        lists, so it also yields rows appended while it walks them."""
+        if not start:
+            return _rows(self.op, self.srcs, self.dsts, self.extra)
+        k = bisect_left(self.extra, start, key=_extra_row)
+        return _rows(self.op[start:], self.srcs[start:], self.dsts[start:],
+                     self.extra[k:], start)
+
+
+def _fill(at, kinds, shift: int, addrs, taken, site: int) -> list[tuple]:
+    """Staged ``extra`` tuples of a skeleton's rows ``at`` of ``kinds``,
+    numbered ``shift`` on: memory rows take the next of ``addrs``, branch
+    rows the next of ``taken`` and ``site``."""
+    return [(row + shift, None, 0, 0, 1, next(taken), site) if branch else
+            (row + shift, next(addrs), nbytes, stride, vl, None, 0)
+            for row, (nbytes, stride, vl, branch) in zip(at, kinds)]
+
+
+class RowSkeleton:
+    """The rows one emitter call writes, less what changes between calls.
+
+    Recorded from the rows a call wrote (:meth:`Trace.skeleton`) and
+    written again by :meth:`Trace.emit_skeleton`.  ``opcodes`` holds the
+    distinct opcodes in first-appearance order, ``srcs`` and ``dsts``
+    every row's operands (equal tuples shared).  ``at`` lists, ascending,
+    the rows that carry scalar fields and ``kinds`` their ``(nbytes,
+    stride, vl, branch)``: a memory row takes its address from the call;
+    a branch row (``branch`` true, the other three at their defaults)
+    takes its outcome and site from the call.  ``addresses`` and
+    ``branches`` count the two kinds.  A row that carries any other mix
+    of scalar fields cannot be replayed and raises ``ValueError``.
+
+    A skeleton outlives the build that recorded it (its builder keeps
+    it), so it holds one copy of each operand tuple and of each kind.
+    """
+
+    __slots__ = ("opcodes", "srcs", "dsts", "at", "kinds", "addresses",
+                 "branches", "_ids", "_op_ids")
+
+    def __init__(self, rows) -> None:
+        """``rows``: canonical ``(op, srcs, dsts, addr, nbytes, stride,
+        vl, taken, site)`` tuples with ``op`` an :class:`Opcode`."""
+        index: dict[int, int] = {}
+        operands: dict[tuple, tuple] = {}
+        shared_kinds: dict[tuple, tuple] = {}     # apart: False == 0
+        self.opcodes: list[Opcode] = []
+        op_index, srcs, dsts, at, kinds = [], [], [], [], []
+        for i, (op, src, dst, *scalar) in enumerate(rows):
+            k = index.get(id(op))
+            if k is None:
+                k = index[id(op)] = len(self.opcodes)
+                self.opcodes.append(op)
+            op_index.append(k)
+            srcs.append(operands.setdefault(src, src))
+            dsts.append(operands.setdefault(dst, dst))
+            addr, nbytes, stride, vl, taken, site = scalar
+            if tuple(scalar) == _PLAIN:
+                continue
+            if addr is not None and taken is None and not site:
+                kind = (nbytes, stride, vl, False)
+            elif taken is not None and (addr, nbytes, stride, vl) == (
+                    None, 0, 0, 1):
+                kind = (0, 0, 1, True)
+            else:
+                raise ValueError(f"row {i} is neither a memory nor a branch "
+                                 "row but carries scalar fields")
+            at.append(i)
+            kinds.append(shared_kinds.setdefault(kind, kind))
+        self.srcs = tuple(srcs)
+        self.dsts = tuple(dsts)
+        self.at = tuple(at)
+        self.kinds = tuple(kinds)
+        self.branches = sum(kind[-1] for kind in kinds)
+        self.addresses = len(kinds) - self.branches
+        # Every row's op id in the trace written last, and the ids of
+        # ``opcodes`` there: first the positions in ``opcodes``.
+        self._ids = tuple(range(len(self.opcodes)))
+        self._op_ids = tuple(op_index)
+
+    def op_ids(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+        """Every row's op id, given a trace's id for each of ``opcodes``
+        (kept until another trace's ids differ: calls keep writing to
+        one trace)."""
+        if ids != self._ids:
+            relabel = dict(zip(self._ids, ids))
+            self._op_ids = tuple(map(relabel.__getitem__, self._op_ids))
+            self._ids = ids
+        return self._op_ids
+
+    def rows(self, addrs, taken, site: int):
+        """The rows as canonical tuples, ``op`` an :class:`Opcode`, with
+        one call's addresses, branch outcomes and site filled in: the rows
+        :meth:`Trace.emit_skeleton` appends."""
+        opcode = dict(zip(self._ids, self.opcodes))
+        return _rows([opcode[i] for i in self._op_ids], self.srcs, self.dsts,
+                     _fill(self.at, self.kinds, 0, iter(addrs), iter(taken),
+                           site))
 
 
 def ragged_tuples(starts, counts, values) -> np.ndarray:
@@ -430,9 +537,9 @@ class _Chunk:
         addr = [a if has else None for a, has in zip(
             self.addr.tolist(), self.has_addr.tolist())]
         taken = [_TAKEN_DECODE[t + 1] for t in self.taken.tolist()]
-        extra = zip(self.at.tolist(), addr, self.nbytes.tolist(),
-                    self.stride.tolist(), self.vl.tolist(), taken,
-                    self.site.tolist())
+        extra = list(zip(self.at.tolist(), addr, self.nbytes.tolist(),
+                         self.stride.tolist(), self.vl.tolist(), taken,
+                         self.site.tolist()))
         return _rows(self.op.tolist(), self.src.tuples(), self.dst.tuples(),
                      extra)
 
@@ -531,9 +638,10 @@ class Trace:
     """An ordered dynamic instruction stream plus summary statistics.
 
     Statistics are computed once and cached; every mutation --
-    :meth:`emit` / :meth:`append` / :meth:`extend` / :meth:`truncate` --
-    invalidates the cache (rows only grow at the end, so a cached summary
-    is stale once the length differs; :meth:`truncate` drops it).
+    :meth:`emit` / :meth:`emit_skeleton` / :meth:`append` /
+    :meth:`extend` / :meth:`truncate` -- invalidates the cache (rows only
+    grow at the end, so a cached summary is stale once the length
+    differs; :meth:`truncate` drops it).
     """
 
     __slots__ = ("isa", "_ops", "_op_ids", "_chunks", "_chunk_ends",
@@ -561,7 +669,7 @@ class Trace:
     def emit(self, op: Opcode, srcs: tuple[int, ...], dsts: tuple[int, ...],
              addr: int | None = None, nbytes: int = 0, stride: int = 0,
              vl: int = 1, taken: bool | None = None, site: int = 0) -> None:
-        """Append one row: the trace's only row writer.
+        """Append one row: the trace's row writer.
 
         Builders call it once per emitted instruction, so no
         :class:`DynInstr` is built on the way in.  ``srcs`` and ``dsts``
@@ -603,6 +711,48 @@ class Trace:
                   tuple(map(int, instr.dsts)), instr.addr, instr.nbytes,
                   instr.stride, instr.vl, instr.taken, instr.site)
         return instr
+
+    def emit_skeleton(self, skeleton: RowSkeleton, addrs, taken,
+                      site: int) -> None:
+        """Append the rows of ``skeleton``: the bulk twin of :meth:`emit`.
+
+        The k-th memory row gets ``addrs[k]``, the k-th branch row
+        ``taken[k]`` and ``site`` (see :class:`RowSkeleton`).  The trace
+        is left as :meth:`emit` would leave it for the same rows written
+        one by one: new opcodes are interned in first-appearance order,
+        addresses and outcomes are canonicalized to ``int`` and ``bool``,
+        and the tail seals at the same row counts -- by swapping in a
+        fresh one, so a reader walking the old tail keeps its rows.
+        """
+        if (len(addrs), len(taken)) != (skeleton.addresses,
+                                        skeleton.branches):
+            raise ValueError(
+                f"skeleton takes {skeleton.addresses} addresses and "
+                f"{skeleton.branches} branch outcomes, got {len(addrs)} "
+                f"and {len(taken)}")
+        ids = []
+        for op in skeleton.opcodes:
+            op_id = self._op_ids.get(id(op))
+            ids.append(self._intern(op) if op_id is None else op_id)
+        op_ids = skeleton.op_ids(tuple(ids))
+        addrs, taken = map(int, addrs), map(bool, taken)
+        at, kinds = skeleton.at, skeleton.kinds
+        n = len(op_ids)
+        lo = k = 0
+        while lo < n:
+            # Up to the row at which per-row emit would seal, then seal.
+            stage = self._stage
+            base = len(stage.op)
+            hi = min(n, lo + self._chunk_rows - base)
+            k_hi = bisect_left(at, hi, lo=k)
+            stage.extra.extend(_fill(at[k:k_hi], kinds[k:k_hi], base - lo,
+                                     addrs, taken, site))
+            stage.op.extend(op_ids[lo:hi])
+            stage.srcs.extend(skeleton.srcs[lo:hi])
+            stage.dsts.extend(skeleton.dsts[lo:hi])
+            lo, k = hi, k_hi
+            if len(stage.op) >= self._chunk_rows:
+                self._seal()
 
     def extend(self, other: "Trace") -> None:
         """Concatenate another trace (used to stitch program phases).
@@ -687,13 +837,18 @@ class Trace:
             row = self._stage.row(index - self._sealed)
         return (self._ops[row[0]],) + row[1:]
 
-    def _raw_rows(self):
-        """Every row as a canonical tuple, op decoded to its Opcode."""
+    def _raw_rows(self, start: int = 0):
+        """Rows ``start`` onward as canonical tuples, op decoded to its
+        Opcode."""
         ops = self._ops
-        for chunk in self._chunks:
+        first = bisect_right(self._chunk_ends, start)
+        skip = start - (self._chunk_ends[first - 1] if first else 0)
+        for chunk in islice(self._chunks, first, None):
+            if skip:
+                chunk, skip = chunk.rows(skip, chunk.n), 0
             for row in chunk.iter_rows():
                 yield (ops[row[0]],) + row[1:]
-        for row in self._stage.iter_rows():
+        for row in self._stage.iter_rows(skip):
             yield (ops[row[0]],) + row[1:]
 
     def _stat_blocks(self):
@@ -728,6 +883,11 @@ class Trace:
         if not 0 <= idx < n:
             raise IndexError("trace index out of range")
         return self._materialize(self._row(idx))
+
+    def skeleton(self, start: int) -> RowSkeleton:
+        """The skeleton of rows ``start`` onward -- what one emitter call
+        wrote -- for :meth:`emit_skeleton` to write again."""
+        return RowSkeleton(self._raw_rows(start))
 
     # --- digest / streaming access ----------------------------------------------
 

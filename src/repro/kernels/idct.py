@@ -23,11 +23,14 @@ ISA notes:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from ..emulib.alpha_builder import AlphaBuilder, emit_clamp
+from ..emulib.alpha_builder import AlphaBuilder, emit_clamp, replay
+from ..emulib.base_builder import wrap64
 from ..emulib.mdmx_builder import MdmxBuilder
 from ..emulib.mmx_builder import MmxBuilder
 from ..emulib.mom_builder import MomBuilder
@@ -97,15 +100,12 @@ def golden(workload: IdctWorkload) -> dict[str, np.ndarray]:
 
 # --- Alpha ---------------------------------------------------------------------------
 
-def emit_alpha_pass(b, mat: np.ndarray, src_base: int, dst_base: int,
-                    rnd: int, shift: int, column: bool, clamp: bool,
-                    regs, site: int) -> None:
-    """One pass of the 8x8 transform: 64 dot products of 8 terms, one
-    ``mat`` constant per ``lda``, with a loop branch every 8 outputs.
-
-    ``regs`` is ``(v, c, prod, s, src, dst, lo, hi, t)``; ``lo``/``hi``
-    must hold ``OUT_MIN``/``OUT_MAX`` when ``clamp`` is set.
-    """
+def _pass_body(b, mat: np.ndarray, src_base: int, dst_base: int, rnd: int,
+               shift: int, column: bool, clamp: bool, regs,
+               site: int) -> None:
+    """:func:`emit_alpha_pass` one instruction at a time: what its first
+    call with a shape records, and the oracle its replay is tested
+    against."""
     v, c, prod, s, src, dst, lo, hi, t = regs
     cnt = 0
     for xo in range(N):
@@ -129,6 +129,83 @@ def emit_alpha_pass(b, mat: np.ndarray, src_base: int, dst_base: int,
             if cnt % 8 == 0:
                 b.li(t, 1 if cnt == 64 else 0)
                 b.beq(t, site)
+
+
+def _pass_offsets(column: bool) -> tuple[int, ...]:
+    """The byte offset of each of the pass's memory rows, in row order:
+    per output the eight source loads, then the destination store."""
+    out = []
+    for xo in range(N):
+        for yo in range(N):
+            out += [2 * ((u * N + yo) if column else (yo * N + u))
+                    for u in range(N)]
+            out.append(2 * ((xo * N + yo) if column else (yo * N + xo)))
+    return tuple(out)
+
+
+_PASS_OFFSETS = {column: _pass_offsets(column) for column in (False, True)}
+#: The pass's loop branch is taken after every 8 outputs but the last 8.
+_PASS_TAKEN = (True,) * (N - 1) + (False,)
+_BLOCK_BYTES = 2 * N * N
+_U64 = (1 << 64) - 1
+
+
+def emit_alpha_pass(b, mat: np.ndarray, src_base: int, dst_base: int,
+                    rnd: int, shift: int, column: bool, clamp: bool,
+                    regs, site: int) -> None:
+    """One pass of the 8x8 transform: 64 dot products of 8 terms, one
+    ``mat`` constant per ``lda``, with a loop branch every 8 outputs.
+
+    ``regs`` is ``(v, c, prod, s, src, dst, lo, hi, t)``; ``lo``/``hi``
+    must hold ``OUT_MIN``/``OUT_MAX`` when ``clamp`` is set.  The 64-entry
+    int16 source and destination regions must not overlap
+    (``ValueError``).
+
+    Replayed: no row depends on a data value -- the clamp is compare and
+    cmov, and the loop branch outcomes are fixed -- so the first call with
+    given registers, ``column`` and ``clamp`` runs :func:`_pass_body` and
+    records its rows, and every later call computes the stores and final
+    register values on Python ints with the body's wrap64 / sextw / mulq
+    / sra / cmov arithmetic, writes the stores with one ``write_block``
+    and appends the recorded rows (DESIGN.md section 5).
+    """
+    src_lo, dst_lo = src_base & _U64, dst_base & _U64
+    if src_lo < dst_lo + _BLOCK_BYTES and dst_lo < src_lo + _BLOCK_BYTES:
+        raise ValueError("transform pass source and destination overlap")
+    skeleton = replay(b, ("alpha_pass", column, clamp), regs,
+                      lambda: _pass_body(b, mat, src_base, dst_base, rnd,
+                                         shift, column, clamp, regs, site))
+    if skeleton is None:
+        return
+    v, c, prod, s, src, dst, lo, hi, t = regs
+    x = struct.unpack(f"<{N * N}h", b.mem.read_block(src_lo, _BLOCK_BYTES))
+    # The terms of output (xo, yo): source column yo, or source row yo.
+    terms = [x[yo::N] if column else x[N * yo:N * yo + N] for yo in range(N)]
+    consts = [[wrap64(int(k)) for k in row] for row in mat]
+    low, high = wrap64(lo.value), wrap64(hi.value)
+    rnd, shift = wrap64(rnd), shift & 63
+    out = [0] * (N * N)
+    for xo in range(N):
+        row = consts[xo]
+        for yo in range(N):
+            value = wrap64(rnd + sum(map(mul, row, terms[yo]))) >> shift
+            if clamp:
+                value = min(max(value, low), high)
+            out[(xo * N + yo) if column else (yo * N + xo)] = value
+    b.mem.write_block(dst_lo, struct.pack(
+        f"<{N * N}H", *[value & 0xFFFF for value in out]))
+    offsets = _PASS_OFFSETS[column]
+    addrs = [src_lo + off for off in offsets]
+    addrs[N::N + 1] = [dst_lo + off for off in offsets[N::N + 1]]  # stores
+    b.trace.emit_skeleton(skeleton, addrs, _PASS_TAKEN, site)
+    # The last output (7, 7) reads and writes element 63 in either pass.
+    last = N * N - 1
+    v.value, c.value = x[last], consts[N - 1][N - 1]
+    prod.value = wrap64(v.value * c.value)
+    s.value = out[last]
+    src.value = wrap64(src_base + 2 * last)
+    dst.value = wrap64(dst_base + 2 * last)
+    t.value = 1
 
 
 def _build_alpha(workload: IdctWorkload) -> BuiltKernel:

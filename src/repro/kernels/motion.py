@@ -25,10 +25,14 @@ Implementation notes per ISA:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul, sub
 
 import numpy as np
 
-from ..emulib.alpha_builder import AlphaBuilder, emit_abs_diff, emit_track_min
+from ..emulib.alpha_builder import (AlphaBuilder, emit_abs_diff,
+                                    emit_track_min, replay)
+from ..emulib.base_builder import wrap64
 from ..emulib.mdmx_builder import MdmxBuilder
 from ..emulib.mmx_builder import MmxBuilder
 from ..emulib.mom_builder import MomBuilder
@@ -114,14 +118,12 @@ def _outputs(distances: list[int], best: int) -> dict[str, np.ndarray]:
 
 # --- Alpha -----------------------------------------------------------------------
 
-def emit_alpha_distance(b, ref_addr: int, ref_stride: int, blk_addr: int,
-                        blk_stride: int, out, regs, site: int,
-                        squared: bool = False) -> None:
-    """Distance of one 16x16 block pair into ``out``: each row's 16 pixels
-    unrolled, one loop branch per row.
-
-    ``regs`` is ``(pa, pb, va, vb, d, scr, rows)``.
-    """
+def _distance_body(b, ref_addr: int, ref_stride: int, blk_addr: int,
+                   blk_stride: int, out, regs, site: int,
+                   squared: bool) -> None:
+    """:func:`emit_alpha_distance` one instruction at a time: what its
+    first call with a shape records, and the oracle its replay is tested
+    against."""
     pa, pb, va, vb, d, scr, rows = regs
     b.li(pa, ref_addr)
     b.li(pb, blk_addr)
@@ -141,6 +143,62 @@ def emit_alpha_distance(b, ref_addr: int, ref_stride: int, blk_addr: int,
         b.addi(pb, pb, blk_stride)
         b.subi(rows, rows, 1)
         b.bne(rows, site)
+
+
+#: The row loop's branch is taken after every row but the last.
+_ROW_TAKEN = (True,) * (BLOCK - 1) + (False,)
+_U64 = (1 << 64) - 1
+
+
+def emit_alpha_distance(b, ref_addr: int, ref_stride: int, blk_addr: int,
+                        blk_stride: int, out, regs, site: int,
+                        squared: bool = False) -> None:
+    """Distance of one 16x16 block pair into ``out``: each row's 16 pixels
+    unrolled, one loop branch per row.
+
+    ``regs`` is ``(pa, pb, va, vb, d, scr, rows)``.
+
+    Replayed: no row depends on a data value -- the absolute difference
+    is sub / sub / cmovlt, and the row loop's branch outcomes are fixed --
+    so the first call with given registers and ``squared`` runs
+    :func:`_distance_body` and records its rows, and every later call
+    reads each block row with one ``read_block``, computes the distance
+    and final register values on Python ints and appends the recorded
+    rows (DESIGN.md section 5).
+    """
+    skeleton = replay(b, ("alpha_distance", squared), (*regs, out),
+                      lambda: _distance_body(b, ref_addr, ref_stride,
+                                             blk_addr, blk_stride, out,
+                                             regs, site, squared))
+    if skeleton is None:
+        return
+    pa, pb, va, vb, d, scr, rows = regs
+    read = b.mem.read_block
+    ref_rows = [(ref_addr + r * ref_stride) & _U64 for r in range(BLOCK)]
+    blk_rows = [(blk_addr + r * blk_stride) & _U64 for r in range(BLOCK)]
+    ref_bytes = [read(a, BLOCK) for a in ref_rows]
+    blk_bytes = [read(c, BLOCK) for c in blk_rows]
+    diffs = [list(map(sub, x, y)) for x, y in zip(ref_bytes, blk_bytes)]
+    if squared:
+        total = sum(sum(map(mul, row, row)) for row in diffs)
+    else:
+        total = sum(sum(map(abs, row)) for row in diffs)
+    addrs = []
+    for a, c in zip(ref_rows, blk_rows):
+        addrs += chain.from_iterable(zip(range(a, a + BLOCK),
+                                         range(c, c + BLOCK)))
+    b.trace.emit_skeleton(skeleton, addrs, _ROW_TAKEN, site)
+    # The last pixel pair sets va, vb, d (and scr).
+    va.value, vb.value = ref_bytes[-1][-1], blk_bytes[-1][-1]
+    last = diffs[-1][-1]
+    if squared:
+        d.value = last * last
+    else:
+        d.value, scr.value = abs(last), -last
+    out.value = wrap64(total)
+    pa.value = wrap64(ref_addr + BLOCK * ref_stride)
+    pb.value = wrap64(blk_addr + BLOCK * blk_stride)
+    rows.value = 0
 
 
 def _build_alpha(workload: MotionWorkload, squared: bool) -> BuiltKernel:

@@ -16,7 +16,8 @@ from repro.apps import APP_ISAS, APP_ORDER, APPS
 from repro.cpu import Core, machine_config
 from repro.cpu.batch import BatchCore
 from repro.emulib.fingerprint import trace_digest
-from repro.emulib.trace import CHUNK_ROWS, DynInstr, Trace, reg
+from repro.emulib.trace import (CHUNK_ROWS, DynInstr, RowSkeleton, Trace,
+                                reg)
 from repro.exp.engine import built_app
 from repro.isa.alpha import ALPHA
 from repro.core.mom_isa import MOM
@@ -292,6 +293,147 @@ def test_vl_column_survives_large_values():
     t.append(DynInstr(ALPHA["addq"]))       # seals the chunk
     _assert_instr_equal(t[0], big)
     assert np.int64(t[0].stride) == 1 << 40
+
+
+# --- the bulk writer: a recorded row skeleton written again ------------------
+
+def _call_rows(call=0, site=7):
+    """The rows of one emitter-like call, as canonical tuples: plain ALU
+    rows, scalar and MOM memory rows (stride and VL) and loop branches.
+    ``call`` moves the addresses and flips the outcomes; no opcode is one
+    :func:`_mixed_rows` starts with, so the bulk writer interns them."""
+    INT, MED = RegPool.INT, RegPool.MED
+    rows = []
+    for i in range(9):
+        rows += [
+            (ALPHA["mulq"], (reg(INT, i % 3), reg(INT, 4)), (reg(INT, 5),))
+            + (None, 0, 0, 1, None, 0),
+            (ALPHA["stq"], (reg(INT, 5), reg(INT, 1)), (),
+             0x1000 + 8 * i + 512 * call, 8, 0, 1, None, 0),
+            (MOM["momldq"], (reg(INT, 2),), (reg(MED, i % 5),),
+             0x2000 + 64 * i + 512 * call, 8, 32, 4 + i, None, 0),
+            (ALPHA["beq"], (reg(INT, 1),), (), None, 0, 0, 1,
+             (i + call) % 2 == 0, site),
+        ]
+    return rows
+
+
+def _call_values(call, site):
+    """The addresses, outcomes and site :func:`_call_rows` ``call`` holds."""
+    rows = _call_rows(call, site)
+    return ([r[3] for r in rows if r[3] is not None],
+            [r[7] for r in rows if r[7] is not None], site)
+
+
+def test_skeleton_replays_the_rows_it_recorded():
+    """A skeleton read back from any row on -- from a sealed chunk on into
+    the tail, or from the tail alone -- fills in to the rows written."""
+    rows = _call_rows()
+    for chunk in (1, 5, 36, CHUNK_ROWS):
+        for start in (0, 3, 17):
+            t = _fill(Trace("mom", chunk_rows=chunk), _mixed_rows(start))
+            for row in rows:
+                t.emit(*row)
+            skeleton = t.skeleton(start)
+            assert len(skeleton.srcs) == len(skeleton.dsts) == len(rows)
+            assert (skeleton.addresses, skeleton.branches) == (18, 9)
+            assert list(skeleton.rows(*_call_values(0, 7))) == rows
+            assert list(skeleton.rows(*_call_values(2, 9))) == _call_rows(2, 9)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 7, 36, 40, CHUNK_ROWS])
+def test_bulk_writer_matches_per_row_emit(chunk):
+    """The bulk writer leaves the trace per-row emit leaves for the same
+    rows: digest, storage bytes, chunk ends, op ids and intern order,
+    whatever the chunk geometry (a write may straddle several seals)."""
+    skeleton = RowSkeleton(_call_rows())
+    bulk = _fill(Trace("mom", chunk_rows=chunk), _mixed_rows(3))
+    rowwise = _fill(Trace("mom", chunk_rows=chunk), _mixed_rows(3))
+    for call in range(5):
+        values = _call_values(call, 7 + call)
+        bulk.emit_skeleton(skeleton, *values)
+        for row in skeleton.rows(*values):
+            rowwise.emit(*row)
+        assert trace_digest(bulk) == trace_digest(rowwise)
+    assert bulk.opcodes == rowwise.opcodes
+    assert [op.name for op in bulk.opcodes[3:]] == [
+        "mulq", "stq", "beq"]
+    assert bulk._chunk_ends == rowwise._chunk_ends
+    assert ([chunk.op.tolist() for chunk in bulk._chunks]
+            == [chunk.op.tolist() for chunk in rowwise._chunks])
+    assert bulk._stage.op == rowwise._stage.op
+    assert bulk._stage.extra == rowwise._stage.extra
+    assert bulk.storage_bytes() == rowwise.storage_bytes()
+    assert bulk._chunk_ends == rowwise._chunk_ends
+
+
+@pytest.mark.parametrize("started", [0, 20, 37])
+def test_bulk_seal_never_cuts_a_live_reader_short(started):
+    """A reader walking the staged tail when the bulk writer seals it
+    yields every row of that tail -- the rows staged before the write and
+    those the write appended up to the seal -- as per-row emit's would;
+    started at 37 it has already passed the tail's last sparse row.  A
+    reader not yet started walks the sealed chunk and the new tail."""
+    skeleton = RowSkeleton(_call_rows())
+    plain = _call_rows()[0]
+    got = {}
+    for writer in ("bulk", "emit"):
+        t = Trace("mom", chunk_rows=40)
+        t.emit_skeleton(skeleton, *_call_values(0, 7))
+        t.emit(*plain)                      # the tail ends on a plain row
+        reader = t.iter_field_tuples()
+        head = [next(reader) for _ in range(started)]
+        values = _call_values(1, 8)
+        if writer == "bulk":
+            t.emit_skeleton(skeleton, *values)
+        else:
+            for row in skeleton.rows(*values):
+                t.emit(*row)
+        assert t._chunk_ends == [40] and len(t._stage) == 33
+        got[writer] = head + list(reader)
+        rows = list(t.iter_field_tuples())
+        assert got[writer] == (rows[:40] if started else rows)
+    assert got["bulk"] == got["emit"]
+
+
+def test_skeleton_shares_operands_apart_from_field_kinds():
+    """Equal operand tuples are stored once, but never swapped for a
+    memory row's ``(nbytes, stride, vl, False)``, which compares equal
+    to the operands ``(1, 0, 1, 0)``: a ``False`` operand would change
+    the row's digest."""
+    INT = RegPool.INT
+    ops = tuple(reg(INT, i) for i in (1, 0, 1, 0))
+    rows = [(ALPHA["ldbu"], (reg(INT, 2),), (reg(INT, 3),), 0x1000, 1, 0, 1,
+             None, 0),
+            (ALPHA["addq"], ops, (reg(INT, 3),)) + (None, 0, 0, 1, None, 0),
+            (ALPHA["addq"], tuple(list(ops)), (reg(INT, 3),))
+            + (None, 0, 0, 1, None, 0)]
+    skeleton = RowSkeleton(rows)
+    assert skeleton.srcs[1] is skeleton.srcs[2]
+    t = Trace("alpha")
+    t.emit_skeleton(skeleton, [0x1000], [], 0)
+    assert list(t.iter_field_tuples())[1][2] == ops
+    assert {type(v) for v in list(t.iter_field_tuples())[1][2]} == {int}
+
+
+def test_skeleton_rejects_rows_it_cannot_fill():
+    """Only plain, memory and branch rows can be replayed, and a write
+    must supply one address per memory row and one outcome per branch."""
+    INT = RegPool.INT
+    for fields in [(None, 0, 0, 16, None, 0),         # a VL but no address
+                   (0x1000, 8, 0, 1, True, 3),        # address and outcome
+                   (None, 8, 0, 1, True, 3),          # branch with nbytes
+                   (0x1000, 8, 0, 1, None, 3)]:       # memory row with a site
+        with pytest.raises(ValueError, match="row 1"):
+            RowSkeleton([_call_rows()[0], (ALPHA["addq"], (), (reg(INT, 1),))
+                         + fields])
+    skeleton = RowSkeleton(_call_rows())
+    addrs, taken, site = _call_values(0, 7)
+    t = Trace("mom")
+    for bad in [(addrs[:-1], taken), (addrs, taken + [True])]:
+        with pytest.raises(ValueError, match="18 addresses and 9 branch"):
+            t.emit_skeleton(skeleton, *bad, site)
+    assert len(t) == 0
 
 
 # --- range checks on the way into columns --------------------------------------
