@@ -2,9 +2,16 @@
 
 Extends the MMX builder with the 25 accumulator opcodes of
 :mod:`repro.isa.mdmx`.  The scalar-reduction opcodes MMX needed (``psadb``,
-``psum*``) are absent from the MDMX table, so calling them raises -- MDMX
-performs reductions through accumulators, which is the whole architectural
-argument of Section 2.1.
+``psum*``) are absent from the MDMX table, so calling them raises
+``KeyError`` before any write -- MDMX performs reductions through
+accumulators, which is the whole architectural argument of Section 2.1.
+
+Every accumulate goes through :meth:`MdmxBuilder._acc`, which applies an
+unbound :class:`PackedAccumulator` method to the two source words, and
+every read-out through :meth:`MdmxBuilder._rac`.  The MOM builder inherits
+all 25 methods and overrides those two adapters (and
+:meth:`~repro.emulib.mmx_builder.MmxBuilder._packed`) to meet its matrix
+registers: MMX -> MDMX -> MOM, as the opcode tables are derived.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from .base_builder import RegHandle, RegisterAllocator
 from .mmx_builder import MmxBuilder
 
 _E = ElemType
+_PA = PackedAccumulator
 
 
 class MdmxBuilder(MmxBuilder):
@@ -46,106 +54,72 @@ class MdmxBuilder(MmxBuilder):
 
     # --- accumulate emit helper -----------------------------------------------------
 
-    def _acc_op(self, name: str, acc: RegHandle, srcs, mutate) -> RegHandle:
-        """Emit an accumulate op: acc is both source and destination."""
-        mutate(acc.value)
-        self._emit(self.media_table[name], srcs=tuple(srcs) + (acc,), dsts=(acc,))
+    def _acc(self, name: str, acc: RegHandle, a, b, fold, *args) -> RegHandle:
+        """Accumulate ``fold`` (an unbound :class:`PackedAccumulator`
+        method, then ``args``) of two words: acc is both source and
+        destination."""
+        op = self.media_table[name]
+        fold(acc.value, a.value, b.value, *args)
+        self._emit(op, srcs=(a, b, acc), dsts=(acc,))
         return acc
 
-    # --- multiply-accumulate -----------------------------------------------------------
+    # --- multiply-accumulate (madd: elem, signed, subtract) ----------------------------
 
     def pmaddab(self, acc, a, b):
-        return self._acc_op(
-            "pmaddab", acc, (a, b),
-            lambda v: v.madd(a.value, b.value, _E.B, signed=True),
-        )
+        return self._acc("pmaddab", acc, a, b, _PA.madd, _E.B, True)
 
     def pmaddah(self, acc, a, b):
-        return self._acc_op(
-            "pmaddah", acc, (a, b),
-            lambda v: v.madd(a.value, b.value, _E.H, signed=True),
-        )
+        return self._acc("pmaddah", acc, a, b, _PA.madd, _E.H, True)
 
     def pmaddauh(self, acc, a, b):
-        return self._acc_op(
-            "pmaddauh", acc, (a, b),
-            lambda v: v.madd(a.value, b.value, _E.H, signed=False),
-        )
+        return self._acc("pmaddauh", acc, a, b, _PA.madd, _E.H, False)
 
     def pmsubab(self, acc, a, b):
-        return self._acc_op(
-            "pmsubab", acc, (a, b),
-            lambda v: v.madd(a.value, b.value, _E.B, signed=True, subtract=True),
-        )
+        return self._acc("pmsubab", acc, a, b, _PA.madd, _E.B, True, True)
 
     def pmsubah(self, acc, a, b):
-        return self._acc_op(
-            "pmsubah", acc, (a, b),
-            lambda v: v.madd(a.value, b.value, _E.H, signed=True, subtract=True),
-        )
+        return self._acc("pmsubah", acc, a, b, _PA.madd, _E.H, True, True)
 
-    # --- add / subtract accumulate ---------------------------------------------------------
+    # --- add / subtract accumulate (acc_add: elem, subtract) ---------------------------
 
     def paccaddb(self, acc, a, b):
-        return self._acc_op(
-            "paccaddb", acc, (a, b), lambda v: v.acc_add(a.value, b.value, _E.B)
-        )
+        return self._acc("paccaddb", acc, a, b, _PA.acc_add, _E.B)
 
     def paccaddh(self, acc, a, b):
-        return self._acc_op(
-            "paccaddh", acc, (a, b), lambda v: v.acc_add(a.value, b.value, _E.H)
-        )
+        return self._acc("paccaddh", acc, a, b, _PA.acc_add, _E.H)
 
     def paccaddw(self, acc, a, b):
-        return self._acc_op(
-            "paccaddw", acc, (a, b), lambda v: v.acc_add(a.value, b.value, _E.W)
-        )
+        return self._acc("paccaddw", acc, a, b, _PA.acc_add, _E.W)
 
     def paccsubb(self, acc, a, b):
-        return self._acc_op(
-            "paccsubb", acc, (a, b),
-            lambda v: v.acc_add(a.value, b.value, _E.B, subtract=True),
-        )
+        return self._acc("paccsubb", acc, a, b, _PA.acc_add, _E.B, True)
 
     def paccsubh(self, acc, a, b):
-        return self._acc_op(
-            "paccsubh", acc, (a, b),
-            lambda v: v.acc_add(a.value, b.value, _E.H, subtract=True),
-        )
+        return self._acc("paccsubh", acc, a, b, _PA.acc_add, _E.H, True)
 
     def paccsubw(self, acc, a, b):
-        return self._acc_op(
-            "paccsubw", acc, (a, b),
-            lambda v: v.acc_add(a.value, b.value, _E.W, subtract=True),
-        )
+        return self._acc("paccsubw", acc, a, b, _PA.acc_add, _E.W, True)
 
     # --- difference accumulate ----------------------------------------------------------------
 
     def paccsadb(self, acc, a, b):
-        return self._acc_op(
-            "paccsadb", acc, (a, b), lambda v: v.acc_sad(a.value, b.value, _E.B)
-        )
+        return self._acc("paccsadb", acc, a, b, _PA.acc_sad, _E.B)
 
     def paccsadh(self, acc, a, b):
-        return self._acc_op(
-            "paccsadh", acc, (a, b), lambda v: v.acc_sad(a.value, b.value, _E.H)
-        )
+        return self._acc("paccsadh", acc, a, b, _PA.acc_sad, _E.H)
 
     def paccsqdb(self, acc, a, b):
-        return self._acc_op(
-            "paccsqdb", acc, (a, b), lambda v: v.acc_sqd(a.value, b.value, _E.B)
-        )
+        return self._acc("paccsqdb", acc, a, b, _PA.acc_sqd, _E.B)
 
     def paccsqdh(self, acc, a, b):
-        return self._acc_op(
-            "paccsqdh", acc, (a, b), lambda v: v.acc_sqd(a.value, b.value, _E.H)
-        )
+        return self._acc("paccsqdh", acc, a, b, _PA.acc_sqd, _E.H)
 
     # --- accumulator read-out ----------------------------------------------------------------------
 
     def _rac(self, name: str, dst, acc, value: int) -> RegHandle:
+        op = self.media_table[name]
         dst.value = value & (1 << 64) - 1
-        self._emit(self.media_table[name], srcs=(acc,), dsts=(dst,))
+        self._emit(op, srcs=(acc,), dsts=(dst,))
         return dst
 
     def racl(self, dst, acc, elem: ElemType = ElemType.B):
@@ -175,18 +149,24 @@ class MdmxBuilder(MmxBuilder):
     # --- accumulator restore / clear ---------------------------------------------------------------------
 
     def wacl(self, acc, lo, mid):
-        """Restore low + middle thirds from two media registers."""
-        def mutate(v: PackedAccumulator) -> None:
-            v.write_third("low", lo.value)
-            v.write_third("mid", mid.value)
-        return self._acc_op("wacl", acc, (lo, mid), mutate)
+        """Restore the low and middle thirds from two registers (each
+        value taken modulo 2^64: MOM restores from integer registers)."""
+        op = self.media_table["wacl"]
+        acc.value.write_third("low", lo.value)
+        acc.value.write_third("mid", mid.value)
+        self._emit(op, srcs=(lo, mid, acc), dsts=(acc,))
+        return acc
 
     def wach(self, acc, hi):
-        """Restore the high third from a media register."""
-        return self._acc_op("wach", acc, (hi,), lambda v: v.write_third("high", hi.value))
+        """Restore the high third from a register (modulo 2^64)."""
+        op = self.media_table["wach"]
+        acc.value.write_third("high", hi.value)
+        self._emit(op, srcs=(hi, acc), dsts=(acc,))
+        return acc
 
     def clracc(self, acc):
         """Clear an accumulator; breaks the dependence on its old value."""
+        op = self.media_table["clracc"]
         acc.value.clear()
-        self._emit(self.media_table["clracc"], srcs=(), dsts=(acc,))
+        self._emit(op, srcs=(), dsts=(acc,))
         return acc

@@ -4,17 +4,37 @@ Implements the 67-opcode table of :mod:`repro.isa.mmx` on top of
 :class:`~repro.emulib.base_builder.BaseBuilder`.  Media registers hold one
 64-bit packed word; the paper's extension to **three logical operands** means
 every computation names a distinct destination.
+
+Every packed operation is a :mod:`repro.core.packed` function applied to its
+sources' words through one adapter, :meth:`MmxBuilder._packed`; the MDMX
+builder inherits these methods unchanged and the MOM builder overrides the
+adapter alone.  Every method looks its opcode up before it writes a register,
+memory or the trace, so calling one whose opcode a subclass's table lacks
+raises ``KeyError`` and changes nothing.
 """
 
 from __future__ import annotations
 
+from operator import and_, or_, xor
+
 from ..isa.mmx import MMX
 from ..isa.model import ElemType, IsaTable, RegPool
 from ..core import packed
-from .base_builder import BaseBuilder, RegHandle, RegisterAllocator
+from .base_builder import BaseBuilder, RegHandle, RegisterAllocator, wrap64
 
 _U64 = (1 << 64) - 1
 _E = ElemType
+
+
+def _and_not(a, b):
+    """``~a & b`` on 64-bit words (an int or numpy uint64 rows)."""
+    return (a ^ _U64) & b
+
+
+def _insert_half(half: int, word: int, lane: int) -> int:
+    """``word`` with halfword ``lane`` replaced by the low 16 bits of ``half``."""
+    shift = 16 * lane
+    return word & ~(0xFFFF << shift) | (half & 0xFFFF) << shift
 
 
 class MmxBuilder(BaseBuilder):
@@ -54,262 +74,251 @@ class MmxBuilder(BaseBuilder):
 
     # --- emit helpers ------------------------------------------------------------
 
-    def _med_op(self, name: str, dst: RegHandle, srcs, value: int) -> RegHandle:
-        dst.value = value & _U64
-        self._emit(self.media_table[name], srcs=srcs, dsts=(dst,))
-        return dst
+    def _packed(self, name: str, dst, srcs, fn, *args) -> RegHandle:
+        """Set ``dst`` to ``fn(*source words, *args)`` and write the row.
 
-    def _packed2(self, name: str, dst, a, b, fn, *fn_args) -> RegHandle:
-        """Two-source packed operation computed by a :mod:`packed` function
-        on the registers' int words (its int-word form)."""
-        return self._med_op(name, dst, (a, b), fn(a.value, b.value, *fn_args))
+        ``fn`` gets the registers' int words, so a :mod:`packed` function
+        takes its int-word form.
+        """
+        op = self.media_table[name]
+        dst.value = fn(*[s.value for s in srcs], *args) & _U64
+        self._emit(op, srcs=srcs, dsts=(dst,))
+        return dst
 
     # --- memory --------------------------------------------------------------------
 
     def m_ldq(self, dst, base, offset: int = 0, unaligned: bool = False) -> RegHandle:
         """Load a 64-bit packed word into a media register."""
         addr = (base.value + offset) & _U64
+        op = self.media_table[self.ldu_op if unaligned or addr % 8 else self.ld_op]
         dst.value = self.mem.read(addr, 8)
-        name = self.ldu_op if unaligned or addr % 8 else self.ld_op
-        self._emit(self.media_table[name], srcs=(base,), dsts=(dst,),
-                   addr=addr, nbytes=8)
+        self._emit(op, srcs=(base,), dsts=(dst,), addr=addr, nbytes=8)
         return dst
 
     def m_stq(self, src, base, offset: int = 0) -> None:
         """Store a media register as a 64-bit word."""
         addr = (base.value + offset) & _U64
+        op = self.media_table[self.st_op]
         self.mem.write(addr, src.value, 8)
-        self._emit(self.media_table[self.st_op], srcs=(src, base), dsts=(),
-                   addr=addr, nbytes=8)
+        self._emit(op, srcs=(src, base), dsts=(), addr=addr, nbytes=8)
 
     # --- moves ----------------------------------------------------------------------
 
     def movq(self, dst, src) -> RegHandle:
-        return self._med_op("movq", dst, (src,), src.value)
+        """Media register copy (``int`` passes the word through)."""
+        return self._packed("movq", dst, (src,), int)
 
     def movd_to(self, dst, int_src) -> RegHandle:
-        """Integer register -> media register."""
-        return self._med_op("movd_to", dst, (int_src,), int_src.value & _U64)
+        """Integer register -> media register (the value modulo 2^64)."""
+        return self._packed("movd_to", dst, (int_src,), int)
 
     def movd_from(self, int_dst, med_src) -> RegHandle:
         """Media register -> integer register."""
-        int_dst.value = med_src.value & _U64
-        if int_dst.value >= 1 << 63:
-            int_dst.value -= 1 << 64
-        self._emit(self.media_table["movd_from"], srcs=(med_src,), dsts=(int_dst,))
+        op = self.media_table["movd_from"]
+        int_dst.value = wrap64(med_src.value)
+        self._emit(op, srcs=(med_src,), dsts=(int_dst,))
         return int_dst
 
     def pshufh(self, dst, src, order: tuple[int, int, int, int]) -> RegHandle:
-        return self._med_op(
-            "pshufh", dst, (src,), packed.shuffle_halves(src.value, order)
-        )
+        return self._packed("pshufh", dst, (src,), packed.shuffle_halves, order)
 
     def pextrh(self, int_dst, med_src, lane: int) -> RegHandle:
+        op = self.media_table["pextrh"]
         int_dst.value = (med_src.value >> (16 * lane)) & 0xFFFF
-        self._emit(self.media_table["pextrh"], srcs=(med_src,), dsts=(int_dst,))
+        self._emit(op, srcs=(med_src,), dsts=(int_dst,))
         return int_dst
 
     def pinsrh(self, dst, int_src, lane: int) -> RegHandle:
-        mask = 0xFFFF << (16 * lane)
-        value = (dst.value & ~mask) | ((int_src.value & 0xFFFF) << (16 * lane))
-        return self._med_op("pinsrh", dst, (int_src, dst), value)
+        return self._packed("pinsrh", dst, (int_src, dst), _insert_half, lane)
 
     # --- packed add / sub -------------------------------------------------------------
 
     def paddb(self, dst, a, b):
-        return self._packed2("paddb", dst, a, b, packed.add_wrap, _E.B)
+        return self._packed("paddb", dst, (a, b), packed.add_wrap, _E.B)
 
     def paddh(self, dst, a, b):
-        return self._packed2("paddh", dst, a, b, packed.add_wrap, _E.H)
+        return self._packed("paddh", dst, (a, b), packed.add_wrap, _E.H)
 
     def paddw(self, dst, a, b):
-        return self._packed2("paddw", dst, a, b, packed.add_wrap, _E.W)
+        return self._packed("paddw", dst, (a, b), packed.add_wrap, _E.W)
 
     def paddsb(self, dst, a, b):
-        return self._packed2("paddsb", dst, a, b, packed.add_sat, _E.B, True)
+        return self._packed("paddsb", dst, (a, b), packed.add_sat, _E.B, True)
 
     def paddsh(self, dst, a, b):
-        return self._packed2("paddsh", dst, a, b, packed.add_sat, _E.H, True)
+        return self._packed("paddsh", dst, (a, b), packed.add_sat, _E.H, True)
 
     def paddusb(self, dst, a, b):
-        return self._packed2("paddusb", dst, a, b, packed.add_sat, _E.B, False)
+        return self._packed("paddusb", dst, (a, b), packed.add_sat, _E.B, False)
 
     def paddush(self, dst, a, b):
-        return self._packed2("paddush", dst, a, b, packed.add_sat, _E.H, False)
+        return self._packed("paddush", dst, (a, b), packed.add_sat, _E.H, False)
 
     def psubb(self, dst, a, b):
-        return self._packed2("psubb", dst, a, b, packed.sub_wrap, _E.B)
+        return self._packed("psubb", dst, (a, b), packed.sub_wrap, _E.B)
 
     def psubh(self, dst, a, b):
-        return self._packed2("psubh", dst, a, b, packed.sub_wrap, _E.H)
+        return self._packed("psubh", dst, (a, b), packed.sub_wrap, _E.H)
 
     def psubw(self, dst, a, b):
-        return self._packed2("psubw", dst, a, b, packed.sub_wrap, _E.W)
+        return self._packed("psubw", dst, (a, b), packed.sub_wrap, _E.W)
 
     def psubsb(self, dst, a, b):
-        return self._packed2("psubsb", dst, a, b, packed.sub_sat, _E.B, True)
+        return self._packed("psubsb", dst, (a, b), packed.sub_sat, _E.B, True)
 
     def psubsh(self, dst, a, b):
-        return self._packed2("psubsh", dst, a, b, packed.sub_sat, _E.H, True)
+        return self._packed("psubsh", dst, (a, b), packed.sub_sat, _E.H, True)
 
     def psubusb(self, dst, a, b):
-        return self._packed2("psubusb", dst, a, b, packed.sub_sat, _E.B, False)
+        return self._packed("psubusb", dst, (a, b), packed.sub_sat, _E.B, False)
 
     def psubush(self, dst, a, b):
-        return self._packed2("psubush", dst, a, b, packed.sub_sat, _E.H, False)
+        return self._packed("psubush", dst, (a, b), packed.sub_sat, _E.H, False)
 
     # --- multiplies -----------------------------------------------------------------------
 
     def pmullh(self, dst, a, b):
-        return self._packed2("pmullh", dst, a, b, packed.mul_low, _E.H)
+        return self._packed("pmullh", dst, (a, b), packed.mul_low, _E.H)
 
     def pmulhh(self, dst, a, b):
-        return self._packed2("pmulhh", dst, a, b, packed.mul_high, _E.H, True)
+        return self._packed("pmulhh", dst, (a, b), packed.mul_high, _E.H, True)
 
     def pmulhuh(self, dst, a, b):
-        return self._packed2("pmulhuh", dst, a, b, packed.mul_high, _E.H, False)
+        return self._packed("pmulhuh", dst, (a, b), packed.mul_high, _E.H, False)
 
     def pmaddh(self, dst, a, b):
-        return self._med_op(
-            "pmaddh", dst, (a, b), packed.mul_add_pairs(a.value, b.value)
-        )
+        return self._packed("pmaddh", dst, (a, b), packed.mul_add_pairs)
 
     # --- average / absolute difference / SAD ------------------------------------------------
 
     def pavgb(self, dst, a, b):
-        return self._packed2("pavgb", dst, a, b, packed.avg_round, _E.B)
+        return self._packed("pavgb", dst, (a, b), packed.avg_round, _E.B)
 
     def pavgh(self, dst, a, b):
-        return self._packed2("pavgh", dst, a, b, packed.avg_round, _E.H)
+        return self._packed("pavgh", dst, (a, b), packed.avg_round, _E.H)
 
     def pabsdiffb(self, dst, a, b):
-        return self._packed2("pabsdiffb", dst, a, b, packed.absdiff, _E.B)
+        return self._packed("pabsdiffb", dst, (a, b), packed.absdiff, _E.B)
 
     def pabsdiffh(self, dst, a, b):
-        return self._packed2("pabsdiffh", dst, a, b, packed.absdiff, _E.H)
+        return self._packed("pabsdiffh", dst, (a, b), packed.absdiff, _E.H)
 
     def psadb(self, dst, a, b):
-        return self._med_op("psadb", dst, (a, b), packed.sad(a.value, b.value))
+        return self._packed("psadb", dst, (a, b), packed.sad)
 
     # --- min / max -----------------------------------------------------------------------------
 
     def pminub(self, dst, a, b):
-        return self._packed2("pminub", dst, a, b, packed.minmax, _E.B, False, False)
+        return self._packed("pminub", dst, (a, b), packed.minmax, _E.B, False, False)
 
     def pmaxub(self, dst, a, b):
-        return self._packed2("pmaxub", dst, a, b, packed.minmax, _E.B, False, True)
+        return self._packed("pmaxub", dst, (a, b), packed.minmax, _E.B, False, True)
 
     def pminsh(self, dst, a, b):
-        return self._packed2("pminsh", dst, a, b, packed.minmax, _E.H, True, False)
+        return self._packed("pminsh", dst, (a, b), packed.minmax, _E.H, True, False)
 
     def pmaxsh(self, dst, a, b):
-        return self._packed2("pmaxsh", dst, a, b, packed.minmax, _E.H, True, True)
+        return self._packed("pmaxsh", dst, (a, b), packed.minmax, _E.H, True, True)
 
     # --- logicals ----------------------------------------------------------------------------------
 
     def pand(self, dst, a, b):
-        return self._med_op("pand", dst, (a, b), a.value & b.value)
+        return self._packed("pand", dst, (a, b), and_)
 
     def pandn(self, dst, a, b):
-        return self._med_op("pandn", dst, (a, b), ~a.value & b.value & _U64)
+        return self._packed("pandn", dst, (a, b), _and_not)
 
     def por(self, dst, a, b):
-        return self._med_op("por", dst, (a, b), a.value | b.value)
+        return self._packed("por", dst, (a, b), or_)
 
     def pxor(self, dst, a, b):
-        return self._med_op("pxor", dst, (a, b), a.value ^ b.value)
+        return self._packed("pxor", dst, (a, b), xor)
 
     # --- shifts (immediate counts) --------------------------------------------------------------------
 
-    def _shift(self, name: str, dst, a, count: int, elem: ElemType, kind: str):
-        return self._med_op(
-            name, dst, (a,), packed.shift(a.value, count, elem, kind)
-        )
-
     def psllh(self, dst, a, count: int):
-        return self._shift("psllh", dst, a, count, _E.H, "sll")
+        return self._packed("psllh", dst, (a,), packed.shift, count, _E.H, "sll")
 
     def psllw(self, dst, a, count: int):
-        return self._shift("psllw", dst, a, count, _E.W, "sll")
+        return self._packed("psllw", dst, (a,), packed.shift, count, _E.W, "sll")
 
     def psllq(self, dst, a, count: int):
-        return self._shift("psllq", dst, a, count, _E.Q, "sll")
+        return self._packed("psllq", dst, (a,), packed.shift, count, _E.Q, "sll")
 
     def psrlh(self, dst, a, count: int):
-        return self._shift("psrlh", dst, a, count, _E.H, "srl")
+        return self._packed("psrlh", dst, (a,), packed.shift, count, _E.H, "srl")
 
     def psrlw(self, dst, a, count: int):
-        return self._shift("psrlw", dst, a, count, _E.W, "srl")
+        return self._packed("psrlw", dst, (a,), packed.shift, count, _E.W, "srl")
 
     def psrlq(self, dst, a, count: int):
-        return self._shift("psrlq", dst, a, count, _E.Q, "srl")
+        return self._packed("psrlq", dst, (a,), packed.shift, count, _E.Q, "srl")
 
     def psrah(self, dst, a, count: int):
-        return self._shift("psrah", dst, a, count, _E.H, "sra")
+        return self._packed("psrah", dst, (a,), packed.shift, count, _E.H, "sra")
 
     def psraw(self, dst, a, count: int):
-        return self._shift("psraw", dst, a, count, _E.W, "sra")
+        return self._packed("psraw", dst, (a,), packed.shift, count, _E.W, "sra")
 
     # --- compares / select ---------------------------------------------------------------------------------
 
     def pcmpeqb(self, dst, a, b):
-        return self._packed2("pcmpeqb", dst, a, b, packed.cmp_mask, _E.B, "eq")
+        return self._packed("pcmpeqb", dst, (a, b), packed.cmp_mask, _E.B, "eq")
 
     def pcmpeqh(self, dst, a, b):
-        return self._packed2("pcmpeqh", dst, a, b, packed.cmp_mask, _E.H, "eq")
+        return self._packed("pcmpeqh", dst, (a, b), packed.cmp_mask, _E.H, "eq")
 
     def pcmpeqw(self, dst, a, b):
-        return self._packed2("pcmpeqw", dst, a, b, packed.cmp_mask, _E.W, "eq")
+        return self._packed("pcmpeqw", dst, (a, b), packed.cmp_mask, _E.W, "eq")
 
     def pcmpgtb(self, dst, a, b):
-        return self._packed2("pcmpgtb", dst, a, b, packed.cmp_mask, _E.B, "gt")
+        return self._packed("pcmpgtb", dst, (a, b), packed.cmp_mask, _E.B, "gt")
 
     def pcmpgth(self, dst, a, b):
-        return self._packed2("pcmpgth", dst, a, b, packed.cmp_mask, _E.H, "gt")
+        return self._packed("pcmpgth", dst, (a, b), packed.cmp_mask, _E.H, "gt")
 
     def pcmpgtw(self, dst, a, b):
-        return self._packed2("pcmpgtw", dst, a, b, packed.cmp_mask, _E.W, "gt")
+        return self._packed("pcmpgtw", dst, (a, b), packed.cmp_mask, _E.W, "gt")
 
     def pcmov(self, dst, mask, a, b):
-        value = packed.select(mask.value, a.value, b.value)
-        return self._med_op("pcmov", dst, (mask, a, b), value)
+        return self._packed("pcmov", dst, (mask, a, b), packed.select)
 
     # --- pack / unpack ----------------------------------------------------------------------------------------
 
     def packsshb(self, dst, a, b):
-        return self._packed2("packsshb", dst, a, b, packed.pack_sat, _E.H, True)
+        return self._packed("packsshb", dst, (a, b), packed.pack_sat, _E.H, True)
 
     def packushb(self, dst, a, b):
-        return self._packed2("packushb", dst, a, b, packed.pack_sat, _E.H, False)
+        return self._packed("packushb", dst, (a, b), packed.pack_sat, _E.H, False)
 
     def packsswh(self, dst, a, b):
-        return self._packed2("packsswh", dst, a, b, packed.pack_sat, _E.W, True)
+        return self._packed("packsswh", dst, (a, b), packed.pack_sat, _E.W, True)
 
     def punpcklb(self, dst, a, b):
-        return self._packed2("punpcklb", dst, a, b, packed.unpack_interleave, _E.B, False)
+        return self._packed("punpcklb", dst, (a, b), packed.unpack_interleave, _E.B, False)
 
     def punpckhb(self, dst, a, b):
-        return self._packed2("punpckhb", dst, a, b, packed.unpack_interleave, _E.B, True)
+        return self._packed("punpckhb", dst, (a, b), packed.unpack_interleave, _E.B, True)
 
     def punpcklh(self, dst, a, b):
-        return self._packed2("punpcklh", dst, a, b, packed.unpack_interleave, _E.H, False)
+        return self._packed("punpcklh", dst, (a, b), packed.unpack_interleave, _E.H, False)
 
     def punpckhh(self, dst, a, b):
-        return self._packed2("punpckhh", dst, a, b, packed.unpack_interleave, _E.H, True)
+        return self._packed("punpckhh", dst, (a, b), packed.unpack_interleave, _E.H, True)
 
     def punpcklw(self, dst, a, b):
-        return self._packed2("punpcklw", dst, a, b, packed.unpack_interleave, _E.W, False)
+        return self._packed("punpcklw", dst, (a, b), packed.unpack_interleave, _E.W, False)
 
     def punpckhw(self, dst, a, b):
-        return self._packed2("punpckhw", dst, a, b, packed.unpack_interleave, _E.W, True)
+        return self._packed("punpckhw", dst, (a, b), packed.unpack_interleave, _E.W, True)
 
     # --- reductions ----------------------------------------------------------------------------------------------
 
     def psumb(self, dst, a):
-        return self._med_op("psumb", dst, (a,), packed.horizontal_sum(a.value, _E.B))
+        return self._packed("psumb", dst, (a,), packed.horizontal_sum, _E.B)
 
     def psumh(self, dst, a):
-        return self._med_op("psumh", dst, (a,), packed.horizontal_sum(a.value, _E.H))
+        return self._packed("psumh", dst, (a,), packed.horizontal_sum, _E.H)
 
     def psumw(self, dst, a):
-        return self._med_op("psumw", dst, (a,), packed.horizontal_sum(a.value, _E.W))
+        return self._packed("psumw", dst, (a,), packed.horizontal_sum, _E.W)

@@ -8,40 +8,45 @@ byte stride between rows.  The builder tracks the architectural VL register
 stamps every emitted instruction with the VL under which it executed -- the
 timing model charges functional-unit occupancy and memory-port traffic per
 row from that field.
+
+The paper defines every MOM computation instruction as a vector version of
+an MDMX instruction, and :class:`MomBuilder` is derived the same way: it
+subclasses :class:`~repro.emulib.mdmx_builder.MdmxBuilder` and inherits
+the methods of the 79 opcodes the MOM table copies from MDMX's (54 packed
+operations from the MMX builder, 25 accumulator operations from the MDMX
+one).  It overrides only the three adapters those methods meet their
+registers through: ``_packed`` applies the operation to the first VL rows
+and stamps ``vl``, ``_acc`` folds an accumulate over the VL rows, and
+``_rac`` reads out into row 0 of a matrix register or sign-wrapped into an
+integer register.  The inherited methods whose opcodes MOM lacks
+(``m_ldq``, ``movq``, ``psadb``, ...) raise ``KeyError`` before any write.
+The MOM-only instructions below keep their own bodies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.accumulator import PackedAccumulator
 from ..core.matrix import MomRegister
 from ..core.mom_isa import MATRIX_ROWS, MOM
 from ..isa.model import ElemType, RegPool
 from ..core import packed
-from .base_builder import BaseBuilder, RegHandle, RegisterAllocator
+from .base_builder import RegHandle, wrap64
+from .mdmx_builder import MdmxBuilder
 
-
-class _Combine:
-    """Reduction rule of a fully-reducing matrix instruction."""
-
-    def __init__(self, fn, signed: bool) -> None:
-        self._fn = fn
-        self.signed = signed
-
-    def __call__(self, la, lb):
-        return self._fn(la, lb)
-
-
-_SAD = _Combine(lambda a, b: np.abs(a - b).sum(), signed=False)
-_SQD = _Combine(lambda a, b: ((a - b) * (a - b)).sum(), signed=False)
-_DOT = _Combine(lambda a, b: (a * b).sum(), signed=True)
+#: Reduction rules of the fully-reducing matrix instructions: the sum over
+#: rows and lanes of the two operands' lanes, and whether lanes are signed.
+#: Matrix-per-vector multiplies every row by the second operand's row 0.
+_SAD = (lambda a, b: np.abs(a - b).sum(), False)
+_SQD = (lambda a, b: ((a - b) * (a - b)).sum(), False)
+_DOT = (lambda a, b: (a * b).sum(), True)
+_MPV = (lambda a, b: (a * b[:1]).sum(), True)
 
 _U64 = (1 << 64) - 1
 _E = ElemType
 
 
-class MomBuilder(BaseBuilder):
+class MomBuilder(MdmxBuilder):
     """Builder for the MOM ISA (16 matrix registers, 2 accumulators, VL)."""
 
     isa_name = "mom"
@@ -51,8 +56,6 @@ class MomBuilder(BaseBuilder):
 
     def __init__(self, mem=None, int_registers: int = 30) -> None:
         super().__init__(mem, int_registers)
-        self.med_alloc = RegisterAllocator(RegPool.MED, self.media_registers)
-        self.acc_alloc = RegisterAllocator(RegPool.ACC, self.accumulator_registers)
         #: architectural vector length; every instruction captures it.
         self.vl = MATRIX_ROWS
 
@@ -62,17 +65,44 @@ class MomBuilder(BaseBuilder):
         """Allocate a matrix register (zeroed)."""
         return RegHandle(RegPool.MED, self.med_alloc.take(), MomRegister(), self)
 
-    def areg(self) -> RegHandle:
-        """Allocate a packed accumulator (cleared)."""
-        return RegHandle(RegPool.ACC, self.acc_alloc.take(), PackedAccumulator(), self)
+    # --- the adapters the inherited MMX/MDMX instructions go through --------
 
-    def free(self, handle: RegHandle) -> None:
-        if handle.pool == RegPool.MED:
-            self.med_alloc.release(handle.index)
-        elif handle.pool == RegPool.ACC:
-            self.acc_alloc.release(handle.index)
+    def _packed(self, name: str, dst, srcs, fn, *args) -> RegHandle:
+        """The packed op on the first VL rows of every source (its numpy
+        form); rows from VL up keep their value."""
+        op = self.media_table[name]
+        vl = self.vl
+        rows = dst.value.rows.copy()
+        rows[:vl] = fn(*[s.value.rows[:vl] for s in srcs], *args)
+        dst.value = MomRegister(rows)
+        self._emit(op, srcs=srcs, dsts=(dst,), vl=vl)
+        return dst
+
+    def _acc(self, name: str, acc, a, b, fold, *args) -> RegHandle:
+        """Accumulate pairwise over the first VL rows of two matrices.
+
+        ``fold`` gets all VL rows at once and adds their per-lane sum in
+        one step: accumulator lanes wrap modulo their width, so that
+        equals folding the rows one at a time.
+        """
+        op = self.media_table[name]
+        vl = self.vl
+        fold(acc.value, a.value.rows[:vl], b.value.rows[:vl], *args)
+        self._emit(op, srcs=(a, b, acc), dsts=(acc,), vl=vl)
+        return acc
+
+    def _rac(self, name: str, dst, acc, value: int) -> RegHandle:
+        """Accumulator read-out into row 0 of a matrix register or an
+        integer register (by destination pool)."""
+        op = self.media_table[name]
+        if dst.pool == RegPool.MED:
+            updated = dst.value.copy()
+            updated.set_row(0, value)
+            dst.value = updated
         else:
-            super().free(handle)
+            dst.value = wrap64(value)
+        self._emit(op, srcs=(acc,), dsts=(dst,))
+        return dst
 
     # --- vector length ----------------------------------------------------------
 
@@ -160,9 +190,7 @@ class MomBuilder(BaseBuilder):
         return dst
 
     def momextrow(self, int_dst, src, row: int) -> RegHandle:
-        int_dst.value = src.value.get_row(row)
-        if int_dst.value >= 1 << 63:
-            int_dst.value -= 1 << 64
+        int_dst.value = wrap64(src.value.get_row(row))
         self._emit(self.media_table["momextrow"], srcs=(src,), dsts=(int_dst,), vl=1)
         return int_dst
 
@@ -181,325 +209,20 @@ class MomBuilder(BaseBuilder):
         self._emit(self.media_table["mombcastrow"], srcs=(src,), dsts=(dst,), vl=self.vl)
         return dst
 
-    # --- packed (matrix) arithmetic: generic emit helpers -----------------------------------
-
-    def _vec2(self, name: str, dst, a, b, fn, *args) -> RegHandle:
-        """Two-source packed op applied to the first VL rows."""
-        rows = dst.value.rows.copy()
-        rows[: self.vl] = fn(a.value.rows[: self.vl], b.value.rows[: self.vl], *args)
-        dst.value = MomRegister(rows)
-        self._emit(self.media_table[name], srcs=(a, b), dsts=(dst,), vl=self.vl)
-        return dst
-
-    def _vec1(self, name: str, dst, a, fn, *args) -> RegHandle:
-        """One-source packed op applied to the first VL rows."""
-        rows = dst.value.rows.copy()
-        rows[: self.vl] = fn(a.value.rows[: self.vl], *args)
-        dst.value = MomRegister(rows)
-        self._emit(self.media_table[name], srcs=(a,), dsts=(dst,), vl=self.vl)
-        return dst
-
-    # --- add / sub ------------------------------------------------------------------------
-
-    def paddb(self, dst, a, b):
-        return self._vec2("paddb", dst, a, b, packed.add_wrap, _E.B)
-
-    def paddh(self, dst, a, b):
-        return self._vec2("paddh", dst, a, b, packed.add_wrap, _E.H)
-
-    def paddw(self, dst, a, b):
-        return self._vec2("paddw", dst, a, b, packed.add_wrap, _E.W)
-
-    def paddsb(self, dst, a, b):
-        return self._vec2("paddsb", dst, a, b, packed.add_sat, _E.B, True)
-
-    def paddsh(self, dst, a, b):
-        return self._vec2("paddsh", dst, a, b, packed.add_sat, _E.H, True)
-
-    def paddusb(self, dst, a, b):
-        return self._vec2("paddusb", dst, a, b, packed.add_sat, _E.B, False)
-
-    def paddush(self, dst, a, b):
-        return self._vec2("paddush", dst, a, b, packed.add_sat, _E.H, False)
-
-    def psubb(self, dst, a, b):
-        return self._vec2("psubb", dst, a, b, packed.sub_wrap, _E.B)
-
-    def psubh(self, dst, a, b):
-        return self._vec2("psubh", dst, a, b, packed.sub_wrap, _E.H)
-
-    def psubw(self, dst, a, b):
-        return self._vec2("psubw", dst, a, b, packed.sub_wrap, _E.W)
-
-    def psubsb(self, dst, a, b):
-        return self._vec2("psubsb", dst, a, b, packed.sub_sat, _E.B, True)
-
-    def psubsh(self, dst, a, b):
-        return self._vec2("psubsh", dst, a, b, packed.sub_sat, _E.H, True)
-
-    def psubusb(self, dst, a, b):
-        return self._vec2("psubusb", dst, a, b, packed.sub_sat, _E.B, False)
-
-    def psubush(self, dst, a, b):
-        return self._vec2("psubush", dst, a, b, packed.sub_sat, _E.H, False)
-
-    # --- multiplies ---------------------------------------------------------------------------
-
-    def pmullh(self, dst, a, b):
-        return self._vec2("pmullh", dst, a, b, packed.mul_low, _E.H)
-
-    def pmulhh(self, dst, a, b):
-        return self._vec2("pmulhh", dst, a, b, packed.mul_high, _E.H, True)
-
-    def pmulhuh(self, dst, a, b):
-        return self._vec2("pmulhuh", dst, a, b, packed.mul_high, _E.H, False)
-
-    def pmaddh(self, dst, a, b):
-        return self._vec2("pmaddh", dst, a, b, packed.mul_add_pairs)
-
-    # --- average / abs-diff ----------------------------------------------------------------------
-
-    def pavgb(self, dst, a, b):
-        return self._vec2("pavgb", dst, a, b, packed.avg_round, _E.B)
-
-    def pavgh(self, dst, a, b):
-        return self._vec2("pavgh", dst, a, b, packed.avg_round, _E.H)
-
-    def pabsdiffb(self, dst, a, b):
-        return self._vec2("pabsdiffb", dst, a, b, packed.absdiff, _E.B)
-
-    def pabsdiffh(self, dst, a, b):
-        return self._vec2("pabsdiffh", dst, a, b, packed.absdiff, _E.H)
-
-    def momabsb(self, dst, a):
-        return self._vec1("momabsb", dst, a, packed.abs_packed, _E.B)
-
-    def momabsh(self, dst, a):
-        return self._vec1("momabsh", dst, a, packed.abs_packed, _E.H)
-
-    # --- min / max ------------------------------------------------------------------------------------
-
-    def pminub(self, dst, a, b):
-        return self._vec2("pminub", dst, a, b, packed.minmax, _E.B, False, False)
-
-    def pmaxub(self, dst, a, b):
-        return self._vec2("pmaxub", dst, a, b, packed.minmax, _E.B, False, True)
-
-    def pminsh(self, dst, a, b):
-        return self._vec2("pminsh", dst, a, b, packed.minmax, _E.H, True, False)
-
-    def pmaxsh(self, dst, a, b):
-        return self._vec2("pmaxsh", dst, a, b, packed.minmax, _E.H, True, True)
-
-    # --- logicals --------------------------------------------------------------------------------------
-
-    def pand(self, dst, a, b):
-        return self._vec2("pand", dst, a, b, lambda x, y: x & y)
-
-    def pandn(self, dst, a, b):
-        return self._vec2("pandn", dst, a, b, lambda x, y: ~x & y)
-
-    def por(self, dst, a, b):
-        return self._vec2("por", dst, a, b, lambda x, y: x | y)
-
-    def pxor(self, dst, a, b):
-        return self._vec2("pxor", dst, a, b, lambda x, y: x ^ y)
-
-    # --- shifts ------------------------------------------------------------------------------------------
-
-    def _vshift(self, name, dst, a, count, elem, kind):
-        return self._vec1(name, dst, a, packed.shift, count, elem, kind)
-
-    def psllh(self, dst, a, count: int):
-        return self._vshift("psllh", dst, a, count, _E.H, "sll")
-
-    def psllw(self, dst, a, count: int):
-        return self._vshift("psllw", dst, a, count, _E.W, "sll")
-
-    def psllq(self, dst, a, count: int):
-        return self._vshift("psllq", dst, a, count, _E.Q, "sll")
-
-    def psrlh(self, dst, a, count: int):
-        return self._vshift("psrlh", dst, a, count, _E.H, "srl")
-
-    def psrlw(self, dst, a, count: int):
-        return self._vshift("psrlw", dst, a, count, _E.W, "srl")
-
-    def psrlq(self, dst, a, count: int):
-        return self._vshift("psrlq", dst, a, count, _E.Q, "srl")
-
-    def psrah(self, dst, a, count: int):
-        return self._vshift("psrah", dst, a, count, _E.H, "sra")
-
-    def psraw(self, dst, a, count: int):
-        return self._vshift("psraw", dst, a, count, _E.W, "sra")
-
-    # --- compares / select -------------------------------------------------------------------------------------
-
-    def pcmpeqb(self, dst, a, b):
-        return self._vec2("pcmpeqb", dst, a, b, packed.cmp_mask, _E.B, "eq")
-
-    def pcmpeqh(self, dst, a, b):
-        return self._vec2("pcmpeqh", dst, a, b, packed.cmp_mask, _E.H, "eq")
-
-    def pcmpeqw(self, dst, a, b):
-        return self._vec2("pcmpeqw", dst, a, b, packed.cmp_mask, _E.W, "eq")
-
-    def pcmpgtb(self, dst, a, b):
-        return self._vec2("pcmpgtb", dst, a, b, packed.cmp_mask, _E.B, "gt")
-
-    def pcmpgth(self, dst, a, b):
-        return self._vec2("pcmpgth", dst, a, b, packed.cmp_mask, _E.H, "gt")
-
-    def pcmpgtw(self, dst, a, b):
-        return self._vec2("pcmpgtw", dst, a, b, packed.cmp_mask, _E.W, "gt")
-
-    def pcmov(self, dst, mask, a, b):
-        rows = dst.value.rows.copy()
-        vl = self.vl
-        rows[:vl] = packed.select(
-            mask.value.rows[:vl], a.value.rows[:vl], b.value.rows[:vl]
-        )
-        dst.value = MomRegister(rows)
-        self._emit(self.media_table["pcmov"], srcs=(mask, a, b), dsts=(dst,), vl=vl)
-        return dst
-
-    # --- pack / unpack --------------------------------------------------------------------------------------------
-
-    def packsshb(self, dst, a, b):
-        return self._vec2("packsshb", dst, a, b, packed.pack_sat, _E.H, True)
-
-    def packushb(self, dst, a, b):
-        return self._vec2("packushb", dst, a, b, packed.pack_sat, _E.H, False)
-
-    def packsswh(self, dst, a, b):
-        return self._vec2("packsswh", dst, a, b, packed.pack_sat, _E.W, True)
-
-    def punpcklb(self, dst, a, b):
-        return self._vec2("punpcklb", dst, a, b, packed.unpack_interleave, _E.B, False)
-
-    def punpckhb(self, dst, a, b):
-        return self._vec2("punpckhb", dst, a, b, packed.unpack_interleave, _E.B, True)
-
-    def punpcklh(self, dst, a, b):
-        return self._vec2("punpcklh", dst, a, b, packed.unpack_interleave, _E.H, False)
-
-    def punpckhh(self, dst, a, b):
-        return self._vec2("punpckhh", dst, a, b, packed.unpack_interleave, _E.H, True)
-
-    def punpcklw(self, dst, a, b):
-        return self._vec2("punpcklw", dst, a, b, packed.unpack_interleave, _E.W, False)
-
-    def punpckhw(self, dst, a, b):
-        return self._vec2("punpckhw", dst, a, b, packed.unpack_interleave, _E.W, True)
-
-    # --- accumulator (matrix) operations ----------------------------------------------------------------------------
-
-    def _acc_rows(self, name: str, acc, a, b, fold) -> RegHandle:
-        """Accumulate pairwise over the first VL rows of two matrices.
-
-        ``fold`` gets all VL rows at once and adds their per-lane sum in
-        one step: accumulator lanes wrap modulo their width, so that
-        equals folding the rows one at a time.
-        """
-        vl = self.vl
-        fold(acc.value, a.value.rows[:vl], b.value.rows[:vl])
-        self._emit(self.media_table[name], srcs=(a, b, acc), dsts=(acc,), vl=vl)
-        return acc
-
-    def pmaddab(self, acc, a, b):
-        return self._acc_rows(
-            "pmaddab", acc, a, b, lambda v, x, y: v.madd(x, y, _E.B, signed=True)
-        )
-
-    def pmaddah(self, acc, a, b):
-        return self._acc_rows(
-            "pmaddah", acc, a, b, lambda v, x, y: v.madd(x, y, _E.H, signed=True)
-        )
-
-    def pmaddauh(self, acc, a, b):
-        return self._acc_rows(
-            "pmaddauh", acc, a, b, lambda v, x, y: v.madd(x, y, _E.H, signed=False)
-        )
-
-    def pmsubab(self, acc, a, b):
-        return self._acc_rows(
-            "pmsubab", acc, a, b,
-            lambda v, x, y: v.madd(x, y, _E.B, signed=True, subtract=True),
-        )
-
-    def pmsubah(self, acc, a, b):
-        return self._acc_rows(
-            "pmsubah", acc, a, b,
-            lambda v, x, y: v.madd(x, y, _E.H, signed=True, subtract=True),
-        )
-
-    def paccaddb(self, acc, a, b):
-        return self._acc_rows(
-            "paccaddb", acc, a, b, lambda v, x, y: v.acc_add(x, y, _E.B)
-        )
-
-    def paccaddh(self, acc, a, b):
-        return self._acc_rows(
-            "paccaddh", acc, a, b, lambda v, x, y: v.acc_add(x, y, _E.H)
-        )
-
-    def paccaddw(self, acc, a, b):
-        return self._acc_rows(
-            "paccaddw", acc, a, b, lambda v, x, y: v.acc_add(x, y, _E.W)
-        )
-
-    def paccsubb(self, acc, a, b):
-        return self._acc_rows(
-            "paccsubb", acc, a, b,
-            lambda v, x, y: v.acc_add(x, y, _E.B, subtract=True),
-        )
-
-    def paccsubh(self, acc, a, b):
-        return self._acc_rows(
-            "paccsubh", acc, a, b,
-            lambda v, x, y: v.acc_add(x, y, _E.H, subtract=True),
-        )
-
-    def paccsubw(self, acc, a, b):
-        return self._acc_rows(
-            "paccsubw", acc, a, b,
-            lambda v, x, y: v.acc_add(x, y, _E.W, subtract=True),
-        )
-
-    def paccsadb(self, acc, a, b):
-        return self._acc_rows(
-            "paccsadb", acc, a, b, lambda v, x, y: v.acc_sad(x, y, _E.B)
-        )
-
-    def paccsadh(self, acc, a, b):
-        return self._acc_rows(
-            "paccsadh", acc, a, b, lambda v, x, y: v.acc_sad(x, y, _E.H)
-        )
-
-    def paccsqdb(self, acc, a, b):
-        return self._acc_rows(
-            "paccsqdb", acc, a, b, lambda v, x, y: v.acc_sqd(x, y, _E.B)
-        )
-
-    def paccsqdh(self, acc, a, b):
-        return self._acc_rows(
-            "paccsqdh", acc, a, b, lambda v, x, y: v.acc_sqd(x, y, _E.H)
-        )
-
     # --- special matrix operations ----------------------------------------------------------------------------------
 
-    def _matrix_scalar_op(self, name: str, acc, a, b, combine, elem: ElemType):
+    def _matrix_scalar_op(self, name: str, acc, a, b, rule, elem: ElemType):
         """Fully-reducing matrix operation: acc += sum over rows and lanes.
 
         These are Section 2.2's "very powerful matrix instructions": the
         hardware reduces both dimensions through an adder tree, so software
         reads one scalar back with a single ``racl``.
         """
+        combine, signed = rule
         la = packed.to_lanes(a.value.rows[: self.vl], elem,
-                             signed=combine.signed).astype(np.int64)
+                             signed=signed).astype(np.int64)
         lb = packed.to_lanes(b.value.rows[: self.vl], elem,
-                             signed=combine.signed).astype(np.int64)
+                             signed=signed).astype(np.int64)
         acc.value.scalar_add(int(combine(la, lb)))
         self._emit(self.media_table[name], srcs=(a, b, acc), dsts=(acc,),
                    vl=self.vl)
@@ -528,23 +251,11 @@ class MomBuilder(BaseBuilder):
 
     def mommpvb(self, acc, a, v):
         """Matrix-per-vector: acc += sum over rows of a_row . v_row0, bytes."""
-        row0 = np.full(self.vl, v.value.get_row(0), dtype=np.uint64)
-        la = packed.to_lanes(a.value.rows[: self.vl], _E.B, signed=True).astype(np.int64)
-        lv = packed.to_lanes(row0, _E.B, signed=True).astype(np.int64)
-        acc.value.scalar_add(int((la * lv).sum()))
-        self._emit(self.media_table["mommpvb"], srcs=(a, v, acc), dsts=(acc,),
-                   vl=self.vl)
-        return acc
+        return self._matrix_scalar_op("mommpvb", acc, a, v, _MPV, _E.B)
 
     def mommpvh(self, acc, a, v):
         """Matrix-per-vector: acc += sum over rows of a_row . v_row0, halves."""
-        row0 = np.full(self.vl, v.value.get_row(0), dtype=np.uint64)
-        la = packed.to_lanes(a.value.rows[: self.vl], _E.H, signed=True).astype(np.int64)
-        lv = packed.to_lanes(row0, _E.H, signed=True).astype(np.int64)
-        acc.value.scalar_add(int((la * lv).sum()))
-        self._emit(self.media_table["mommpvh"], srcs=(a, v, acc), dsts=(acc,),
-                   vl=self.vl)
-        return acc
+        return self._matrix_scalar_op("mommpvh", acc, a, v, _MPV, _E.H)
 
     def momtransb(self, dst, a):
         dst.value = a.value.transpose_blocks(_E.B)
@@ -560,62 +271,6 @@ class MomBuilder(BaseBuilder):
         dst.value = a.value.transpose_blocks(_E.W)
         self._emit(self.media_table["momtransw"], srcs=(a,), dsts=(dst,), vl=self.vl)
         return dst
-
-    # --- accumulator read-out / restore (as MDMX, on the MOM table) -------------------------------------------------------
-
-    def _rac(self, name: str, dst, acc, value: int) -> RegHandle:
-        """Accumulator read-out into row 0 of a matrix register or an
-        integer register (by destination pool)."""
-        if dst.pool == RegPool.MED:
-            updated = dst.value.copy()
-            updated.set_row(0, value & _U64)
-            dst.value = updated
-        else:
-            dst.value = value & _U64
-            if dst.value >= 1 << 63:
-                dst.value -= 1 << 64
-        self._emit(self.media_table[name], srcs=(acc,), dsts=(dst,))
-        return dst
-
-    def racl(self, dst, acc, elem: ElemType = ElemType.B):
-        """Read the low slice of every accumulator lane into row 0."""
-        return self._rac("racl", dst, acc, acc.value.read_slice("low", elem))
-
-    def racm(self, dst, acc, elem: ElemType = ElemType.B):
-        """Read the middle slice of every accumulator lane into row 0."""
-        return self._rac("racm", dst, acc, acc.value.read_slice("mid", elem))
-
-    def rach(self, dst, acc, elem: ElemType = ElemType.B):
-        """Read the high slice of every accumulator lane into row 0."""
-        return self._rac("rach", dst, acc, acc.value.read_slice("high", elem))
-
-    def raccsb(self, dst, acc, shift: int = 0):
-        return self._rac("raccsb", dst, acc, acc.value.read_saturated(_E.B, True, shift))
-
-    def raccub(self, dst, acc, shift: int = 0):
-        return self._rac("raccub", dst, acc, acc.value.read_saturated(_E.B, False, shift))
-
-    def raccsh(self, dst, acc, shift: int = 0):
-        return self._rac("raccsh", dst, acc, acc.value.read_saturated(_E.H, True, shift))
-
-    def raccuh(self, dst, acc, shift: int = 0):
-        return self._rac("raccuh", dst, acc, acc.value.read_saturated(_E.H, False, shift))
-
-    def wacl(self, acc, lo_int, mid_int):
-        acc.value.write_third("low", lo_int.value & _U64)
-        acc.value.write_third("mid", mid_int.value & _U64)
-        self._emit(self.media_table["wacl"], srcs=(lo_int, mid_int, acc), dsts=(acc,))
-        return acc
-
-    def wach(self, acc, hi_int):
-        acc.value.write_third("high", hi_int.value & _U64)
-        self._emit(self.media_table["wach"], srcs=(hi_int, acc), dsts=(acc,))
-        return acc
-
-    def clracc(self, acc):
-        acc.value.clear()
-        self._emit(self.media_table["clracc"], srcs=(), dsts=(acc,))
-        return acc
 
     # --- row reductions / shifts ----------------------------------------------------------------------------------------
 
@@ -684,6 +339,12 @@ class MomBuilder(BaseBuilder):
         return self._vs("vsorq", dst, a, b, lambda x, y: x | y)
 
     # --- misc -------------------------------------------------------------------------------------------------------------------
+
+    def momabsb(self, dst, a):
+        return self._packed("momabsb", dst, (a,), packed.abs_packed, _E.B)
+
+    def momabsh(self, dst, a):
+        return self._packed("momabsh", dst, (a,), packed.abs_packed, _E.H)
 
     def momzero(self, dst) -> RegHandle:
         dst.value = MomRegister()

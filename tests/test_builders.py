@@ -7,7 +7,9 @@ from repro import AlphaBuilder, MdmxBuilder, MmxBuilder, MomBuilder
 from repro.core.matrix import MomRegister
 from repro.emulib.alpha_builder import emit_abs_diff, emit_clamp
 from repro.emulib.base_builder import wrap64
+from repro.emulib.memory import Memory
 from repro.emulib.trace import reg_index, reg_pool
+from repro.isa.mmx import MMX
 from repro.isa.model import ElemType, InstrClass, RegPool
 
 
@@ -226,11 +228,65 @@ def test_mdmx_accumulate_and_readout():
     assert out.value == 0x0101010101010101
 
 
-def test_mdmx_has_no_psadb():
-    b = MdmxBuilder()
-    x, y, z = b.mreg(), b.mreg(), b.mreg()
-    with pytest.raises(KeyError):
-        b.psadb(z, x, y)
+def _absent_opcode_calls(b):
+    """One call of every inherited MMX method whose opcode ``b``'s table
+    lacks, on registers and memory that any write would change."""
+    base = b.ireg(b.mem.alloc(64))
+    b.mem.write(base.value, 0x1122334455667788, 8)
+    m, n = b.mreg(), b.mreg()
+    if isinstance(b, MomBuilder):
+        m.value = MomRegister(np.arange(1, 17, dtype=np.uint64))
+        n.value = MomRegister(np.arange(101, 117, dtype=np.uint64))
+    else:
+        m.value, n.value = 0x0102030405060708, 0x8070605040302010
+    i = b.ireg(-5)
+    calls = {
+        "m_ldq": (b.ld_op, lambda: b.m_ldq(m, base, 8)),
+        "m_stq": (b.st_op, lambda: b.m_stq(m, base, 8)),
+        "movq": ("movq", lambda: b.movq(m, n)),
+        "movd_to": ("movd_to", lambda: b.movd_to(m, i)),
+        "movd_from": ("movd_from", lambda: b.movd_from(i, m)),
+        "pshufh": ("pshufh", lambda: b.pshufh(m, n, (3, 2, 1, 0))),
+        "pextrh": ("pextrh", lambda: b.pextrh(i, n, 1)),
+        "pinsrh": ("pinsrh", lambda: b.pinsrh(m, i, 1)),
+        "psadb": ("psadb", lambda: b.psadb(m, n, n)),
+        "psumb": ("psumb", lambda: b.psumb(m, n)),
+        "psumh": ("psumh", lambda: b.psumh(m, n)),
+        "psumw": ("psumw", lambda: b.psumw(m, n)),
+    }
+    absent = {method: call for method, (opcode, call) in calls.items()
+              if opcode not in b.media_table}
+    return absent, (base, m, n, i)
+
+
+def _builder_state(b, regs):
+    values = [r.value.rows.tolist() if isinstance(r.value, MomRegister)
+              else r.value for r in regs]
+    return values, b.mem.data.tobytes(), len(b.trace)
+
+
+def test_absent_opcodes_raise_before_any_write():
+    """MDMX lacks MMX's scalar reductions; MOM also lacks its scalar
+    memory and move group.  Calling an inherited method whose opcode the
+    table lacks raises ``KeyError`` and leaves every register, memory
+    byte and the trace as they were."""
+    expected = {
+        MdmxBuilder: {"psadb", "psumb", "psumh", "psumw"},
+        MomBuilder: {"m_ldq", "m_stq", "movq", "movd_to", "movd_from",
+                     "pshufh", "pextrh", "pinsrh", "psadb", "psumb",
+                     "psumh", "psumw"},
+    }
+    for cls, names in expected.items():
+        b = cls(Memory(1 << 12))
+        absent, regs = _absent_opcode_calls(b)
+        assert set(absent) == names
+        assert {op.name for op in MMX if hasattr(MmxBuilder, op.name)
+                and op.name not in b.media_table} <= names
+        for name, call in absent.items():
+            before = _builder_state(b, regs)
+            with pytest.raises(KeyError):
+                call()
+            assert _builder_state(b, regs) == before, name
 
 
 def test_mdmx_accumulator_limit():
