@@ -32,9 +32,13 @@ Fixed-point stage definitions (mirrored by the numpy reference in
 
 from __future__ import annotations
 
+import struct
+from itertools import chain
+
 import numpy as np
 
-from ..emulib.alpha_builder import emit_track_min
+from ..emulib.alpha_builder import emit_track_min, replay, reads_written
+from ..emulib.base_builder import wrap64
 from ..emulib.scalar_section import SectionProfile, emit_scalar_section
 from ..kernels.addblock import TABLE_BIAS, clamp_table, emit_alpha_addblock
 from ..kernels.compensation import emit_alpha_average
@@ -58,6 +62,91 @@ FDCT_MAT = IDCT_MAT.T.copy()
 
 BLOCK16 = 16
 QUANT_SHIFT = 4
+
+_U64 = (1 << 64) - 1
+_BLOCK_BYTES = 2 * N * N
+#: The row loop's branch is taken after every row but the last.
+_ROW_TAKEN = (True,) * (N - 1) + (False,)
+
+
+# --- Alpha stage bodies ----------------------------------------------------------
+# What the first call of a replayed stage with given registers records, and
+# the oracles their replays are tested against (DESIGN.md section 5).
+
+def _residual_body(b, cur: int, cstride: int, pred: int, pstride: int,
+                   dst: int, regs, site: int) -> None:
+    """:meth:`ScalarStages.residual8` one instruction at a time."""
+    pc, pp, pd, vc, vp, rows = regs
+    b.li(pc, cur)
+    b.li(pp, pred)
+    b.li(pd, dst)
+    b.li(rows, N)
+    for _ in range(N):
+        for x in range(N):
+            b.ldbu(vc, pc, x)
+            b.ldbu(vp, pp, x)
+            b.subq(vc, vc, vp)
+            b.stw(vc, pd, 2 * x)
+        b.addi(pc, pc, cstride)
+        b.addi(pp, pp, pstride)
+        b.addi(pd, pd, 2 * N)
+        b.subi(rows, rows, 1)
+        b.bne(rows, site)
+
+
+def _quant_body(b, addr: int, regs, site: int) -> None:
+    """:meth:`ScalarStages.quant8` one instruction at a time; ``regs``
+    ends with the register ``zero``."""
+    p, v, neg, sign, cnt, zero = regs
+    b.li(p, addr)
+    b.li(cnt, N)
+    for _row in range(N):
+        for x in range(N):
+            b.ldwu(v, p, 2 * x)
+            b.sextw(v, v)
+            b.mov(sign, v)
+            b.subq(neg, zero, v)
+            b.cmovlt(v, v, neg)            # v = |x|
+            b.srl(v, v, QUANT_SHIFT)
+            b.subq(neg, zero, v)
+            b.cmovlt(v, sign, neg)         # restore sign
+            b.stw(v, p, 2 * x)
+        b.addi(p, p, 2 * N)
+        b.subi(cnt, cnt, 1)
+        b.bne(cnt, site)
+
+
+def _dequant_body(b, addr: int, regs, site: int) -> None:
+    """:meth:`ScalarStages.dequant8` one instruction at a time."""
+    p, v, cnt = regs
+    b.li(p, addr)
+    b.li(cnt, N)
+    for _row in range(N):
+        for x in range(N):
+            b.ldwu(v, p, 2 * x)
+            b.sextw(v, v)
+            b.sll(v, v, QUANT_SHIFT)
+            b.stw(v, p, 2 * x)
+        b.addi(p, p, 2 * N)
+        b.subi(cnt, cnt, 1)
+        b.bne(cnt, site)
+
+
+def _coefficients(b, addr: int) -> tuple[int, tuple[int, ...]]:
+    """The masked address and the 64 int16 values (as ``ldwu`` +
+    ``sextw`` read them) of an in-place coefficient stage."""
+    lo = addr & _U64
+    return lo, struct.unpack(f"<{N * N}h", b.mem.read_block(lo, _BLOCK_BYTES))
+
+
+def _in_place(b, lo: int, values: list[int], skeleton, site: int) -> None:
+    """Store an in-place coefficient stage's results and append its rows:
+    per element a load and a store of the same address."""
+    b.mem.write_block(lo, struct.pack(
+        f"<{N * N}H", *[value & 0xFFFF for value in values]))
+    elements = [lo + 2 * k for k in range(N * N)]
+    b.trace.emit_skeleton(skeleton, list(chain.from_iterable(
+        zip(elements, elements))), _ROW_TAKEN, site)
 
 
 class ScalarStages:
@@ -130,25 +219,49 @@ class ScalarStages:
 
     def residual8(self, cur: int, cstride: int, pred: int, pstride: int,
                   dst: int) -> None:
-        """dst (int16 8x8, contiguous) = cur - pred."""
+        """dst (int16 8x8, contiguous) = cur - pred.
+
+        Replayed (DESIGN.md section 5): after the first call with these
+        registers, each call reads the block rows, computes the
+        differences on Python ints and appends the recorded rows -- unless
+        a load would read a byte an earlier store of the call wrote; that
+        call runs :func:`_residual_body`."""
         b = self.b
-        pc, pp, pd, vc, vp, rows = self.r[:6]
-        b.li(pc, cur)
-        b.li(pp, pred)
-        b.li(pd, dst)
-        b.li(rows, N)
+        regs = self.r[:6]
         site = b.site()
-        for _ in range(N):
-            for x in range(N):
-                b.ldbu(vc, pc, x)
-                b.ldbu(vp, pp, x)
-                b.subq(vc, vc, vp)
-                b.stw(vc, pd, 2 * x)
-            b.addi(pc, pc, cstride)
-            b.addi(pp, pp, pstride)
-            b.addi(pd, pd, 2 * N)
-            b.subi(rows, rows, 1)
-            b.bne(rows, site)
+
+        def body():
+            _residual_body(b, cur, cstride, pred, pstride, dst, regs, site)
+
+        cur_rows = [(cur + r * cstride) & _U64 for r in range(N)]
+        pred_rows = [(pred + r * pstride) & _U64 for r in range(N)]
+        out = dst & _U64
+        loads = [(c + x, p + x) for c, p in zip(cur_rows, pred_rows)
+                 for x in range(N)]
+        stores = [(out + 2 * k, out + 2 * k + 1) for k in range(N * N)]
+        if reads_written(loads, stores):
+            body()
+            return
+        skeleton = replay(b, ("residual8",), regs, body)
+        if skeleton is None:
+            return
+        read = b.mem.read_block
+        cur_bytes = [read(a, N) for a in cur_rows]
+        pred_bytes = [read(a, N) for a in pred_rows]
+        diffs = [c - p for cs, ps in zip(cur_bytes, pred_bytes)
+                 for c, p in zip(cs, ps)]
+        b.mem.write_block(out, struct.pack(
+            f"<{N * N}H", *[d & 0xFFFF for d in diffs]))
+        addrs = []
+        for (c, p), (d, _) in zip(loads, stores):
+            addrs += (c, p, d)
+        b.trace.emit_skeleton(skeleton, addrs, _ROW_TAKEN, site)
+        pc, pp, pd, vc, vp, rows = regs
+        pc.value = wrap64(cur + N * cstride)
+        pp.value = wrap64(pred + N * pstride)
+        pd.value = wrap64(dst + _BLOCK_BYTES)
+        vc.value, vp.value = diffs[-1], pred_bytes[-1][-1]
+        rows.value = 0
 
     def addblock8(self, pred: int, pstride: int, resid: int, dst: int,
                   dstride: int) -> None:
@@ -181,43 +294,50 @@ class ScalarStages:
     # --- quantization -----------------------------------------------------------------------
 
     def quant8(self, addr: int) -> None:
-        """In-place ``q = sign(x) * (|x| >> 4)`` over 64 int16 coefficients."""
+        """In-place ``q = sign(x) * (|x| >> 4)`` over 64 int16 coefficients.
+
+        Replayed (DESIGN.md section 5): the sign is restored by compare
+        and cmov, so after the first call with these registers each call
+        computes the values on Python ints with the body's arithmetic."""
         b = self.b
-        p, v, neg, sign, cnt = self.r[:5]
-        b.li(p, addr)
-        b.li(cnt, N)
+        regs = (*self.r[:5], self.z)
         site = b.site()
-        for row in range(N):
-            for x in range(N):
-                b.ldwu(v, p, 2 * x)
-                b.sextw(v, v)
-                b.mov(sign, v)
-                b.subq(neg, self.z, v)
-                b.cmovlt(v, v, neg)            # v = |x|
-                b.srl(v, v, QUANT_SHIFT)
-                b.subq(neg, self.z, v)
-                b.cmovlt(v, sign, neg)         # restore sign
-                b.stw(v, p, 2 * x)
-            b.addi(p, p, 2 * N)
-            b.subi(cnt, cnt, 1)
-            b.bne(cnt, site)
+        skeleton = replay(b, ("quant8",), regs,
+                          lambda: _quant_body(b, addr, regs, site))
+        if skeleton is None:
+            return
+        lo, xs = _coefficients(b, addr)
+        p, v, neg, sign, cnt, zero = regs
+        z = zero.value
+        out = []
+        for x in xs:
+            # |x| (cmovlt on x), shift, then the sign back (cmovlt on x).
+            shifted = (wrap64(z - x) if x < 0 else x) & _U64
+            shifted >>= QUANT_SHIFT
+            out.append(wrap64(z - shifted) if x < 0 else shifted)
+        _in_place(b, lo, out, skeleton, site)
+        p.value = wrap64(addr + _BLOCK_BYTES)
+        v.value, sign.value = out[-1], xs[-1]
+        neg.value = wrap64(z - shifted)
+        cnt.value = 0
 
     def dequant8(self, addr: int) -> None:
-        """In-place ``x = q << 4``."""
+        """In-place ``x = q << 4``; replayed like :meth:`quant8`."""
         b = self.b
-        p, v, cnt = self.r[:3]
-        b.li(p, addr)
-        b.li(cnt, N)
+        regs = self.r[:3]
         site = b.site()
-        for row in range(N):
-            for x in range(N):
-                b.ldwu(v, p, 2 * x)
-                b.sextw(v, v)
-                b.sll(v, v, QUANT_SHIFT)
-                b.stw(v, p, 2 * x)
-            b.addi(p, p, 2 * N)
-            b.subi(cnt, cnt, 1)
-            b.bne(cnt, site)
+        skeleton = replay(b, ("dequant8",), regs,
+                          lambda: _dequant_body(b, addr, regs, site))
+        if skeleton is None:
+            return
+        lo, xs = _coefficients(b, addr)
+        p, v, cnt = regs
+        # sll of an int16 never leaves 64 bits: no wrap to apply.
+        out = [x << QUANT_SHIFT for x in xs]
+        _in_place(b, lo, out, skeleton, site)
+        p.value = wrap64(addr + _BLOCK_BYTES)
+        v.value = out[-1]
+        cnt.value = 0
 
     # --- colour conversion -----------------------------------------------------------------------
 

@@ -56,10 +56,20 @@ _NOT_VECTORIZED = {
     "pextrh", "pinsrh",
 }
 
+#: MDMX restores an accumulator from media registers; MOM's copies of
+#: those opcodes restore it from integer registers.
+_RESTORED_FROM_INT = {
+    "wacl": "write accumulator low+middle thirds from two integer registers",
+    "wach": "write accumulator high third from an integer register",
+}
+
 for _shared in MDMX:
     if _shared.name in _NOT_VECTORIZED:
         continue
-    MOM.add(dataclasses.replace(_shared, isa="mom"))
+    MOM.add(dataclasses.replace(
+        _shared, isa="mom",
+        description=_RESTORED_FROM_INT.get(_shared.name,
+                                           _shared.description)))
 
 
 def _op(

@@ -20,7 +20,9 @@ What is shared, and why it is exact
   decode is numpy over the columns -- per-opcode tables gathered by op
   id, each distinct row shape's products built once -- and the rings
   are filled with ``tolist()`` slices; no per-row record object is
-  built, kept or cached, whatever the trace size.  Constants that depend
+  built, kept or cached, whatever the trace size.  A replayed call's
+  rows (the trace's call table) take slices of its skeleton's products,
+  built once per pass.  Constants that depend
   on an ablation knob are folded into per-knob ring *variants*, so lanes
   select a ring up front instead of re-testing knobs per instruction.
 * **Dependences.**  The reference core discovers producers dynamically
@@ -31,7 +33,9 @@ What is shared, and why it is exact
   plus a per-register table carried across blocks) filtered per lane by
   ``producer >= committed`` is the identical relation, and any producer
   further back than the largest ROB in the batch can never be in
-  flight, which bounds the edge distance.
+  flight, which bounds the edge distance.  Edges are kept as distances
+  (the producer of row ``i`` is ``i - d``), so every call of a skeleton
+  shares its rows' edge tuples.
 * **Branch outcomes.**  Fetch is strictly in program order, so the
   bimodal counters and BTB tags see a configuration-independent stream:
   per (bimodal, BTB) *size class* the mispredict/redirect outcome of
@@ -92,7 +96,7 @@ from time import perf_counter as _perf_counter
 
 import numpy as _np
 
-from ..emulib.trace import REG_LIMIT, Trace, ragged_tuples
+from ..emulib.trace import REG_LIMIT, RowSkeleton, Trace, ragged_tuples
 from ..isa.model import InstrClass, Opcode, RegPool
 from ..memsys.perfect import PerfectMemory
 from .core import Core, SimResult, TimingStats, checked_stack, _FAR_FUTURE
@@ -218,6 +222,28 @@ def _group_rows(columns):
     return first, ids
 
 
+def _writers(sreg, srow, wkey, span: int, writer, start: int):
+    """The latest earlier writer (absolute row) of each source operand
+    ``sreg`` at row ``srow``: the last destination before it in ``wkey``
+    -- destinations keyed ``reg * span + row``, sorted -- else
+    ``writer``.  A row that reads and writes a register reads the earlier
+    writer."""
+    if wkey.size and sreg.size:
+        skey = sreg * span
+        at = _np.searchsorted(wkey, skey + srow)
+        prev = wkey[at - 1]
+        mine = (at > 0) & (prev >= skey)
+        writer = _np.where(mine, start + prev - skey, writer)
+    return writer
+
+
+#: The rings filled with per-row op and SWAR products, in the order
+#: :meth:`_SharedDecode._products` returns them.
+_PRODUCT_RINGS = ("op_raw", "op_ac", "alloc_raw", "alloc_z", "chk",
+                  "smask_raw", "smask_z", "commit_if_raw", "commit_if_z",
+                  "rel_raw", "rel_z")
+
+
 def _zeroed(words: list, rows: list) -> list:
     """A copy of ``words`` with the entries at ``rows`` set to 0."""
     words = words.copy()
@@ -240,8 +266,8 @@ class _SharedDecode:
       accumulator chaining (latency 1 on eligible records)
     * ``addr`` / ``nbytes`` / ``stride`` -- the memory columns, as the
       memory models take them (0 on rows without an address)
-    * ``deps`` -- tuple of producer indices (static last-writer edges),
-      or ``None``
+    * ``deps`` -- tuple of producer distances (static last-writer edges:
+      the producer of row ``i`` is row ``i - d``), or ``None``
     * ``chains`` -- consumer chains on producers' element streams
     * ``ismem`` -- 0/1, for the horizon's LSQ-vs-rename disambiguation
     * SWAR charge rings, in raw / zero-idiom-elided variants:
@@ -258,8 +284,12 @@ class _SharedDecode:
     the rings are filled with ``tolist()`` slices, so they hold exactly
     the plain ints and tuples a per-record decode would.  Two products
     stay per-row Python: the predictor/BTB replay over control rows and
-    the ``deps`` tuples.  A memory row without an address raises
-    ``ValueError``.
+    the ``deps`` tuples.  The rows of a replayed call
+    (:attr:`~repro.emulib.trace.Trace.calls`) take their op, SWAR,
+    ``deps`` and ``chains`` values from its skeleton's products instead,
+    built on the skeleton's first call and kept for the pass; only its
+    rows that may depend on a row before the call decode their edges
+    here.  A memory row without an address raises ``ValueError``.
     """
 
     def __init__(self, trace: Trace, dep_cap: int, ctl_classes,
@@ -311,6 +341,14 @@ class _SharedDecode:
         self._zero = _np.array([m.op_name in Core.ZERO_IDIOMS
                                 for m in metas], dtype=bool)
         self._jump = _np.array([m.is_jump for m in metas], dtype=bool)
+        self._op_id = {id(op): k for k, op in enumerate(self.opcodes)}
+
+        # The trace's replayed calls, walked block by block, and the
+        # decode products of their skeletons: built on a skeleton's first
+        # call and kept for this pass only.
+        self._calls = trace.calls
+        self._next_call = 0
+        self._skeletons: dict[RowSkeleton, tuple] = {}
 
     def _shape(self, op_id: int, vl: int, counts) -> tuple:
         """The op and SWAR products of every row with this opcode, vector
@@ -373,8 +411,109 @@ class _SharedDecode:
             commit_if += lsq
         return op, op_ac, alloc, chk, smask, commit_if, rel
 
+    def _products(self, op, vl, counts) -> list[list]:
+        """The op and SWAR ring values of rows with these op ids, vector
+        lengths and destinations per pool, in the order of
+        :data:`_PRODUCT_RINGS`.  Rows with the same opcode, vector length
+        and destinations per pool share every product: each distinct
+        shape's products are built once and gathered."""
+        if not len(op):
+            return [[] for _ in _PRODUCT_RINGS]
+        vls, vl_id = _np.unique(vl, return_inverse=True)
+        first, shape = _group_rows(
+            [(op, len(self.opcodes)), (vl_id, len(vls))]
+            + [(counts[:, p], int(counts[:, p].max()) + 1)
+               for p in range(4)])
+        table = [self._shape(o, v, c) for o, v, c in zip(
+            op[first].tolist(), vl[first].tolist(),
+            counts[first].tolist())]
+        op_raw, op_ac, alloc, chk, smask, commit_if, rel = (
+            _np.fromiter(col, dtype=object, count=len(table))[shape].tolist()
+            for col in zip(*table))
+        # Elided zeroing idioms allocate nothing.
+        zero_rows = _np.flatnonzero(self._zero[op]).tolist()
+        if zero_rows:
+            zeroed = [_zeroed(words, zero_rows)
+                      for words in (alloc, smask, commit_if, rel)]
+        else:
+            zeroed = [alloc, smask, commit_if, rel]
+        return [op_raw, op_ac, alloc, zeroed[0], chk, smask, zeroed[1],
+                commit_if, zeroed[2], rel, zeroed[3]]
+
+    def _edges(self, op, vl, srow, writer, rows, start: int):
+        """Static last-writer edges of ``rows`` (ascending), whose source
+        operands, at rows ``srow``, have latest earlier writers ``writer``
+        (absolute, -1 for none): per row the tuple of producer distances
+        (``None`` for none) and the chain flag.  An edge longer than
+        ``dep_cap`` is dropped: no lane has that producer in flight."""
+        dist = start + srow - writer
+        edge = (writer >= 0) & (dist <= self.dep_cap)
+        ndeps = _np.bincount(srow[edge], minlength=len(op))[rows]
+        deps = ragged_tuples(_np.cumsum(ndeps) - ndeps, ndeps,
+                             dist[edge]).tolist()
+        chains = ((ndeps > 0) & (vl[rows] > 1)
+                  & self._chain_class[op[rows]]).tolist()
+        return deps, chains
+
+    def _skeleton(self, skeleton: RowSkeleton) -> tuple:
+        """A skeleton's decode products, built on its first call in this
+        pass: per row, the :data:`_PRODUCT_RINGS` values followed by the
+        deps and chain flags of its edges inside the call (as distances);
+        and the rows that may also have an edge to a row before the call
+        -- rows below ``dep_cap`` reading a register no earlier row of
+        the call writes -- which each call decodes again."""
+        products = self._skeletons.get(skeleton)
+        if products is not None:
+            return products
+        n = len(skeleton)
+        ids = _np.asarray([self._op_id[id(op)] for op in skeleton.opcodes],
+                          dtype=_np.intp)
+        op = ids[skeleton.index]
+        vl = _np.ones(n, dtype=_np.int64)
+        vl[skeleton.at_col] = skeleton.vl
+        rowno = _np.arange(n, dtype=_np.int64)
+        dreg = skeleton.dst.val.astype(_np.int64)
+        drow = _np.repeat(rowno, skeleton.dst.count)
+        counts = _np.bincount(drow * 4 + (dreg >> 8),
+                              minlength=4 * n).reshape(n, 4)
+        sreg = skeleton.src.val.astype(_np.int64)
+        srow = _np.repeat(rowno, skeleton.src.count)
+        writer = _writers(sreg, srow, _np.sort(dreg * (n + 1) + drow), n + 1,
+                          _np.full(len(sreg), -1, dtype=_np.int64), 0)
+        outside = _np.unique(srow[(writer < 0) & (srow < self.dep_cap)])
+        products = self._skeletons[skeleton] = (
+            self._products(op, vl, counts)
+            + list(self._edges(op, vl, srow, writer, rowno, 0)), outside)
+        return products
+
+    def _calls_in(self, start: int, stop: int) -> list[tuple]:
+        """The calls' rows in block ``[start, stop)``: per call, its
+        first and end block row, skeleton, first skeleton row, and the
+        block rows that decode their edges again."""
+        calls, c = self._calls, self._next_call
+        spans = []
+        while c < len(calls) and calls[c][0] < stop:
+            first, end, skeleton = calls[c]
+            lo, hi = max(first, start), min(end, stop)
+            if lo < hi:
+                outside = self._skeleton(skeleton)[1]
+                r0, r1 = lo - first, hi - first
+                again = outside[(outside >= r0) & (outside < r1)]
+                spans.append((lo - start, hi - start, skeleton, r0,
+                              again + (lo - start - r0)))
+            if end > stop:
+                break
+            c += 1
+        self._next_call = c
+        return spans
+
     def decode_block(self) -> None:
-        """Decode the next block of rows into the shared rings."""
+        """Decode the next block of rows into the shared rings.
+
+        A replayed call's rows take their skeleton's products (sliced,
+        built once per pass), except that its rows reading a register
+        from before the call decode their edges here; every other row is
+        decoded from the columns."""
         start = self.avail
         if start >= self.n:
             return
@@ -388,49 +527,37 @@ class _SharedDecode:
         rowno = _np.arange(m, dtype=_np.int64)
         dreg = blk.dst_val.astype(_np.int64)
         drow = _np.repeat(rowno, _np.diff(blk.dst_off))
+        sreg = blk.src_val.astype(_np.int64)
+        srow = _np.repeat(rowno, _np.diff(blk.src_off))
+        spans = self._calls_in(start, start + m)
+        if spans:
+            # Rows outside every call, and those plus the call rows that
+            # decode their edges again.
+            own = _np.ones(m, dtype=bool)
+            for lo, hi, _sk, _r0, _again in spans:
+                own[lo:hi] = False
+            edged = own.copy()
+            for span in spans:
+                edged[span[4]] = True
+            rows = _np.flatnonzero(own)
+            edge_rows = _np.flatnonzero(edged)
+            picked = edged[srow]
+            sreg, srow = sreg[picked], srow[picked]
+        else:
+            rows = edge_rows = rowno
 
-        # Rows with the same opcode, vector length and destinations per
-        # pool share every op and SWAR product: build each distinct shape
-        # once and gather the rings from the per-shape tables.
         counts = _np.bincount(drow * 4 + (dreg >> 8),
                               minlength=4 * m).reshape(m, 4)
-        vls, vl_id = _np.unique(vl, return_inverse=True)
-        first, shape = _group_rows(
-            [(op, len(self.opcodes)), (vl_id, len(vls))]
-            + [(counts[:, p], int(counts[:, p].max()) + 1)
-               for p in range(4)])
-        table = [self._shape(o, v, c) for o, v, c in zip(
-            op[first].tolist(), vl[first].tolist(),
-            counts[first].tolist())]
-        op_raw, op_ac, alloc, chk, smask, commit_if, rel = (
-            _np.fromiter(col, dtype=object, count=len(table))[shape].tolist()
-            for col in zip(*table))
+        products = self._products(op[rows], vl[rows], counts[rows])
         is_mem = kind == KIND_MEMORY
         lost = is_mem & ~blk.has_addr
         if lost.any():
             raise ValueError(f"memory row {start + int(lost.argmax())} "
                              "has no address")
-        self.op_raw[base:end] = op_raw
-        self.op_ac[base:end] = op_ac
         self.ismem[base:end] = is_mem.astype(_np.int8).tolist()
         self.addr[base:end] = blk.addr.tolist()
         self.nbytes[base:end] = blk.nbytes.tolist()
         self.stride[base:end] = blk.stride.tolist()
-        self.alloc_raw[base:end] = alloc
-        self.chk[base:end] = chk
-        self.smask_raw[base:end] = smask
-        self.commit_if_raw[base:end] = commit_if
-        self.rel_raw[base:end] = rel
-        # Elided zeroing idioms allocate nothing.
-        zero_rows = _np.flatnonzero(self._zero[op]).tolist()
-        if zero_rows:
-            alloc, smask, commit_if, rel = (
-                _zeroed(words, zero_rows)
-                for words in (alloc, smask, commit_if, rel))
-        self.alloc_z[base:end] = alloc
-        self.smask_z[base:end] = smask
-        self.commit_if_z[base:end] = commit_if
-        self.rel_z[base:end] = rel
 
         # Static last-writer edges: each source operand's latest earlier
         # writer, found in this block by a search over its destinations
@@ -438,35 +565,59 @@ class _SharedDecode:
         lw = self.last_writer
         span = m + 1
         wkey = _np.sort(dreg * span + drow)
-        sreg = blk.src_val.astype(_np.int64)
-        srow = _np.repeat(rowno, _np.diff(blk.src_off))
-        writer = lw[sreg]
-        if wkey.size and sreg.size:
-            skey = sreg * span
-            at = _np.searchsorted(wkey, skey + srow)
-            prev = wkey[at - 1]
-            mine = (at > 0) & (prev >= skey)
-            writer = _np.where(mine, start + prev - skey, writer)
-        edge = (writer >= 0) & (start + srow - writer <= self.dep_cap)
-        ndeps = _np.bincount(srow[edge], minlength=m)
-        self.deps[base:end] = ragged_tuples(
-            _np.cumsum(ndeps) - ndeps, ndeps, writer[edge]).tolist()
-        self.chains[base:end] = ((ndeps > 0) & (vl > 1)
-                                 & self._chain_class[op]).tolist()
+        writer = _writers(sreg, srow, wkey, span, lw[sreg], start)
+        deps, chains = self._edges(op, vl, srow, writer, edge_rows, start)
         if wkey.size:
             wreg = wkey // span
             last = _np.ones(len(wkey), dtype=bool)
             last[:-1] = wreg[1:] != wreg[:-1]
             lw[wreg[last]] = start + (wkey - wreg * span)[last]
 
-        # Predictor/BTB replay: scalar, over the control rows only.
+        self._fill(products, deps, chains, spans, base, m)
+        self._predict(kind, op, blk, base, start, m)
+        self.avail = start + m
+
+    def _fill(self, products, deps, chains, spans, base: int,
+              m: int) -> None:
+        """Fill a block's rings in row order: the rows outside every call
+        from ``products`` (and ``deps``/``chains``, which also hold the
+        call rows that decoded their edges again) and, per call, its
+        skeleton's values with those rows patched in."""
+        rings = [getattr(self, name) for name in _PRODUCT_RINGS]
+        g_deps, g_chains = self.deps, self.chains
+        g = e = prev = 0            # cursors: own rows, edge rows, block row
+        for lo, hi, skeleton, r0, again in spans + [(m, m, None, 0, None)]:
+            if lo > prev:
+                k = lo - prev
+                own = [values if k == len(values) else values[g:g + k]
+                       for values in products + [deps[e:e + k],
+                                                 chains[e:e + k]]]
+                for ring, values in zip(rings + [g_deps, g_chains], own):
+                    ring[base + prev:base + lo] = values
+                g += k
+                e += k
+            if skeleton is None:
+                break
+            values = self._skeletons[skeleton][0]
+            if hi - lo < len(skeleton):     # a call the block cuts
+                values = [v[r0:r0 + hi - lo] for v in values]
+            for ring, v in zip(rings + [g_deps, g_chains], values):
+                ring[base + lo:base + hi] = v
+            for row in again.tolist():
+                g_deps[base + row] = deps[e]
+                g_chains[base + row] = chains[e]
+                e += 1
+            prev = hi
+
+    def _predict(self, kind, op, blk, base: int, start: int, m: int) -> None:
+        """Predictor/BTB replay: scalar, over the control rows only."""
         ctl = _np.flatnonzero(kind == KIND_CONTROL)
         ctl_rows = list(zip(ctl.tolist(), self._jump[op[ctl]].tolist(),
                             blk.site[ctl].tolist(), blk.taken_at(ctl)))
         zeros = self._zeros
         for st in self.ctl.values():
             ring = st.ring
-            ring[base:end] = zeros[:m]
+            ring[base:base + m] = zeros[:m]
             pos_idx, pos_code = st.pos_idx, st.pos_code
             counters, bmask = st.counters, st.bmask
             tags, btbmask, btbdiv = st.tags, st.btbmask, st.btbdiv
@@ -515,7 +666,6 @@ class _SharedDecode:
             st.lookups = lookups
             st.mispredicts = mispred
             st.btb_misses = bmiss
-        self.avail = start + m
 
 
 class _LaneState:
@@ -941,7 +1091,8 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
             pending = 0
             base = next_cycle
             chaining = g_chains[gs]
-            for j in deps:
+            for d in deps:
+                j = i - d
                 if j >= committed:          # producer still in flight
                     js = j & wmask
                     c = e_completion[js]

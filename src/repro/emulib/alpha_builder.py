@@ -40,6 +40,25 @@ def replay(b: BaseBuilder, shape: tuple, regs, body) -> RowSkeleton | None:
     return skeleton
 
 
+def reads_written(reads, writes) -> bool:
+    """Whether a step of an emitter's body reads a byte an earlier step
+    wrote.  ``reads[k]`` and ``writes[k]`` hold the byte addresses step
+    ``k`` reads and then writes.  A replay that reads all its inputs
+    before it writes any output computes what the body would only when
+    no step does."""
+    written = [a for step in writes for a in step]
+    read = [a for step in reads for a in step]
+    if (not written or not read or max(written) < min(read)
+            or min(written) > max(read)):
+        return False
+    first: dict[int, int] = {}
+    for k, step in enumerate(writes):
+        for a in step:
+            first.setdefault(a, k)
+    return any(first.get(a, k) < k
+               for k, step in enumerate(reads) for a in step)
+
+
 def emit_abs_diff(b: BaseBuilder, dst: RegHandle, x: RegHandle, y: RegHandle,
                   scratch: RegHandle) -> RegHandle:
     """Emit ``dst = |x - y|`` with the branch-free sub/sub/cmovlt idiom.

@@ -23,7 +23,10 @@ appends each emitted instruction's canonical fields to the staging lists
 :meth:`Trace.emit_skeleton`, appends the rows of a :class:`RowSkeleton`
 -- the rows one replayed emitter call wrote, recorded by
 :meth:`Trace.skeleton` -- with a later call's addresses, branch outcomes
-and site filled in, and leaves the store as per-row ``emit`` would.  A
+and site filled in.  It stages a reference to the skeleton's rows, which
+the skeleton also keeps encoded as columns, so sealing copies them with
+numpy; it leaves the store as per-row ``emit`` would, and records the
+call in the trace's call table (:attr:`Trace.calls`) for the decode.  A
 sealed chunk keeps that layout in numpy form -- per row an opcode id and
 two operand counts, the operands in row order, and the scalar fields
 only for the rows that carry any -- at 12-17 bytes per row on the
@@ -71,6 +74,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -205,52 +209,251 @@ def _rows(op, srcs, dsts, extra, first=0):
             yield head + _PLAIN
 
 
-class _Stage:
-    """Staging tail: plain lists for the not-yet-sealed rows.
+class _Call:
+    """Rows ``[lo, hi)`` of a :class:`RowSkeleton` in the staging tail:
+    what one :meth:`Trace.emit_skeleton` write stages instead of tuples.
 
-    ``op``, ``srcs`` and ``dsts`` hold one entry per row.  The six scalar
-    fields (``addr``, ``nbytes``, ``stride``, ``vl``, ``taken``, ``site``)
-    are sparse: a row that carries any of them -- a memory access, a
-    branch, a MOM row with a VL -- adds one ``(row, addr, nbytes, stride,
-    vl, taken, site)`` tuple to ``extra``; every other row has the
-    defaults :data:`_PLAIN`.  Values are canonical Python objects exactly
-    as a :class:`DynInstr` would hold them (``addr``/``taken`` keep their
-    ``None``), so reads from the tail need no decoding and sealing is one
-    bulk conversion.
+    ``s`` is the tail row of its first row and ``j`` the number of
+    per-row-written rows staged before it.  ``op`` is the skeleton's op
+    id column in the trace's ids; ``addrs``, ``taken`` and ``site`` are
+    the call's values for the memory and branch rows in ``[lo, hi)``.
     """
 
-    __slots__ = ("op", "srcs", "dsts", "extra")
+    __slots__ = ("s", "j", "skeleton", "lo", "hi", "op", "addrs", "taken",
+                 "site")
 
-    def __init__(self) -> None:
+    def __init__(self, s: int, j: int, skeleton: "RowSkeleton", lo: int,
+                 hi: int, op: np.ndarray, addrs: list, taken: list,
+                 site: int) -> None:
+        self.s = s
+        self.j = j
+        self.skeleton = skeleton
+        self.lo = lo
+        self.hi = hi
+        self.op = op
+        self.addrs = addrs
+        self.taken = taken
+        self.site = site
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def head(self, keep: int) -> "_Call":
+        """This call cut to its first ``keep`` rows."""
+        hi = self.lo + keep
+        addresses, branches = self.skeleton.fields(self.lo, hi)
+        return _Call(self.s, self.j, self.skeleton, self.lo, hi, self.op,
+                     self.addrs[:addresses], self.taken[:branches], self.site)
+
+    def row(self, r: int) -> tuple:
+        """Its ``r``-th row as a canonical tuple (op an id)."""
+        sk = self.skeleton
+        q = self.lo + r
+        head = (int(self.op[q]), sk.srcs[q], sk.dsts[q])
+        k = bisect_left(sk.at, q)
+        if k == len(sk.at) or sk.at[k] != q:
+            return head + _PLAIN
+        nbytes, stride, vl, branch = sk.kinds[k]
+        k_lo = bisect_left(sk.at, self.lo)
+        b = int(sk.branch_before[k] - sk.branch_before[k_lo])
+        if branch:
+            return head + (None, 0, 0, 1, self.taken[b], self.site)
+        return head + (self.addrs[k - k_lo - b], nbytes, stride, vl, None, 0)
+
+    def sparse(self) -> list[np.ndarray]:
+        """The columns of its sparse rows, as :meth:`_Stage.columns` lists
+        them (``at`` as tail rows)."""
+        sk = self.skeleton
+        k_lo, k_hi = bisect_left(sk.at, self.lo), bisect_left(sk.at, self.hi)
+        branch = sk.branch[k_lo:k_hi]
+        memory = ~branch
+        addr = np.zeros(k_hi - k_lo, dtype=np.uint64)
+        try:
+            addr[memory] = np.fromiter(self.addrs, dtype=np.uint64,
+                                       count=len(self.addrs))
+        except OverflowError as exc:
+            raise ValueError(f"addr value out of range: {exc}") from None
+        taken = np.full(k_hi - k_lo, _TAKEN_ENCODE[None], dtype=np.int8)
+        taken[branch] = np.fromiter(self.taken, dtype=np.int8,
+                                    count=len(self.taken))
+        site = np.where(branch, _wide((self.site,), "site")[0], 0)
+        return [sk.at_col[k_lo:k_hi] + (self.s - self.lo), memory, addr,
+                sk.nbytes[k_lo:k_hi], sk.stride[k_lo:k_hi], sk.vl[k_lo:k_hi],
+                taken, site]
+
+    def rows(self):
+        """Its rows as canonical tuples (op an id), numbered from ``lo``."""
+        sk = self.skeleton
+        lo, hi = self.lo, self.hi
+        k_lo, k_hi = bisect_left(sk.at, lo), bisect_left(sk.at, hi)
+        return _rows(self.op[lo:hi].tolist(), sk.srcs[lo:hi], sk.dsts[lo:hi],
+                     _fill(sk.at[k_lo:k_hi], sk.kinds[k_lo:k_hi], 0,
+                           iter(self.addrs), iter(self.taken), self.site), lo)
+
+
+def _call_start(call: _Call) -> int:
+    return call.s
+
+
+class _Stage:
+    """Staging tail: the not-yet-sealed rows.
+
+    Rows :meth:`Trace.emit` writes sit in plain lists: ``op``, ``srcs``
+    and ``dsts`` hold one entry per row.  The six scalar fields
+    (``addr``, ``nbytes``, ``stride``, ``vl``, ``taken``, ``site``) are
+    sparse: a row that carries any of them -- a memory access, a branch,
+    a MOM row with a VL -- adds one ``(j, addr, nbytes, stride, vl,
+    taken, site)`` tuple to ``extra``, ``j`` its index in those lists;
+    every other row has the defaults :data:`_PLAIN`.  Values are
+    canonical Python objects exactly as a :class:`DynInstr` would hold
+    them (``addr``/``taken`` keep their ``None``), so reads from the tail
+    need no decoding.
+
+    Rows :meth:`Trace.emit_skeleton` writes are staged as references,
+    ``calls`` (:class:`_Call`, ascending), each sitting before the
+    per-row row ``j`` it names.  ``called`` counts their rows, and
+    ``limit`` is the number of per-row rows at which the tail is full.
+    Sealing (:meth:`columns`) converts the per-row rows' tuples and
+    slices the calls' rows out of their skeletons' columns.
+    """
+
+    __slots__ = ("op", "srcs", "dsts", "extra", "calls", "called", "limit")
+
+    def __init__(self, chunk_rows: int) -> None:
         self.op: list[int] = []
         self.srcs: list[tuple[int, ...]] = []
         self.dsts: list[tuple[int, ...]] = []
         self.extra: list[tuple] = []        # ascending by row
+        self.calls: list[_Call] = []
+        self.called = 0
+        self.limit = chunk_rows
 
     def __len__(self) -> int:
-        return len(self.op)
+        return len(self.op) + self.called
+
+    def _seek(self, i: int) -> tuple[int, int]:
+        """``(c, j)`` for tail row ``i``: the calls that start at or
+        before it, and -- unless ``i`` lies inside call ``c - 1`` --
+        the per-row index of row ``i`` (else -1)."""
+        calls = self.calls
+        c = bisect_right(calls, i, key=_call_start)
+        if not c:
+            return 0, i
+        call = calls[c - 1]
+        end = call.s + len(call)
+        return c, (call.j + i - end if i >= end else -1)
 
     def truncate(self, keep: int) -> None:
-        del self.op[keep:]
-        del self.srcs[keep:]
-        del self.dsts[keep:]
-        del self.extra[bisect_left(self.extra, keep, key=_extra_row):]
+        calls = self.calls
+        c = bisect_left(calls, keep, key=_call_start)
+        del calls[c:]
+        _, j = self._seek(keep)
+        if j < 0:                           # cut inside the last call
+            last = calls[-1]
+            calls[-1] = last.head(keep - last.s)
+            j = last.j
+        called = sum(map(len, calls))
+        self.limit += self.called - called
+        self.called = called
+        del self.op[j:]
+        del self.srcs[j:]
+        del self.dsts[j:]
+        del self.extra[bisect_left(self.extra, j, key=_extra_row):]
 
     def row(self, i: int) -> tuple:
+        c, j = self._seek(i)
+        if j < 0:
+            call = self.calls[c - 1]
+            return call.row(i - call.s)
         extra = self.extra
-        k = bisect_left(extra, i, key=_extra_row)
-        fields = (extra[k][1:] if k < len(extra) and extra[k][0] == i
+        k = bisect_left(extra, j, key=_extra_row)
+        fields = (extra[k][1:] if k < len(extra) and extra[k][0] == j
                   else _PLAIN)
-        return (self.op[i], self.srcs[i], self.dsts[i]) + fields
+        return (self.op[j], self.srcs[j], self.dsts[j]) + fields
 
     def iter_rows(self, start: int = 0):
-        """Rows ``start`` onward.  From row 0 the reader walks the live
-        lists, so it also yields rows appended while it walks them."""
-        if not start:
-            return _rows(self.op, self.srcs, self.dsts, self.extra)
-        k = bisect_left(self.extra, start, key=_extra_row)
-        return _rows(self.op[start:], self.srcs[start:], self.dsts[start:],
-                     self.extra[k:], start)
+        """Rows ``start`` onward.  The reader walks the live lists, so it
+        also yields rows -- per-row or call rows -- appended while it
+        walks them."""
+        op, srcs, dsts = self.op, self.srcs, self.dsts
+        extra, calls = self.extra, self.calls
+        c, j = self._seek(start)
+        if j < 0:
+            call = calls[c - 1]
+            yield from islice(call.rows(), start - call.s, None)
+            j = call.j
+        k = bisect_left(extra, j, key=_extra_row)
+        while True:
+            if c < len(calls) and calls[c].j == j:
+                yield from calls[c].rows()
+                c += 1
+            elif j < len(op):
+                if k < len(extra) and extra[k][0] == j:
+                    yield (op[j], srcs[j], dsts[j]) + extra[k][1:]
+                    k += 1
+                else:
+                    yield (op[j], srcs[j], dsts[j]) + _PLAIN
+                j += 1
+            else:
+                return
+
+    def columns(self) -> tuple:
+        """The tail's rows as columns, in row order: ``op``, the source
+        and destination ``(count, val)`` pairs, then the sparse rows'
+        ``at``, ``has_addr``, ``addr``, ``nbytes``, ``stride``, ``vl``,
+        ``taken`` and ``site``.  Per-row rows are converted from their
+        tuples, call rows sliced out of their skeletons' columns.  A value
+        no column can hold raises ``ValueError`` naming the column,
+        columns checked in that order."""
+        calls = self.calls
+        js = [call.j for call in calls]
+
+        def merged(rowwise, cuts, part):
+            # The per-row values up to each call's cut, then the call's.
+            pieces, prev = [], 0
+            for call, cut in zip(calls, cuts):
+                pieces += (rowwise[prev:cut], part(call))
+                prev = cut
+            pieces.append(rowwise[prev:])
+            return np.concatenate(pieces) if calls else rowwise
+
+        op = merged(np.asarray(self.op, dtype=np.int64), js,
+                    lambda call: call.op[call.lo:call.hi])
+        operands = []
+        for tuples, name in ((self.srcs, "src"), (self.dsts, "dst")):
+            count, val = _operand_columns(tuples)
+            off = np.concatenate(([0], np.cumsum(count)))
+            operands.append((
+                merged(count, js, lambda call, name=name: getattr(
+                    call.skeleton, name).count[call.lo:call.hi]),
+                _checked(merged(val, off[js], lambda call, name=name: (
+                    getattr(call.skeleton, name).slice(call.lo, call.hi))))))
+
+        extra = self.extra
+        at, addr, nbytes, stride, vl, taken, site = (
+            zip(*extra) if extra else ((),) * 7)
+        at = np.asarray(at, dtype=np.int64)
+        addr = np.array(addr, dtype=object)
+        has_addr = np.not_equal(addr, None)
+        addr[~has_addr] = 0
+        try:
+            addr = addr.astype(np.uint64)
+        except OverflowError as exc:
+            raise ValueError(f"addr value out of range: {exc}") from None
+        taken = np.fromiter(map(_TAKEN_ENCODE.__getitem__, taken),
+                            dtype=np.int8, count=len(at))
+        sparse = [at, has_addr, addr, _wide(nbytes, "nbytes"),
+                  _wide(stride, "stride"), _wide(vl, "vl"), taken,
+                  _wide(site, "site")]
+        if calls:
+            # Per-row rows move down by the call rows staged before them.
+            ends = np.cumsum([0] + [len(call) for call in calls])
+            at += ends[np.searchsorted(js, at, side="right")]
+            spans = {call: call.sparse() for call in calls}
+            cuts = np.searchsorted(sparse[0], [call.s for call in calls])
+            sparse = [merged(column, cuts, lambda call, f=f: spans[call][f])
+                      for f, column in enumerate(sparse)]
+        return (op, *operands, *sparse)
 
 
 def _fill(at, kinds, shift: int, addrs, taken, site: int) -> list[tuple]:
@@ -267,21 +470,31 @@ class RowSkeleton:
 
     Recorded from the rows a call wrote (:meth:`Trace.skeleton`) and
     written again by :meth:`Trace.emit_skeleton`.  ``opcodes`` holds the
-    distinct opcodes in first-appearance order, ``srcs`` and ``dsts``
-    every row's operands (equal tuples shared).  ``at`` lists, ascending,
-    the rows that carry scalar fields and ``kinds`` their ``(nbytes,
-    stride, vl, branch)``: a memory row takes its address from the call;
-    a branch row (``branch`` true, the other three at their defaults)
-    takes its outcome and site from the call.  ``addresses`` and
-    ``branches`` count the two kinds.  A row that carries any other mix
-    of scalar fields cannot be replayed and raises ``ValueError``.
+    distinct opcodes in first-appearance order and ``index`` every row's
+    position in it; ``srcs`` and ``dsts`` hold every row's operands
+    (equal tuples shared).  ``at`` lists, ascending, the rows that carry
+    scalar fields and ``kinds`` their ``(nbytes, stride, vl, branch)``: a
+    memory row takes its address from the call; a branch row (``branch``
+    true, the other three at their defaults) takes its outcome and site
+    from the call.  ``addresses`` and ``branches`` count the two kinds.
+    A row that carries any other mix of scalar fields, an operand outside
+    ``[0, REG_LIMIT)`` or a value no column can hold cannot be replayed
+    and raises ``ValueError``.
+
+    The same rows are also kept encoded, as a sealed chunk holds them, so
+    sealing copies them with numpy: ``src``/``dst`` (:class:`_Operands`),
+    ``at_col`` and the sparse rows' ``nbytes``, ``stride``, ``vl`` and
+    ``branch`` columns, and (:meth:`op_column`) every row's op id in the
+    trace written last.  ``branch_before[k]`` counts the branch rows
+    among the first ``k`` sparse rows.
 
     A skeleton outlives the build that recorded it (its builder keeps
     it), so it holds one copy of each operand tuple and of each kind.
     """
 
-    __slots__ = ("opcodes", "srcs", "dsts", "at", "kinds", "addresses",
-                 "branches", "_ids", "_op_ids")
+    __slots__ = ("opcodes", "index", "srcs", "dsts", "at", "kinds",
+                 "addresses", "branches", "src", "dst", "at_col", "nbytes",
+                 "stride", "vl", "branch", "branch_before", "_ids", "_op_col")
 
     def __init__(self, rows) -> None:
         """``rows``: canonical ``(op, srcs, dsts, addr, nbytes, stride,
@@ -291,17 +504,19 @@ class RowSkeleton:
         shared_kinds: dict[tuple, tuple] = {}     # apart: False == 0
         self.opcodes: list[Opcode] = []
         op_index, srcs, dsts, at, kinds = [], [], [], [], []
-        for i, (op, src, dst, *scalar) in enumerate(rows):
+        for i, row in enumerate(rows):
+            op = row[0]
             k = index.get(id(op))
             if k is None:
                 k = index[id(op)] = len(self.opcodes)
                 self.opcodes.append(op)
             op_index.append(k)
-            srcs.append(operands.setdefault(src, src))
-            dsts.append(operands.setdefault(dst, dst))
-            addr, nbytes, stride, vl, taken, site = scalar
-            if tuple(scalar) == _PLAIN:
+            srcs.append(operands.setdefault(row[1], row[1]))
+            dsts.append(operands.setdefault(row[2], row[2]))
+            scalar = row[3:]
+            if scalar == _PLAIN:
                 continue
+            addr, nbytes, stride, vl, taken, site = scalar
             if addr is not None and taken is None and not site:
                 kind = (nbytes, stride, vl, False)
             elif taken is not None and (addr, nbytes, stride, vl) == (
@@ -312,35 +527,57 @@ class RowSkeleton:
                                  "row but carries scalar fields")
             at.append(i)
             kinds.append(shared_kinds.setdefault(kind, kind))
+        self.index = np.asarray(op_index, dtype=np.int32)
         self.srcs = tuple(srcs)
         self.dsts = tuple(dsts)
         self.at = tuple(at)
         self.kinds = tuple(kinds)
-        self.branches = sum(kind[-1] for kind in kinds)
+        for name, tuples in (("src", self.srcs), ("dst", self.dsts)):
+            count, val = _operand_columns(tuples)
+            setattr(self, name, _Operands.fit(count, _checked(val)))
+        self.at_col = np.asarray(at, dtype=np.int64)
+        nbytes, stride, vl, branch = zip(*kinds) if kinds else ((),) * 4
+        self.nbytes = _fit(_wide(nbytes, "nbytes"), np.int16, np.int64,
+                           "nbytes")
+        self.stride = _fit(_wide(stride, "stride"), np.int32, np.int64,
+                           "stride")
+        self.vl = _fit(_wide(vl, "vl"), np.int16, np.int64, "vl")
+        self.branch = np.asarray(branch, dtype=bool)
+        self.branch_before = np.concatenate(
+            ([0], np.cumsum(self.branch, dtype=np.int64)))
+        self.branches = int(self.branch_before[-1])
         self.addresses = len(kinds) - self.branches
-        # Every row's op id in the trace written last, and the ids of
-        # ``opcodes`` there: first the positions in ``opcodes``.
-        self._ids = tuple(range(len(self.opcodes)))
-        self._op_ids = tuple(op_index)
+        self._ids: tuple[int, ...] | None = None
+        self._op_col: np.ndarray | None = None
 
-    def op_ids(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+    def __len__(self) -> int:
+        return len(self.srcs)
+
+    def op_column(self, ids: tuple[int, ...]) -> np.ndarray:
         """Every row's op id, given a trace's id for each of ``opcodes``
         (kept until another trace's ids differ: calls keep writing to
-        one trace)."""
+        one trace, and a staged call holds the array it was given)."""
         if ids != self._ids:
-            relabel = dict(zip(self._ids, ids))
-            self._op_ids = tuple(map(relabel.__getitem__, self._op_ids))
+            self._op_col = np.asarray(ids, dtype=np.int32)[self.index]
             self._ids = ids
-        return self._op_ids
+        return self._op_col
+
+    def fields(self, lo: int, hi: int) -> tuple[int, int]:
+        """The memory and branch rows among rows ``[lo, hi)``."""
+        if not lo and hi == len(self):
+            return self.addresses, self.branches
+        k_lo, k_hi = bisect_left(self.at, lo), bisect_left(self.at, hi)
+        branches = int(self.branch_before[k_hi] - self.branch_before[k_lo])
+        return k_hi - k_lo - branches, branches
 
     def rows(self, addrs, taken, site: int):
         """The rows as canonical tuples, ``op`` an :class:`Opcode`, with
         one call's addresses, branch outcomes and site filled in: the rows
         :meth:`Trace.emit_skeleton` appends."""
-        opcode = dict(zip(self._ids, self.opcodes))
-        return _rows([opcode[i] for i in self._op_ids], self.srcs, self.dsts,
-                     _fill(self.at, self.kinds, 0, iter(addrs), iter(taken),
-                           site))
+        ops = self.opcodes
+        return _rows([ops[k] for k in self.index.tolist()], self.srcs,
+                     self.dsts, _fill(self.at, self.kinds, 0, iter(addrs),
+                                      iter(taken), site))
 
 
 def ragged_tuples(starts, counts, values) -> np.ndarray:
@@ -361,9 +598,19 @@ def ragged_tuples(starts, counts, values) -> np.ndarray:
     return out
 
 
-def _fit(values, small: np.dtype, wide: np.dtype,
+def _wide(values, name: str) -> np.ndarray:
+    """Python ints as an int64 column; a value int64 cannot hold raises
+    ``ValueError`` naming the column ``name``."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{name} value out of range: {exc}") from None
+
+
+def _fit(arr: np.ndarray, small: np.dtype, wide: np.dtype,
          name: str) -> np.ndarray:
-    """A column in its compact dtype, widened only when a value demands it.
+    """An integer column in its compact dtype, widened only when a value
+    demands it.
 
     Almost every row fits the compact form (nbytes <= 8, strides within a
     frame, VL <= matrix rows, a few operands); the wide fallback keeps
@@ -371,17 +618,40 @@ def _fit(values, small: np.dtype, wide: np.dtype,
     the common case.  A value outside even the wide dtype raises
     ``ValueError`` naming the column ``name``.
     """
-    try:
-        arr = np.asarray(values, dtype=wide)
-    except OverflowError as exc:
-        raise ValueError(f"{name} value out of range: {exc}") from None
     if arr.size == 0:
         return arr.astype(small)
-    info = np.iinfo(small)
     lo, hi = int(arr.min()), int(arr.max())
+    info = np.iinfo(small)
     if lo >= info.min and hi <= info.max:
         return arr.astype(small)
-    return arr
+    info = np.iinfo(wide)
+    if lo < info.min or hi > info.max:
+        raise ValueError(f"{name} value out of range: "
+                         f"{lo if lo < info.min else hi}")
+    return arr.astype(wide)
+
+
+def _operand_columns(tuples) -> tuple[np.ndarray, np.ndarray]:
+    """Operand tuples as int64 ``(count, val)`` columns."""
+    count = np.fromiter(map(len, tuples), dtype=np.int64, count=len(tuples))
+    try:
+        val = np.fromiter(chain.from_iterable(tuples), dtype=np.int64,
+                          count=int(count.sum()))
+    except OverflowError as exc:
+        raise ValueError(f"register operand out of range: {exc}") from None
+    return count, val
+
+
+def _checked(val: np.ndarray) -> np.ndarray:
+    """``val``, once every operand lies in ``[0, REG_LIMIT)``: an operand
+    outside names no register and raises ``ValueError`` (consumers index
+    per-register tables with these values)."""
+    if val.size:
+        bad = (val < 0) | (val >= REG_LIMIT)
+        if bad.any():
+            raise ValueError(f"register operand {int(val[bad][0])} outside "
+                             f"[0, {REG_LIMIT})")
+    return val
 
 
 class _Operands:
@@ -405,23 +675,9 @@ class _Operands:
             np.cumsum(count, dtype=np.int64)[_MARK - 1::_MARK]))
 
     @classmethod
-    def from_tuples(cls, tuples: list[tuple[int, ...]]) -> "_Operands":
-        """Seal staged operand tuples.  An operand outside ``[0,
-        REG_LIMIT)`` names no register and raises ``ValueError``:
-        consumers index per-register tables with these values."""
-        count = np.fromiter(map(len, tuples), dtype=np.int64,
-                            count=len(tuples))
-        try:
-            val = np.fromiter(chain.from_iterable(tuples), dtype=np.int64,
-                              count=int(count.sum()))
-        except OverflowError as exc:
-            raise ValueError(f"register operand out of range: {exc}") from None
-        if val.size:
-            bad = (val < 0) | (val >= REG_LIMIT)
-            if bad.any():
-                raise ValueError(
-                    f"register operand {int(val[bad][0])} outside "
-                    f"[0, {REG_LIMIT})")
+    def fit(cls, count: np.ndarray, val: np.ndarray) -> "_Operands":
+        """Int64 ``(count, val)`` columns, ``val`` :func:`_checked`, in
+        their compact dtypes."""
         return cls(_fit(count, np.uint8, np.int64, "operand count"),
                    val.astype(np.int16))
 
@@ -431,14 +687,17 @@ class _Operands:
         return (int(self.mark[i // _MARK])
                 + sum(self.count[i - i % _MARK:i].tolist()))
 
+    def slice(self, lo: int, hi: int) -> np.ndarray:
+        """The operands of rows ``[lo, hi)``."""
+        return self.val[self.offset(lo):self.offset(hi)]
+
     def row(self, i: int) -> tuple[int, ...]:
         start = self.offset(i)
         return tuple(self.val[start:start + int(self.count[i])].tolist())
 
     def rows(self, lo: int, hi: int) -> "_Operands":
         """Rows ``[lo, hi)``: counts and values share storage."""
-        return _Operands(self.count[lo:hi],
-                         self.val[self.offset(lo):self.offset(hi)])
+        return _Operands(self.count[lo:hi], self.slice(lo, hi))
 
     def tuples(self) -> list[tuple[int, ...]]:
         """Every row's operand tuple."""
@@ -483,26 +742,17 @@ class _Chunk:
 
     def __init__(self, stage: _Stage) -> None:
         n = self.n = len(stage)
-        self.op = _fit(stage.op, np.int16, np.int32, "op")
-        self.src = _Operands.from_tuples(stage.srcs)
-        self.dst = _Operands.from_tuples(stage.dsts)
-        at, addr, nbytes, stride, vl, taken, site = (
-            zip(*stage.extra) if stage.extra else ((),) * 7)
+        (op, (src_count, src_val), (dst_count, dst_val), at, self.has_addr,
+         self.addr, nbytes, stride, vl, self.taken, site) = stage.columns()
+        self.op = _fit(op, np.int16, np.int32, "op")
+        self.src = _Operands.fit(src_count, src_val)
+        self.dst = _Operands.fit(dst_count, dst_val)
         # Row numbers fit uint16 in a chunk of at most 65536 rows, and
         # stay re-basable (see ``rows``) in any chunk.
-        self.at = np.array(at, dtype=np.uint16 if n <= 1 << 16 else np.int64)
-        addr = np.array(addr, dtype=object)
-        self.has_addr = np.not_equal(addr, None)
-        addr[~self.has_addr] = 0
-        try:
-            self.addr = addr.astype(np.uint64)
-        except OverflowError as exc:
-            raise ValueError(f"addr value out of range: {exc}") from None
+        self.at = at.astype(np.uint16 if n <= 1 << 16 else np.int64)
         self.nbytes = _fit(nbytes, np.int16, np.int64, "nbytes")
         self.stride = _fit(stride, np.int32, np.int64, "stride")
         self.vl = _fit(vl, np.int16, np.int64, "vl")
-        self.taken = np.fromiter(map(_TAKEN_ENCODE.__getitem__, taken),
-                                 dtype=np.int8, count=len(self.at))
         self.site = _fit(site, np.int32, np.int64, "site")
 
     def rows(self, lo: int, hi: int) -> "_Chunk":
@@ -642,10 +892,14 @@ class Trace:
     :meth:`extend` / :meth:`truncate` -- invalidates the cache (rows only
     grow at the end, so a cached summary is stale once the length
     differs; :meth:`truncate` drops it).
+
+    The trace also keeps a call table (:attr:`calls`): where each
+    :meth:`emit_skeleton` write put its skeleton's rows, so a consumer
+    can decode a skeleton once for all its calls.
     """
 
     __slots__ = ("isa", "_ops", "_op_ids", "_chunks", "_chunk_ends",
-                 "_stage", "_sealed", "_chunk_rows", "_summary")
+                 "_stage", "_sealed", "_chunk_rows", "_summary", "_calls")
 
     def __init__(self, isa: str, *, chunk_rows: int = CHUNK_ROWS) -> None:
         if chunk_rows < 1:
@@ -655,10 +909,11 @@ class Trace:
         self._op_ids: dict[int, int] = {}       # id(Opcode) -> op id
         self._chunks: list[_Chunk] = []
         self._chunk_ends: list[int] = []        # cumulative rows per chunk
-        self._stage = _Stage()
+        self._stage = _Stage(chunk_rows)
         self._sealed = 0                        # rows in sealed chunks
         self._chunk_rows = chunk_rows
         self._summary: TraceSummary | None = None
+        self._calls: list[tuple[int, int, RowSkeleton]] = []
 
     def __repr__(self) -> str:
         return (f"Trace(isa={self.isa!r}, instructions={len(self)}, "
@@ -698,7 +953,7 @@ class Trace:
         ops.append(op_id)
         stage.srcs.append(srcs)
         stage.dsts.append(dsts)
-        if len(ops) >= self._chunk_rows:
+        if len(ops) >= stage.limit:
             self._seal()
 
     def append(self, instr: DynInstr) -> DynInstr:
@@ -717,12 +972,16 @@ class Trace:
         """Append the rows of ``skeleton``: the bulk twin of :meth:`emit`.
 
         The k-th memory row gets ``addrs[k]``, the k-th branch row
-        ``taken[k]`` and ``site`` (see :class:`RowSkeleton`).  The trace
-        is left as :meth:`emit` would leave it for the same rows written
-        one by one: new opcodes are interned in first-appearance order,
-        addresses and outcomes are canonicalized to ``int`` and ``bool``,
-        and the tail seals at the same row counts -- by swapping in a
-        fresh one, so a reader walking the old tail keeps its rows.
+        ``taken[k]`` and ``site`` (see :class:`RowSkeleton`).  The tail
+        stages a reference to the skeleton's rows with these values, and
+        the call joins the call table.  The trace is left as :meth:`emit`
+        would leave it for the same rows written one by one: new opcodes
+        are interned in first-appearance order, addresses and outcomes
+        are canonicalized to ``int`` and ``bool``, the tail seals at the
+        same row counts -- by swapping in a fresh one, so a reader walking
+        the old tail keeps its rows -- and sealed chunks are identical.
+        A seal that raises leaves the rows written so far staged, and the
+        call out of the call table.
         """
         if (len(addrs), len(taken)) != (skeleton.addresses,
                                         skeleton.branches):
@@ -734,25 +993,27 @@ class Trace:
         for op in skeleton.opcodes:
             op_id = self._op_ids.get(id(op))
             ids.append(self._intern(op) if op_id is None else op_id)
-        op_ids = skeleton.op_ids(tuple(ids))
-        addrs, taken = map(int, addrs), map(bool, taken)
-        at, kinds = skeleton.at, skeleton.kinds
-        n = len(op_ids)
-        lo = k = 0
+        op = skeleton.op_column(tuple(ids))
+        addrs, taken = list(map(int, addrs)), list(map(bool, taken))
+        site = int(site)
+        n = len(skeleton)
+        start = len(self)
+        lo = a = b = 0
         while lo < n:
             # Up to the row at which per-row emit would seal, then seal.
             stage = self._stage
-            base = len(stage.op)
-            hi = min(n, lo + self._chunk_rows - base)
-            k_hi = bisect_left(at, hi, lo=k)
-            stage.extra.extend(_fill(at[k:k_hi], kinds[k:k_hi], base - lo,
-                                     addrs, taken, site))
-            stage.op.extend(op_ids[lo:hi])
-            stage.srcs.extend(skeleton.srcs[lo:hi])
-            stage.dsts.extend(skeleton.dsts[lo:hi])
-            lo, k = hi, k_hi
-            if len(stage.op) >= self._chunk_rows:
+            hi = min(n, lo + self._chunk_rows - len(stage))
+            na, nb = skeleton.fields(lo, hi)
+            stage.calls.append(_Call(
+                len(stage), len(stage.op), skeleton, lo, hi, op,
+                addrs[a:a + na], taken[b:b + nb], site))
+            stage.called += hi - lo
+            stage.limit -= hi - lo
+            lo, a, b = hi, a + na, b + nb
+            if len(stage) >= self._chunk_rows:
                 self._seal()
+        if n:
+            self._calls.append((start, start + n, skeleton))
 
     def extend(self, other: "Trace") -> None:
         """Concatenate another trace (used to stitch program phases).
@@ -761,16 +1022,22 @@ class Trace:
         state afterwards, so later mutation of either can never corrupt
         the other or desynchronize a cached summary it holds (the seed
         list-of-objects encoding aliased ``DynInstr`` instances here).
+        ``other``'s calls join the call table, moved down by this
+        trace's length.
         """
-        rows = other._raw_rows()
+        rows, calls = other._raw_rows(), other._calls
         if other is self:
-            rows = list(rows)           # snapshot before appending to self
+            rows, calls = list(rows), list(calls)   # snapshot first
+        shift = len(self)
         emit = self.emit
         for row in rows:
             emit(*row)
+        self._calls += [(start + shift, end + shift, skeleton)
+                        for start, end, skeleton in calls]
 
     def truncate(self, length: int) -> None:
-        """Drop every row at index ``length`` and beyond."""
+        """Drop every row at index ``length`` and beyond (a call cut
+        short keeps its head in the call table)."""
         if length < 0:
             raise ValueError("length must be >= 0")
         if length >= len(self):
@@ -794,7 +1061,11 @@ class Trace:
             self._chunks = kept
             self._chunk_ends = ends
             self._sealed = length
-            self._stage = _Stage()
+            self._stage = _Stage(self._chunk_rows)
+        calls = self._calls
+        del calls[bisect_left(calls, length, key=itemgetter(0)):]
+        if calls and calls[-1][1] > length:
+            calls[-1] = (calls[-1][0], length, calls[-1][2])
         self._summary = None
 
     # --- internal plumbing ------------------------------------------------------
@@ -820,7 +1091,7 @@ class Trace:
         self._chunks.append(chunk)
         self._sealed += chunk.n
         self._chunk_ends.append(self._sealed)
-        self._stage = _Stage()
+        self._stage = _Stage(self._chunk_rows)
 
     def _row(self, index: int) -> tuple:
         """Row ``index`` with the op decoded to its :class:`Opcode`.
@@ -905,6 +1176,15 @@ class Trace:
     def opcodes(self) -> tuple[Opcode, ...]:
         """The opcode intern table: column ``op`` values index it."""
         return tuple(self._ops)
+
+    @property
+    def calls(self) -> tuple[tuple[int, int, RowSkeleton], ...]:
+        """The call table: ``(start, end, skeleton)`` per call, ascending.
+        Rows ``[start, end)`` are the skeleton's rows ``[0, end - start)``
+        with the call's addresses, outcomes and site (a call
+        :meth:`truncate` cut short keeps its head).  Rows outside every
+        call were written row by row."""
+        return tuple(self._calls)
 
     def iter_column_blocks(self, rows: int):
         """The trace as consecutive column blocks of ``rows`` rows each

@@ -13,11 +13,14 @@ table with saturating pack instructions.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ..emulib.alpha_builder import AlphaBuilder
+from ..emulib.alpha_builder import AlphaBuilder, reads_written, replay
+from ..emulib.base_builder import wrap64
 from ..emulib.mdmx_builder import MdmxBuilder
 from ..emulib.mmx_builder import MmxBuilder
 from ..emulib.mom_builder import MomBuilder
@@ -74,13 +77,11 @@ def clamp_table() -> np.ndarray:
     return np.clip(np.arange(TABLE_SIZE) - TABLE_BIAS, 0, 255).astype(np.uint8)
 
 
-def emit_alpha_addblock(b, pred: int, pstride: int, resid: int, dst: int,
-                        dstride: int, tab, regs, site: int) -> None:
-    """``dst = clamp(pred + resid)`` over one 8x8 block, the clamp a
-    dependent load from the table ``tab`` points into (at its bias).
-
-    ``regs`` is ``(pp, pr, pd, vp, vr, idx, rows)``.
-    """
+def _addblock_body(b, pred: int, pstride: int, resid: int, dst: int,
+                   dstride: int, tab, regs, site: int) -> None:
+    """:func:`emit_alpha_addblock` one instruction at a time: what its
+    first call with given registers records, and the oracle its replay
+    is tested against."""
     pp, pr, pd, vp, vr, idx, rows = regs
     b.li(pp, pred)
     b.li(pr, resid)
@@ -100,6 +101,73 @@ def emit_alpha_addblock(b, pred: int, pstride: int, resid: int, dst: int,
         b.addi(pd, pd, dstride)
         b.subi(rows, rows, 1)
         b.bne(rows, site)
+
+
+#: The row loop's branch is taken after every row but the last.
+_ROW_TAKEN = (True,) * (N - 1) + (False,)
+_U64 = (1 << 64) - 1
+
+
+def emit_alpha_addblock(b, pred: int, pstride: int, resid: int, dst: int,
+                        dstride: int, tab, regs, site: int) -> None:
+    """``dst = clamp(pred + resid)`` over one 8x8 block, the clamp a
+    dependent load from the table ``tab`` points into (at its bias).
+
+    ``regs`` is ``(pp, pr, pd, vp, vr, idx, rows)``.
+
+    Replayed: the rows do not depend on data -- the clamp's table address
+    is a per-call field, and the row loop's branch outcomes are fixed --
+    so the first call with given registers runs :func:`_addblock_body`
+    and records its rows, and every later call reads the prediction rows,
+    the residuals and the table bytes it indexes, stores the clamped
+    rows and appends the recorded rows (DESIGN.md section 5).  A call in
+    which a load would read a byte an earlier store of the call wrote
+    runs the body; one storing in place (``dst`` at ``pred``, same
+    stride) still replays: each pixel reads its own byte before it
+    stores it.
+    """
+    def body():
+        _addblock_body(b, pred, pstride, resid, dst, dstride, tab, regs,
+                       site)
+
+    read = b.mem.read_block
+    pred_rows = [(pred + r * pstride) & _U64 for r in range(N)]
+    dst_rows = [(dst + r * dstride) & _U64 for r in range(N)]
+    res = resid & _U64
+    # The prediction and residual loads are read up front: the table
+    # addresses, and so the check for loads of stored bytes, need them.
+    pixels = [read(a, N) for a in pred_rows]
+    terms = struct.unpack(f"<{N * N}h", read(res, 2 * N * N))
+    base = wrap64(tab.value)
+    sums = [p + r for p, r in zip(chain.from_iterable(pixels), terms)]
+    table = [(base + v) & _U64 for v in sums]
+    # Per pixel: its prediction byte, residual and table byte loads, then
+    # its store.
+    loads = [(a, res + 2 * k, res + 2 * k + 1, t) for k, (a, t) in enumerate(
+        zip([p + i for p in pred_rows for i in range(N)], table))]
+    stores = [(d + i,) for d in dst_rows for i in range(N)]
+    if reads_written(loads, stores):
+        body()
+        return
+    skeleton = replay(b, ("alpha_addblock",), (*regs, tab), body)
+    if skeleton is None:
+        return
+    lo, hi = min(table), max(table)
+    span = read(lo, hi - lo + 1)
+    out = [span[t - lo] for t in table]
+    for r, d in enumerate(dst_rows):
+        b.mem.write_block(d, bytes(out[N * r:N * r + N]))
+    addrs = []
+    for (p, r, _r1, t), (d,) in zip(loads, stores):
+        addrs += (p, r, t, d)
+    b.trace.emit_skeleton(skeleton, addrs, _ROW_TAKEN, site)
+    pp, pr, pd, vp, vr, idx, rows = regs
+    pp.value = wrap64(pred + N * pstride)
+    pr.value = wrap64(resid + 2 * N * N)
+    pd.value = wrap64(dst + N * dstride)
+    vp.value, vr.value = out[-1], terms[-1]
+    idx.value = wrap64(base + sums[-1])
+    rows.value = 0
 
 
 def _build_alpha(workload: AddblockWorkload) -> BuiltKernel:

@@ -17,6 +17,7 @@ applied row by row:
 Each call writes one row with the opcode, operands and VL expected.
 """
 
+import dataclasses
 import inspect
 import random
 
@@ -189,3 +190,22 @@ def test_restore_from_int_registers_is_mdmx_restore(name):
             assert row.op.name == name and row.vl == 1
             assert row.srcs == _encoded(*srcs, *([acc] if srcs else []))
             assert row.dsts == _encoded(acc)
+
+
+def test_restore_records_name_their_register_pool():
+    """MOM's copies of the MDMX restores say what MOM's builder restores
+    from -- integer registers, where MDMX's say media registers -- and
+    differ from MDMX's records in nothing else; no other shared record
+    differs but in its ISA."""
+    restores = {"wacl", "wach"}
+    assert restores <= set(RESTORES)
+    for name in SHARED:
+        mom, mdmx = MOM[name], MDMX[name]
+        assert dataclasses.replace(mom, isa="mdmx",
+                                   description=mdmx.description) == mdmx
+        if name in restores:
+            assert "from a media register" in mdmx.description
+            assert "integer register" in mom.description
+            assert "media" not in mom.description
+        else:
+            assert mom.description == mdmx.description, name

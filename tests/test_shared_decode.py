@@ -13,7 +13,14 @@ and application trace, and over synthetic traces that reach the corner
 cases the real ones may not: chunk and block geometries that do not
 line up, truncated and unsealed storage, repeated and self-referencing
 operands, multi-pool destinations, both zeroing idioms and dependence
-distances on either side of the cap.
+distances on either side of the cap.  Dependence edges are distances:
+the producer of row ``i`` is row ``i - d``.
+
+Replayed calls (``Trace.emit_skeleton``) decode from their skeleton's
+products; the twin-trace tests below hold those rings equal to the rings
+of the same rows written one by one with ``Trace.emit``, after every
+block, whatever cuts a call: the block size, the trace's chunks,
+``truncate`` or ``extend``.
 """
 
 import numpy as np
@@ -25,7 +32,7 @@ from repro.cpu import Core, machine_config
 from repro.cpu.batch import (BatchCore, _BIAS, _CtlState, _FAM, _LSQ_SHIFT,
                              _SharedDecode, _group_rows)
 from repro.cpu.funit import _NON_PIPELINED
-from repro.emulib.trace import DynInstr, Trace, reg, reg_pool
+from repro.emulib.trace import DynInstr, RowSkeleton, Trace, reg, reg_pool
 from repro.exp.engine import built_app, built_kernel
 from repro.isa.alpha import ALPHA
 from repro.isa.mdmx import MDMX
@@ -261,9 +268,9 @@ class _RecordDecode:
                     j = lw.get(src, -1)
                     if j >= 0 and i - j <= cap:
                         if dl is None:
-                            dl = [j]
+                            dl = [i - j]
                         else:
-                            dl.append(j)
+                            dl.append(i - j)
                 if dl is not None:
                     deps_r[slot] = tuple(dl)
                     if rec.chains:
@@ -632,7 +639,7 @@ def test_dependence_distance_at_the_cap(dep_cap):
     trace = _trace(rows * 3, isa="alpha")
     new = _SharedDecode(trace, dep_cap, CTL_CLASSES, 64, 64)
     new.decode_block()
-    assert new.deps[dep_cap] == (0,)
+    assert new.deps[dep_cap] == (dep_cap,)
     assert new.deps[2 * dep_cap + 2] is None
     for block in (1, 2, 4, 8):
         assert_decode_parity(trace, block=block, ring=2 * block,
@@ -711,3 +718,166 @@ def test_batch_with_forced_small_blocks_matches_core(monkeypatch):
         core = Core(machine_config(way, "mom"), make_memsys(label, way, "mom"))
         assert result_digest(result) == result_digest(
             core.run_reference(trace)), (way, label)
+
+
+# --- replayed calls against the same rows written one by one ----------------------
+
+#: Every ring the engine reads, predictor classes apart.
+_ENGINE_RINGS = ("op_raw", "op_ac", "deps", "chains", "ismem", "addr",
+                 "nbytes", "stride", "alloc_raw", "alloc_z", "chk",
+                 "smask_raw", "smask_z", "commit_if_raw", "commit_if_z",
+                 "rel_raw", "rel_z")
+
+
+def _call_rows(call=0):
+    """One replayable call (44 rows) as canonical tuples: rows 0 and 40
+    read registers written before the call (``i1``, ``i2``; ``i9``), row
+    40 also has an edge 40 rows long inside it, a MOM load with a VL
+    chains on the row before it, a zeroing idiom, a row with repeated
+    sources and destinations in two pools, a self-referencing row, a
+    store, a conditional branch and a jump.  ``call`` moves the
+    addresses and flips the outcomes."""
+    addr = 0x4000 + 256 * call
+    plain = (None, 0, 0, 1, None, 0)
+    rows = [
+        (ALPHA["addq"], (_i(1), _i(2)), (_i(3),)) + plain,
+        (ALPHA["ldq"], (_i(3),), (_i(4),), addr, 8, 0, 1, None, 0),
+        (MOM["momldq"], (_i(4),), (_m(1),), addr + 64, 8, 8, 8, None, 0),
+        (MOM["momzero"], (), (_m(2),)) + plain,
+        (MOM["paddb"], (_m(1), _m(2), _m(1)), (_m(3), _i(5))) + plain,
+        (ALPHA["bne"], (_i(5),), (), None, 0, 0, 1, call % 2 == 0, 3),
+    ]
+    rows += [(ALPHA["nop"], (), ()) + plain] * 34
+    rows += [
+        (ALPHA["addq"], (_i(3), _i(9)), (_i(6),)) + plain,
+        (ALPHA["stq"], (_i(6), _i(4)), (), addr + 8, 8, 0, 1, None, 0),
+        (ALPHA["br"], (), (), None, 0, 0, 1, True, 9),
+        (ALPHA["addq"], (_i(6), _i(6)), (_i(6),)) + plain,
+    ]
+    return rows
+
+
+_SKELETON = RowSkeleton(_call_rows())
+
+
+def _call_values(call):
+    rows = _call_rows(call)
+    return ([r[3] for r in rows if r[3] is not None],
+            [r[7] for r in rows if r[7] is not None], 3 + call % 5)
+
+
+def _twin_traces(pattern, chunk_rows=1 << 16):
+    """The same rows written two ways: ``pattern`` items are a call
+    number (the replayed trace writes the call with ``emit_skeleton``,
+    the other row by row) or a number of :func:`_mixed` rows (both
+    append them)."""
+    replayed = Trace("mom", chunk_rows=chunk_rows)
+    rowwise = Trace("mom", chunk_rows=chunk_rows)
+    for kind, value in pattern:
+        if kind == "call":
+            values = _call_values(value)
+            replayed.emit_skeleton(_SKELETON, *values)
+            for row in _SKELETON.rows(*values):
+                rowwise.emit(*row)
+        else:
+            for row in _mixed(value):
+                replayed.append(row)
+                rowwise.append(row)
+    return replayed, rowwise
+
+
+#: Calls back to back, calls between per-row rows, a call at each end.
+PATTERN = ([("call", 0), ("call", 1), ("rows", 5), ("call", 2)]
+           + [("rows", 30), ("call", 3), ("call", 4), ("rows", 1)] * 3
+           + [("call", 5)])
+
+
+def assert_twin_decode(replayed, rowwise, *, block, ring, dep_cap):
+    """Decode both traces, comparing every ring after every block; the
+    replayed one must decode its calls from the skeleton."""
+    assert replayed.calls and not rowwise.calls
+    got = _SharedDecode(replayed, dep_cap, CTL_CLASSES, block, ring)
+    want = _SharedDecode(rowwise, dep_cap, CTL_CLASSES, block, ring)
+    while want.avail < want.n:
+        got.decode_block()
+        want.decode_block()
+        assert got.avail == want.avail
+        for name in _ENGINE_RINGS:
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), \
+                (name, want.avail)
+        for key, state in want.ctl.items():
+            for field in _CtlState.__slots__:
+                assert repr(getattr(got.ctl[key], field)) == \
+                    repr(getattr(state, field)), (key, field)
+    assert list(got._skeletons) == [_SKELETON]
+    assert_decode_parity(replayed, block=block, ring=ring, dep_cap=dep_cap)
+
+
+@pytest.mark.parametrize("dep_cap", [1, 8, 32, 64])
+@pytest.mark.parametrize("block", [8, 32, 64, 1024])
+def test_replayed_calls_decode_as_rows(block, dep_cap):
+    """Blocks of 8 and 32 rows cut every 44-row call, 64 cuts some and
+    1024 holds many; caps of 1, 8 and 32 fall below the call's 40-row
+    internal edge (and keep row 40's read from before the call out of
+    reach), 64 reaches both."""
+    replayed, rowwise = _twin_traces(PATTERN, chunk_rows=100)
+    assert trace_rows(replayed) == trace_rows(rowwise)
+    assert_twin_decode(replayed, rowwise, block=block, ring=2 * block,
+                       dep_cap=dep_cap)
+
+
+def trace_rows(trace):
+    return list(trace.iter_field_tuples())
+
+
+@pytest.mark.parametrize("cut", [3, 44 + 20, 44 * 2 + 5 + 43])
+@pytest.mark.parametrize("chunk_rows", [50, 1 << 16])
+def test_call_cut_by_truncate(cut, chunk_rows):
+    """A call ``truncate`` cuts keeps its head in the call table and
+    decodes like the rows left; rows written afterwards decode too."""
+    replayed, rowwise = _twin_traces(PATTERN, chunk_rows=chunk_rows)
+    for trace in (replayed, rowwise):
+        trace.truncate(cut)
+    start, end, skeleton = replayed.calls[-1]
+    assert end == cut and start < cut and skeleton is _SKELETON
+    assert_twin_decode(replayed, rowwise, block=16, ring=32, dep_cap=32)
+    more_replayed, more_rowwise = _twin_traces(PATTERN[:4], chunk_rows)
+    replayed.extend(more_replayed)
+    rowwise.extend(more_rowwise)
+    assert_twin_decode(replayed, rowwise, block=16, ring=32, dep_cap=32)
+
+
+def test_traces_stitched_by_extend():
+    """``extend`` carries the other trace's calls, moved down by this
+    trace's length -- self-extension included."""
+    head, head_rows = _twin_traces(PATTERN[:6], chunk_rows=64)
+    tail, tail_rows = _twin_traces(PATTERN[6:], chunk_rows=64)
+    shift = len(head)
+    calls = head.calls + tuple((s + shift, e + shift, sk)
+                               for s, e, sk in tail.calls)
+    head.extend(tail)
+    head_rows.extend(tail_rows)
+    assert head.calls == calls
+    assert_twin_decode(head, head_rows, block=32, ring=64, dep_cap=32)
+    head.extend(head)
+    head_rows.extend(head_rows)
+    assert len(head.calls) == 2 * len(calls)
+    assert_twin_decode(head, head_rows, block=64, ring=128, dep_cap=64)
+
+
+def test_lanes_with_mixed_rob_sizes():
+    """One batch of 1-, 2-, 4- and 8-way lanes (ROBs of 8 to 64, so the
+    cap is the 8-way's) on perfect and cache memory: each lane equals its
+    busy-wait oracle run, on the replayed trace and its twin."""
+    replayed, rowwise = _twin_traces(PATTERN * 4, chunk_rows=300)
+    points = [(1, "perfect"), (2, "cache"), (4, "perfect"), (8, "cache")]
+
+    def lanes():
+        return [Core(machine_config(way, "mom"), make_memsys(m, way, "mom"))
+                for way, m in points]
+
+    for trace in (replayed, rowwise):
+        results = BatchCore(lanes()).run(trace)
+        for core, result in zip(lanes(), results):
+            assert result_digest(result) == result_digest(
+                core.run_reference(trace))

@@ -341,6 +341,31 @@ def test_skeleton_replays_the_rows_it_recorded():
             assert list(skeleton.rows(*_call_values(2, 9))) == _call_rows(2, 9)
 
 
+def _columns(chunk):
+    """Every column of a sealed chunk, operand marks included."""
+    columns = {name: getattr(chunk, name) for name in (
+        "op", "at", "has_addr", "addr", "nbytes", "stride", "vl", "taken",
+        "site")}
+    for side in ("src", "dst"):
+        for part in ("count", "val", "mark"):
+            columns[f"{side}.{part}"] = getattr(getattr(chunk, side), part)
+    return columns
+
+
+def assert_same_store(got, want):
+    """Chunk ends, every sealed column (values and dtypes) and the staged
+    rows of two traces are equal."""
+    assert got._chunk_ends == want._chunk_ends
+    for a, b in zip(got._chunks, want._chunks, strict=True):
+        assert a.n == b.n
+        ours, theirs = _columns(a), _columns(b)
+        for name, column in theirs.items():
+            assert ours[name].dtype == column.dtype, name
+            assert np.array_equal(ours[name], column), name
+    assert (list(got._stage.iter_rows())
+            == list(want._stage.iter_rows()))
+
+
 @pytest.mark.parametrize("chunk", [1, 4, 7, 36, 40, CHUNK_ROWS])
 def test_bulk_writer_matches_per_row_emit(chunk):
     """The bulk writer leaves the trace per-row emit leaves for the same
@@ -358,11 +383,9 @@ def test_bulk_writer_matches_per_row_emit(chunk):
     assert bulk.opcodes == rowwise.opcodes
     assert [op.name for op in bulk.opcodes[3:]] == [
         "mulq", "stq", "beq"]
-    assert bulk._chunk_ends == rowwise._chunk_ends
-    assert ([chunk.op.tolist() for chunk in bulk._chunks]
-            == [chunk.op.tolist() for chunk in rowwise._chunks])
-    assert bulk._stage.op == rowwise._stage.op
-    assert bulk._stage.extra == rowwise._stage.extra
+    for i in range(len(rowwise)):       # staged call pieces cut by a seal too
+        _assert_instr_equal(bulk[i], rowwise[i])
+    assert_same_store(bulk, rowwise)
     assert bulk.storage_bytes() == rowwise.storage_bytes()
     assert bulk._chunk_ends == rowwise._chunk_ends
 
@@ -393,6 +416,138 @@ def test_bulk_seal_never_cuts_a_live_reader_short(started):
         got[writer] = head + list(reader)
         rows = list(t.iter_field_tuples())
         assert got[writer] == (rows[:40] if started else rows)
+    assert got["bulk"] == got["emit"]
+
+
+def _wide_call_rows():
+    """A call whose values need every column's wide fallback: 300
+    operands in a row (counts past uint8), nbytes past int16, a stride
+    past int32, a VL past int16 and an address at the top of 64 bits;
+    the call's site (past int32) widens that column too."""
+    INT, MED = RegPool.INT, RegPool.MED
+    plain = (None, 0, 0, 1, None, 0)
+    many = tuple(reg(INT, i % 30) for i in range(300))
+    return [
+        (ALPHA["addq"], many, (reg(INT, 1),)) + plain,
+        (MOM["momldq"], (reg(INT, 2),), (reg(MED, 3),), 0x1000, 1 << 20,
+         1 << 40, 1 << 17, None, 0),
+        (ALPHA["ldq"], (reg(INT, 2),), (reg(INT, 4),), (1 << 64) - 8, 8, 0,
+         1, None, 0),
+        (ALPHA["bne"], (reg(INT, 4),), (), None, 0, 0, 1, True, 1 << 40),
+    ]
+
+
+@pytest.mark.parametrize("chunk", [3, 5, 1 << 17])
+def test_bulk_writer_seals_wide_columns_as_per_row_emit(chunk):
+    """Wide fallbacks -- and, in a chunk of more than 65536 rows, the
+    int64 row numbers of the sparse rows -- come out column by column and
+    dtype by dtype as per-row emit seals them."""
+    rows = _wide_call_rows()
+    skeleton = RowSkeleton(rows)
+    values = ([r[3] for r in rows if r[3] is not None], [True], 1 << 40)
+    bulk, rowwise = Trace("mom", chunk_rows=chunk), Trace("mom",
+                                                          chunk_rows=chunk)
+    filler = RowSkeleton(_call_rows())
+    for call in range(3 if chunk < 100 else 1900):
+        if chunk > 100 or call % 2:
+            fill = _call_values(call, 7)
+            bulk.emit_skeleton(filler, *fill)
+            for row in filler.rows(*fill):
+                rowwise.emit(*row)
+        bulk.emit_skeleton(skeleton, *values)
+        for row in rows:
+            rowwise.emit(*row)
+    assert bulk.storage_bytes() == rowwise.storage_bytes()
+    assert_same_store(bulk, rowwise)
+    chunk0 = bulk._chunks[0]
+    assert chunk0.src.count.dtype == np.int64
+    if chunk > 65536:
+        assert len(bulk._chunks) == 1 and chunk0.at.dtype == np.int64
+    else:
+        assert any(chunk.stride.dtype == np.int64 for chunk in bulk._chunks)
+
+
+def _interleaved():
+    """Twin traces holding four calls, each followed by per-row rows --
+    a sparse one first -- bulk-written and written row by row."""
+    skeleton = RowSkeleton(_call_rows())
+    bulk, rowwise = Trace("mom"), Trace("mom")
+    for call in range(4):
+        values = _call_values(call, 7 + call)
+        bulk.emit_skeleton(skeleton, *values)
+        for row in skeleton.rows(*values):
+            rowwise.emit(*row)
+        for row in _mixed_rows(call * 3 + 2)[1:]:
+            bulk.append(row)
+            rowwise.append(row)
+    return bulk, rowwise
+
+
+def test_bulk_writes_between_rows_read_back_in_order():
+    """Calls and per-row rows interleaved in one tail read back in write
+    order -- whole, from any row on, and row by row by index -- seal to
+    the same chunks, and truncating anywhere, inside a call included,
+    keeps exactly the rows before the cut, in the tail and in the call
+    table."""
+    bulk, rowwise = _interleaved()
+    want = list(rowwise.iter_field_tuples())
+    assert list(bulk.iter_field_tuples()) == want
+    for start in (0, 1, 35, 36, 37, 80, len(want) - 1):
+        assert list(bulk._raw_rows(start)) == list(rowwise._raw_rows(start))
+    for i in range(len(want)):
+        _assert_instr_equal(bulk[i], rowwise[i])
+    assert [end - start for start, end, _ in bulk.calls] == [36] * 4
+    for cut in (100, 75, 40, 36, 20):
+        bulk.truncate(cut)
+        rowwise.truncate(cut)
+        assert list(bulk.iter_field_tuples()) == want[:cut]
+        assert bulk.calls[-1][1] == min(cut, bulk.calls[-1][0] + 36)
+        assert_same_store(bulk, rowwise)
+    bulk.truncate(0)
+    assert bulk.calls == () and len(bulk._stage) == 0
+    bulk, rowwise = _interleaved()
+    assert bulk.storage_bytes() == rowwise.storage_bytes()
+    assert_same_store(bulk, rowwise)
+
+
+@pytest.mark.parametrize("started", [0, 5, 37])
+def test_bulk_reader_sees_rows_written_while_it_walks(started):
+    """A reader walking a tail of calls and per-row rows also yields the
+    calls and rows written after it started, in order."""
+    skeleton = RowSkeleton(_call_rows())
+    t = Trace("mom")
+    t.emit_skeleton(skeleton, *_call_values(0, 7))
+    t.append(_mixed_rows(1)[0])
+    reader = t.iter_field_tuples()
+    got = [next(reader) for _ in range(started)]
+    t.emit_skeleton(skeleton, *_call_values(1, 8))
+    for row in _mixed_rows(4):
+        t.append(row)
+    t.emit_skeleton(skeleton, *_call_values(2, 9))
+    assert got + list(reader) == list(t.iter_field_tuples())
+
+
+def test_failed_bulk_seal_leaves_the_tail_staged():
+    """A seal the bulk writer triggers and that raises leaves every row
+    written before it staged -- as per-row emit leaves them -- and the
+    call out of the call table; the rows still read back."""
+    skeleton = RowSkeleton(_call_rows())
+    bad = DynInstr(ALPHA["addq"], srcs=(reg(RegPool.INT, 1), -5))
+    got = {}
+    for writer in ("bulk", "emit"):
+        t = Trace("mom", chunk_rows=20)
+        t.append(_mixed_rows(1)[0])
+        t.append(bad)
+        values = _call_values(0, 7)
+        with pytest.raises(ValueError, match="register operand -5"):
+            if writer == "bulk":
+                t.emit_skeleton(skeleton, *values)
+            else:
+                for row in skeleton.rows(*values):
+                    t.emit(*row)
+        assert len(t) == 20 and not t._chunks and len(t._stage) == 20
+        assert t.calls == ()
+        got[writer] = list(t.iter_field_tuples())
     assert got["bulk"] == got["emit"]
 
 
