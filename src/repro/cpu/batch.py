@@ -82,6 +82,13 @@ accounting parity tests.  A lane *is* a :class:`~repro.cpu.core.Core`
 (its configuration, memory system and knobs), and :meth:`Core.run
 <repro.cpu.core.Core.run>` is a one-lane :class:`BatchCore`.
 
+A lane also memoizes the trace's replayed calls (DESIGN.md section 1.5,
+:class:`_CallMemo`): a call entered in a lane state and with ring values
+the lane has met before, whose memory model gives the answers of a
+recorded path, jumps to that path's recorded exit instead of being
+stepped.  The model is asked exactly the calls stepping would make, so a
+hit is exact; an answer no path recorded steps the call from its entry.
+
 Lanes a batch cannot express -- predictor tables that are not a power
 of two, a memory model without ``try_issue``, two lanes sharing one
 memory model -- raise ``ValueError``.
@@ -91,6 +98,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+from bisect import bisect_left
 from collections import deque
 from time import perf_counter as _perf_counter
 
@@ -237,19 +245,22 @@ def _writers(sreg, srow, wkey, span: int, writer, start: int):
     return writer
 
 
-#: The rings filled with per-row op and SWAR products, in the order
-#: :meth:`_SharedDecode._products` returns them.
-_PRODUCT_RINGS = ("op_raw", "op_ac", "alloc_raw", "alloc_z", "chk",
-                  "smask_raw", "smask_z", "commit_if_raw", "commit_if_z",
-                  "rel_raw", "rel_z")
+#: The rings filled with per-row op and SWAR products, each with the
+#: :meth:`_SharedDecode._shape` product it holds; a ``_z`` ring holds 0
+#: on elided zeroing idioms.
+_PRODUCT_RINGS = {"op_raw": 0, "op_ac": 1, "alloc_raw": 2, "alloc_z": 2,
+                  "chk": 3, "smask_raw": 4, "smask_z": 4, "commit_if_raw": 5,
+                  "commit_if_z": 5, "rel_raw": 6, "rel_z": 6}
 
 
-def _zeroed(words: list, rows: list) -> list:
-    """A copy of ``words`` with the entries at ``rows`` set to 0."""
-    words = words.copy()
-    for k in rows:
-        words[k] = 0
-    return words
+def _lane_rings(ls: "_LaneState") -> set[str]:
+    """The product rings a lane reads, chosen by its knobs."""
+    z = "_z" if ls.zero_elision else "_raw"
+    rings = {"op_ac" if ls.acc_chaining else "op_raw", "chk", "alloc" + z,
+             "smask" + z}
+    if ls.late_release:
+        rings |= {"commit_if" + z, "rel" + z}
+    return rings
 
 
 class _SharedDecode:
@@ -279,6 +290,10 @@ class _SharedDecode:
     * per (bimodal, BTB) class, ``ctl`` -- fetch-control codes (ring)
       plus the positional nonzero-control lists
 
+    A pass fills only the op and SWAR variants its lanes read
+    (``rings``, :func:`_lane_rings`); the other variant rings are
+    ``None``.
+
     Each block is computed from the trace's columns
     (:meth:`~repro.emulib.trace.Trace.iter_column_blocks`) with numpy;
     the rings are filled with ``tolist()`` slices, so they hold exactly
@@ -293,11 +308,14 @@ class _SharedDecode:
     """
 
     def __init__(self, trace: Trace, dep_cap: int, ctl_classes,
-                 block: int, ring: int) -> None:
+                 block: int, ring: int, rings=_PRODUCT_RINGS) -> None:
         n = len(trace)
         self.n = n
         self.blocks = trace.iter_column_blocks(block)
+        self.block = block
         self.dep_cap = dep_cap
+        #: the product rings this pass fills (the others stay ``None``)
+        self.rings = tuple(name for name in _PRODUCT_RINGS if name in rings)
         if n > ring:
             self.size = ring
         else:
@@ -305,23 +323,16 @@ class _SharedDecode:
         self.mask = self.size - 1
         self.avail = 0
         size = self.size
-        self.op_raw: list = [None] * size
-        self.op_ac: list = [None] * size
+        for name in _PRODUCT_RINGS:
+            empty = None if name.startswith("op") else 0
+            setattr(self, name,
+                    [empty] * size if name in self.rings else None)
         self.deps: list = [None] * size
         self.chains = [False] * size
         self.ismem = [0] * size
         self.addr = [0] * size
         self.nbytes = [0] * size
         self.stride = [0] * size
-        self.alloc_raw = [0] * size
-        self.alloc_z = [0] * size
-        self.chk = [0] * size
-        self.smask_raw = [0] * size
-        self.smask_z = [0] * size
-        self.commit_if_raw = [0] * size
-        self.commit_if_z = [0] * size
-        self.rel_raw = [0] * size
-        self.rel_z = [0] * size
         #: all-zero ring late_release=False lanes read their releases from.
         self.zero_ring = [0] * size
         #: latest writer (absolute index) of each encoded register, -1
@@ -346,7 +357,7 @@ class _SharedDecode:
         # The trace's replayed calls, walked block by block, and the
         # decode products of their skeletons: built on a skeleton's first
         # call and kept for this pass only.
-        self._calls = trace.calls
+        self.calls = trace.calls
         self._next_call = 0
         self._skeletons: dict[RowSkeleton, tuple] = {}
 
@@ -413,12 +424,12 @@ class _SharedDecode:
 
     def _products(self, op, vl, counts) -> list[list]:
         """The op and SWAR ring values of rows with these op ids, vector
-        lengths and destinations per pool, in the order of
-        :data:`_PRODUCT_RINGS`.  Rows with the same opcode, vector length
+        lengths and destinations per pool, one list per ring this pass
+        fills (:attr:`rings`).  Rows with the same opcode, vector length
         and destinations per pool share every product: each distinct
         shape's products are built once and gathered."""
         if not len(op):
-            return [[] for _ in _PRODUCT_RINGS]
+            return [[] for _ in self.rings]
         vls, vl_id = _np.unique(vl, return_inverse=True)
         first, shape = _group_rows(
             [(op, len(self.opcodes)), (vl_id, len(vls))]
@@ -427,18 +438,18 @@ class _SharedDecode:
         table = [self._shape(o, v, c) for o, v, c in zip(
             op[first].tolist(), vl[first].tolist(),
             counts[first].tolist())]
-        op_raw, op_ac, alloc, chk, smask, commit_if, rel = (
-            _np.fromiter(col, dtype=object, count=len(table))[shape].tolist()
-            for col in zip(*table))
+        columns = list(zip(*table))
         # Elided zeroing idioms allocate nothing.
         zero_rows = _np.flatnonzero(self._zero[op]).tolist()
-        if zero_rows:
-            zeroed = [_zeroed(words, zero_rows)
-                      for words in (alloc, smask, commit_if, rel)]
-        else:
-            zeroed = [alloc, smask, commit_if, rel]
-        return [op_raw, op_ac, alloc, zeroed[0], chk, smask, zeroed[1],
-                commit_if, zeroed[2], rel, zeroed[3]]
+        out = []
+        for name in self.rings:
+            words = _np.fromiter(columns[_PRODUCT_RINGS[name]], dtype=object,
+                                 count=len(table))[shape].tolist()
+            if name.endswith("_z"):
+                for k in zero_rows:
+                    words[k] = 0
+            out.append(words)
+        return out
 
     def _edges(self, op, vl, srow, writer, rows, start: int):
         """Static last-writer edges of ``rows`` (ascending), whose source
@@ -457,11 +468,12 @@ class _SharedDecode:
 
     def _skeleton(self, skeleton: RowSkeleton) -> tuple:
         """A skeleton's decode products, built on its first call in this
-        pass: per row, the :data:`_PRODUCT_RINGS` values followed by the
-        deps and chain flags of its edges inside the call (as distances);
-        and the rows that may also have an edge to a row before the call
-        -- rows below ``dep_cap`` reading a register no earlier row of
-        the call writes -- which each call decodes again."""
+        pass: per row, the values of the rings this pass fills followed
+        by the deps and chain flags of its edges inside the call (as
+        distances); and the rows that may also have an edge to a row
+        before the call -- rows below ``dep_cap`` reading a register no
+        earlier row of the call writes -- which each call decodes again,
+        as an array and as a list."""
         products = self._skeletons.get(skeleton)
         if products is not None:
             return products
@@ -483,14 +495,20 @@ class _SharedDecode:
         outside = _np.unique(srow[(writer < 0) & (srow < self.dep_cap)])
         products = self._skeletons[skeleton] = (
             self._products(op, vl, counts)
-            + list(self._edges(op, vl, srow, writer, rowno, 0)), outside)
+            + list(self._edges(op, vl, srow, writer, rowno, 0)), outside,
+            outside.tolist())
         return products
+
+    def call_edges(self, skeleton: RowSkeleton) -> list[int]:
+        """The rows of a decoded call's skeleton that may have an edge to
+        a row before the call."""
+        return self._skeletons[skeleton][2]
 
     def _calls_in(self, start: int, stop: int) -> list[tuple]:
         """The calls' rows in block ``[start, stop)``: per call, its
         first and end block row, skeleton, first skeleton row, and the
         block rows that decode their edges again."""
-        calls, c = self._calls, self._next_call
+        calls, c = self.calls, self._next_call
         spans = []
         while c < len(calls) and calls[c][0] < stop:
             first, end, skeleton = calls[c]
@@ -583,7 +601,7 @@ class _SharedDecode:
         from ``products`` (and ``deps``/``chains``, which also hold the
         call rows that decoded their edges again) and, per call, its
         skeleton's values with those rows patched in."""
-        rings = [getattr(self, name) for name in _PRODUCT_RINGS]
+        rings = [getattr(self, name) for name in self.rings]
         g_deps, g_chains = self.deps, self.chains
         g = e = prev = 0            # cursors: own rows, edge rows, block row
         for lo, hi, skeleton, r0, again in spans + [(m, m, None, 0, None)]:
@@ -678,7 +696,7 @@ class _LaneState:
                  "fu_simple", "fu_total",
                  "pm", "mem_try", "mem_hint", "ctl_key", "accounting",
                  "cycles", "fetch_stalls", "rename_stalls", "stack",
-                 "committed")
+                 "committed", "memo")
 
     def __init__(self, core: Core, index: int) -> None:
         cfg = core.config
@@ -727,6 +745,399 @@ class _LaneState:
         self.rename_stalls = 0
         self.stack = None         # CPI-stack dict when accounting is on
         self.committed = 0        # commit mark, stored at every pause
+        self.memo: dict = {}      # memo counters (:meth:`_CallMemo.stats`)
+
+
+#: A memory-model call in a memo path, packed as one int: ``(cycle << 24
+#: | row + _ROW_OFF) << 1 | kind``, the cycle relative to the call's
+#: entry cycle, the row relative to its first row (rows in flight before
+#: the call are negative), kind 0 for ``try_issue``, 1 for
+#: ``earliest_issue``.
+_ROW_OFF = 1 << 23
+_ROW_MASK = (1 << 24) - 1
+#: Longest call a memo keeps (rows), so a row fits its packed field.
+_MEMO_SPAN = 1 << 22
+#: Ints (key entries, packed calls and answers, exit entries) one lane's
+#: memo may hold; a recording that would pass it is dropped, and no new
+#: one starts once it is reached.
+_MEMO_CAP = 1 << 18
+
+
+class _Recording:
+    """One replayed call being stepped with its memory-model calls
+    recorded: relative row and cycle as a packed int, answer relative to
+    the call's cycle (``None`` for a refused ``try_issue``, 0 for an
+    ``earliest_issue`` hint at or before it).  A fallback feeds back the
+    answers the failed replay already received (``feed``) instead of
+    asking the model again."""
+
+    __slots__ = ("key", "first", "end", "c0", "counters", "calls",
+                 "answers", "feed_calls", "feed", "mem_try", "mem_hint")
+
+    def __init__(self, memo: "_CallMemo", key: tuple, first: int, end: int,
+                 cycle: int, feed_calls, feed) -> None:
+        self.key = key
+        self.first = first
+        self.end = end
+        self.c0 = cycle
+        self.counters: tuple = ()
+        self.calls: list[int] = []
+        self.answers: list = []
+        self.feed_calls = feed_calls
+        self.feed = feed
+        self.mem_try = memo.mem_try
+        self.mem_hint = memo.mem_hint
+
+    def _fed(self, word: int):
+        """The fed answer of the next call, if the failed replay made it."""
+        k = len(self.calls)
+        self.calls.append(word)
+        if k < len(self.feed):
+            if word != self.feed_calls[k]:
+                raise RuntimeError("memoized call left its recorded path")
+            return True, self.feed[k]
+        return False, None
+
+    def try_issue(self, i: int, is_store, addr: int, nbytes: int, vl: int,
+                  stride: int, cycle: int):
+        fed, answer = self._fed(((cycle - self.c0) << 24
+                                 | (i - self.first + _ROW_OFF)) << 1)
+        if fed:
+            self.answers.append(answer)
+            return None if answer is None else cycle + answer
+        got = self.mem_try(is_store, addr, nbytes, vl, stride, cycle)
+        self.answers.append(None if got is None else got - cycle)
+        return got
+
+    def hint(self, i: int, addr: int, nbytes: int, vl: int,
+             cycle: int) -> int:
+        fed, answer = self._fed(((cycle - self.c0) << 24
+                                 | (i - self.first + _ROW_OFF)) << 1 | 1)
+        if not fed:
+            got = self.mem_hint(addr, nbytes, vl, cycle)
+            answer = got - cycle if got > cycle else 0
+        self.answers.append(answer)
+        return cycle + answer
+
+
+class _CallMemo:
+    """One lane's memo of replayed calls, for one run (DESIGN.md §1.5).
+
+    ``table`` maps a call's entry key (:meth:`key`) to a path tree: a
+    node is ``[calls, answers, exit, branches]`` -- the packed memory
+    calls of one recorded path from where the node starts, their
+    answers, the exit state and counter deltas that path reached, and
+    ``{(k, answer): child}`` for the paths that took another answer at
+    its ``k``-th call (the child starts after that call).  The lists it
+    reads and writes are the stepper's own, bound once.
+    """
+
+    __slots__ = ("table", "size", "hits", "rows", "fallbacks", "paths",
+                 "state", "rings", "g_deps", "g_chains", "g_op", "g_addr",
+                 "g_nbytes", "g_stride", "gmask", "wmask", "n", "width",
+                 "pos_idx", "pos_code", "shared", "mem_try", "mem_hint")
+
+    def __init__(self, ls: _LaneState, shared: _SharedDecode, state: tuple,
+                 rings: tuple, pos_idx: list, pos_code: list) -> None:
+        self.table: dict[tuple, list] = {}
+        self.size = 0
+        self.hits = 0
+        self.rows = 0
+        self.fallbacks = 0
+        self.paths = 0
+        #: (e_completion, e_chain, e_pending, e_base, e_waiters, bursts,
+        #: issuable, wakeups_next, wakeups, parked, releases, fu_busy,
+        #: pm_busy or None)
+        self.state = state
+        #: the ring variants the lane reads, g_deps and g_chains among them
+        self.rings = rings
+        self.g_op, self.g_deps, self.g_chains = rings[:3]
+        self.g_addr = shared.addr
+        self.g_nbytes = shared.nbytes
+        self.g_stride = shared.stride
+        self.gmask = shared.mask
+        self.wmask = ls.window - 1
+        self.n = shared.n
+        self.width = ls.width
+        self.pos_idx = pos_idx
+        self.pos_code = pos_code
+        self.shared = shared
+        self.mem_try = ls.mem_try
+        self.mem_hint = ls.mem_hint
+
+    def snapshot(self, first: int, cycle: int, committed: int,
+                 disp_idx: int, fetch_idx: int, D: int, nfc: int,
+                 burst_end: int, front_ready: int) -> list:
+        """The lane's state at a loop top, rows relative to ``first`` and
+        times relative to ``cycle``.  A time at or before ``cycle + 1``
+        reads as 1: every test against it is made at ``cycle + 1`` or
+        later, where such times all act alike.  Stale ring slots are left
+        out: the window's entries only, a ready floor only while pending,
+        the current fetch burst only while dispatch is inside it.  The
+        issuable and next-cycle lists are one sorted list (the next
+        cycle's wake merges them before anything reads either), and the
+        pending counts are left to the waiter lists that imply them."""
+        (e_completion, e_chain, e_pending, e_base, e_waiters, bursts,
+         issuable, wakeups_next, wakeups, parked, releases, fu_busy,
+         pm_busy) = self.state
+        wmask = self.wmask
+        soon = cycle + 1
+        out = [committed - first, disp_idx - first, fetch_idx - first, D,
+               -1 if nfc == _FAR_FUTURE else
+               nfc - cycle if nfc > soon else 1]
+        if disp_idx < burst_end:
+            out += (1, burst_end - first,
+                    front_ready - cycle if front_ready > soon else 1)
+        else:
+            out.append(0)
+        out.append(len(bursts))
+        for v in bursts:
+            ready = v & _M32
+            out += ((v >> 32) - first, ready - cycle if ready > soon else 1)
+        for i in range(committed, disp_idx):
+            ws = i & wmask
+            c = e_completion[ws]
+            if c == _UNISSUED:
+                if e_pending[ws]:
+                    b = e_base[ws]
+                    out += (-1, b - cycle if b > soon else 1)
+                else:
+                    out.append(0)
+                waiters = e_waiters[ws]
+                out.append(len(waiters))
+                out += [w - first for w in waiters]
+            else:
+                h = e_chain[ws]
+                out += (c - cycle if c > soon else 1,
+                        h - cycle if h > soon else 1)
+        ready = sorted(issuable + wakeups_next)
+        out.append(len(ready))
+        out += [i - first for i in ready]
+        for heap in (wakeups, parked):
+            out.append(len(heap))
+            out += sorted(((v >> 32) - cycle if v >> 32 > soon else 1) << 32
+                          | ((v & _M32) - first + _ROW_OFF) for v in heap)
+        out.append(len(releases))
+        out += sorted(((v >> 80) - cycle if v >> 80 > soon else 1) << 80
+                      | (v & _M80) for v in releases)
+        for busy in fu_busy if pm_busy is None else fu_busy + [pm_busy]:
+            out += [b - cycle if b > soon else 1 for b in busy]
+        return out
+
+    def key(self, first: int, end: int, skeleton: RowSkeleton,
+            cycle: int, *state) -> tuple:
+        """A call's entry key: the lane's :meth:`snapshot`, the skeleton
+        and call length, then the ring values the call's rows do not
+        share with their skeleton -- every lane-read product of the rows
+        in flight before it, the edges of its rows that read registers
+        written before it, the trace end if fetch can reach it, and the
+        fetch-control codes from its first row to its end plus the fetch
+        width."""
+        out = self.snapshot(first, cycle, *state)
+        out += (skeleton, end - first)
+        gmask = self.gmask
+        rings = self.rings
+        for i in range(state[0], first):
+            gs = i & gmask
+            out += [ring[gs] for ring in rings]
+        g_deps, g_chains = self.g_deps, self.g_chains
+        for r in self.shared.call_edges(skeleton):
+            if r >= end - first:
+                break
+            gs = (first + r) & gmask
+            out += (g_deps[gs], g_chains[gs])
+        stop = end + self.width
+        if stop >= self.n:
+            stop = self.n
+            out.append(self.n - first)
+        else:
+            out.append(-1)
+        pos_idx, pos_code = self.pos_idx, self.pos_code
+        j = bisect_left(pos_idx, first)
+        while j < len(pos_idx) and pos_idx[j] < stop:
+            out += (pos_idx[j] - first, pos_code[j])
+            j += 1
+        return tuple(out)
+
+    def enter(self, key: tuple, first: int, end: int, cycle: int):
+        """At a call's entry: the recorded exit when the memory model
+        gives a recorded path's answers (the model is asked exactly what
+        stepping would ask), else a :class:`_Recording` to step the call
+        with (fed the answers already received), or ``None`` when the
+        memo is full and the call has no entry."""
+        node = self.table.get(key)
+        if node is None:
+            if self.size >= _MEMO_CAP:
+                return None
+            return _Recording(self, key, first, end, cycle, (), ())
+        g_op, g_addr, g_nbytes, g_stride = (self.g_op, self.g_addr,
+                                            self.g_nbytes, self.g_stride)
+        gmask = self.gmask
+        rmask = _ROW_MASK
+        base = first - _ROW_OFF
+        mem_try, mem_hint = self.mem_try, self.mem_hint
+        trail = []          # (calls, answers, k, answer) at each branch
+        calls, answers, done, branches = node
+        k = 0
+        ncalls = len(calls)
+        while k < ncalls:
+            word = calls[k]
+            c = cycle + (word >> 25)
+            gs = (base + ((word >> 1) & rmask)) & gmask
+            op = g_op[gs]
+            if word & 1:
+                a = mem_hint(g_addr[gs], g_nbytes[gs], op[7], c) - c
+                if a < 0:
+                    a = 0
+            else:
+                a = mem_try(op[8], g_addr[gs], g_nbytes[gs], op[7],
+                            g_stride[gs], c)
+                if a is not None:
+                    a -= c
+            if a != answers[k]:
+                trail.append((calls, answers, k, a))
+                child = branches.get((k, a)) if branches else None
+                if child is None:
+                    self.fallbacks += 1
+                    made = [w for seg, _, j, _ in trail for w in seg[:j + 1]]
+                    got = [x for _, seg, j, b in trail
+                           for x in seg[:j] + (b,)]
+                    return _Recording(self, key, first, end, cycle, made,
+                                      got)
+                calls, answers, done, branches = child
+                ncalls = len(calls)
+                k = 0
+                continue
+            k += 1
+        self.hits += 1
+        return done
+
+    def finish(self, rec: _Recording, snap: list, deltas: tuple) -> None:
+        """Store a stepped call's path and exit, as a new entry or as a
+        branch off the path its replay failed on."""
+        calls, answers = rec.calls, rec.answers
+        done = (tuple(snap), deltas)
+        node = self.table.get(rec.key)
+        j = 0               # calls of the new path already in the tree
+        branch = None       # where it leaves the tree: (node, (k, answer))
+        while node is not None and branch is None:
+            seg_calls, seg_answers, _, branches = node
+            for k in range(len(seg_calls)):
+                if j >= len(calls) or calls[j] != seg_calls[k]:
+                    raise RuntimeError("memoized call left its recorded path")
+                a = answers[j]
+                j += 1
+                if a != seg_answers[k]:
+                    child = branches.get((k, a)) if branches else None
+                    if child is None:
+                        branch = node, (k, a)
+                    node = child
+                    break
+            else:
+                raise RuntimeError("memoized call recorded twice")
+        size = 2 * (len(calls) - j) + len(done[0]) + (
+            len(rec.key) if branch is None else 0)
+        if self.size + size > _MEMO_CAP:
+            return
+        self.size += size
+        self.paths += 1
+        leaf = [tuple(calls[j:]), tuple(answers[j:]), done, None]
+        if branch is None:
+            self.table[rec.key] = leaf
+        else:
+            node, at = branch
+            if node[3] is None:
+                node[3] = {}
+            node[3][at] = leaf
+
+    def restore(self, snap: tuple, first: int, end: int, cycle: int,
+                committed: int, fetch_idx: int) -> tuple:
+        """Write a :meth:`snapshot` back as the exit state at ``cycle`` of
+        the call ``[first, end)``, over the window that held ``[committed,
+        fetch_idx)``; returns the scalars ``(committed, disp_idx,
+        fetch_idx, D, next_fetch_cycle, burst_end, front_ready,
+        waiting)``.  An exit that does not lie past the call's end inside
+        the trace raises ``RuntimeError`` (a key that missed a
+        difference would otherwise leave the lane stepping rows that are
+        not there)."""
+        (e_completion, e_chain, e_pending, e_base, e_waiters, bursts,
+         issuable, wakeups_next, wakeups, parked, releases, fu_busy,
+         pm_busy) = self.state
+        wmask = self.wmask
+        # Slots outside the window hold no waiters and no pending count.
+        for i in range(committed, fetch_idx):
+            ws = i & wmask
+            e_pending[ws] = 0
+            if e_waiters[ws]:
+                e_waiters[ws] = []
+        committed = first + snap[0]
+        disp_idx = first + snap[1]
+        fetch_idx = first + snap[2]
+        if not (committed <= disp_idx <= fetch_idx <= self.n
+                and fetch_idx >= end):
+            raise RuntimeError(f"memoized exit rows {committed}-{fetch_idx} "
+                               f"do not follow call [{first}, {end})")
+        D = snap[3]
+        nfc = _FAR_FUTURE if snap[4] < 0 else cycle + snap[4]
+        if snap[5]:
+            burst_end = first + snap[6]
+            front_ready = cycle + snap[7]
+            p = 8
+        else:
+            burst_end = disp_idx
+            front_ready = 0
+            p = 6
+        k = snap[p]
+        bursts.clear()
+        for q in range(p + 1, p + 1 + 2 * k, 2):
+            bursts.append((first + snap[q]) << 32 | (cycle + snap[q + 1]))
+        p += 1 + 2 * k
+        waiting = 0
+        for i in range(committed, disp_idx):
+            ws = i & wmask
+            t = snap[p]
+            p += 1
+            if t > 0:                       # issued: completion, chain
+                e_completion[ws] = cycle + t
+                e_chain[ws] = cycle + snap[p]
+                p += 1
+                continue
+            e_completion[ws] = _UNISSUED
+            if t:                           # pending: ready floor
+                e_base[ws] = cycle + snap[p]
+                p += 1
+            k = snap[p]
+            if k:
+                waiters = e_waiters[ws] = [first + w
+                                           for w in snap[p + 1:p + 1 + k]]
+                for w in waiters:
+                    e_pending[w & wmask] += 1
+                waiting += k
+            p += 1 + k
+        k = snap[p]
+        issuable[:] = [first + i for i in reversed(snap[p + 1:p + 1 + k])]
+        wakeups_next.clear()
+        p += 1 + k
+        for heap in (wakeups, parked):
+            k = snap[p]
+            heap[:] = [(cycle + (v >> 32)) << 32
+                       | (first + (v & _M32) - _ROW_OFF)
+                       for v in snap[p + 1:p + 1 + k]]
+            p += 1 + k
+        k = snap[p]
+        releases[:] = [(cycle + (v >> 80)) << 80 | (v & _M80)
+                       for v in snap[p + 1:p + 1 + k]]
+        p += 1 + k
+        for busy in fu_busy if pm_busy is None else fu_busy + [pm_busy]:
+            k = len(busy)
+            busy[:] = [cycle + b for b in snap[p:p + k]]
+            p += k
+        return (committed, disp_idx, fetch_idx, D, nfc, burst_end,
+                front_ready, waiting)
+
+    def stats(self) -> dict:
+        return {"hits": self.hits, "rows": self.rows,
+                "fallbacks": self.fallbacks, "paths": self.paths}
 
 
 def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
@@ -746,10 +1157,11 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
     by the shared nonzero-control positions) rather than per
     instruction.
 
-    It ``yield``\\ s whenever fetch could outrun the decoded prefix; the
-    driver decodes the next block and resumes every paused lane.
-    Pausing is timing-transparent: the lane resumes inside the same
-    simulated cycle with more records visible.
+    It ``yield``\\ s whenever fetch could outrun the decoded prefix, or
+    a call it is about to replay or record is not yet decoded through
+    its end plus the fetch width; the driver decodes the next block and
+    resumes every paused lane.  Pausing is timing-transparent: the lane
+    resumes inside the same simulated cycle with more records visible.
     """
     n = shared.n
     gmask = shared.mask
@@ -802,6 +1214,7 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
         mem_try = mem_hint = None
     else:
         pm_busy = None
+        pm_scalar = pm_vector = pm_elem = 0
         mem_try = ls.mem_try
         mem_hint = ls.mem_hint
 
@@ -857,7 +1270,103 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
     aw = avail - width if avail < n else n
     npos = len(pos_idx)
 
+    # Memoized calls (DESIGN.md section 1.5): at the first loop top where
+    # fetch has reached a call (``watch``), the lane replays or records
+    # it; a recording ends at the first loop top where fetch has reached
+    # the call's end (``watch`` again).  A call the decode must hold
+    # whole in the ring while the lane waits at its start is stepped.
+    calls = shared.calls
+    ncalls = len(calls)
+    nc = 0
+    watch = calls[0][0] if calls else _NO_EVENT
+    span_cap = n if n <= shared.size else (
+        shared.size - shared.block - rob_size - 3 * width)
+    if span_cap > _MEMO_SPAN:
+        span_cap = _MEMO_SPAN
+    memo = _CallMemo(
+        ls, shared,
+        (e_completion, e_chain, e_pending, e_base, e_waiters, bursts,
+         issuable, wakeups_next, wakeups, parked, releases, ls.fu_busy,
+         pm_busy),
+        (g_op, g_deps, g_chains, g_ismem, g_alloc, g_chk, g_smask, g_commit,
+         g_rel, g_ctl), pos_idx, pos_code)
+    rec = None
+
     while committed < n:
+        if fetch_idx >= watch:
+            counters = (cycle, fetch_stalls, rename_stalls, st_base,
+                        st_fetch, st_rename, st_fu, st_memc, st_meml,
+                        st_drain, pm_scalar, pm_vector, pm_elem, pm_acct_n,
+                        pm_acct_occ, cp, committed)
+            if rec is not None:
+                memo.finish(rec, memo.snapshot(
+                    rec.first, cycle, committed, disp_idx, fetch_idx, D,
+                    next_fetch_cycle, burst_end, front_ready), tuple(
+                    now - then for now, then in zip(counters, rec.counters)))
+                rec = None
+                nc += 1
+            while nc < ncalls:
+                first, end, skeleton = calls[nc]
+                if fetch_idx < first:
+                    break
+                if fetch_idx >= end or end - first > span_cap:
+                    nc += 1
+                    continue
+                # The key reads the call's rows to its end plus the fetch
+                # width: wait for them at the call's start, as at a block
+                # boundary.
+                need = end + width if end + width < n else n
+                while avail < need:
+                    ls.committed = committed
+                    yield
+                    avail = shared.avail
+                    aw = avail - width if avail < n else n
+                    npos = len(pos_idx)
+                key = memo.key(first, end, skeleton, cycle, committed,
+                               disp_idx, fetch_idx, D, next_fetch_cycle,
+                               burst_end, front_ready)
+                entered = memo.enter(key, first, end, cycle)
+                if entered is None:             # memo full: step it
+                    nc += 1
+                    continue
+                if type(entered) is _Recording:
+                    rec = entered
+                    rec.counters = counters
+                    break
+                snap, (d_cycle, d_fs, d_rs, d_base, d_fetch, d_rename,
+                       d_fu, d_memc, d_meml, d_drain, d_scalar, d_vector,
+                       d_elem, d_acct_n, d_acct_occ, d_cp, d_rows) = entered
+                cycle += d_cycle
+                fetch_stalls += d_fs
+                rename_stalls += d_rs
+                st_base += d_base
+                st_fetch += d_fetch
+                st_rename += d_rename
+                st_fu += d_fu
+                st_memc += d_memc
+                st_meml += d_meml
+                st_drain += d_drain
+                pm_scalar += d_scalar
+                pm_vector += d_vector
+                pm_elem += d_elem
+                pm_acct_n += d_acct_n
+                pm_acct_occ += d_acct_occ
+                cp += d_cp
+                memo.rows += d_rows
+                (committed, disp_idx, fetch_idx, D, next_fetch_cycle,
+                 burst_end, front_ready, waiting) = memo.restore(
+                    snap, first, end, cycle, committed, fetch_idx)
+                nc += 1
+                counters = (cycle, fetch_stalls, rename_stalls, st_base,
+                            st_fetch, st_rename, st_fu, st_memc, st_meml,
+                            st_drain, pm_scalar, pm_vector, pm_elem,
+                            pm_acct_n, pm_acct_occ, cp, committed)
+            if rec is not None:
+                watch = rec.end
+            elif nc < ncalls:
+                watch = calls[nc][0]
+            else:
+                watch = _NO_EVENT
         while fetch_idx > aw:
             ls.committed = committed
             yield
@@ -973,10 +1482,14 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
                                     pm_acct_n += 1
                                     pm_acct_occ += pm_lat
                                     break
-                    else:
+                    elif rec is None:
                         completion = mem_try(is_store, g_addr[gs],
                                              g_nbytes[gs], vl,
                                              g_stride[gs], cycle)
+                    else:
+                        completion = rec.try_issue(i, is_store, g_addr[gs],
+                                                   g_nbytes[gs], vl,
+                                                   g_stride[gs], cycle)
                 elif kind == 2:             # control: simple integer pipe
                     for u in range(len(busy_int)):
                         if busy_int[u] <= cycle:
@@ -993,9 +1506,14 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
                     if kind == 1:
                         if pm_busy is not None:
                             hint = max(pm_busy) if vl > 1 else min(pm_busy)
-                        else:
+                        elif not mem_hint:
+                            hint = cycle
+                        elif rec is None:
                             hint = mem_hint(g_addr[gs], g_nbytes[gs], vl,
-                                            cycle) if mem_hint else cycle
+                                            cycle)
+                        else:
+                            hint = rec.hint(i, g_addr[gs], g_nbytes[gs], vl,
+                                            cycle)
                     elif kind == 2:
                         hint = min(busy_int)
                     else:
@@ -1287,6 +1805,7 @@ def _lane_stepper(ls: _LaneState, shared: _SharedDecode):
         pm.acct_accesses += pm_acct_n
         pm.acct_occupancy += pm_acct_occ
     ls.committed = committed
+    ls.memo = memo.stats()
 
 
 class BatchCore:
@@ -1355,7 +1874,8 @@ class BatchCore:
         dep_cap = max(st.rob_size for st in states)
         shared = _SharedDecode(trace, dep_cap,
                                {st.ctl_key for st in states},
-                               self.BLOCK, self.RING)
+                               self.BLOCK, self.RING,
+                               set().union(*map(_lane_rings, states)))
         _decode_t += _perf_counter() - _t
 
         _t = _perf_counter()
@@ -1430,6 +1950,7 @@ class BatchCore:
             rename_stall_events=st.rename_stalls,
             mem_stats=dict(mem_stats),
         )
+        result.meta["memo"] = st.memo
         if st.stack is not None:
             result.stack = checked_stack(st.cycles, TimingStats(**st.stack))
             if hasattr(source, "accounting_stats"):

@@ -662,17 +662,21 @@ class _Operands:
     position in ``val`` of rows 0, :data:`_MARK`, 2 * :data:`_MARK`, ...
     up to the row count, so one row's operands are found without a
     per-row offset column.  Values fit int16 because an encoded register
-    is ``(pool << 8) | index`` with four pools and 8-bit indices.
+    is ``(pool << 8) | index`` with four pools and 8-bit indices.  A part
+    cut only to be read in bulk (``marked`` false: a column block's
+    piece, a row walk's first chunk) has no ``mark``.
     """
 
     __slots__ = ("count", "val", "mark")
 
-    def __init__(self, count: np.ndarray, val: np.ndarray) -> None:
+    def __init__(self, count: np.ndarray, val: np.ndarray,
+                 marked: bool = True) -> None:
         self.count = count
         self.val = val
         self.mark = np.concatenate((
             np.zeros(1, dtype=np.int64),
-            np.cumsum(count, dtype=np.int64)[_MARK - 1::_MARK]))
+            np.cumsum(count, dtype=np.int64)[_MARK - 1::_MARK])
+        ) if marked else None
 
     @classmethod
     def fit(cls, count: np.ndarray, val: np.ndarray) -> "_Operands":
@@ -695,9 +699,9 @@ class _Operands:
         start = self.offset(i)
         return tuple(self.val[start:start + int(self.count[i])].tolist())
 
-    def rows(self, lo: int, hi: int) -> "_Operands":
+    def rows(self, lo: int, hi: int, marked: bool = True) -> "_Operands":
         """Rows ``[lo, hi)``: counts and values share storage."""
-        return _Operands(self.count[lo:hi], self.slice(lo, hi))
+        return _Operands(self.count[lo:hi], self.slice(lo, hi), marked)
 
     def tuples(self) -> list[tuple[int, ...]]:
         """Every row's operand tuple."""
@@ -755,14 +759,15 @@ class _Chunk:
         self.vl = _fit(vl, np.int16, np.int64, "vl")
         self.site = _fit(site, np.int32, np.int64, "site")
 
-    def rows(self, lo: int, hi: int) -> "_Chunk":
+    def rows(self, lo: int, hi: int, marked: bool = True) -> "_Chunk":
         """A chunk holding rows ``[lo, hi)``; its columns share storage
-        with this one's, except the re-based ``at`` and operand marks."""
+        with this one's, except the re-based ``at`` and operand marks
+        (left out unless ``marked``: only :meth:`row` reads them)."""
         part = _Chunk.__new__(_Chunk)
         part.n = hi - lo
         part.op = self.op[lo:hi]
-        part.src = self.src.rows(lo, hi)
-        part.dst = self.dst.rows(lo, hi)
+        part.src = self.src.rows(lo, hi, marked)
+        part.dst = self.dst.rows(lo, hi, marked)
         k0, k1 = self.at.searchsorted((lo, hi)).tolist()
         part.at = self.at[k0:k1] - lo
         for name, _ in _SPARSE:
@@ -1116,7 +1121,7 @@ class Trace:
         skip = start - (self._chunk_ends[first - 1] if first else 0)
         for chunk in islice(self._chunks, first, None):
             if skip:
-                chunk, skip = chunk.rows(skip, chunk.n), 0
+                chunk, skip = chunk.rows(skip, chunk.n, marked=False), 0
             for row in chunk.iter_rows():
                 yield (ops[row[0]],) + row[1:]
         for row in self._stage.iter_rows(skip):
@@ -1206,7 +1211,7 @@ class Trace:
             lo = 0
             while lo < chunk.n:
                 take = min(rows - have, chunk.n - lo)
-                parts.append(chunk.rows(lo, lo + take))
+                parts.append(chunk.rows(lo, lo + take, marked=False))
                 have += take
                 lo += take
                 if have == rows:

@@ -239,11 +239,18 @@ class Session:
         self.hits = 0
         self.misses = 0
         self._memo: dict[str, SimResult] = {}
+        self._keys: dict[PointSpec, str] = {}
 
     # --- cache plumbing ---------------------------------------------------
 
     def key_for(self, point: PointSpec) -> str:
-        return point.content_hash(self.salt)
+        """The point's cache key, :meth:`PointSpec.content_hash` under
+        the session's salt: hashed once per point and kept for the
+        session's life, like the results :meth:`lookup` keeps."""
+        key = self._keys.get(point)
+        if key is None:
+            key = self._keys[point] = point.content_hash(self.salt)
+        return key
 
     def lookup(self, point: PointSpec,
                key: str | None = None) -> SimResult | None:

@@ -277,6 +277,28 @@ def test_session_use_cache_false_still_memoizes(tmp_path):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_key_for_hashes_each_point_once(monkeypatch, tmp_path):
+    """``key_for`` is the point's ``content_hash`` under the session's
+    salt, hashed once per point for the session's life: an equal point
+    built again reads the same key, and another salt another key."""
+    session = Session(tmp_path, salt="s")
+    point = PointSpec(**KERNEL_POINT)
+    other = PointSpec(**{**KERNEL_POINT, "way": 8})
+    want = {p: p.content_hash("s") for p in (point, other)}
+    calls = []
+    real = PointSpec.content_hash
+    monkeypatch.setattr(PointSpec, "content_hash",
+                        lambda self, salt="": calls.append(self)
+                        or real(self, salt))
+    for _ in range(3):
+        assert session.key_for(point) == want[point]
+        assert session.key_for(PointSpec(**KERNEL_POINT)) == want[point]
+        assert session.key_for(other) == want[other]
+    assert calls == [point, other]
+    assert Session(tmp_path, salt="t").key_for(point) == real(point, "t") \
+        != want[point]
+
+
 def test_cache_replay_marks_meta_cache_hit(tmp_path):
     """Disk replays carry ``meta["cache_hit"]``; fresh runs never do."""
     point = PointSpec(**KERNEL_POINT)

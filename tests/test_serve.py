@@ -433,9 +433,10 @@ def test_shard_pool_fails_pending_keys_of_killed_worker_and_respawns():
         results[key] = (result, error)
         done.set()
 
-    # A build slow enough (seconds) that the kill lands mid-execution.
+    # A point slow enough (seconds) that the kill lands mid-execution:
+    # frame-point's, as replayed calls make the scale-1 point too quick.
     slow = PointSpec(kind="app", target="mpeg2_encode", isa="alpha",
-                     way=4).payload()
+                     way=4, memory="conventional", scale=5).payload()
     pool = ShardPool(1, on_result)
     try:
         pool.submit([("slowkey", slow)])
@@ -465,7 +466,8 @@ def test_killed_worker_streams_error_and_capacity_recovers(tmp_path):
     with max_inflight=1 a leak would deadlock it)."""
     import time
 
-    doomed = PointSpec(kind="app", target="mpeg2_encode", isa="alpha", way=4)
+    doomed = PointSpec(kind="app", target="mpeg2_encode", isa="alpha", way=4,
+                       memory="conventional", scale=5)
     with live_server(tmp_path, workers=1, max_inflight=1) as server:
         with Client("127.0.0.1", server.port, timeout=120) as client:
             stream = client.submit_iter([doomed])
