@@ -104,7 +104,8 @@ from time import perf_counter as _perf_counter
 
 import numpy as _np
 
-from ..emulib.trace import REG_LIMIT, RowSkeleton, Trace, ragged_tuples
+from ..emulib.trace import (REG_LIMIT, RowSkeleton, Trace, _Block,
+                            ragged_tuples)
 from ..isa.model import InstrClass, Opcode, RegPool
 from ..memsys.perfect import PerfectMemory
 from .core import Core, SimResult, TimingStats, checked_stack, _FAR_FUTURE
@@ -243,6 +244,25 @@ def _writers(sreg, srow, wkey, span: int, writer, start: int):
         mine = (at > 0) & (prev >= skey)
         writer = _np.where(mine, start + prev - skey, writer)
     return writer
+
+
+def _block_rows(blk: _Block, ids=None) -> tuple:
+    """What the decode reads of a column block's rows: per row its op id
+    (the block's own, or its index into ``ids``), vector length, row
+    number and count of destinations per register pool, then every
+    source and destination operand with its row: ``(op, vl, rowno,
+    counts, sreg, srow, dreg, drow)``."""
+    m = blk.n
+    op = blk.op.astype(_np.intp) if ids is None else ids[blk.op]
+    rowno = _np.arange(m, dtype=_np.int64)
+    dreg = blk.dst_val.astype(_np.int64)
+    drow = _np.repeat(rowno, _np.diff(blk.dst_off))
+    counts = _np.bincount(drow * 4 + (dreg >> 8),
+                          minlength=4 * m).reshape(m, 4)
+    sreg = blk.src_val.astype(_np.int64)
+    srow = _np.repeat(rowno, _np.diff(blk.src_off))
+    return (op, blk.vl.astype(_np.int64), rowno, counts, sreg, srow, dreg,
+            drow)
 
 
 #: The rings filled with per-row op and SWAR products, each with the
@@ -477,19 +497,11 @@ class _SharedDecode:
         products = self._skeletons.get(skeleton)
         if products is not None:
             return products
-        n = len(skeleton)
         ids = _np.asarray([self._op_id[id(op)] for op in skeleton.opcodes],
                           dtype=_np.intp)
-        op = ids[skeleton.index]
-        vl = _np.ones(n, dtype=_np.int64)
-        vl[skeleton.at_col] = skeleton.vl
-        rowno = _np.arange(n, dtype=_np.int64)
-        dreg = skeleton.dst.val.astype(_np.int64)
-        drow = _np.repeat(rowno, skeleton.dst.count)
-        counts = _np.bincount(drow * 4 + (dreg >> 8),
-                              minlength=4 * n).reshape(n, 4)
-        sreg = skeleton.src.val.astype(_np.int64)
-        srow = _np.repeat(rowno, skeleton.src.count)
+        op, vl, rowno, counts, sreg, srow, dreg, drow = _block_rows(
+            _Block([skeleton.template]), ids)
+        n = len(rowno)
         writer = _writers(sreg, srow, _np.sort(dreg * (n + 1) + drow), n + 1,
                           _np.full(len(sreg), -1, dtype=_np.int64), 0)
         outside = _np.unique(srow[(writer < 0) & (srow < self.dep_cap)])
@@ -539,14 +551,8 @@ class _SharedDecode:
         m = blk.n
         base = start & self.mask    # blocks are aligned: the span is contiguous
         end = base + m
-        op = blk.op.astype(_np.intp)
-        vl = blk.vl.astype(_np.int64)
+        op, vl, rowno, counts, sreg, srow, dreg, drow = _block_rows(blk)
         kind = self._kind[op]
-        rowno = _np.arange(m, dtype=_np.int64)
-        dreg = blk.dst_val.astype(_np.int64)
-        drow = _np.repeat(rowno, _np.diff(blk.dst_off))
-        sreg = blk.src_val.astype(_np.int64)
-        srow = _np.repeat(rowno, _np.diff(blk.src_off))
         spans = self._calls_in(start, start + m)
         if spans:
             # Rows outside every call, and those plus the call rows that
@@ -564,8 +570,6 @@ class _SharedDecode:
         else:
             rows = edge_rows = rowno
 
-        counts = _np.bincount(drow * 4 + (dreg >> 8),
-                              minlength=4 * m).reshape(m, 4)
         products = self._products(op[rows], vl[rows], counts[rows])
         is_mem = kind == KIND_MEMORY
         lost = is_mem & ~blk.has_addr

@@ -15,16 +15,17 @@ the limiting factor: ~225 bytes and three heap objects per instruction,
 gigabytes per trace, all resident before the first simulated cycle.
 :class:`Trace` now stores instructions **columnar**: sealed
 structure-of-arrays chunks of at most :data:`CHUNK_ROWS` rows, with a
-small plain-list staging buffer for the rows of the not-yet-sealed tail.
+small staging buffer for the rows of the not-yet-sealed tail.
 Builders write rows through :meth:`Trace.emit`, the row writer, which
 appends each emitted instruction's canonical fields to the staging lists
 (the six scalar fields only for rows that carry one): no
 :class:`DynInstr` is built on the way in.  Its bulk twin,
 :meth:`Trace.emit_skeleton`, appends the rows of a :class:`RowSkeleton`
 -- the rows one replayed emitter call wrote, recorded by
-:meth:`Trace.skeleton` -- with a later call's addresses, branch outcomes
-and site filled in.  It stages a reference to the skeleton's rows, which
-the skeleton also keeps encoded as columns, so sealing copies them with
+:meth:`Trace.skeleton` and sealed into a template chunk -- with a later
+call's addresses, branch outcomes and site filled in.  It stages the
+call as a chunk that owns only its op ids and those values and shares
+every other column with the template, so sealing copies them with
 numpy; it leaves the store as per-row ``emit`` would, and records the
 call in the trace's call table (:attr:`Trace.calls`) for the decode.  A
 sealed chunk keeps that layout in numpy form -- per row an opcode id and
@@ -185,114 +186,9 @@ _PLAIN = (None, 0, 0, 1, None, 0)
 _MARK = 64
 
 
-def _extra_row(extra: tuple) -> int:
-    return extra[0]
-
-
-def _rows(op, srcs, dsts, extra, first=0):
-    """Rows as canonical tuples: per-row ``op``/``srcs``/``dsts`` merged
-    with the ascending sparse ``(row, addr, nbytes, stride, vl, taken,
-    site)`` tuples of ``extra``; a row without one has :data:`_PLAIN`.
-    Rows are numbered from ``first``.  ``extra`` is a list, indexed
-    rather than iterated, so a reader walking live staging lists also
-    merges the tuples of rows appended after it passed the last one."""
-    k = 0
-    nxt = extra[0] if extra else None
-    for i, head in enumerate(zip(op, srcs, dsts), first):
-        if nxt is None and k < len(extra):
-            nxt = extra[k]
-        if nxt is not None and nxt[0] == i:
-            yield head + nxt[1:]
-            k += 1
-            nxt = extra[k] if k < len(extra) else None
-        else:
-            yield head + _PLAIN
-
-
-class _Call:
-    """Rows ``[lo, hi)`` of a :class:`RowSkeleton` in the staging tail:
-    what one :meth:`Trace.emit_skeleton` write stages instead of tuples.
-
-    ``s`` is the tail row of its first row and ``j`` the number of
-    per-row-written rows staged before it.  ``op`` is the skeleton's op
-    id column in the trace's ids; ``addrs``, ``taken`` and ``site`` are
-    the call's values for the memory and branch rows in ``[lo, hi)``.
-    """
-
-    __slots__ = ("s", "j", "skeleton", "lo", "hi", "op", "addrs", "taken",
-                 "site")
-
-    def __init__(self, s: int, j: int, skeleton: "RowSkeleton", lo: int,
-                 hi: int, op: np.ndarray, addrs: list, taken: list,
-                 site: int) -> None:
-        self.s = s
-        self.j = j
-        self.skeleton = skeleton
-        self.lo = lo
-        self.hi = hi
-        self.op = op
-        self.addrs = addrs
-        self.taken = taken
-        self.site = site
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def head(self, keep: int) -> "_Call":
-        """This call cut to its first ``keep`` rows."""
-        hi = self.lo + keep
-        addresses, branches = self.skeleton.fields(self.lo, hi)
-        return _Call(self.s, self.j, self.skeleton, self.lo, hi, self.op,
-                     self.addrs[:addresses], self.taken[:branches], self.site)
-
-    def row(self, r: int) -> tuple:
-        """Its ``r``-th row as a canonical tuple (op an id)."""
-        sk = self.skeleton
-        q = self.lo + r
-        head = (int(self.op[q]), sk.srcs[q], sk.dsts[q])
-        k = bisect_left(sk.at, q)
-        if k == len(sk.at) or sk.at[k] != q:
-            return head + _PLAIN
-        nbytes, stride, vl, branch = sk.kinds[k]
-        k_lo = bisect_left(sk.at, self.lo)
-        b = int(sk.branch_before[k] - sk.branch_before[k_lo])
-        if branch:
-            return head + (None, 0, 0, 1, self.taken[b], self.site)
-        return head + (self.addrs[k - k_lo - b], nbytes, stride, vl, None, 0)
-
-    def sparse(self) -> list[np.ndarray]:
-        """The columns of its sparse rows, as :meth:`_Stage.columns` lists
-        them (``at`` as tail rows)."""
-        sk = self.skeleton
-        k_lo, k_hi = bisect_left(sk.at, self.lo), bisect_left(sk.at, self.hi)
-        branch = sk.branch[k_lo:k_hi]
-        memory = ~branch
-        addr = np.zeros(k_hi - k_lo, dtype=np.uint64)
-        try:
-            addr[memory] = np.fromiter(self.addrs, dtype=np.uint64,
-                                       count=len(self.addrs))
-        except OverflowError as exc:
-            raise ValueError(f"addr value out of range: {exc}") from None
-        taken = np.full(k_hi - k_lo, _TAKEN_ENCODE[None], dtype=np.int8)
-        taken[branch] = np.fromiter(self.taken, dtype=np.int8,
-                                    count=len(self.taken))
-        site = np.where(branch, _wide((self.site,), "site")[0], 0)
-        return [sk.at_col[k_lo:k_hi] + (self.s - self.lo), memory, addr,
-                sk.nbytes[k_lo:k_hi], sk.stride[k_lo:k_hi], sk.vl[k_lo:k_hi],
-                taken, site]
-
-    def rows(self):
-        """Its rows as canonical tuples (op an id), numbered from ``lo``."""
-        sk = self.skeleton
-        lo, hi = self.lo, self.hi
-        k_lo, k_hi = bisect_left(sk.at, lo), bisect_left(sk.at, hi)
-        return _rows(self.op[lo:hi].tolist(), sk.srcs[lo:hi], sk.dsts[lo:hi],
-                     _fill(sk.at[k_lo:k_hi], sk.kinds[k_lo:k_hi], 0,
-                           iter(self.addrs), iter(self.taken), self.site), lo)
-
-
-def _call_start(call: _Call) -> int:
-    return call.s
+#: The row a staged ``extra`` tuple, a staged call or a call-table entry
+#: starts at: the key each list is bisected by.
+_start = itemgetter(0)
 
 
 class _Stage:
@@ -309,12 +205,13 @@ class _Stage:
     them (``addr``/``taken`` keep their ``None``), so reads from the tail
     need no decoding.
 
-    Rows :meth:`Trace.emit_skeleton` writes are staged as references,
-    ``calls`` (:class:`_Call`, ascending), each sitting before the
-    per-row row ``j`` it names.  ``called`` counts their rows, and
-    ``limit`` is the number of per-row rows at which the tail is full.
-    Sealing (:meth:`columns`) converts the per-row rows' tuples and
-    slices the calls' rows out of their skeletons' columns.
+    Rows :meth:`Trace.emit_skeleton` writes are staged as chunks
+    (:meth:`RowSkeleton.call`, or the pieces of one a seal cut off):
+    ``calls`` holds ``(s, j, chunk)`` ascending, ``s`` the tail row of
+    the chunk's first row and ``j`` the per-row row it sits before.
+    ``called`` counts their rows, and ``limit`` is the number of per-row
+    rows at which the tail is full.  Sealing (:meth:`columns`) converts
+    the per-row rows' tuples and takes the chunks' columns as they are.
     """
 
     __slots__ = ("op", "srcs", "dsts", "extra", "calls", "called", "limit")
@@ -324,7 +221,7 @@ class _Stage:
         self.srcs: list[tuple[int, ...]] = []
         self.dsts: list[tuple[int, ...]] = []
         self.extra: list[tuple] = []        # ascending by row
-        self.calls: list[_Call] = []
+        self.calls: list[tuple[int, int, _Chunk]] = []
         self.called = 0
         self.limit = chunk_rows
 
@@ -336,37 +233,35 @@ class _Stage:
         before it, and -- unless ``i`` lies inside call ``c - 1`` --
         the per-row index of row ``i`` (else -1)."""
         calls = self.calls
-        c = bisect_right(calls, i, key=_call_start)
+        c = bisect_right(calls, i, key=_start)
         if not c:
             return 0, i
-        call = calls[c - 1]
-        end = call.s + len(call)
-        return c, (call.j + i - end if i >= end else -1)
+        s, j, call = calls[c - 1]
+        end = s + call.n
+        return c, (j + i - end if i >= end else -1)
 
     def truncate(self, keep: int) -> None:
         calls = self.calls
-        c = bisect_left(calls, keep, key=_call_start)
-        del calls[c:]
+        del calls[bisect_left(calls, keep, key=_start):]
         _, j = self._seek(keep)
         if j < 0:                           # cut inside the last call
-            last = calls[-1]
-            calls[-1] = last.head(keep - last.s)
-            j = last.j
-        called = sum(map(len, calls))
+            s, j, last = calls[-1]
+            calls[-1] = (s, j, last.rows(0, keep - s))
+        called = sum(call.n for _, _, call in calls)
         self.limit += self.called - called
         self.called = called
         del self.op[j:]
         del self.srcs[j:]
         del self.dsts[j:]
-        del self.extra[bisect_left(self.extra, j, key=_extra_row):]
+        del self.extra[bisect_left(self.extra, j, key=_start):]
 
     def row(self, i: int) -> tuple:
         c, j = self._seek(i)
         if j < 0:
-            call = self.calls[c - 1]
-            return call.row(i - call.s)
+            s, _, call = self.calls[c - 1]
+            return call.row(i - s)
         extra = self.extra
-        k = bisect_left(extra, j, key=_extra_row)
+        k = bisect_left(extra, j, key=_start)
         fields = (extra[k][1:] if k < len(extra) and extra[k][0] == j
                   else _PLAIN)
         return (self.op[j], self.srcs[j], self.dsts[j]) + fields
@@ -379,13 +274,12 @@ class _Stage:
         extra, calls = self.extra, self.calls
         c, j = self._seek(start)
         if j < 0:
-            call = calls[c - 1]
-            yield from islice(call.rows(), start - call.s, None)
-            j = call.j
-        k = bisect_left(extra, j, key=_extra_row)
+            s, j, call = calls[c - 1]
+            yield from islice(call.iter_rows(), start - s, None)
+        k = bisect_left(extra, j, key=_start)
         while True:
-            if c < len(calls) and calls[c].j == j:
-                yield from calls[c].rows()
+            if c < len(calls) and calls[c][1] == j:
+                yield from calls[c][2].iter_rows()
                 c += 1
             elif j < len(op):
                 if k < len(extra) and extra[k][0] == j:
@@ -402,32 +296,32 @@ class _Stage:
         and destination ``(count, val)`` pairs, then the sparse rows'
         ``at``, ``has_addr``, ``addr``, ``nbytes``, ``stride``, ``vl``,
         ``taken`` and ``site``.  Per-row rows are converted from their
-        tuples, call rows sliced out of their skeletons' columns.  A value
-        no column can hold raises ``ValueError`` naming the column,
-        columns checked in that order."""
+        tuples; staged calls add their chunks' columns.  A value no
+        column can hold raises ``ValueError`` naming the column, columns
+        checked in that order."""
         calls = self.calls
-        js = [call.j for call in calls]
+        js = [j for _, j, _ in calls]
+        chunks = [call for _, _, call in calls]
 
-        def merged(rowwise, cuts, part):
+        def merged(rowwise, cuts, parts):
             # The per-row values up to each call's cut, then the call's.
             pieces, prev = [], 0
-            for call, cut in zip(calls, cuts):
-                pieces += (rowwise[prev:cut], part(call))
+            for cut, part in zip(cuts, parts):
+                pieces += (rowwise[prev:cut], part)
                 prev = cut
             pieces.append(rowwise[prev:])
             return np.concatenate(pieces) if calls else rowwise
 
         op = merged(np.asarray(self.op, dtype=np.int64), js,
-                    lambda call: call.op[call.lo:call.hi])
+                    [call.op for call in chunks])
         operands = []
         for tuples, name in ((self.srcs, "src"), (self.dsts, "dst")):
             count, val = _operand_columns(tuples)
             off = np.concatenate(([0], np.cumsum(count)))
+            sides = [getattr(call, name) for call in chunks]
             operands.append((
-                merged(count, js, lambda call, name=name: getattr(
-                    call.skeleton, name).count[call.lo:call.hi]),
-                _checked(merged(val, off[js], lambda call, name=name: (
-                    getattr(call.skeleton, name).slice(call.lo, call.hi))))))
+                merged(count, js, [side.count for side in sides]),
+                _checked(merged(val, off[js], [side.val for side in sides]))))
 
         extra = self.extra
         at, addr, nbytes, stride, vl, taken, site = (
@@ -436,33 +330,21 @@ class _Stage:
         addr = np.array(addr, dtype=object)
         has_addr = np.not_equal(addr, None)
         addr[~has_addr] = 0
-        try:
-            addr = addr.astype(np.uint64)
-        except OverflowError as exc:
-            raise ValueError(f"addr value out of range: {exc}") from None
         taken = np.fromiter(map(_TAKEN_ENCODE.__getitem__, taken),
                             dtype=np.int8, count=len(at))
-        sparse = [at, has_addr, addr, _wide(nbytes, "nbytes"),
-                  _wide(stride, "stride"), _wide(vl, "vl"), taken,
-                  _wide(site, "site")]
+        sparse = [at, has_addr, _wide(addr, "addr", np.uint64),
+                  _wide(nbytes, "nbytes"), _wide(stride, "stride"),
+                  _wide(vl, "vl"), taken, _wide(site, "site")]
         if calls:
             # Per-row rows move down by the call rows staged before them.
-            ends = np.cumsum([0] + [len(call) for call in calls])
+            ends = np.cumsum([0] + [call.n for call in chunks])
             at += ends[np.searchsorted(js, at, side="right")]
-            spans = {call: call.sparse() for call in calls}
-            cuts = np.searchsorted(sparse[0], [call.s for call in calls])
-            sparse = [merged(column, cuts, lambda call, f=f: spans[call][f])
-                      for f, column in enumerate(sparse)]
+            cuts = np.searchsorted(at, [s for s, _, _ in calls])
+            sparse = [merged(at, cuts, [call.at.astype(np.int64) + s
+                                        for s, _, call in calls])] + [
+                merged(column, cuts, [getattr(call, name) for call in chunks])
+                for column, (name, _) in zip(sparse[1:], _SPARSE)]
         return (op, *operands, *sparse)
-
-
-def _fill(at, kinds, shift: int, addrs, taken, site: int) -> list[tuple]:
-    """Staged ``extra`` tuples of a skeleton's rows ``at`` of ``kinds``,
-    numbered ``shift`` on: memory rows take the next of ``addrs``, branch
-    rows the next of ``taken`` and ``site``."""
-    return [(row + shift, None, 0, 0, 1, next(taken), site) if branch else
-            (row + shift, next(addrs), nbytes, stride, vl, None, 0)
-            for row, (nbytes, stride, vl, branch) in zip(at, kinds)]
 
 
 class RowSkeleton:
@@ -470,114 +352,99 @@ class RowSkeleton:
 
     Recorded from the rows a call wrote (:meth:`Trace.skeleton`) and
     written again by :meth:`Trace.emit_skeleton`.  ``opcodes`` holds the
-    distinct opcodes in first-appearance order and ``index`` every row's
-    position in it; ``srcs`` and ``dsts`` hold every row's operands
-    (equal tuples shared).  ``at`` lists, ascending, the rows that carry
-    scalar fields and ``kinds`` their ``(nbytes, stride, vl, branch)``: a
-    memory row takes its address from the call; a branch row (``branch``
-    true, the other three at their defaults) takes its outcome and site
-    from the call.  ``addresses`` and ``branches`` count the two kinds.
-    A row that carries any other mix of scalar fields, an operand outside
-    ``[0, REG_LIMIT)`` or a value no column can hold cannot be replayed
-    and raises ``ValueError``.
-
-    The same rows are also kept encoded, as a sealed chunk holds them, so
-    sealing copies them with numpy: ``src``/``dst`` (:class:`_Operands`),
-    ``at_col`` and the sparse rows' ``nbytes``, ``stride``, ``vl`` and
-    ``branch`` columns, and (:meth:`op_column`) every row's op id in the
-    trace written last.  ``branch_before[k]`` counts the branch rows
-    among the first ``k`` sparse rows.
+    distinct opcodes in first-appearance order, and ``template`` the rows
+    as the tail's own sealing conversion encodes them, ``op`` indexing
+    ``opcodes``; so a skeleton rejects, with ``ValueError`` and the same
+    message, any value sealing rejects.  Each sparse row of the template
+    is a memory row, which takes its address from the call, or a branch
+    row (``nbytes``, ``stride`` and ``vl`` at their defaults), which
+    takes its outcome and site from the call; ``addresses`` and
+    ``branches`` count the two.  A row that carries any other mix of
+    scalar fields cannot be replayed and raises ``ValueError``.
 
     A skeleton outlives the build that recorded it (its builder keeps
-    it), so it holds one copy of each operand tuple and of each kind.
+    it), and keeps nothing but these and the op ids of the trace it
+    wrote to last (:meth:`op_column`).
     """
 
-    __slots__ = ("opcodes", "index", "srcs", "dsts", "at", "kinds",
-                 "addresses", "branches", "src", "dst", "at_col", "nbytes",
-                 "stride", "vl", "branch", "branch_before", "_ids", "_op_col")
+    __slots__ = ("opcodes", "template", "addresses", "branches", "_ids",
+                 "_op_col")
 
     def __init__(self, rows) -> None:
         """``rows``: canonical ``(op, srcs, dsts, addr, nbytes, stride,
         vl, taken, site)`` tuples with ``op`` an :class:`Opcode`."""
         index: dict[int, int] = {}
-        operands: dict[tuple, tuple] = {}
-        shared_kinds: dict[tuple, tuple] = {}     # apart: False == 0
         self.opcodes: list[Opcode] = []
-        op_index, srcs, dsts, at, kinds = [], [], [], [], []
+        stage = _Stage(CHUNK_ROWS)
         for i, row in enumerate(rows):
             op = row[0]
             k = index.get(id(op))
             if k is None:
                 k = index[id(op)] = len(self.opcodes)
                 self.opcodes.append(op)
-            op_index.append(k)
-            srcs.append(operands.setdefault(row[1], row[1]))
-            dsts.append(operands.setdefault(row[2], row[2]))
-            scalar = row[3:]
-            if scalar == _PLAIN:
-                continue
-            addr, nbytes, stride, vl, taken, site = scalar
-            if addr is not None and taken is None and not site:
-                kind = (nbytes, stride, vl, False)
-            elif taken is not None and (addr, nbytes, stride, vl) == (
-                    None, 0, 0, 1):
-                kind = (0, 0, 1, True)
-            else:
-                raise ValueError(f"row {i} is neither a memory nor a branch "
-                                 "row but carries scalar fields")
-            at.append(i)
-            kinds.append(shared_kinds.setdefault(kind, kind))
-        self.index = np.asarray(op_index, dtype=np.int32)
-        self.srcs = tuple(srcs)
-        self.dsts = tuple(dsts)
-        self.at = tuple(at)
-        self.kinds = tuple(kinds)
-        for name, tuples in (("src", self.srcs), ("dst", self.dsts)):
-            count, val = _operand_columns(tuples)
-            setattr(self, name, _Operands.fit(count, _checked(val)))
-        self.at_col = np.asarray(at, dtype=np.int64)
-        nbytes, stride, vl, branch = zip(*kinds) if kinds else ((),) * 4
-        self.nbytes = _fit(_wide(nbytes, "nbytes"), np.int16, np.int64,
-                           "nbytes")
-        self.stride = _fit(_wide(stride, "stride"), np.int32, np.int64,
-                           "stride")
-        self.vl = _fit(_wide(vl, "vl"), np.int16, np.int64, "vl")
-        self.branch = np.asarray(branch, dtype=bool)
-        self.branch_before = np.concatenate(
-            ([0], np.cumsum(self.branch, dtype=np.int64)))
-        self.branches = int(self.branch_before[-1])
-        self.addresses = len(kinds) - self.branches
+            stage.op.append(k)
+            stage.srcs.append(row[1])
+            stage.dsts.append(row[2])
+            if row[3:] != _PLAIN:
+                stage.extra.append((i,) + row[3:])
+        t = self.template = _Chunk(stage)
+        memory = t.has_addr & (t.taken == -1) & (t.site == 0)
+        branch = (~t.has_addr & (t.taken != -1) & (t.nbytes == 0)
+                  & (t.stride == 0) & (t.vl == 1))
+        odd = np.flatnonzero(~(memory | branch))
+        if odd.size:
+            raise ValueError(f"row {int(t.at[odd[0]])} is neither a memory "
+                             "nor a branch row but carries scalar fields")
+        self.addresses = int(np.count_nonzero(memory))
+        self.branches = len(t.at) - self.addresses
         self._ids: tuple[int, ...] | None = None
         self._op_col: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.srcs)
+        return self.template.n
 
     def op_column(self, ids: tuple[int, ...]) -> np.ndarray:
         """Every row's op id, given a trace's id for each of ``opcodes``
         (kept until another trace's ids differ: calls keep writing to
         one trace, and a staged call holds the array it was given)."""
         if ids != self._ids:
-            self._op_col = np.asarray(ids, dtype=np.int32)[self.index]
+            self._op_col = _fit(np.asarray(ids, dtype=np.int64)[
+                self.template.op], np.int16, np.int32, "op")
             self._ids = ids
         return self._op_col
 
-    def fields(self, lo: int, hi: int) -> tuple[int, int]:
-        """The memory and branch rows among rows ``[lo, hi)``."""
-        if not lo and hi == len(self):
-            return self.addresses, self.branches
-        k_lo, k_hi = bisect_left(self.at, lo), bisect_left(self.at, hi)
-        branches = int(self.branch_before[k_hi] - self.branch_before[k_lo])
-        return k_hi - k_lo - branches, branches
+    def call(self, addrs, taken, site: int) -> _Chunk:
+        """The rows with one call's addresses, branch outcomes and site: a
+        chunk that owns those three columns and shares every other with
+        ``template`` (``op`` too, which :meth:`Trace.emit_skeleton`
+        swaps for the trace's ids).  The k-th memory row takes
+        ``addrs[k]`` and the k-th branch row ``taken[k]``; a miscount, or
+        a value no column can hold, raises ``ValueError``."""
+        if (len(addrs), len(taken)) != (self.addresses, self.branches):
+            raise ValueError(
+                f"skeleton takes {self.addresses} addresses and "
+                f"{self.branches} branch outcomes, got {len(addrs)} "
+                f"and {len(taken)}")
+        t = self.template
+        call = _Chunk.__new__(_Chunk)
+        for name in ("n", "op", "src", "dst", "at", "has_addr", "nbytes",
+                     "stride", "vl"):
+            setattr(call, name, getattr(t, name))
+        memory = t.has_addr
+        call.addr = np.zeros(len(t.at), dtype=np.uint64)
+        call.addr[memory] = _wide(list(map(int, addrs)), "addr", np.uint64)
+        call.taken = np.full(len(t.at), _TAKEN_ENCODE[None], dtype=np.int8)
+        call.taken[~memory] = list(map(bool, taken))
+        call.site = np.where(memory, 0, _wide(int(site), "site"))
+        return call
 
     def rows(self, addrs, taken, site: int):
         """The rows as canonical tuples, ``op`` an :class:`Opcode`, with
         one call's addresses, branch outcomes and site filled in: the rows
         :meth:`Trace.emit_skeleton` appends."""
         ops = self.opcodes
-        return _rows([ops[k] for k in self.index.tolist()], self.srcs,
-                     self.dsts, _fill(self.at, self.kinds, 0, iter(addrs),
-                                      iter(taken), site))
+        return ((ops[row[0]],) + row[1:]
+                for row in self.call(addrs, taken, site).iter_rows())
 
 
 def ragged_tuples(starts, counts, values) -> np.ndarray:
@@ -598,11 +465,11 @@ def ragged_tuples(starts, counts, values) -> np.ndarray:
     return out
 
 
-def _wide(values, name: str) -> np.ndarray:
-    """Python ints as an int64 column; a value int64 cannot hold raises
-    ``ValueError`` naming the column ``name``."""
+def _wide(values, name: str, dtype: np.dtype = np.int64) -> np.ndarray:
+    """Python ints as an int64 (or ``dtype``) column; a value it cannot
+    hold raises ``ValueError`` naming the column ``name``."""
     try:
-        return np.asarray(values, dtype=np.int64)
+        return np.asarray(values, dtype=dtype)
     except OverflowError as exc:
         raise ValueError(f"{name} value out of range: {exc}") from None
 
@@ -728,7 +595,8 @@ _SPARSE = (("has_addr", False), ("addr", 0), ("nbytes", 0), ("stride", 0),
 
 
 class _Chunk:
-    """One sealed block of rows.
+    """One sealed block of rows: a trace's chunk, a skeleton's template,
+    or a replayed call staged in the tail (:meth:`RowSkeleton.call`).
 
     ``op`` holds one opcode id per row and ``src``/``dst`` the operand
     lists (:class:`_Operands`).  The six scalar fields stay sparse, as in
@@ -792,11 +660,17 @@ class _Chunk:
         addr = [a if has else None for a, has in zip(
             self.addr.tolist(), self.has_addr.tolist())]
         taken = [_TAKEN_DECODE[t + 1] for t in self.taken.tolist()]
-        extra = list(zip(self.at.tolist(), addr, self.nbytes.tolist(),
-                         self.stride.tolist(), self.vl.tolist(), taken,
-                         self.site.tolist()))
-        return _rows(self.op.tolist(), self.src.tuples(), self.dst.tuples(),
-                     extra)
+        extra = zip(self.at.tolist(), addr, self.nbytes.tolist(),
+                    self.stride.tolist(), self.vl.tolist(), taken,
+                    self.site.tolist())
+        nxt = next(extra, None)
+        for i, head in enumerate(zip(self.op.tolist(), self.src.tuples(),
+                                     self.dst.tuples())):
+            if nxt is not None and nxt[0] == i:
+                yield head + nxt[1:]
+                nxt = next(extra, None)
+            else:
+                yield head + _PLAIN
 
     def nbytes_storage(self) -> int:
         """Bytes of column storage this chunk occupies (diagnostics)."""
@@ -977,44 +851,36 @@ class Trace:
         """Append the rows of ``skeleton``: the bulk twin of :meth:`emit`.
 
         The k-th memory row gets ``addrs[k]``, the k-th branch row
-        ``taken[k]`` and ``site`` (see :class:`RowSkeleton`).  The tail
-        stages a reference to the skeleton's rows with these values, and
-        the call joins the call table.  The trace is left as :meth:`emit`
-        would leave it for the same rows written one by one: new opcodes
-        are interned in first-appearance order, addresses and outcomes
-        are canonicalized to ``int`` and ``bool``, the tail seals at the
-        same row counts -- by swapping in a fresh one, so a reader walking
-        the old tail keeps its rows -- and sealed chunks are identical.
-        A seal that raises leaves the rows written so far staged, and the
-        call out of the call table.
+        ``taken[k]`` and ``site`` (:meth:`RowSkeleton.call`, which
+        raises before anything changes).  The tail stages that call
+        chunk, or the pieces of it a seal cuts off, and the call joins
+        the call table.  The trace is left as :meth:`emit` would leave it
+        for the same rows written one by one: new opcodes are interned in
+        first-appearance order, addresses and outcomes are canonicalized
+        to ``int`` and ``bool``, the tail seals at the same row counts --
+        by swapping in a fresh one, so a reader walking the old tail
+        keeps its rows -- and sealed chunks are identical.  A seal that
+        raises leaves the rows written so far staged, and the call out of
+        the call table.
         """
-        if (len(addrs), len(taken)) != (skeleton.addresses,
-                                        skeleton.branches):
-            raise ValueError(
-                f"skeleton takes {skeleton.addresses} addresses and "
-                f"{skeleton.branches} branch outcomes, got {len(addrs)} "
-                f"and {len(taken)}")
+        call = skeleton.call(addrs, taken, site)
         ids = []
         for op in skeleton.opcodes:
             op_id = self._op_ids.get(id(op))
             ids.append(self._intern(op) if op_id is None else op_id)
-        op = skeleton.op_column(tuple(ids))
-        addrs, taken = list(map(int, addrs)), list(map(bool, taken))
-        site = int(site)
-        n = len(skeleton)
+        call.op = skeleton.op_column(tuple(ids))
+        n = call.n
         start = len(self)
-        lo = a = b = 0
+        lo = 0
         while lo < n:
             # Up to the row at which per-row emit would seal, then seal.
             stage = self._stage
             hi = min(n, lo + self._chunk_rows - len(stage))
-            na, nb = skeleton.fields(lo, hi)
-            stage.calls.append(_Call(
-                len(stage), len(stage.op), skeleton, lo, hi, op,
-                addrs[a:a + na], taken[b:b + nb], site))
+            stage.calls.append((len(stage), len(stage.op),
+                                call if hi - lo == n else call.rows(lo, hi)))
             stage.called += hi - lo
             stage.limit -= hi - lo
-            lo, a, b = hi, a + na, b + nb
+            lo = hi
             if len(stage) >= self._chunk_rows:
                 self._seal()
         if n:
@@ -1068,7 +934,7 @@ class Trace:
             self._sealed = length
             self._stage = _Stage(self._chunk_rows)
         calls = self._calls
-        del calls[bisect_left(calls, length, key=itemgetter(0)):]
+        del calls[bisect_left(calls, length, key=_start):]
         if calls and calls[-1][1] > length:
             calls[-1] = (calls[-1][0], length, calls[-1][2])
         self._summary = None

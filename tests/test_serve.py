@@ -420,7 +420,35 @@ def test_two_concurrent_clients_reproduce_golden_digests(tmp_path):
 
 # --- worker death: no leaked slots, capacity recovers --------------------------
 
-def test_shard_pool_fails_pending_keys_of_killed_worker_and_respawns():
+#: The point a worker-kill test kills its worker on.
+DOOMED = PointSpec(kind="kernel", target="idct", isa="mom", way=8)
+
+
+def _block_doomed_point(monkeypatch):
+    """Make ``execute_group`` -- which a shard worker imports when it
+    starts -- set the returned event and then block on :data:`DOOMED`,
+    so a kill after the event lands while the worker is mid-execution.
+    Patched before the pool forks its worker, so the worker inherits it;
+    every other point runs as usual."""
+    import multiprocessing
+
+    from repro.exp import engine
+
+    started = multiprocessing.Event()
+    execute_group = engine.execute_group
+
+    def blocking(points, *args, **kwargs):
+        if list(points) == [DOOMED]:
+            started.set()
+            threading.Event().wait()      # until the test kills the worker
+        return execute_group(points, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "execute_group", blocking)
+    return started
+
+
+def test_shard_pool_fails_pending_keys_of_killed_worker_and_respawns(
+        monkeypatch):
     """Pool-level regression: SIGKILL a worker mid-batch.  Its outstanding
     keys must be reported as errors (so the owner can resolve futures and
     release backpressure slots) and the worker must be respawned."""
@@ -433,21 +461,19 @@ def test_shard_pool_fails_pending_keys_of_killed_worker_and_respawns():
         results[key] = (result, error)
         done.set()
 
-    # A point slow enough (seconds) that the kill lands mid-execution:
-    # frame-point's, as replayed calls make the scale-1 point too quick.
-    slow = PointSpec(kind="app", target="mpeg2_encode", isa="alpha",
-                     way=4, memory="conventional", scale=5).payload()
+    started = _block_doomed_point(monkeypatch)
     pool = ShardPool(1, on_result)
     try:
-        pool.submit([("slowkey", slow)])
-        import time
-        time.sleep(0.5)                   # worker is inside the build
+        assert pool._ctx.get_start_method() == "fork"
+        pool.submit([("doomedkey", DOOMED.payload())])
+        assert started.wait(60), "the worker never began the point"
         pool._procs[0].kill()
         assert done.wait(30), "killed worker's key was never failed"
-        result, error = results["slowkey"]
+        result, error = results["doomedkey"]
         assert result is None and "died" in error
         # Respawn may lag the key failure by the flap backoff (a worker
         # dying young is treated as flapping); waiters never wait on it.
+        import time
         deadline = time.time() + 10
         while pool.alive() < 1 and time.time() < deadline:
             time.sleep(0.05)
@@ -457,23 +483,22 @@ def test_shard_pool_fails_pending_keys_of_killed_worker_and_respawns():
         pool.close()
 
 
-def test_killed_worker_streams_error_and_capacity_recovers(tmp_path):
+def test_killed_worker_streams_error_and_capacity_recovers(tmp_path,
+                                                           monkeypatch):
     """Server-level regression: with a single backpressure slot, a worker
     killed mid-simulation used to strand the in-flight future forever --
     the slot never released and every later submit hung.  Now the client
     gets an ok:false result for the doomed point, and a follow-up submit
     simulates normally on the respawned worker (proof the slot came back:
     with max_inflight=1 a leak would deadlock it)."""
-    import time
-
-    doomed = PointSpec(kind="app", target="mpeg2_encode", isa="alpha", way=4,
-                       memory="conventional", scale=5)
+    started = _block_doomed_point(monkeypatch)
     with live_server(tmp_path, workers=1, max_inflight=1) as server:
+        assert server._pool._ctx.get_start_method() == "fork"
         with Client("127.0.0.1", server.port, timeout=120) as client:
-            stream = client.submit_iter([doomed])
+            stream = client.submit_iter([DOOMED])
             accepted = next(stream)
             assert accepted["op"] == "accepted"
-            time.sleep(0.5)               # let the batch reach the worker
+            assert started.wait(60), "the worker never began the point"
             server._pool._procs[0].kill()
             messages = list(stream)
         kinds = [m["op"] for m in messages]

@@ -335,7 +335,7 @@ def test_skeleton_replays_the_rows_it_recorded():
             for row in rows:
                 t.emit(*row)
             skeleton = t.skeleton(start)
-            assert len(skeleton.srcs) == len(skeleton.dsts) == len(rows)
+            assert len(skeleton) == len(rows)
             assert (skeleton.addresses, skeleton.branches) == (18, 9)
             assert list(skeleton.rows(*_call_values(0, 7))) == rows
             assert list(skeleton.rows(*_call_values(2, 9))) == _call_rows(2, 9)
@@ -552,10 +552,9 @@ def test_failed_bulk_seal_leaves_the_tail_staged():
 
 
 def test_skeleton_shares_operands_apart_from_field_kinds():
-    """Equal operand tuples are stored once, but never swapped for a
-    memory row's ``(nbytes, stride, vl, False)``, which compares equal
-    to the operands ``(1, 0, 1, 0)``: a ``False`` operand would change
-    the row's digest."""
+    """Operands ``(1, 0, 1, 0)``, which compare equal to a memory row's
+    ``(nbytes, stride, vl, False)``, replay as the ints written: a
+    ``False`` operand would change the row's digest."""
     INT = RegPool.INT
     ops = tuple(reg(INT, i) for i in (1, 0, 1, 0))
     rows = [(ALPHA["ldbu"], (reg(INT, 2),), (reg(INT, 3),), 0x1000, 1, 0, 1,
@@ -564,7 +563,6 @@ def test_skeleton_shares_operands_apart_from_field_kinds():
             (ALPHA["addq"], tuple(list(ops)), (reg(INT, 3),))
             + (None, 0, 0, 1, None, 0)]
     skeleton = RowSkeleton(rows)
-    assert skeleton.srcs[1] is skeleton.srcs[2]
     t = Trace("alpha")
     t.emit_skeleton(skeleton, [0x1000], [], 0)
     assert list(t.iter_field_tuples())[1][2] == ops
@@ -582,6 +580,9 @@ def test_skeleton_rejects_rows_it_cannot_fill():
         with pytest.raises(ValueError, match="row 1"):
             RowSkeleton([_call_rows()[0], (ALPHA["addq"], (), (reg(INT, 1),))
                          + fields])
+    with pytest.raises(ValueError, match=r"register operand -5 outside \["):
+        RowSkeleton([_call_rows()[0], (ALPHA["addq"], (reg(INT, 1), -5),
+                                       (reg(INT, 1),), None, 0, 0, 1, None, 0)])
     skeleton = RowSkeleton(_call_rows())
     addrs, taken, site = _call_values(0, 7)
     t = Trace("mom")
@@ -604,8 +605,11 @@ def test_skeleton_rejects_rows_it_cannot_fill():
         "vl-2^70", "site-2^70"])
 def test_out_of_range_scalar_column_names_the_column(field, value):
     """A value no column dtype can hold is a ``ValueError`` naming the
-    column, as for operands, whether the row is converted by sealing or
-    on its way out of the staging tail."""
+    column, as for operands, by the time the first column reader returns:
+    whether the row is converted by sealing or on its way out of the
+    staging tail, recorded into a skeleton (a memory row, or a branch row
+    for ``site``), or passed to the bulk writer as a call's address or
+    site."""
     row = dict(addr=0x1000, nbytes=8, stride=8, vl=4, site=3)
     row[field] = value
     bad = DynInstr(MOM["momldq"], **row)
@@ -620,6 +624,25 @@ def test_out_of_range_scalar_column_names_the_column(field, value):
     tail.append(bad)
     with pytest.raises(ValueError, match=message):
         list(tail.iter_column_blocks(8))
+
+    if field == "site":
+        recorded = (ALPHA["bne"], (), (), None, 0, 0, 1, True, value)
+    else:
+        recorded = (MOM["momldq"], (), (), row["addr"], row["nbytes"],
+                    row["stride"], row["vl"], None, 0)
+    with pytest.raises(ValueError, match=message):
+        RowSkeleton([recorded])
+
+    if field in ("addr", "site"):
+        addrs, taken, site = _call_values(0, 7)
+        if field == "addr":
+            addrs[-1] = value
+        else:
+            site = value
+        bulk = Trace("mom")
+        with pytest.raises(ValueError, match=message):
+            bulk.emit_skeleton(RowSkeleton(_call_rows()), addrs, taken, site)
+            list(bulk.iter_column_blocks(8))
 
 
 # --- the build path writes rows, never objects ---------------------------------
