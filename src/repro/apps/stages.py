@@ -33,12 +33,13 @@ Fixed-point stage definitions (mirrored by the numpy reference in
 from __future__ import annotations
 
 import struct
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from ..emulib.alpha_builder import emit_track_min, replay, reads_written
-from ..emulib.base_builder import wrap64
+from ..emulib.alpha_builder import emit_track_min, reads_written
+from ..emulib.base_builder import replay, replay_body, wrap64
 from ..emulib.scalar_section import SectionProfile, emit_scalar_section
 from ..kernels.addblock import TABLE_BIAS, clamp_table, emit_alpha_addblock
 from ..kernels.compensation import emit_alpha_average
@@ -343,77 +344,94 @@ class ScalarStages:
 
     def rgb2ycc(self, r: int, g: int, bb: int, y: int, cb: int, cr: int,
                 n: int) -> None:
+        """Replayed by re-running (DESIGN.md section 5): each iteration
+        of four pixels is one call, keyed by its pixel count."""
         b = self.b
         vr, vg, vb, c, prod, s, cnt = self.r[:7]
+        po = self.r[8]
         outs = {"y": y, "cb": cb, "cr": cr}
         pr, pg, pb = b.ireg(r), b.ireg(g), b.ireg(bb)
         site = b.site()
+
+        def pixels(i0: int) -> None:
+            for i in range(i0, min(i0 + 4, n)):
+                b.ldbu(vr, pr, i)
+                b.ldbu(vg, pg, i)
+                b.ldbu(vb, pb, i)
+                for name, kr, kg, kb, bias in RGB2YCC:
+                    b.li(c, kr)
+                    b.mulq(s, vr, c)
+                    b.li(c, kg)
+                    b.mulq(prod, vg, c)
+                    b.addq(s, s, prod)
+                    b.li(c, kb)
+                    b.mulq(prod, vb, c)
+                    b.addq(s, s, prod)
+                    b.addi(s, s, 128)
+                    b.sra(s, s, 8)
+                    if bias:
+                        b.addi(s, s, bias)
+                    b.li(po, outs[name] + i)
+                    b.stb(s, po, 0)
+                if i % 4 == 3:
+                    b.subi(cnt, cnt, 1)
+                    b.bne(cnt, site)
+
         b.li(cnt, n // 4)
-        for i in range(n):
-            b.ldbu(vr, pr, i)
-            b.ldbu(vg, pg, i)
-            b.ldbu(vb, pb, i)
-            for name, kr, kg, kb, bias in RGB2YCC:
-                b.li(c, kr)
-                b.mulq(s, vr, c)
-                b.li(c, kg)
-                b.mulq(prod, vg, c)
-                b.addq(s, s, prod)
-                b.li(c, kb)
-                b.mulq(prod, vb, c)
-                b.addq(s, s, prod)
-                b.addi(s, s, 128)
-                b.sra(s, s, 8)
-                if bias:
-                    b.addi(s, s, bias)
-                po = self.r[8]
-                b.li(po, outs[name] + i)
-                b.stb(s, po, 0)
-            if i % 4 == 3:
-                b.subi(cnt, cnt, 1)
-                b.bne(cnt, site)
+        regs = (vr, vg, vb, c, prod, s, cnt, po, pr, pg, pb)
+        for i0 in range(0, n, 4):
+            replay_body(b, ("rgb2ycc", min(4, n - i0)), regs,
+                        partial(pixels, i0))
         for reg in (pr, pg, pb):
             b.free(reg)
 
     def ycc2rgb(self, y: int, cb: int, cr: int, r: int, g: int, bb: int,
                 n: int) -> None:
+        """Replayed by re-running, four pixels a call, as :meth:`rgb2ycc`."""
         b = self.b
         vy, vcb, vcr, c, prod, s, t, cnt = self.r[:8]
         site = b.site()
         py, pcb, pcr = b.ireg(y), b.ireg(cb), b.ireg(cr)
         pout = self.r[8]
+
+        def pixels(i0: int) -> None:
+            for i in range(i0, min(i0 + 4, n)):
+                b.ldbu(vy, py, i)
+                b.ldbu(vcb, pcb, i)
+                b.ldbu(vcr, pcr, i)
+                b.addi(vcb, vcb, -128)
+                b.addi(vcr, vcr, -128)
+                for name, dst in (("r", r), ("g", g), ("b", bb)):
+                    if name == "r":
+                        b.li(c, 179)
+                        b.mulq(s, vcr, c)
+                    elif name == "b":
+                        b.li(c, 227)
+                        b.mulq(s, vcb, c)
+                    else:
+                        b.li(c, -44)
+                        b.mulq(s, vcb, c)
+                        b.li(c, -91)
+                        b.mulq(prod, vcr, c)
+                        b.addq(s, s, prod)
+                    b.addi(s, s, 64)
+                    b.sra(s, s, 7)
+                    b.addq(s, s, vy)
+                    b.cmovlt(s, s, self.z)                 # clamp low
+                    b.li(t, 255)
+                    b.cmplt(prod, t, s)
+                    b.cmovne(s, prod, t)                   # clamp high
+                    b.li(pout, dst + i)
+                    b.stb(s, pout, 0)
+                if i % 4 == 3:
+                    b.subi(cnt, cnt, 1)
+                    b.bne(cnt, site)
+
         b.li(cnt, n // 4)
-        for i in range(n):
-            b.ldbu(vy, py, i)
-            b.ldbu(vcb, pcb, i)
-            b.ldbu(vcr, pcr, i)
-            b.addi(vcb, vcb, -128)
-            b.addi(vcr, vcr, -128)
-            for name, dst in (("r", r), ("g", g), ("b", bb)):
-                if name == "r":
-                    b.li(c, 179)
-                    b.mulq(s, vcr, c)
-                elif name == "b":
-                    b.li(c, 227)
-                    b.mulq(s, vcb, c)
-                else:
-                    b.li(c, -44)
-                    b.mulq(s, vcb, c)
-                    b.li(c, -91)
-                    b.mulq(prod, vcr, c)
-                    b.addq(s, s, prod)
-                b.addi(s, s, 64)
-                b.sra(s, s, 7)
-                b.addq(s, s, vy)
-                b.cmovlt(s, s, self.z)                 # clamp low
-                b.li(t, 255)
-                b.cmplt(prod, t, s)
-                b.cmovne(s, prod, t)                   # clamp high
-                b.li(pout, dst + i)
-                b.stb(s, pout, 0)
-            if i % 4 == 3:
-                b.subi(cnt, cnt, 1)
-                b.bne(cnt, site)
+        regs = (vy, vcb, vcr, c, prod, s, t, cnt, pout, py, pcb, pcr, self.z)
+        for i0 in range(0, n, 4):
+            replay_body(b, ("ycc2rgb", min(4, n - i0)), regs,
+                        partial(pixels, i0))
         for reg in (py, pcb, pcr):
             b.free(reg)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..emulib.alpha_builder import emit_track_min
+from ..emulib.base_builder import replay_body
 from ..isa.model import ElemType
 from ..kernels.addblock import emit_packed_addblock
 from ..kernels.idct import (N, PASS1_SHIFT, PASS2_SHIFT, emit_mmx_row_pass,
@@ -120,36 +121,51 @@ class MmxStages(ScalarStages):
     # -- residual / reconstruction ----------------------------------------------------------
 
     def residual8(self, cur, cstride, pred, pstride, dst) -> None:
+        """Replayed by re-running (DESIGN.md section 5); a load's
+        alignment picks its opcode, so the key holds the addresses' and
+        strides' alignments."""
         b = self.b
         pc, pp, pd, rows = self.r[:4]
         vc, vp, c_lo, c_hi, p_lo, p_hi = self.m[:6]
-        b.li(pc, cur)
-        b.li(pp, pred)
-        b.li(pd, dst)
-        b.li(rows, N // 4)
-        site = b.site()
-        for row in range(N):
-            b.m_ldq(vc, pc, 0)
-            b.m_ldq(vp, pp, 0)
-            b.punpcklb(c_lo, vc, self.mzero)
-            b.punpckhb(c_hi, vc, self.mzero)
-            b.punpcklb(p_lo, vp, self.mzero)
-            b.punpckhb(p_hi, vp, self.mzero)
-            b.psubh(c_lo, c_lo, p_lo)
-            b.psubh(c_hi, c_hi, p_hi)
-            b.m_stq(c_lo, pd, 0)
-            b.m_stq(c_hi, pd, 8)
-            b.addi(pc, pc, cstride)
-            b.addi(pp, pp, pstride)
-            b.addi(pd, pd, 2 * N)
-            if row % 4 == 3:
-                b.subi(rows, rows, 1)
-                b.bne(rows, site)
+
+        def body():
+            b.li(pc, cur)
+            b.li(pp, pred)
+            b.li(pd, dst)
+            b.li(rows, N // 4)
+            site = b.site()
+            for row in range(N):
+                b.m_ldq(vc, pc, 0)
+                b.m_ldq(vp, pp, 0)
+                b.punpcklb(c_lo, vc, self.mzero)
+                b.punpckhb(c_hi, vc, self.mzero)
+                b.punpcklb(p_lo, vp, self.mzero)
+                b.punpckhb(p_hi, vp, self.mzero)
+                b.psubh(c_lo, c_lo, p_lo)
+                b.psubh(c_hi, c_hi, p_hi)
+                b.m_stq(c_lo, pd, 0)
+                b.m_stq(c_hi, pd, 8)
+                b.addi(pc, pc, cstride)
+                b.addi(pp, pp, pstride)
+                b.addi(pd, pd, 2 * N)
+                if row % 4 == 3:
+                    b.subi(rows, rows, 1)
+                    b.bne(rows, site)
+
+        replay_body(b, ("mmx_residual8", cur & 7, cstride & 7, pred & 7,
+                        pstride & 7),
+                    (*self.r[:4], *self.m[:6], self.mzero), body)
 
     def addblock8(self, pred, pstride, resid, dst, dstride) -> None:
-        emit_packed_addblock(self.b, pred, pstride, resid, dst, dstride,
-                             self.mzero, (*self.r[:4], *self.m[:5]),
-                             self.b.site())
+        """Replayed by re-running, keyed like :meth:`residual8`."""
+        b = self.b
+        regs = (*self.r[:4], *self.m[:5])
+        site = b.site()
+        replay_body(b, ("mmx_addblock8", pred & 7, pstride & 7, resid & 7),
+                    (*regs, self.mzero),
+                    lambda: emit_packed_addblock(b, pred, pstride, resid,
+                                                 dst, dstride, self.mzero,
+                                                 regs, site))
 
     # -- transforms ----------------------------------------------------------------------------
 
@@ -174,51 +190,69 @@ class MmxStages(ScalarStages):
             emit_mmx_row_pass(b, sbase, dbase, rnd_reg, shift, do_clamp, addr,
                               ctr, kregs, (cmin, cmax), self.m[:11], site)
 
-        emit_mmx_transpose(b, src, self._t_addr, addr, self.m[:8])
-        row_pass(self._t_addr, self._r_addr, rnd1, PASS1_SHIFT, False)
-        emit_mmx_transpose(b, self._r_addr, self._t_addr, addr, self.m[:8])
-        row_pass(self._t_addr, dst, rnd2, PASS2_SHIFT, clamp)
+        def body():
+            emit_mmx_transpose(b, src, self._t_addr, addr, self.m[:8])
+            row_pass(self._t_addr, self._r_addr, rnd1, PASS1_SHIFT, False)
+            emit_mmx_transpose(b, self._r_addr, self._t_addr, addr,
+                               self.m[:8])
+            row_pass(self._t_addr, dst, rnd2, PASS2_SHIFT, clamp)
+
+        # Replayed by re-running after the resident constants: both
+        # transposes and row passes are one call (DESIGN.md section 5).
+        replay_body(b, ("mmx_transform8", clamp, src & 7),
+                    (addr, ctr, *self.k, *self.c4, *self.m), body)
 
     # -- quantization -------------------------------------------------------------------------------
 
     def quant8(self, addr: int) -> None:
+        """Replayed by re-running, keyed by the block's alignment."""
         b = self.b
         p, rows = self.r[:2]
         x, neg, q, mask = self.m[:4]
-        b.li(p, addr)
-        b.li(rows, N // 4)
-        site = b.site()
-        for row in range(N):
-            for half in (0, 8):
-                b.m_ldq(x, p, half)
-                b.psubh(neg, self.mzero, x)
-                b.pmaxsh(q, x, neg)                 # |x|
-                b.psrlh(q, q, QUANT_SHIFT)
-                b.pcmpgth(mask, self.mzero, x)      # lanes where x < 0
-                b.pxor(q, q, mask)
-                b.psubh(q, q, mask)                 # two's complement negate
-                b.m_stq(q, p, half)
-            b.addi(p, p, 2 * N)
-            if row % 4 == 3:
-                b.subi(rows, rows, 1)
-                b.bne(rows, site)
+
+        def body():
+            b.li(p, addr)
+            b.li(rows, N // 4)
+            site = b.site()
+            for row in range(N):
+                for half in (0, 8):
+                    b.m_ldq(x, p, half)
+                    b.psubh(neg, self.mzero, x)
+                    b.pmaxsh(q, x, neg)                 # |x|
+                    b.psrlh(q, q, QUANT_SHIFT)
+                    b.pcmpgth(mask, self.mzero, x)      # lanes where x < 0
+                    b.pxor(q, q, mask)
+                    b.psubh(q, q, mask)         # two's complement negate
+                    b.m_stq(q, p, half)
+                b.addi(p, p, 2 * N)
+                if row % 4 == 3:
+                    b.subi(rows, rows, 1)
+                    b.bne(rows, site)
+
+        replay_body(b, ("mmx_quant8", addr & 7),
+                    (p, rows, x, neg, q, mask, self.mzero), body)
 
     def dequant8(self, addr: int) -> None:
+        """Replayed by re-running, keyed like :meth:`quant8`."""
         b = self.b
         p, rows = self.r[:2]
         x = self.m[0]
-        b.li(p, addr)
-        b.li(rows, N // 4)
-        site = b.site()
-        for row in range(N):
-            for half in (0, 8):
-                b.m_ldq(x, p, half)
-                b.psllh(x, x, QUANT_SHIFT)
-                b.m_stq(x, p, half)
-            b.addi(p, p, 2 * N)
-            if row % 4 == 3:
-                b.subi(rows, rows, 1)
-                b.bne(rows, site)
+
+        def body():
+            b.li(p, addr)
+            b.li(rows, N // 4)
+            site = b.site()
+            for row in range(N):
+                for half in (0, 8):
+                    b.m_ldq(x, p, half)
+                    b.psllh(x, x, QUANT_SHIFT)
+                    b.m_stq(x, p, half)
+                b.addi(p, p, 2 * N)
+                if row % 4 == 3:
+                    b.subi(rows, rows, 1)
+                    b.bne(rows, site)
+
+        replay_body(b, ("mmx_dequant8", addr & 7), (p, rows, x), body)
 
     # -- colour conversion ------------------------------------------------------------------------------
 
@@ -554,28 +588,36 @@ class MomStages(ScalarStages):
             b.li(base, addr + 8)
             b.momldq(right, base, self._stride(2 * N))
 
-        load_pair(src)
-        column_pass(PASS1_SHIFT, self._scratch_t1)
-        load_pair(self._scratch_t1)
-        emit_mom_transpose(b, left, right, tmp_int, swap)
-        column_pass(PASS2_SHIFT, self._scratch_t2)
-        load_pair(self._scratch_t2)
-        emit_mom_transpose(b, left, right, tmp_int, swap)
-        if clamp:
-            if "clamp" not in self._const_addrs:
-                self._const_addrs["clamp"] = b.mem.alloc_array(
-                    mom_clamp_words())
-            b.li(base, self._const_addrs["clamp"])
-            b.momldq(cmin, base, self._stride(8))
-            b.li(base, self._const_addrs["clamp"] + N * 8)
-            b.momldq(cmax, base, self._stride(8))
-            for reg in (left, right):
-                b.pmaxsh(reg, reg, cmin)
-                b.pminsh(reg, reg, cmax)
-        b.li(base, dst)
-        b.momstq(left, base, self._stride(2 * N))
-        b.li(base, dst + 8)
-        b.momstq(right, base, self._stride(2 * N))
+        def body():
+            load_pair(src)
+            column_pass(PASS1_SHIFT, self._scratch_t1)
+            load_pair(self._scratch_t1)
+            emit_mom_transpose(b, left, right, tmp_int, swap)
+            column_pass(PASS2_SHIFT, self._scratch_t2)
+            load_pair(self._scratch_t2)
+            emit_mom_transpose(b, left, right, tmp_int, swap)
+            if clamp:
+                if "clamp" not in self._const_addrs:
+                    self._const_addrs["clamp"] = b.mem.alloc_array(
+                        mom_clamp_words())
+                b.li(base, self._const_addrs["clamp"])
+                b.momldq(cmin, base, self._stride(8))
+                b.li(base, self._const_addrs["clamp"] + N * 8)
+                b.momldq(cmax, base, self._stride(8))
+                for reg in (left, right):
+                    b.pmaxsh(reg, reg, cmin)
+                    b.pminsh(reg, reg, cmax)
+            b.li(base, dst)
+            b.momstq(left, base, self._stride(2 * N))
+            b.li(base, dst + 8)
+            b.momstq(right, base, self._stride(2 * N))
+
+        # Replayed by re-running after the resident constants (DESIGN.md
+        # section 5); the alignments of src and dst pick the load and
+        # store opcodes.
+        replay_body(b, ("mom_transform8", clamp, src & 7, dst & 7),
+                    (base, tmp_int, swap, self.stride_reg, *self.m[:5],
+                     *accs, *self.k), body)
 
     # -- quantization ---------------------------------------------------------------------------
 

@@ -9,35 +9,12 @@ helpers have a home.
 from __future__ import annotations
 
 from .base_builder import BaseBuilder, RegHandle
-from .trace import RowSkeleton
 
 
 class AlphaBuilder(BaseBuilder):
     """Builder producing pure scalar Alpha traces (the paper's baseline)."""
 
     isa_name = "alpha"
-
-
-def replay(b: BaseBuilder, shape: tuple, regs, body) -> RowSkeleton | None:
-    """The row skeleton of a replayed emitter call, or ``None`` once
-    ``body()`` has written the rows itself.
-
-    The first call with a given ``shape`` and register encodings runs the
-    per-instruction ``body`` on ``b`` and records the rows it wrote into
-    ``b.skeletons``; later calls get that skeleton back and must write the
-    same rows with :meth:`~repro.emulib.trace.Trace.emit_skeleton`.  An
-    emitter may be replayed only if none of its rows depends on a data
-    value.  Calls whose registers are not all distinct always run
-    ``body``: its values would not follow the replay's arithmetic.
-    """
-    key = shape + tuple(reg.encoded for reg in regs)
-    skeleton = b.skeletons.get(key)
-    if skeleton is None:
-        start = len(b.trace)
-        body()
-        if len(set(key[len(shape):])) == len(regs):
-            b.skeletons[key] = b.trace.skeleton(start)
-    return skeleton
 
 
 def reads_written(reads, writes) -> bool:

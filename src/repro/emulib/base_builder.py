@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..isa.alpha import ALPHA
 from ..isa.model import Opcode, RegPool
 from .memory import Memory
-from .trace import RowSkeleton, Trace, reg
+from .trace import RowChecker, RowSkeleton, Trace, reg
 
 _U64 = (1 << 64) - 1
 _ALPHA_OPS = ALPHA.opcodes
@@ -116,7 +116,7 @@ class BaseBuilder:
         #: them as observable.
         self.live_out: set[int] = set()
         #: row skeletons the replayed emitters recorded on this builder,
-        #: keyed by call shape (see :func:`~repro.emulib.alpha_builder.replay`).
+        #: keyed by call shape (see :func:`replay` and :func:`replay_body`).
         self.skeletons: dict[tuple, RowSkeleton] = {}
 
     # --- register & site management ------------------------------------------
@@ -415,6 +415,67 @@ class BaseBuilder:
             self.subi(counter, counter, 1)
             self.bne(counter, back_edge)
         self.free(counter)
+
+
+def _own_trace(b: BaseBuilder) -> Trace:
+    """``b.trace``, unless a re-run body is writing to a
+    :class:`RowChecker`: a replayed call cannot nest in one."""
+    trace = b.trace
+    if isinstance(trace, RowChecker):
+        raise ValueError(f"a replayed call cannot run inside the re-run "
+                         f"body of replayed call {trace.shape!r}")
+    return trace
+
+
+def replay(b: BaseBuilder, shape: tuple, regs, body) -> RowSkeleton | None:
+    """The row skeleton of a replayed emitter call, or ``None`` once
+    ``body()`` has written the rows itself.
+
+    The first call with a given ``shape`` and register encodings runs the
+    per-instruction ``body`` on ``b`` and records the rows it wrote into
+    ``b.skeletons``; later calls get that skeleton back and must compute
+    the call's values and write the same rows with
+    :meth:`~repro.emulib.trace.Trace.emit_skeleton`.  An emitter may be
+    replayed only if none of its rows depends on a data value.  Calls
+    whose registers are not all distinct always run ``body``: its values
+    would not follow the replay's arithmetic.
+    """
+    trace = _own_trace(b)
+    key = shape + tuple(reg.encoded for reg in regs)
+    skeleton = b.skeletons.get(key)
+    if skeleton is None:
+        start = len(trace)
+        body()
+        if len(set(key[len(shape):])) == len(regs):
+            b.skeletons[key] = trace.skeleton(start)
+    return skeleton
+
+
+def replay_body(b: BaseBuilder, shape: tuple, regs, body) -> None:
+    """Run ``body()``, one emitter call, and write its rows as a replayed
+    call once its ``shape`` and register encodings have been recorded.
+
+    The first call with a key runs and records as :func:`replay` does.
+    Every later call runs ``body()`` again with ``b.trace`` swapped for
+    a :class:`~repro.emulib.trace.RowChecker` (restored whatever
+    happens), so the body computes every value itself, and then appends
+    the skeleton with the call's addresses, outcomes and site.  A row
+    that differs from the skeleton raises ``ValueError`` naming
+    ``shape`` and the row, so the key must fix every row: opcode,
+    operands, ``nbytes``, ``stride``, ``vl`` and which rows carry an
+    address or an outcome, with one branch site per call.  A re-run body
+    that raises leaves no row of its call in the trace.
+    """
+    trace = b.trace
+    skeleton = replay(b, shape, regs, body)
+    if skeleton is None:
+        return
+    checker = b.trace = RowChecker(skeleton, shape)
+    try:
+        body()
+    finally:
+        b.trace = trace
+    trace.emit_skeleton(skeleton, *checker.finish())
 
 
 def _sext32(value: int) -> int:

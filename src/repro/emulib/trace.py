@@ -28,6 +28,9 @@ call as a chunk that owns only its op ids and those values and shares
 every other column with the template, so sealing copies them with
 numpy; it leaves the store as per-row ``emit`` would, and records the
 call in the trace's call table (:attr:`Trace.calls`) for the decode.  A
+call that re-runs its body writes to a :class:`RowChecker` in place of
+the trace, which holds each row to the skeleton's before the call is
+appended.  A
 sealed chunk keeps that layout in numpy form -- per row an opcode id and
 two operand counts, the operands in row order, and the scalar fields
 only for the rows that carry any -- at 12-17 bytes per row on the
@@ -356,19 +359,23 @@ class RowSkeleton:
     as the tail's own sealing conversion encodes them, ``op`` indexing
     ``opcodes``; so a skeleton rejects, with ``ValueError`` and the same
     message, any value sealing rejects.  Each sparse row of the template
-    is a memory row, which takes its address from the call, or a branch
-    row (``nbytes``, ``stride`` and ``vl`` at their defaults), which
-    takes its outcome and site from the call; ``addresses`` and
-    ``branches`` count the two.  A row that carries any other mix of
-    scalar fields cannot be replayed and raises ``ValueError``.
+    is a memory row, which takes its address from the call, a branch row
+    (``nbytes``, ``stride`` and ``vl`` at their defaults), which takes
+    its outcome and site from the call, or a VL row (a MOM media row: a
+    ``vl`` and no other scalar field), which the template fills whole;
+    ``addresses`` and ``branches`` count the first two.  A row that
+    carries any other mix of scalar fields cannot be replayed and raises
+    ``ValueError``.
 
     A skeleton outlives the build that recorded it (its builder keeps
-    it), and keeps nothing but these and the op ids of the trace it
-    wrote to last (:meth:`op_column`).
+    it), and keeps nothing but these, the op ids of the trace it wrote
+    to last (:meth:`op_column`) and, once a re-run call has been checked
+    against it, its rows in the form :class:`RowChecker` compares
+    (:meth:`expected_rows`).
     """
 
-    __slots__ = ("opcodes", "template", "addresses", "branches", "_ids",
-                 "_op_col")
+    __slots__ = ("opcodes", "template", "addresses", "branches", "_branch",
+                 "_ids", "_op_col", "_expected")
 
     def __init__(self, rows) -> None:
         """``rows``: canonical ``(op, srcs, dsts, addr, nbytes, stride,
@@ -388,17 +395,21 @@ class RowSkeleton:
             if row[3:] != _PLAIN:
                 stage.extra.append((i,) + row[3:])
         t = self.template = _Chunk(stage)
-        memory = t.has_addr & (t.taken == -1) & (t.site == 0)
-        branch = (~t.has_addr & (t.taken != -1) & (t.nbytes == 0)
-                  & (t.stride == 0) & (t.vl == 1))
-        odd = np.flatnonzero(~(memory | branch))
+        branch = t.taken != -1
+        bare = (t.nbytes == 0) & (t.stride == 0)
+        memory = t.has_addr & ~branch & (t.site == 0)
+        control = ~t.has_addr & branch & bare & (t.vl == 1)
+        vector = ~t.has_addr & ~branch & bare & (t.site == 0)
+        odd = np.flatnonzero(~(memory | control | vector))
         if odd.size:
-            raise ValueError(f"row {int(t.at[odd[0]])} is neither a memory "
-                             "nor a branch row but carries scalar fields")
+            raise ValueError(f"row {int(t.at[odd[0]])} is not a memory, "
+                             "branch or VL row but carries scalar fields")
         self.addresses = int(np.count_nonzero(memory))
-        self.branches = len(t.at) - self.addresses
+        self.branches = int(np.count_nonzero(branch))
+        self._branch = branch
         self._ids: tuple[int, ...] | None = None
         self._op_col: np.ndarray | None = None
+        self._expected: list | None = None
 
     def __len__(self) -> int:
         return self.template.n
@@ -418,8 +429,9 @@ class RowSkeleton:
         chunk that owns those three columns and shares every other with
         ``template`` (``op`` too, which :meth:`Trace.emit_skeleton`
         swaps for the trace's ids).  The k-th memory row takes
-        ``addrs[k]`` and the k-th branch row ``taken[k]``; a miscount, or
-        a value no column can hold, raises ``ValueError``."""
+        ``addrs[k]`` and the k-th branch row ``taken[k]`` and ``site``;
+        a VL row takes nothing.  A miscount, or a value no column can
+        hold, raises ``ValueError``."""
         if (len(addrs), len(taken)) != (self.addresses, self.branches):
             raise ValueError(
                 f"skeleton takes {self.addresses} addresses and "
@@ -433,9 +445,10 @@ class RowSkeleton:
         memory = t.has_addr
         call.addr = np.zeros(len(t.at), dtype=np.uint64)
         call.addr[memory] = _wide(list(map(int, addrs)), "addr", np.uint64)
+        branch = self._branch
         call.taken = np.full(len(t.at), _TAKEN_ENCODE[None], dtype=np.int8)
-        call.taken[~memory] = list(map(bool, taken))
-        call.site = np.where(memory, 0, _wide(int(site), "site"))
+        call.taken[branch] = list(map(bool, taken))
+        call.site = np.where(branch, _wide(int(site), "site"), 0)
         return call
 
     def rows(self, addrs, taken, site: int):
@@ -445,6 +458,90 @@ class RowSkeleton:
         ops = self.opcodes
         return ((ops[row[0]],) + row[1:]
                 for row in self.call(addrs, taken, site).iter_rows())
+
+    def expected_rows(self) -> list:
+        """Per row, what :meth:`RowChecker.emit` holds a re-run row to:
+        ``(op, srcs, dsts, addr is None, nbytes, stride, vl, taken is
+        None, site)``, ``site`` ``None`` on a branch row (the call gives
+        it), then ``None`` for the row past the end.  Decoded from the
+        template on first use and kept, so only the skeletons whose
+        calls re-run their body keep it; equal rows share one tuple."""
+        if self._expected is None:
+            ops = self.opcodes
+            rows: dict[tuple, tuple] = {}
+            self._expected = [rows.setdefault(row, row) for row in (
+                (ops[op], srcs, dsts, addr is None, nbytes, stride, vl,
+                 taken is None, None if taken is not None else site)
+                for op, srcs, dsts, addr, nbytes, stride, vl, taken, site
+                in self.template.iter_rows())] + [None]
+        return self._expected
+
+
+class RowChecker:
+    """What a builder writes to while a replayed call re-runs its body
+    (:func:`~repro.emulib.base_builder.replay_body`).
+
+    :meth:`emit` takes the rows the body writes, as :meth:`Trace.emit`
+    would, and holds each to the skeleton's row at its place: opcode,
+    sources, destinations, ``nbytes``, ``stride``, ``vl``, whether it
+    carries an address and whether it carries an outcome.  It keeps the
+    call's addresses, branch outcomes and its one branch site, which
+    :meth:`finish` hands over for :meth:`Trace.emit_skeleton`.  Any
+    difference raises ``ValueError`` naming ``shape`` and the row.
+    """
+
+    __slots__ = ("skeleton", "shape", "addrs", "taken", "site", "_i",
+                 "_expected")
+
+    def __init__(self, skeleton: RowSkeleton, shape: tuple) -> None:
+        self.skeleton = skeleton
+        self.shape = shape
+        self.addrs: list[int] = []
+        self.taken: list[bool] = []
+        self.site: int | None = None
+        self._i = 0
+        self._expected = skeleton.expected_rows()
+
+    def emit(self, op: Opcode, srcs: tuple[int, ...], dsts: tuple[int, ...],
+             addr: int | None = None, nbytes: int = 0, stride: int = 0,
+             vl: int = 1, taken: bool | None = None, site: int = 0) -> None:
+        i = self._i
+        if (op, srcs, dsts, addr is None, nbytes, stride, vl, taken is None,
+                None if taken is not None else site) != self._expected[i]:
+            self._differs(i, (op, srcs, dsts, addr, nbytes, stride, vl,
+                              taken, site))
+        self._i = i + 1
+        if addr is not None:
+            self.addrs.append(addr)
+        elif taken is not None:
+            self.taken.append(taken)
+            if site != self.site:
+                if self.site is not None:
+                    raise ValueError(
+                        f"replayed call {self.shape!r}: row {i} branches "
+                        f"at site {site}, an earlier row at {self.site}")
+                self.site = site
+
+    def _differs(self, i: int, row: tuple) -> None:
+        want = self._expected[i]
+        got = (f"{row[0].isa}:{row[0].name}",) + row[1:]
+        if want is None:
+            raise ValueError(f"replayed call {self.shape!r}: row {i} is "
+                             f"past its skeleton's {i} rows: {got}")
+        want = (f"{want[0].isa}:{want[0].name}",) + want[1:]
+        raise ValueError(f"replayed call {self.shape!r}: row {i} differs "
+                         f"from its skeleton: wrote {got} (op, srcs, dsts, "
+                         "addr, nbytes, stride, vl, taken, site), the "
+                         f"skeleton holds {want} (op, srcs, dsts, no "
+                         "address, nbytes, stride, vl, no outcome, site)")
+
+    def finish(self) -> tuple[list[int], list[bool], int]:
+        """The call's addresses, branch outcomes and site, once the body
+        has written every row of the skeleton (else ``ValueError``)."""
+        if self._i != len(self.skeleton):
+            raise ValueError(f"replayed call {self.shape!r} wrote {self._i} "
+                             f"rows, its skeleton holds {len(self.skeleton)}")
+        return self.addrs, self.taken, 0 if self.site is None else self.site
 
 
 def ragged_tuples(starts, counts, values) -> np.ndarray:

@@ -19,8 +19,8 @@ from itertools import chain
 
 import numpy as np
 
-from ..emulib.alpha_builder import AlphaBuilder, reads_written, replay
-from ..emulib.base_builder import wrap64
+from ..emulib.alpha_builder import AlphaBuilder, reads_written
+from ..emulib.base_builder import replay, wrap64
 from ..emulib.mdmx_builder import MdmxBuilder
 from ..emulib.mmx_builder import MmxBuilder
 from ..emulib.mom_builder import MomBuilder

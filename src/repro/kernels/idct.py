@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 
 import numpy as np
 
-from ..emulib.alpha_builder import AlphaBuilder, emit_clamp, replay
-from ..emulib.base_builder import wrap64
+from ..emulib.alpha_builder import AlphaBuilder, emit_clamp
+from ..emulib.base_builder import replay, replay_body, wrap64
 from ..emulib.mdmx_builder import MdmxBuilder
 from ..emulib.mmx_builder import MmxBuilder
 from ..emulib.mom_builder import MomBuilder
@@ -356,13 +357,20 @@ def _build_packed(workload: IdctWorkload, builder_cls) -> BuiltKernel:
         emit_mmx_row_pass(b, src_base, dst_base, rnd_reg, shift, clamp, addr,
                           ctr, kregs, (cmin, cmax), regs, site)
 
-    for n in range(blocks.shape[0]):
-        base = in_addr + n * N * N * 2
-        obase = out_addr + n * N * N * 2
+    def block(base: int, obase: int) -> None:
         emit_mmx_transpose(b, base, t_addr, trans_addr, regs[:8])
         row_pass(t_addr, r_addr, rnd1, PASS1_SHIFT, clamp=False)
         emit_mmx_transpose(b, r_addr, t_addr, trans_addr, regs[:8])
         row_pass(t_addr, obase, rnd2, PASS2_SHIFT, clamp=True)
+
+    # Replayed by re-running (DESIGN.md section 5): every block writes
+    # the same rows but for its addresses.
+    call_regs = (addr, ctr, trans_addr, *flat, *regs)
+    for n in range(blocks.shape[0]):
+        base = in_addr + n * N * N * 2
+        obase = out_addr + n * N * N * 2
+        replay_body(b, ("idct_packed",), call_regs,
+                    partial(block, base, obase))
 
     pixels = b.mem.load_array(out_addr, np.int16, blocks.shape[0] * N * N)
     return BuiltKernel(
@@ -443,8 +451,7 @@ def _build_mom(workload: IdctWorkload) -> BuiltKernel:
         b.mommov(left, outl)
         b.mommov(right, outr)
 
-    for n in range(blocks.shape[0]):
-        blk_base = in_addr + n * N * N * 2
+    def block(blk_base: int, obase: int) -> None:
         b.setvli(N)
         b.li(base, blk_base)
         b.momldq(left, base, stride16)
@@ -461,11 +468,19 @@ def _build_mom(workload: IdctWorkload) -> BuiltKernel:
         b.pmaxsh(right, right, cmin)
         b.pminsh(right, right, cmax)
 
-        obase = out_addr + n * N * N * 2
         b.li(base, obase)
         b.momstq(left, base, stride16)
         b.li(base, obase + 8)
         b.momstq(right, base, stride16)
+
+    # Replayed by re-running, as in _build_packed.
+    call_regs = (base, stride8, stride16, tmp_int, swap, *kregs, cmin, cmax,
+                 left, right, rac, outl, outr, *accs)
+    for n in range(blocks.shape[0]):
+        blk_base = in_addr + n * N * N * 2
+        obase = out_addr + n * N * N * 2
+        replay_body(b, ("idct_mom",), call_regs,
+                    partial(block, blk_base, obase))
 
     pixels = b.mem.load_array(out_addr, np.int16, blocks.shape[0] * N * N)
     return BuiltKernel(

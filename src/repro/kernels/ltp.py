@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..emulib.alpha_builder import AlphaBuilder, emit_track_max
+from ..emulib.base_builder import replay_body
 from ..emulib.mdmx_builder import MdmxBuilder
 from ..emulib.mmx_builder import MmxBuilder
 from ..emulib.mom_builder import MomBuilder
@@ -77,21 +78,26 @@ def emit_alpha_dot(b, n: int, out, regs, site: int) -> None:
     ``pc``, unrolled by four with one loop branch per four samples.
 
     ``regs`` is ``(pa, pc, va, vc, prod, cnt)``; the caller points ``pa``
-    and ``pc`` at the two vectors.
+    and ``pc`` at the two vectors.  Replayed by re-running, keyed by
+    ``n`` (DESIGN.md section 5).
     """
     pa, pc, va, vc, prod, cnt = regs
-    b.li(out, 0)
-    b.li(cnt, n // 4)
-    for k in range(n):
-        b.ldwu(va, pa, 2 * k)
-        b.sextw(va, va)
-        b.ldwu(vc, pc, 2 * k)
-        b.sextw(vc, vc)
-        b.mulq(prod, va, vc)
-        b.addq(out, out, prod)
-        if k % 4 == 3:
-            b.subi(cnt, cnt, 1)
-            b.bne(cnt, site)
+
+    def body():
+        b.li(out, 0)
+        b.li(cnt, n // 4)
+        for k in range(n):
+            b.ldwu(va, pa, 2 * k)
+            b.sextw(va, va)
+            b.ldwu(vc, pc, 2 * k)
+            b.sextw(vc, vc)
+            b.mulq(prod, va, vc)
+            b.addq(out, out, prod)
+            if k % 4 == 3:
+                b.subi(cnt, cnt, 1)
+                b.bne(cnt, site)
+
+    replay_body(b, ("alpha_dot", n), (*regs, out), body)
 
 
 def _build_alpha(workload: LtpWorkload) -> BuiltKernel:

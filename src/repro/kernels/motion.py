@@ -30,9 +30,8 @@ from operator import mul, sub
 
 import numpy as np
 
-from ..emulib.alpha_builder import (AlphaBuilder, emit_abs_diff,
-                                    emit_track_min, replay)
-from ..emulib.base_builder import wrap64
+from ..emulib.alpha_builder import AlphaBuilder, emit_abs_diff, emit_track_min
+from ..emulib.base_builder import replay, wrap64
 from ..emulib.mdmx_builder import MdmxBuilder
 from ..emulib.mmx_builder import MmxBuilder
 from ..emulib.mom_builder import MomBuilder

@@ -97,6 +97,29 @@ def test_phase_markers_cover_trace(built):
     assert any(k.startswith("scalar_") for k in app.phases)
 
 
+#: Floors on the share of a Figure 7 trace's rows that its replayed calls
+#: (``Trace.calls``) wrote.  A replay key that silently stops repeating
+#: fails here as a count, not as a slower benchmark.  At the time of
+#: writing the shares were 58.8-66.4% (MMX), 22.8-45.4% (MOM), 91.6-92.2%
+#: (alpha jpeg) and 70.0% (alpha gsm_encode).
+CALL_SHARE_FLOORS = {
+    **{(app, "mmx"): 0.55 for app in ("jpeg_encode", "jpeg_decode",
+                                      "mpeg2_encode", "mpeg2_decode")},
+    **{(app, "mom"): 0.20 for app in ("jpeg_encode", "jpeg_decode",
+                                      "mpeg2_encode", "mpeg2_decode")},
+    ("jpeg_encode", "alpha"): 0.90,
+    ("jpeg_decode", "alpha"): 0.90,
+    ("gsm_encode", "alpha"): 0.65,
+}
+
+
+@pytest.mark.parametrize("app,isa", sorted(CALL_SHARE_FLOORS))
+def test_replayed_calls_cover_the_trace(built, app, isa):
+    trace = built[(app, isa)].trace
+    called = sum(end - start for start, end, _ in trace.calls)
+    assert called / len(trace) >= CALL_SHARE_FLOORS[(app, isa)]
+
+
 # --- reference helpers ----------------------------------------------------------
 
 def test_transform_ref_roundtrip():

@@ -95,18 +95,27 @@ def _alpha_body(stores: int = 8, tail: int = 6) -> list:
     return rows
 
 
+def _vl_row(name, srcs, dsts, vl):
+    """A media compute row with a vector length: no address, no outcome."""
+    return (MOM[name], srcs, dsts, None, 0, 0, vl, None, 0)
+
+
 def _mom_body() -> list:
     """A matrix body: strided vector loads feeding packed and
-    accumulator work, a vector store, scalar glue and a branch (a
-    skeleton's compute rows carry no vector length: the glue's do)."""
+    accumulator work, a vector store, scalar glue and a branch.  Its
+    media rows carry vector lengths 8 and 16 (a re-run MOM call's rows
+    do, as the glue's between calls do) next to rows at VL 1."""
     return [
         _mem("ldq", (_i(1),), (_i(4),)),
         _mem("momldq", (_i(4),), (_m(1),), stride=32, vl=8, isa=MOM),
         _mem("momldq", (_i(2),), (_m(2),), stride=16, vl=16, isa=MOM),
         _row("momzero", (), (_m(3),), isa=MOM),
         _row("paddb", (_m(1), _m(2)), (_m(3),), isa=MOM),
+        _vl_row("paddb", (_m(1), _m(2)), (_m(4),), 8),
+        _vl_row("mommpvb", (_m(4), _a(1)), (_a(1),), 16),
         _row("mommpvb", (_m(3), _a(0)), (_a(0),), isa=MOM),
         _row("mommpvb", (_m(1), _a(0)), (_a(0),), isa=MOM),
+        _vl_row("pmaxsh", (_m(4), _m(2)), (_m(3),), 16),
         _row("addq", (_i(4), _i(3)), (_i(5),)),
         _mem("momstq", (_m(3), _i(5)), (), stride=8, vl=4, isa=MOM),
         _mem("stq", (_i(5), _i(2)), ()),

@@ -5,8 +5,10 @@
 ``quant8``, ``residual8`` and ``dequant8`` run their per-instruction body
 on the first call with a shape and record the rows it wrote; later calls
 compute on Python ints and append the recorded row skeleton (DESIGN.md
-section 5).  Each test drives twin builders with the same allocations:
-the oracle calls the body on every call, the other calls the emitter.
+section 5).  The emitters replayed by re-running (``replay_body``) run
+their body on every call, later calls against a row checker, and append
+the skeleton.  Each test drives twin builders with the same allocations:
+the oracle runs the body on every call, the other calls the emitter.
 After every call -- the recording one and the replayed ones -- both must
 hold the same trace rows, the same memory bytes and the same value in
 every register.
@@ -15,11 +17,17 @@ every register.
 import numpy as np
 import pytest
 
-from repro.apps import stages
-from repro.apps.stages import ScalarStages
+from repro.apps import stages, stages_media
+from repro.apps.stages import FDCT_MAT, IDCT_MAT, ScalarStages
+from repro.apps.stages_media import MmxStages, MomStages
+from repro.emulib import base_builder
 from repro.emulib.alpha_builder import AlphaBuilder
-from repro.emulib.trace import Trace
-from repro.kernels import addblock, idct, motion
+from repro.emulib.base_builder import replay, replay_body
+from repro.emulib.mdmx_builder import MdmxBuilder
+from repro.emulib.mmx_builder import MmxBuilder
+from repro.emulib.mom_builder import MomBuilder
+from repro.emulib.trace import RowChecker, Trace
+from repro.kernels import addblock, idct, ltp, motion
 from repro.kernels.idct import (N, OUT_MAX, OUT_MIN, PASS1_ROUND,
                                 PASS1_SHIFT, PASS2_ROUND, PASS2_SHIFT)
 
@@ -32,10 +40,10 @@ DEQUANT_BODY = stages._dequant_body
 RESIDUAL_BODY = stages._residual_body
 
 
-def _twins(chunk_rows=None):
-    """Two fresh builders (oracle, replaying); ``chunk_rows`` shrinks
-    both traces' chunks so replays straddle seals."""
-    twins = (AlphaBuilder(), AlphaBuilder())
+def _twins(chunk_rows=None, cls=AlphaBuilder):
+    """Two fresh ``cls`` builders (oracle, replaying); ``chunk_rows``
+    shrinks both traces' chunks so replays straddle seals."""
+    twins = (cls(), cls())
     if chunk_rows:
         for b in twins:
             b.trace = Trace(b.isa_name, chunk_rows=chunk_rows)
@@ -467,3 +475,335 @@ def test_stage_aliased_registers_never_replay(body_calls):
         st[1].quant8(slots[1])
         _assert_same(*twins, _stage_regs(st))
     assert len(body_calls) == 3 and not twins[1].skeletons
+
+
+# --- emitters replayed by re-running their body -----------------------------------
+
+@pytest.fixture
+def rerun(monkeypatch):
+    """Makes every builder with a true ``oracle`` attribute run each
+    ``replay_body`` call's body directly, as per-row emit would; the
+    other builders go through ``replay_body``."""
+    def patched(b, shape, regs, body):
+        if getattr(b, "oracle", False):
+            body()
+        else:
+            replay_body(b, shape, regs, body)
+
+    for module in (stages, stages_media, idct, ltp):
+        monkeypatch.setattr(module, "replay_body", patched)
+
+
+def _rerun_twins(cls, chunk_rows=None):
+    twins = _twins(chunk_rows, cls)
+    twins[0].oracle = True
+    return twins
+
+
+def _same_calls(twins, shapes):
+    """The replaying twin wrote one call per call of a recorded shape
+    and the oracle none; ``shapes`` lists the key of every call."""
+    replayed = twins[1].trace.calls
+    assert not twins[0].trace.calls
+    assert len(replayed) == len(shapes) - len(set(shapes))
+    assert len(twins[1].skeletons) == len(set(shapes))
+
+
+def _stage_values(st):
+    """Every register a media stage set holds."""
+    regs = list(st.r) + [st.z] + list(st.m) + list(st.k) + [st.mzero]
+    if isinstance(st, MomStages):
+        return regs + [st.acc, st.acc2, st.stride_reg]
+    return regs + list(st.c4)
+
+
+def _block_extremes(rng):
+    """An int16 8x8 block holding +-32767, -32768 and 0 among random
+    values."""
+    block = _coefficients(rng)
+    block.flat[:4] = [32767, -32767, -32768, 0]
+    return block
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1000])
+def test_mmx_stages_rerun_matches_body(rerun, chunk_rows):
+    """The MMX transform8 (IDCT and FDCT, with and without the clamp),
+    quant8, dequant8, residual8 and addblock8 stages over int16 extremes
+    and bytes at 0 and 255, aligned and not; with 1000-row chunks calls
+    straddle seals."""
+    rng = np.random.default_rng(SEED + 20)
+    twins = _rerun_twins(MmxBuilder, chunk_rows)
+    st = [MmxStages(b) for b in twins]
+    frame = _frame(rng)
+    places = []
+    for b in twins:
+        places.append((b.mem.alloc_array(frame), b.mem.alloc(256),
+                       b.mem.alloc(256), b.mem.alloc(64 * 8)))
+    shapes = []
+    for call in range(3):
+        block, resid = _block_extremes(rng), _residuals(rng, -32768, 32768)
+        for b, (_f, coef, _o, _d) in zip(twins, places):
+            b.mem.store_array(coef, block)
+            b.mem.store_array(coef + 128, resid)
+        steps = [
+            ("transform8", lambda f, c, o, d: (c, o, IDCT_MAT, True),
+             ("mmx_transform8", True, 0)),
+            ("transform8", lambda f, c, o, d: (o, c, FDCT_MAT, False),
+             ("mmx_transform8", False, 0)),
+            ("quant8", lambda f, c, o, d: (c,), ("mmx_quant8", 0)),
+            ("dequant8", lambda f, c, o, d: (c,), ("mmx_dequant8", 0)),
+            ("dequant8", lambda f, c, o, d: (c + 2,), ("mmx_dequant8", 2)),
+            ("residual8", lambda f, c, o, d: (f + 64 * call, 64, f + 3, 64,
+                                              o), ("mmx_residual8",
+                                                   0, 0, 3, 0)),
+            ("residual8", lambda f, c, o, d: (f + 39 * 64 + 5, -64, f + 8,
+                                              0, o), ("mmx_residual8",
+                                                      5, 0, 0, 0)),
+            ("addblock8", lambda f, c, o, d: (f + 64 * call + 1, 64,
+                                              c + 128, d, 8),
+             ("mmx_addblock8", 1, 0, 0)),
+            ("addblock8", lambda f, c, o, d: (f + 8, 64, c + 128, f + 8,
+                                              64), ("mmx_addblock8",
+                                                    0, 0, 0)),
+        ]
+        for name, args, shape in steps:
+            for s_, place in zip(st, places):
+                getattr(s_, name)(*args(*place))
+            shapes.append(shape)
+            _assert_same(*twins, [_stage_values(s_) for s_ in st])
+    _same_calls(twins, shapes)
+    if chunk_rows:
+        assert twins[1].trace._chunk_ends == twins[0].trace._chunk_ends
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1000])
+def test_mom_transform_rerun_matches_body(rerun, chunk_rows):
+    """The MOM transform8 stage, IDCT with the clamp and FDCT without,
+    from aligned and unaligned blocks: rows with a VL inside a re-run
+    call."""
+    rng = np.random.default_rng(SEED + 21)
+    twins = _rerun_twins(MomBuilder, chunk_rows)
+    st = [MomStages(b) for b in twins]
+    places = [(b.mem.alloc(256), b.mem.alloc(256)) for b in twins]
+    shapes = []
+    for call in range(4):
+        skew = 2 if call == 3 else 0
+        block = _block_extremes(rng)
+        for b, (src, _dst) in zip(twins, places):
+            b.mem.store_array(src + skew, block)
+        for mat, clamp in ((IDCT_MAT, True), (FDCT_MAT, False)):
+            for s_, (src, dst) in zip(st, places):
+                s_.transform8(src + skew, dst, mat, clamp)
+            shapes.append(("mom_transform8", clamp, skew, 0))
+            _assert_same(*twins, [_stage_values(s_) for s_ in st])
+    _same_calls(twins, shapes)
+    assert all(((sk.template.vl != 1) & ~sk.template.has_addr).any()
+               for sk in twins[1].skeletons.values())
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 1000])
+@pytest.mark.parametrize("n", [64, 30])
+def test_colour_conversion_rerun_matches_body(rerun, chunk_rows, n):
+    """Alpha rgb2ycc and ycc2rgb, one call per four pixels (and one for
+    the two left over when ``n`` is 30), over bytes at 0 and 255."""
+    rng = np.random.default_rng(SEED + 22 + n)
+    twins = _rerun_twins(AlphaBuilder, chunk_rows)
+    st = [ScalarStages(b) for b in twins]
+    planes = rng.integers(0, 256, 6 * n, dtype=np.uint8)
+    planes[rng.choice(6 * n, 2 * n, replace=False)] = rng.choice(
+        [0, 255], 2 * n)
+    bases = [b.mem.alloc_array(planes) for b in twins]
+    shapes = []
+    for call in range(2):
+        for s_, base in zip(st, bases):
+            s_.rgb2ycc(base, base + n, base + 2 * n, base + 3 * n,
+                       base + 4 * n, base + 5 * n, n)
+        shapes += [("rgb2ycc", min(4, n - i)) for i in range(0, n, 4)]
+        _assert_same(*twins, [list(s_.r) + [s_.z] for s_ in st])
+        for s_, base in zip(st, bases):
+            s_.ycc2rgb(base + 3 * n, base + 4 * n, base + 5 * n, base,
+                       base + n, base + 2 * n, n)
+        shapes += [("ycc2rgb", min(4, n - i)) for i in range(0, n, 4)]
+        _assert_same(*twins, [list(s_.r) + [s_.z] for s_ in st])
+    _same_calls(twins, shapes)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 100])
+def test_dot_rerun_matches_body(rerun, chunk_rows):
+    """ltp.emit_alpha_dot keyed by ``n``: 40 and 152 samples, and 42,
+    whose last two samples have no loop branch after them, over int16
+    extremes."""
+    rng = np.random.default_rng(SEED + 23)
+    twins = _rerun_twins(AlphaBuilder, chunk_rows)
+    samples = rng.integers(-32768, 32768, 200).astype(np.int16)
+    samples[rng.choice(200, 40, replace=False)] = rng.choice(
+        [32767, -32767, -32768, 0], 40)
+    regs, bases = [], []
+    for b in twins:
+        regs.append([b.ireg() for _ in range(7)])
+        bases.append(b.mem.alloc_array(samples))
+    site = twins[0].site()
+    shapes = []
+    for n, off in ((40, 0), (152, 6), (40, 40), (42, 2), (152, 0), (42, 9)):
+        for b, reg, base in zip(twins, regs, bases):
+            b.li(reg[0], base + 2 * off)
+            b.li(reg[1], base + 2 * (off + 3))
+            ltp.emit_alpha_dot(b, n, reg[6], reg[:6], site)
+        shapes.append(("alpha_dot", n))
+        _assert_same(*twins, regs)
+    _same_calls(twins, shapes)
+
+
+@pytest.mark.parametrize("kind", ["mmx", "mdmx", "mom"])
+def test_idct_kernel_blocks_rerun_match_body(rerun, monkeypatch, kind):
+    """The per-block bodies of the packed and MOM idct builders, over
+    coefficient blocks at the int16 extremes, in 1000-row chunks: the
+    replaying build holds the oracle build's rows, memory and pixels."""
+    rng = np.random.default_rng(SEED + 24)
+    work = idct.IdctWorkload(blocks=np.stack(
+        [_block_extremes(rng) for _ in range(5)]))
+    base = {"mmx": MmxBuilder, "mdmx": MdmxBuilder, "mom": MomBuilder}[kind]
+    builds = []
+    for oracle in (True, False):
+        class Twin(base):
+            def __init__(self):
+                super().__init__()
+                self.trace = Trace(self.isa_name, chunk_rows=1000)
+                self.oracle = oracle
+
+        if kind == "mom":
+            monkeypatch.setattr(idct, "MomBuilder", Twin)
+            builds.append(idct._build_mom(work))
+        else:
+            builds.append(idct._build_packed(work, Twin))
+    want, got = (built.builder for built in builds)
+    assert (list(got.trace.iter_field_tuples())
+            == list(want.trace.iter_field_tuples()))
+    assert got.trace._chunk_ends == want.trace._chunk_ends
+    assert np.array_equal(got.mem.data, want.mem.data)
+    assert np.array_equal(builds[0].outputs["pixels"],
+                          builds[1].outputs["pixels"])
+    assert len(got.trace.calls) == 4 and not want.trace.calls
+
+
+# --- what the re-run path refuses -----------------------------------------------
+
+def test_rerun_row_that_differs_raises_naming_the_row():
+    """A momldq whose stride changed under the same key -- what a key
+    that leaves out a row's field lets through -- raises ``ValueError``
+    naming the shape and the row, writes no row of the call, and gives
+    the trace back."""
+    b = MomBuilder()
+    base, stride = b.ireg(), b.ireg()
+    m = b.mreg()
+    block = b.mem.alloc(1024)
+
+    def body(step):
+        b.setvli(8)
+        b.li(base, block)
+        b.li(stride, step)
+        b.momldq(m, base, stride)
+        b.pmaxsh(m, m, m)
+
+    trace = b.trace
+    replay_body(b, ("strided",), (base, stride, m), lambda: body(16))
+    replay_body(b, ("strided",), (base, stride, m), lambda: body(16))
+    rows = len(trace)
+    with pytest.raises(ValueError, match=r"\('strided',\): row 3 differs"):
+        replay_body(b, ("strided",), (base, stride, m), lambda: body(8))
+    assert b.trace is trace and len(trace) == rows
+    assert len(trace.calls) == 1
+
+
+def test_rerun_row_count_and_sites_are_checked():
+    """A re-run that writes more or fewer rows than its skeleton, or
+    branches at two sites in one call, raises ``ValueError``."""
+    b = AlphaBuilder()
+    v = b.ireg()
+
+    def body(rows, sites=(5,)):
+        for k in range(rows):
+            b.addi(v, v, 1)
+        for site in sites:
+            b.bne(v, site)
+
+    replay_body(b, ("count",), (v,), lambda: body(3, (5, 5)))
+    for bad, message in (((4, (5, 5)), "row 3 differs"),
+                         ((2, (5, 5)), "row 2 differs"),
+                         ((3, (5, 5, 5)), "row 5 is past its skeleton's 5"),
+                         ((3, (5, 6)), "row 4 branches at site 6"),
+                         ((3, (5,)), "wrote 4 rows, its skeleton holds 5")):
+        with pytest.raises(ValueError, match=message):
+            replay_body(b, ("count",), (v,), lambda: body(*bad))
+    assert len(b.trace) == 5 and not b.trace.calls
+    replay_body(b, ("count",), (v,), lambda: body(3, (9, 9)))
+    assert [r.site for r in b.trace[5:]][-2:] == [9, 9]
+
+
+def test_rerun_body_that_raises_leaves_no_row():
+    """A re-run body that raises ``IndexError`` part way (a load past
+    memory) leaves no row of its call in the trace, and ``b.trace`` is
+    the trace again."""
+    b = AlphaBuilder()
+    p, v = b.ireg(), b.ireg()
+    slot = b.mem.alloc(64)
+
+    def body(addr):
+        b.li(p, addr)
+        b.addi(v, v, 1)
+        b.ldq(v, p, 0)
+
+    trace = b.trace
+    replay_body(b, ("load",), (p, v), lambda: body(slot))
+    rows = len(trace)
+    with pytest.raises(IndexError):
+        replay_body(b, ("load",), (p, v),
+                    lambda: body(b.mem.BASE + b.mem.size))
+    assert b.trace is trace and len(trace) == rows and not trace.calls
+    replay_body(b, ("load",), (p, v), lambda: body(slot + 8))
+    assert len(trace) == 2 * rows and len(trace.calls) == 1
+
+
+def test_replay_nested_in_a_rerun_body_raises():
+    """A replayed call inside a re-run body raises, by either kind of
+    replay, and the trace is given back."""
+    b = AlphaBuilder()
+    v = b.ireg()
+
+    def inner():
+        b.addi(v, v, 1)
+
+    for nested in (replay_body, lambda *a: replay(*a)):
+        def outer(nested=nested):
+            b.addi(v, v, 2)
+            nested(b, ("inner",), (v,), inner)
+
+        b = AlphaBuilder()
+        v = b.ireg()
+        trace = b.trace
+        replay_body(b, ("outer",), (v,), outer)
+        with pytest.raises(ValueError, match="cannot run inside the re-run "
+                                             r"body of replayed call \('outer"):
+            replay_body(b, ("outer",), (v,), outer)
+        assert b.trace is trace and len(trace) == 2
+
+
+def test_checker_rows_are_decoded_once_per_skeleton():
+    """The checker holds a skeleton's decoded rows, built on its first
+    re-run and shared by every later one; skeletons that are only
+    recorded, or replayed by value, keep none."""
+    b = AlphaBuilder()
+    v = b.ireg()
+    replay_body(b, ("ones",), (v,), lambda: b.addi(v, v, 1))
+    skeleton = b.skeletons[("ones", v.encoded)]
+    assert skeleton._expected is None
+    replay_body(b, ("ones",), (v,), lambda: b.addi(v, v, 1))
+    rows = skeleton._expected
+    assert rows is not None
+    replay_body(b, ("ones",), (v,), lambda: b.addi(v, v, 1))
+    assert RowChecker(skeleton, ("ones",))._expected is rows
+    st = ScalarStages(AlphaBuilder())
+    slot = st.b.mem.alloc(128)
+    st.quant8(slot)
+    st.quant8(slot)
+    assert all(sk._expected is None for sk in st.b.skeletons.values())

@@ -734,9 +734,10 @@ def _call_rows(call=0):
     read registers written before the call (``i1``, ``i2``; ``i9``), row
     40 also has an edge 40 rows long inside it, a MOM load with a VL
     chains on the row before it, a zeroing idiom, a row with repeated
-    sources and destinations in two pools, a self-referencing row, a
-    store, a conditional branch and a jump.  ``call`` moves the
-    addresses and flips the outcomes."""
+    sources and destinations in two pools, a self-referencing row, media
+    rows at VL 8 (chaining on the load) and 16 with no address, a store,
+    a conditional branch and a jump.  ``call`` moves the addresses and
+    flips the outcomes."""
     addr = 0x4000 + 256 * call
     plain = (None, 0, 0, 1, None, 0)
     rows = [
@@ -746,8 +747,10 @@ def _call_rows(call=0):
         (MOM["momzero"], (), (_m(2),)) + plain,
         (MOM["paddb"], (_m(1), _m(2), _m(1)), (_m(3), _i(5))) + plain,
         (ALPHA["bne"], (_i(5),), (), None, 0, 0, 1, call % 2 == 0, 3),
+        (MOM["paddb"], (_m(1), _m(3)), (_m(4),), None, 0, 0, 8, None, 0),
+        (MOM["pmaxsh"], (_m(4), _m(4)), (_m(5),), None, 0, 0, 16, None, 0),
     ]
-    rows += [(ALPHA["nop"], (), ()) + plain] * 34
+    rows += [(ALPHA["nop"], (), ()) + plain] * 32
     rows += [
         (ALPHA["addq"], (_i(3), _i(9)), (_i(6),)) + plain,
         (ALPHA["stq"], (_i(6), _i(4)), (), addr + 8, 8, 0, 1, None, 0),

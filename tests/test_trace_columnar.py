@@ -9,6 +9,8 @@ independent of chunk boundaries and of which writer staged a row,
 constructing a ``DynInstr``.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -297,9 +299,10 @@ def test_vl_column_survives_large_values():
 
 # --- the bulk writer: a recorded row skeleton written again ------------------
 
-def _call_rows(call=0, site=7):
+def _call_rows(call=0, site=7, vl=False):
     """The rows of one emitter-like call, as canonical tuples: plain ALU
-    rows, scalar and MOM memory rows (stride and VL) and loop branches.
+    rows, scalar and MOM memory rows (stride and VL) and loop branches,
+    and with ``vl`` a MOM media row at VL 8 or 16 per iteration.
     ``call`` moves the addresses and flips the outcomes; no opcode is one
     :func:`_mixed_rows` starts with, so the bulk writer interns them."""
     INT, MED = RegPool.INT, RegPool.MED
@@ -312,14 +315,18 @@ def _call_rows(call=0, site=7):
              0x1000 + 8 * i + 512 * call, 8, 0, 1, None, 0),
             (MOM["momldq"], (reg(INT, 2),), (reg(MED, i % 5),),
              0x2000 + 64 * i + 512 * call, 8, 32, 4 + i, None, 0),
-            (ALPHA["beq"], (reg(INT, 1),), (), None, 0, 0, 1,
-             (i + call) % 2 == 0, site),
         ]
+        if vl:
+            rows.append((MOM["pmaxsh"], (reg(MED, i % 5), reg(MED, 6)),
+                         (reg(MED, 7),), None, 0, 0, 8 << i % 2, None, 0))
+        rows.append((ALPHA["beq"], (reg(INT, 1),), (), None, 0, 0, 1,
+                     (i + call) % 2 == 0, site))
     return rows
 
 
 def _call_values(call, site):
-    """The addresses, outcomes and site :func:`_call_rows` ``call`` holds."""
+    """The addresses, outcomes and site :func:`_call_rows` ``call`` holds
+    (with or without its VL rows)."""
     rows = _call_rows(call, site)
     return ([r[3] for r in rows if r[3] is not None],
             [r[7] for r in rows if r[7] is not None], site)
@@ -327,18 +334,20 @@ def _call_values(call, site):
 
 def test_skeleton_replays_the_rows_it_recorded():
     """A skeleton read back from any row on -- from a sealed chunk on into
-    the tail, or from the tail alone -- fills in to the rows written."""
-    rows = _call_rows()
-    for chunk in (1, 5, 36, CHUNK_ROWS):
-        for start in (0, 3, 17):
-            t = _fill(Trace("mom", chunk_rows=chunk), _mixed_rows(start))
-            for row in rows:
-                t.emit(*row)
-            skeleton = t.skeleton(start)
-            assert len(skeleton) == len(rows)
-            assert (skeleton.addresses, skeleton.branches) == (18, 9)
-            assert list(skeleton.rows(*_call_values(0, 7))) == rows
-            assert list(skeleton.rows(*_call_values(2, 9))) == _call_rows(2, 9)
+    the tail, or from the tail alone -- fills in to the rows written, VL
+    rows (no address, no outcome) included."""
+    for vl, chunk, start in product((False, True), (1, 5, 36, CHUNK_ROWS),
+                                    (0, 3, 17)):
+        rows = _call_rows(vl=vl)
+        t = _fill(Trace("mom", chunk_rows=chunk), _mixed_rows(start))
+        for row in rows:
+            t.emit(*row)
+        skeleton = t.skeleton(start)
+        assert len(skeleton) == len(rows)
+        assert (skeleton.addresses, skeleton.branches) == (18, 9)
+        assert list(skeleton.rows(*_call_values(0, 7))) == rows
+        assert list(skeleton.rows(*_call_values(2, 9))) == _call_rows(2, 9,
+                                                                      vl)
 
 
 def _columns(chunk):
@@ -370,24 +379,28 @@ def assert_same_store(got, want):
 def test_bulk_writer_matches_per_row_emit(chunk):
     """The bulk writer leaves the trace per-row emit leaves for the same
     rows: digest, storage bytes, chunk ends, op ids and intern order,
-    whatever the chunk geometry (a write may straddle several seals)."""
-    skeleton = RowSkeleton(_call_rows())
-    bulk = _fill(Trace("mom", chunk_rows=chunk), _mixed_rows(3))
-    rowwise = _fill(Trace("mom", chunk_rows=chunk), _mixed_rows(3))
-    for call in range(5):
-        values = _call_values(call, 7 + call)
-        bulk.emit_skeleton(skeleton, *values)
-        for row in skeleton.rows(*values):
-            rowwise.emit(*row)
-        assert trace_digest(bulk) == trace_digest(rowwise)
-    assert bulk.opcodes == rowwise.opcodes
-    assert [op.name for op in bulk.opcodes[3:]] == [
-        "mulq", "stq", "beq"]
-    for i in range(len(rowwise)):       # staged call pieces cut by a seal too
-        _assert_instr_equal(bulk[i], rowwise[i])
-    assert_same_store(bulk, rowwise)
-    assert bulk.storage_bytes() == rowwise.storage_bytes()
-    assert bulk._chunk_ends == rowwise._chunk_ends
+    whatever the chunk geometry (a write may straddle several seals),
+    with and without VL rows in the skeleton (which the template fills
+    whole)."""
+    for vl in (False, True):
+        skeleton = RowSkeleton(_call_rows(vl=vl))
+        assert (skeleton.addresses, skeleton.branches) == (18, 9)
+        bulk = _fill(Trace("mom", chunk_rows=chunk), _mixed_rows(3))
+        rowwise = _fill(Trace("mom", chunk_rows=chunk), _mixed_rows(3))
+        for call in range(5):
+            values = _call_values(call, 7 + call)
+            bulk.emit_skeleton(skeleton, *values)
+            for row in skeleton.rows(*values):
+                rowwise.emit(*row)
+            assert trace_digest(bulk) == trace_digest(rowwise)
+        assert bulk.opcodes == rowwise.opcodes
+        assert [op.name for op in bulk.opcodes[3:]] == [
+            "mulq", "stq"] + ["pmaxsh"] * vl + ["beq"]
+        for i in range(len(rowwise)):   # staged call pieces cut by a seal too
+            _assert_instr_equal(bulk[i], rowwise[i])
+        assert_same_store(bulk, rowwise)
+        assert bulk.storage_bytes() == rowwise.storage_bytes()
+        assert bulk._chunk_ends == rowwise._chunk_ends
 
 
 @pytest.mark.parametrize("started", [0, 20, 37])
@@ -422,8 +435,9 @@ def test_bulk_seal_never_cuts_a_live_reader_short(started):
 def _wide_call_rows():
     """A call whose values need every column's wide fallback: 300
     operands in a row (counts past uint8), nbytes past int16, a stride
-    past int32, a VL past int16 and an address at the top of 64 bits;
-    the call's site (past int32) widens that column too."""
+    past int32, VLs past int16 (a memory row's and a VL row's) and an
+    address at the top of 64 bits; the call's site (past int32) widens
+    that column too."""
     INT, MED = RegPool.INT, RegPool.MED
     plain = (None, 0, 0, 1, None, 0)
     many = tuple(reg(INT, i % 30) for i in range(300))
@@ -431,6 +445,8 @@ def _wide_call_rows():
         (ALPHA["addq"], many, (reg(INT, 1),)) + plain,
         (MOM["momldq"], (reg(INT, 2),), (reg(MED, 3),), 0x1000, 1 << 20,
          1 << 40, 1 << 17, None, 0),
+        (MOM["paddb"], (reg(MED, 3), reg(MED, 3)), (reg(MED, 4),), None, 0,
+         0, 1 << 18, None, 0),
         (ALPHA["ldq"], (reg(INT, 2),), (reg(INT, 4),), (1 << 64) - 8, 8, 0,
          1, None, 0),
         (ALPHA["bne"], (reg(INT, 4),), (), None, 0, 0, 1, True, 1 << 40),
@@ -570,10 +586,11 @@ def test_skeleton_shares_operands_apart_from_field_kinds():
 
 
 def test_skeleton_rejects_rows_it_cannot_fill():
-    """Only plain, memory and branch rows can be replayed, and a write
+    """Only plain, VL, memory and branch rows can be replayed, and a write
     must supply one address per memory row and one outcome per branch."""
     INT = RegPool.INT
-    for fields in [(None, 0, 0, 16, None, 0),         # a VL but no address
+    for fields in [(None, 8, 0, 1, None, 0),          # nbytes but no address
+                   (None, 0, 8, 1, None, 0),          # stride but no address
                    (0x1000, 8, 0, 1, True, 3),        # address and outcome
                    (None, 8, 0, 1, True, 3),          # branch with nbytes
                    (0x1000, 8, 0, 1, None, 3)]:       # memory row with a site
