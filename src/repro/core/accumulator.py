@@ -24,19 +24,18 @@ folds them at the end, like classic vector machines.
 :class:`PipelinedAccumulation` models exactly that timing argument and is
 used by the examples and ablation benchmarks.
 
-Every accumulate operation takes its two word arguments in either form
-of :mod:`repro.core.packed`: plain ``int`` words (one MDMX instruction)
-or numpy rows (a MOM instruction's first VL rows), whose per-lane
-contributions are summed over the rows and folded in at once.  Lanes
-wrap modulo their width, so one fold of the row sum leaves exactly the
-bits that folding the rows one at a time would.
+Every accumulate operation takes its two operands as sequences of int
+words: one word for an MDMX instruction, the first VL rows of two matrix
+registers for a MOM instruction.  Both go through one path: the lanes of
+all rows are split at once, each lane's contributions are summed over the
+rows, and the sum is folded in once.  Lanes wrap modulo their width, so
+one fold of the row sum leaves exactly the bits that folding the rows one
+at a time would.
 """
 
 from __future__ import annotations
 
 from operator import add, mul, sub
-
-import numpy as np
 
 from ..isa.model import ElemType
 from . import packed
@@ -57,22 +56,19 @@ def _wrap_signed(value: int, bits: int) -> int:
     return value
 
 
-def _row_lanes(words, elem: ElemType, signed: bool) -> np.ndarray:
-    """numpy words as a ``(rows, lanes)`` matrix of lanes wide enough that
-    16 rows of products sum exactly (``W``/``Q`` lanes as Python ints)."""
-    lanes = packed.to_lanes(words, elem, signed=signed).reshape(-1, elem.lanes)
-    return lanes.astype(object if elem.bits >= 32 else np.int64)
-
+# Per-lane contributions of one row's lanes ``x`` and ``y``: the combine
+# functions of the folds below; MOM's fully-reducing matrix instructions
+# reuse the two public ones.
 
 def _neg_product(x, y):
     return -(x * y)
 
 
-def _abs_difference(x, y):
+def abs_difference(x, y):
     return abs(x - y)
 
 
-def _square_difference(x, y):
+def square_difference(x, y):
     return (x - y) * (x - y)
 
 
@@ -117,15 +113,12 @@ class PackedAccumulator:
         self.bits = out
 
     def _fold(self, a, b, elem: ElemType, signed: bool, combine) -> None:
-        """``acc += combine(a, b)`` per lane, summed over every row of
-        ``a`` and ``b`` when they are numpy rows."""
-        if type(a) is int and type(b) is int:
-            self._accumulate(map(combine, packed.word_to_lanes(a, elem, signed),
-                                 packed.word_to_lanes(b, elem, signed)), elem)
-            return
-        la = _row_lanes(a, elem, signed)
-        lb = _row_lanes(b, elem, signed)
-        self._accumulate(combine(la, lb).sum(axis=0).tolist(), elem)
+        """``acc += combine(a, b)`` per lane, summed over the rows ``a``
+        and ``b`` (equal-length sequences of int words)."""
+        n = elem.lanes
+        terms = list(map(combine, packed.rows_to_lanes(a, elem, signed),
+                         packed.rows_to_lanes(b, elem, signed)))
+        self._accumulate([sum(terms[i::n]) for i in range(n)], elem)
 
     def madd(self, a, b, elem: ElemType, signed: bool = True,
              subtract: bool = False) -> None:
@@ -138,11 +131,11 @@ class PackedAccumulator:
 
     def acc_sad(self, a, b, elem: ElemType) -> None:
         """``acc += |a - b|`` per unsigned lane (motion1's primitive)."""
-        self._fold(a, b, elem, False, _abs_difference)
+        self._fold(a, b, elem, False, abs_difference)
 
     def acc_sqd(self, a, b, elem: ElemType) -> None:
         """``acc += (a - b)^2`` per unsigned lane (motion2's primitive)."""
-        self._fold(a, b, elem, False, _square_difference)
+        self._fold(a, b, elem, False, square_difference)
 
     def scalar_add(self, delta: int) -> None:
         """Accumulate into the register viewed as one 192-bit scalar.
@@ -205,7 +198,7 @@ class PackedAccumulator:
         for lane in self.lanes(elem):
             lane = (lane + half) >> shift
             out.append(lo if lane < lo else hi if lane > hi else lane)
-        return packed.word_from_lanes(out, elem)
+        return packed.lanes_to_rows(out, elem)[0]
 
     def total(self, elem: ElemType) -> int:
         """Sum of all lanes -- convenient for reduction read-out in kernels."""

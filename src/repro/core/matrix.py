@@ -9,82 +9,81 @@ parallelism at once:
   (VL) register, loaded from memory with an arbitrary byte stride between
   consecutive rows.
 
-This module gives the matrix register a convenient numpy-backed value type
-used by the functional emulation library, the MOM builder and the tests.
-The timing simulator never touches values; it only sees instruction records.
+This module gives the matrix register its value type: 16 rows, each an
+int word of :mod:`repro.core.packed`, so a MOM instruction applies the
+MMX/MDMX word operation to each row.  It is used by the functional
+emulation library, the MOM builder and the tests.  The timing simulator
+never touches values; it only sees instruction records.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..isa.model import ElemType
 from . import packed
 from .mom_isa import MATRIX_ROWS
 
+_U64 = (1 << 64) - 1
+
 
 class MomRegister:
     """Value of one MOM matrix register: 16 rows x 64 bits.
 
-    The register is mutable (the emulation library updates rows in place) and
-    always stores all 16 rows; instructions shorter than the full register
-    simply leave rows at and beyond VL untouched, as the hardware would.
+    ``rows`` is a list of 16 Python ints in ``[0, 2**64)``.  Instructions
+    shorter than the full register leave rows at and beyond VL untouched,
+    as the hardware would.  The MOM builder never updates a register in
+    place: each write makes a new value (:meth:`with_rows`).  Registers
+    compare by their rows and, being mutable, are unhashable.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows=None) -> None:
         if rows is None:
-            self.rows = np.zeros(MATRIX_ROWS, dtype=np.uint64)
-        else:
-            arr = np.asarray(rows, dtype=np.uint64)
-            if arr.shape != (MATRIX_ROWS,):
-                raise ValueError(
-                    f"a MOM register has exactly {MATRIX_ROWS} rows, got {arr.shape}"
-                )
-            self.rows = arr.copy()
-
-    # --- construction helpers --------------------------------------------
+            self.rows = [0] * MATRIX_ROWS
+            return
+        words = [int(r) & _U64 for r in rows]
+        if len(words) != MATRIX_ROWS:
+            raise ValueError(
+                f"a MOM register has exactly {MATRIX_ROWS} rows, got {len(words)}"
+            )
+        self.rows = words
 
     @classmethod
-    def from_lane_matrix(cls, lanes: np.ndarray, elem: ElemType) -> "MomRegister":
-        """Build a register from a ``(rows, lanes)`` matrix of lane values.
+    def from_lane_matrix(cls, lanes, elem: ElemType) -> "MomRegister":
+        """Build a register from rows of lane values (lane 0 first).
 
         Rows beyond the supplied matrix are zero.  Lane values are truncated
         to the lane width (two's complement).
         """
-        lanes = np.asarray(lanes)
-        if lanes.ndim != 2 or lanes.shape[1] != elem.lanes:
-            raise ValueError(
-                f"expected (rows, {elem.lanes}) lane matrix, got {lanes.shape}"
-            )
-        if lanes.shape[0] > MATRIX_ROWS:
+        lanes = [list(row) for row in lanes]
+        if any(len(row) != elem.lanes for row in lanes):
+            raise ValueError(f"expected rows of {elem.lanes} lanes")
+        if len(lanes) > MATRIX_ROWS:
             raise ValueError(f"at most {MATRIX_ROWS} rows fit a MOM register")
-        reg = cls()
-        reg.rows[: lanes.shape[0]] = packed.from_lanes(lanes)
-        return reg
-
-    def to_lane_matrix(self, elem: ElemType, signed: bool = False) -> np.ndarray:
-        """View the register as a ``(16, lanes)`` matrix of lane values."""
-        return packed.to_lanes(self.rows, elem, signed=signed)
+        words = packed.lanes_to_rows([v for row in lanes for v in row], elem)
+        return cls(words + (0,) * (MATRIX_ROWS - len(words)))
 
     def copy(self) -> "MomRegister":
-        return MomRegister(self.rows)
+        out = MomRegister()
+        out.rows = self.rows.copy()
+        return out
 
-    # --- row access ---------------------------------------------------------
+    def with_rows(self, words, start: int = 0) -> "MomRegister":
+        """A copy whose rows from ``start`` on are ``words`` (int words in
+        ``[0, 2**64)``, as the packed operations return them); the other
+        rows keep their value."""
+        out = self.copy()
+        out.rows[start:start + len(words)] = words
+        return out
 
     def get_row(self, index: int) -> int:
-        """Read one 64-bit row as a Python int."""
-        return int(self.rows[index])
-
-    def set_row(self, index: int, value: int) -> None:
-        """Write one 64-bit row."""
-        self.rows[index] = np.uint64(value & 0xFFFF_FFFF_FFFF_FFFF)
+        """Read one 64-bit row."""
+        return self.rows[index]
 
     # --- matrix-level transforms ----------------------------------------------
 
     def transpose_blocks(self, elem: ElemType) -> "MomRegister":
-        """Transpose square lane blocks in place down the register.
+        """Transpose square lane blocks down the register.
 
         This is the ``momtrans{b,h,w}`` primitive the paper highlights for
         "switching vector dimensions without pack/unpack operations".  The
@@ -92,15 +91,14 @@ class MomRegister:
         elements (8x8 bytes, 4x4 halfwords or 2x2 words); each block is
         transposed independently.  16 rows always divide evenly into blocks.
         """
-        lanes = elem.lanes
-        if lanes == 1:
-            return self.copy()
-        mat = self.to_lane_matrix(elem)
-        out = np.empty_like(mat)
-        for base in range(0, MATRIX_ROWS, lanes):
-            block = mat[base : base + lanes]
-            out[base : base + lanes] = block.T
-        return MomRegister(packed.from_lanes(out))
+        n = elem.lanes
+        lanes = packed.rows_to_lanes(self.rows, elem)
+        out = []
+        for base in range(0, len(lanes), n * n):
+            block = lanes[base:base + n * n]
+            for i in range(n):
+                out += block[i::n]
+        return MomRegister(packed.lanes_to_rows(out, elem))
 
     def row_shift(self, towards_zero: bool) -> "MomRegister":
         """Shift rows by one position, filling the vacated row with zero.
@@ -108,23 +106,17 @@ class MomRegister:
         ``towards_zero=True`` implements ``momrowshl`` (row i <- row i+1),
         ``False`` implements ``momrowshr`` (row i+1 <- row i).
         """
-        out = np.zeros_like(self.rows)
         if towards_zero:
-            out[:-1] = self.rows[1:]
-        else:
-            out[1:] = self.rows[:-1]
-        return MomRegister(out)
+            return MomRegister(self.rows[1:] + [0])
+        return MomRegister([0] + self.rows[:-1])
 
     # --- comparisons -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MomRegister):
             return NotImplemented
-        return bool(np.array_equal(self.rows, other.rows))
-
-    def __hash__(self) -> int:  # registers are mutable; hash by identity
-        return id(self)
+        return self.rows == other.rows
 
     def __repr__(self) -> str:
-        head = ", ".join(f"{int(r):#x}" for r in self.rows[:3])
+        head = ", ".join(f"{r:#x}" for r in self.rows[:3])
         return f"MomRegister([{head}, ...])"

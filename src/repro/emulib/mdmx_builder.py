@@ -7,9 +7,10 @@ Extends the MMX builder with the 25 accumulator opcodes of
 accumulators, which is the whole architectural argument of Section 2.1.
 
 Every accumulate goes through :meth:`MdmxBuilder._acc`, which applies an
-unbound :class:`PackedAccumulator` method to the two source words, and
-every read-out through :meth:`MdmxBuilder._rac`.  The MOM builder inherits
-all 25 methods and overrides those two adapters (and
+unbound :class:`PackedAccumulator` method to the two source words (each
+a one-row sequence, where MOM passes its VL rows), and every read-out
+through :meth:`MdmxBuilder._rac`.  The MOM builder inherits all 25
+methods and overrides those two adapters (and
 :meth:`~repro.emulib.mmx_builder.MmxBuilder._packed`) to meet its matrix
 registers: MMX -> MDMX -> MOM, as the opcode tables are derived.
 """
@@ -56,10 +57,10 @@ class MdmxBuilder(MmxBuilder):
 
     def _acc(self, name: str, acc: RegHandle, a, b, fold, *args) -> RegHandle:
         """Accumulate ``fold`` (an unbound :class:`PackedAccumulator`
-        method, then ``args``) of two words: acc is both source and
-        destination."""
+        method, then ``args``) of two words, each passed as a one-row
+        sequence: acc is both source and destination."""
         op = self.media_table[name]
-        fold(acc.value, a.value, b.value, *args)
+        fold(acc.value, (a.value,), (b.value,), *args)
         self._emit(op, srcs=(a, b, acc), dsts=(acc,))
         return acc
 

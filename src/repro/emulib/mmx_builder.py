@@ -26,8 +26,8 @@ _U64 = (1 << 64) - 1
 _E = ElemType
 
 
-def _and_not(a, b):
-    """``~a & b`` on 64-bit words (an int or numpy uint64 rows)."""
+def _and_not(a: int, b: int) -> int:
+    """``~a & b`` on 64-bit int words."""
     return (a ^ _U64) & b
 
 
@@ -77,8 +77,8 @@ class MmxBuilder(BaseBuilder):
     def _packed(self, name: str, dst, srcs, fn, *args) -> RegHandle:
         """Set ``dst`` to ``fn(*source words, *args)`` and write the row.
 
-        ``fn`` gets the registers' int words, so a :mod:`packed` function
-        takes its int-word form.
+        ``fn`` gets the registers' int words; the MOM builder applies the
+        same ``fn`` to each row below VL.
         """
         op = self.media_table[name]
         dst.value = fn(*[s.value for s in srcs], *args) & _U64

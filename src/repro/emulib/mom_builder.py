@@ -15,32 +15,29 @@ subclasses :class:`~repro.emulib.mdmx_builder.MdmxBuilder` and inherits
 the methods of the 79 opcodes the MOM table copies from MDMX's (54 packed
 operations from the MMX builder, 25 accumulator operations from the MDMX
 one).  It overrides only the three adapters those methods meet their
-registers through: ``_packed`` applies the operation to the first VL rows
-and stamps ``vl``, ``_acc`` folds an accumulate over the VL rows, and
-``_rac`` reads out into row 0 of a matrix register or sign-wrapped into an
-integer register.  The inherited methods whose opcodes MOM lacks
-(``m_ldq``, ``movq``, ``psadb``, ...) raise ``KeyError`` before any write.
-The MOM-only instructions below keep their own bodies.
+registers through: ``_packed`` applies the MMX/MDMX word operation to each
+of the first VL rows and stamps ``vl``, ``_acc`` folds an accumulate over
+the VL rows, and ``_rac`` reads out into row 0 of a matrix register or
+sign-wrapped into an integer register.  The inherited methods whose
+opcodes MOM lacks (``m_ldq``, ``movq``, ``psadb``, ...) raise ``KeyError``
+before any write.  The MOM-only instructions below keep their own bodies,
+on the same int rows: the vector-scalar forms and ``momabs*`` apply a
+:mod:`~repro.core.packed` operation to each row, and the column sums and
+matrix reductions split all VL rows into lanes at once and reduce them
+with the accumulator's combine functions.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from operator import and_, mul, or_
 
+from ..core.accumulator import abs_difference, square_difference
 from ..core.matrix import MomRegister
 from ..core.mom_isa import MATRIX_ROWS, MOM
 from ..isa.model import ElemType, RegPool
 from ..core import packed
 from .base_builder import RegHandle, wrap64
 from .mdmx_builder import MdmxBuilder
-
-#: Reduction rules of the fully-reducing matrix instructions: the sum over
-#: rows and lanes of the two operands' lanes, and whether lanes are signed.
-#: Matrix-per-vector multiplies every row by the second operand's row 0.
-_SAD = (lambda a, b: np.abs(a - b).sum(), False)
-_SQD = (lambda a, b: ((a - b) * (a - b)).sum(), False)
-_DOT = (lambda a, b: (a * b).sum(), True)
-_MPV = (lambda a, b: (a * b[:1]).sum(), True)
 
 _U64 = (1 << 64) - 1
 _E = ElemType
@@ -68,13 +65,13 @@ class MomBuilder(MdmxBuilder):
     # --- the adapters the inherited MMX/MDMX instructions go through --------
 
     def _packed(self, name: str, dst, srcs, fn, *args) -> RegHandle:
-        """The packed op on the first VL rows of every source (its numpy
-        form); rows from VL up keep their value."""
+        """Row ``r`` of ``dst`` <- the word operation ``fn`` on row ``r``
+        of every source, for each row below VL; rows from VL up keep
+        their value."""
         op = self.media_table[name]
         vl = self.vl
-        rows = dst.value.rows.copy()
-        rows[:vl] = fn(*[s.value.rows[:vl] for s in srcs], *args)
-        dst.value = MomRegister(rows)
+        dst.value = dst.value.with_rows(
+            [fn(*words, *args) for words in zip(*[s.value.rows[:vl] for s in srcs])])
         self._emit(op, srcs=srcs, dsts=(dst,), vl=vl)
         return dst
 
@@ -96,9 +93,7 @@ class MomBuilder(MdmxBuilder):
         integer register (by destination pool)."""
         op = self.media_table[name]
         if dst.pool == RegPool.MED:
-            updated = dst.value.copy()
-            updated.set_row(0, value)
-            dst.value = updated
+            dst.value = dst.value.with_rows([value & _U64])
         else:
             dst.value = wrap64(value)
         self._emit(op, srcs=(acc,), dsts=(dst,))
@@ -129,10 +124,8 @@ class MomBuilder(MdmxBuilder):
         """Strided matrix load: row i <- mem[base + i*stride], VL rows."""
         addr = base.value & _U64
         step = int(stride.value)
-        rows = dst.value.rows.copy()
-        for i in range(self.vl):
-            rows[i] = self.mem.read(addr + i * step, 8)
-        dst.value = MomRegister(rows)
+        dst.value = dst.value.with_rows(
+            [self.mem.read(addr + i * step, 8) for i in range(self.vl)])
         name = "momldq_u" if unaligned or addr % 8 else "momldq"
         self._emit(self.media_table[name], srcs=(base, stride), dsts=(dst,),
                    addr=addr, nbytes=8, stride=step, vl=self.vl)
@@ -142,8 +135,8 @@ class MomBuilder(MdmxBuilder):
         """Strided matrix store: mem[base + i*stride] <- row i, VL rows."""
         addr = base.value & _U64
         step = int(stride.value)
-        for i in range(self.vl):
-            self.mem.write(addr + i * step, src.value.get_row(i), 8)
+        for i, row in enumerate(src.value.rows[:self.vl]):
+            self.mem.write(addr + i * step, row, 8)
         name = "momstq_u" if unaligned or addr % 8 else "momstq"
         self._emit(self.media_table[name], srcs=(src, base, stride), dsts=(),
                    addr=addr, nbytes=8, stride=step, vl=self.vl)
@@ -151,9 +144,7 @@ class MomBuilder(MdmxBuilder):
     def momldrow(self, dst, base, row: int, offset: int = 0) -> RegHandle:
         """Load one 64-bit word into matrix row ``row``."""
         addr = (base.value + offset) & _U64
-        updated = dst.value.copy()
-        updated.set_row(row, self.mem.read(addr, 8))
-        dst.value = updated
+        dst.value = dst.value.with_rows([self.mem.read(addr, 8)], row)
         self._emit(self.media_table["momldrow"], srcs=(base, dst), dsts=(dst,),
                    addr=addr, nbytes=8, vl=1)
         return dst
@@ -168,10 +159,7 @@ class MomBuilder(MdmxBuilder):
     def momldbcast(self, dst, base, offset: int = 0) -> RegHandle:
         """Load one word and broadcast it into all VL rows."""
         addr = (base.value + offset) & _U64
-        word = self.mem.read(addr, 8)
-        rows = dst.value.rows.copy()
-        rows[: self.vl] = np.uint64(word)
-        dst.value = MomRegister(rows)
+        dst.value = dst.value.with_rows([self.mem.read(addr, 8)] * self.vl)
         self._emit(self.media_table["momldbcast"], srcs=(base,), dsts=(dst,),
                    addr=addr, nbytes=8, vl=1)
         return dst
@@ -195,67 +183,71 @@ class MomBuilder(MdmxBuilder):
         return int_dst
 
     def mominsrow(self, dst, int_src, row: int) -> RegHandle:
-        updated = dst.value.copy()
-        updated.set_row(row, int_src.value & _U64)
-        dst.value = updated
+        dst.value = dst.value.with_rows([int_src.value & _U64], row)
         self._emit(self.media_table["mominsrow"], srcs=(int_src, dst), dsts=(dst,), vl=1)
         return dst
 
     def mombcastrow(self, dst, src) -> RegHandle:
         """Broadcast row 0 of ``src`` into all VL rows of ``dst``."""
-        rows = dst.value.rows.copy()
-        rows[: self.vl] = np.uint64(src.value.get_row(0))
-        dst.value = MomRegister(rows)
+        dst.value = dst.value.with_rows([src.value.get_row(0)] * self.vl)
         self._emit(self.media_table["mombcastrow"], srcs=(src,), dsts=(dst,), vl=self.vl)
         return dst
 
     # --- special matrix operations ----------------------------------------------------------------------------------
 
-    def _matrix_scalar_op(self, name: str, acc, a, b, rule, elem: ElemType):
-        """Fully-reducing matrix operation: acc += sum over rows and lanes.
+    def _matrix_scalar_op(self, name: str, acc, a, b, combine, elem: ElemType,
+                          signed: bool, by_row0: bool = False):
+        """Fully-reducing matrix operation: acc += the sum over the rows
+        below VL and over lanes of ``combine`` of the two operands' lanes
+        (each row of ``a`` against row 0 of ``b`` if ``by_row0``).
 
         These are Section 2.2's "very powerful matrix instructions": the
         hardware reduces both dimensions through an adder tree, so software
         reads one scalar back with a single ``racl``.
         """
-        combine, signed = rule
-        la = packed.to_lanes(a.value.rows[: self.vl], elem,
-                             signed=signed).astype(np.int64)
-        lb = packed.to_lanes(b.value.rows[: self.vl], elem,
-                             signed=signed).astype(np.int64)
-        acc.value.scalar_add(int(combine(la, lb)))
+        vl = self.vl
+        b_rows = [b.value.rows[0]] * vl if by_row0 else b.value.rows[:vl]
+        acc.value.scalar_add(sum(map(
+            combine, packed.rows_to_lanes(a.value.rows[:vl], elem, signed),
+            packed.rows_to_lanes(b_rows, elem, signed))))
         self._emit(self.media_table[name], srcs=(a, b, acc), dsts=(acc,),
-                   vl=self.vl)
+                   vl=vl)
         return acc
 
     def mommsadb(self, acc, a, b):
         """Matrix SAD: acc += sum over rows and byte lanes of |a - b|."""
-        return self._matrix_scalar_op("mommsadb", acc, a, b, _SAD, _E.B)
+        return self._matrix_scalar_op("mommsadb", acc, a, b, abs_difference,
+                                      _E.B, False)
 
     def mommsadh(self, acc, a, b):
-        return self._matrix_scalar_op("mommsadh", acc, a, b, _SAD, _E.H)
+        return self._matrix_scalar_op("mommsadh", acc, a, b, abs_difference,
+                                      _E.H, False)
 
     def mommsqdb(self, acc, a, b):
         """MPEG-2 matrix sum of quadratic differences (scalar total)."""
-        return self._matrix_scalar_op("mommsqdb", acc, a, b, _SQD, _E.B)
+        return self._matrix_scalar_op("mommsqdb", acc, a, b, square_difference,
+                                      _E.B, False)
 
     def mommsqdh(self, acc, a, b):
-        return self._matrix_scalar_op("mommsqdh", acc, a, b, _SQD, _E.H)
+        return self._matrix_scalar_op("mommsqdh", acc, a, b, square_difference,
+                                      _E.H, False)
 
     def mommvmb(self, acc, a, b):
         """Matrix dot product: acc += sum over rows and lanes of a * b."""
-        return self._matrix_scalar_op("mommvmb", acc, a, b, _DOT, _E.B)
+        return self._matrix_scalar_op("mommvmb", acc, a, b, mul, _E.B, True)
 
     def mommvmh(self, acc, a, b):
-        return self._matrix_scalar_op("mommvmh", acc, a, b, _DOT, _E.H)
+        return self._matrix_scalar_op("mommvmh", acc, a, b, mul, _E.H, True)
 
     def mommpvb(self, acc, a, v):
         """Matrix-per-vector: acc += sum over rows of a_row . v_row0, bytes."""
-        return self._matrix_scalar_op("mommpvb", acc, a, v, _MPV, _E.B)
+        return self._matrix_scalar_op("mommpvb", acc, a, v, mul, _E.B, True,
+                                      by_row0=True)
 
     def mommpvh(self, acc, a, v):
         """Matrix-per-vector: acc += sum over rows of a_row . v_row0, halves."""
-        return self._matrix_scalar_op("mommpvh", acc, a, v, _MPV, _E.H)
+        return self._matrix_scalar_op("mommpvh", acc, a, v, mul, _E.H, True,
+                                      by_row0=True)
 
     def momtransb(self, dst, a):
         dst.value = a.value.transpose_blocks(_E.B)
@@ -275,13 +267,15 @@ class MomBuilder(MdmxBuilder):
     # --- row reductions / shifts ----------------------------------------------------------------------------------------
 
     def _vsum(self, name: str, dst, a, elem: ElemType, saturating: bool) -> RegHandle:
-        lanes = a.value.to_lane_matrix(elem, signed=False).astype(np.int64)
-        total = lanes[: self.vl].sum(axis=0)
+        """Row 0 <- each unsigned lane summed over the rows below VL,
+        saturated or (``momvsumw``) wrapped to the lane; rows 1.. keep."""
+        n = elem.lanes
+        lanes = packed.rows_to_lanes(a.value.rows[: self.vl], elem)
+        sums = [sum(lanes[i::n]) for i in range(n)]
         if saturating:
-            total = packed.saturate(total, elem, signed=False)
-        rows = dst.value.rows.copy()
-        rows[0] = packed.from_lanes(total)
-        dst.value = MomRegister(rows)
+            top = (1 << elem.bits) - 1
+            sums = [min(s, top) for s in sums]
+        dst.value = dst.value.with_rows(packed.lanes_to_rows(sums, elem))
         self._emit(self.media_table[name], srcs=(a,), dsts=(dst,), vl=self.vl)
         return dst
 
@@ -307,10 +301,11 @@ class MomBuilder(MdmxBuilder):
     # --- vector-scalar broadcast forms --------------------------------------------------------------------------------------
 
     def _vs(self, name: str, dst, a, b, fn, *args) -> RegHandle:
-        row0 = np.full(self.vl, b.value.get_row(0), dtype=np.uint64)
-        rows = dst.value.rows.copy()
-        rows[: self.vl] = fn(a.value.rows[: self.vl], row0, *args)
-        dst.value = MomRegister(rows)
+        """Row ``r`` of ``dst`` <- ``fn`` of row ``r`` of ``a`` and row 0
+        of ``b``, for each row below VL; rows from VL up keep."""
+        row0 = b.value.get_row(0)
+        dst.value = dst.value.with_rows(
+            [fn(row, row0, *args) for row in a.value.rows[: self.vl]])
         self._emit(self.media_table[name], srcs=(a, b), dsts=(dst,), vl=self.vl)
         return dst
 
@@ -333,10 +328,10 @@ class MomBuilder(MdmxBuilder):
         return self._vs("vsmulhh", dst, a, b, packed.mul_high, _E.H, True)
 
     def vsandq(self, dst, a, b):
-        return self._vs("vsandq", dst, a, b, lambda x, y: x & y)
+        return self._vs("vsandq", dst, a, b, and_)
 
     def vsorq(self, dst, a, b):
-        return self._vs("vsorq", dst, a, b, lambda x, y: x | y)
+        return self._vs("vsorq", dst, a, b, or_)
 
     # --- misc -------------------------------------------------------------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import AlphaBuilder, MdmxBuilder, MmxBuilder, MomBuilder
+from repro.core import packed
 from repro.core.matrix import MomRegister
 from repro.emulib.alpha_builder import emit_abs_diff, emit_clamp
 from repro.emulib.base_builder import wrap64
@@ -260,7 +261,7 @@ def _absent_opcode_calls(b):
 
 
 def _builder_state(b, regs):
-    values = [r.value.rows.tolist() if isinstance(r.value, MomRegister)
+    values = [list(r.value.rows) if isinstance(r.value, MomRegister)
               else r.value for r in regs]
     return values, b.mem.data.tobytes(), len(b.trace)
 
@@ -454,7 +455,7 @@ def test_mom_transpose_instruction():
     src.value = MomRegister.from_lane_matrix(lanes, ElemType.H)
     dst = b.mreg()
     b.momtransh(dst, src)
-    got = dst.value.to_lane_matrix(ElemType.H)
+    got = np.asarray(packed.rows_to_lanes(dst.value.rows, ElemType.H)).reshape(16, 4)
     assert (got[:4] == lanes[:4].T).all()
 
 

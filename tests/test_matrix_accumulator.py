@@ -13,46 +13,68 @@ from repro.isa.model import ElemType
 words16 = st.lists(st.integers(0, (1 << 64) - 1), min_size=16, max_size=16)
 
 
+def _lane_rows(reg, elem, signed=False):
+    """The register's lanes, one tuple per row."""
+    lanes = packed.rows_to_lanes(reg.rows, elem, signed)
+    n = elem.lanes
+    return [lanes[i:i + n] for i in range(0, len(lanes), n)]
+
+
 # --- MomRegister -----------------------------------------------------------------
 
 def test_register_starts_zero():
     reg = MomRegister()
-    assert (reg.rows == 0).all()
+    assert reg.rows == [0] * 16
 
 
 def test_register_requires_16_rows():
     with pytest.raises(ValueError):
-        MomRegister(np.zeros(8, dtype=np.uint64))
+        MomRegister([0] * 8)
+    with pytest.raises(ValueError):
+        MomRegister([0] * 17)
 
 
 def test_row_accessors_mask():
-    reg = MomRegister()
-    reg.set_row(3, -1)
-    assert reg.get_row(3) == (1 << 64) - 1
+    reg = MomRegister([-1] + [0] * 15).with_rows([(1 << 64) - 2], 3)
+    assert reg.get_row(0) == reg.get_row(3) + 1 == (1 << 64) - 1
+    assert type(reg.get_row(0)) is int
+    assert MomRegister(np.arange(16, dtype=np.uint64)).rows == list(range(16))
 
 
 def test_copy_is_independent():
     reg = MomRegister()
     dup = reg.copy()
-    dup.set_row(0, 5)
+    dup.rows[0] = 5
     assert reg.get_row(0) == 0
+    assert reg.with_rows([7, 8], 14).rows[13:] == [0, 7, 8]
+    assert reg.rows == [0] * 16
+
+
+def test_register_is_unhashable():
+    """Registers compare by their rows and are mutable, so (like
+    ``PackedAccumulator``) they cannot be hashed."""
+    assert MomRegister() == MomRegister()
+    with pytest.raises(TypeError):
+        hash(MomRegister())
+    with pytest.raises(TypeError):
+        {MomRegister(), MomRegister()}
 
 
 def test_lane_matrix_roundtrip():
-    lanes = np.arange(16 * 4, dtype=np.int64).reshape(16, 4)
+    lanes = [tuple(range(4 * r, 4 * r + 4)) for r in range(16)]
     reg = MomRegister.from_lane_matrix(lanes, ElemType.H)
-    assert (reg.to_lane_matrix(ElemType.H) == lanes).all()
+    assert _lane_rows(reg, ElemType.H) == lanes
 
 
 def test_from_lane_matrix_validates_shape():
     with pytest.raises(ValueError):
-        MomRegister.from_lane_matrix(np.zeros((16, 3)), ElemType.H)
+        MomRegister.from_lane_matrix([[0] * 3] * 16, ElemType.H)
     with pytest.raises(ValueError):
-        MomRegister.from_lane_matrix(np.zeros((17, 4)), ElemType.H)
+        MomRegister.from_lane_matrix([[0] * 4] * 17, ElemType.H)
 
 
 def test_partial_rows_zero_filled():
-    reg = MomRegister.from_lane_matrix(np.ones((4, 8)), ElemType.B)
+    reg = MomRegister.from_lane_matrix([[1] * 8] * 4, ElemType.B)
     assert reg.get_row(3) != 0
     assert reg.get_row(4) == 0
 
@@ -60,27 +82,27 @@ def test_partial_rows_zero_filled():
 @given(words16)
 @settings(max_examples=30)
 def test_transpose_involution(rows):
-    reg = MomRegister(np.asarray(rows, dtype=np.uint64))
+    reg = MomRegister(rows)
     for elem in (ElemType.B, ElemType.H, ElemType.W):
         assert reg.transpose_blocks(elem).transpose_blocks(elem) == reg
 
 
 def test_transpose_h_block_semantics():
-    lanes = np.arange(16 * 4).reshape(16, 4)
+    lanes = [tuple(range(4 * r, 4 * r + 4)) for r in range(16)]
     reg = MomRegister.from_lane_matrix(lanes, ElemType.H)
-    out = reg.transpose_blocks(ElemType.H).to_lane_matrix(ElemType.H)
+    out = _lane_rows(reg.transpose_blocks(ElemType.H), ElemType.H)
     for block in range(4):
         src = lanes[4 * block : 4 * block + 4]
-        assert (out[4 * block : 4 * block + 4] == src.T).all()
+        assert out[4 * block : 4 * block + 4] == list(zip(*src))
 
 
 def test_transpose_q_is_identity():
-    reg = MomRegister(np.arange(16, dtype=np.uint64))
+    reg = MomRegister(range(16))
     assert reg.transpose_blocks(ElemType.Q) == reg
 
 
 def test_row_shift_directions():
-    reg = MomRegister(np.arange(16, dtype=np.uint64))
+    reg = MomRegister(range(16))
     up = reg.row_shift(towards_zero=True)
     assert up.get_row(0) == 1 and up.get_row(15) == 0
     down = reg.row_shift(towards_zero=False)
@@ -88,8 +110,8 @@ def test_row_shift_directions():
 
 
 def test_equality_and_repr():
-    a = MomRegister(np.arange(16, dtype=np.uint64))
-    b = MomRegister(np.arange(16, dtype=np.uint64))
+    a = MomRegister(range(16))
+    b = MomRegister(range(16))
     assert a == b and not (a == MomRegister())
     assert "MomRegister" in repr(a)
 
@@ -109,32 +131,32 @@ def test_acc_lane_widths():
 
 def test_madd_accumulates_products():
     acc = PackedAccumulator()
-    a = packed.from_lanes(np.asarray([[100, -100, 3, 4]], dtype=np.int16))[0]
-    acc.madd(a, a, ElemType.H)
+    (a,) = packed.lanes_to_rows([100, -100, 3, 4], ElemType.H)
+    acc.madd([a], [a], ElemType.H)
     assert acc.lanes(ElemType.H) == [10000, 10000, 9, 16]
-    acc.madd(a, a, ElemType.H, subtract=True)
+    acc.madd([a], [a], ElemType.H, subtract=True)
     assert acc.lanes(ElemType.H) == [0, 0, 0, 0]
 
 
 def test_acc_add_and_subtract():
     acc = PackedAccumulator()
-    acc.acc_add(np.uint64(0x05), np.uint64(0x03), ElemType.B)
+    acc.acc_add([0x05], [0x03], ElemType.B)
     assert acc.lanes(ElemType.B)[0] == 8
-    acc.acc_add(np.uint64(0x00), np.uint64(0x03), ElemType.B, subtract=True)
+    acc.acc_add([0x00], [0x03], ElemType.B, subtract=True)
     assert acc.lanes(ElemType.B)[0] == 5
 
 
 def test_acc_sad_and_sqd():
     acc = PackedAccumulator()
-    acc.acc_sad(np.uint64(10), np.uint64(3), ElemType.B)
+    acc.acc_sad([10], [3], ElemType.B)
     assert acc.lanes(ElemType.B)[0] == 7
-    acc.acc_sqd(np.uint64(10), np.uint64(3), ElemType.B)
+    acc.acc_sqd([10], [3], ElemType.B)
     assert acc.lanes(ElemType.B)[0] == 7 + 49
 
 
 def test_lane_wraparound_two_complement():
     acc = PackedAccumulator()
-    acc.acc_add(np.uint64(0), np.uint64(1), ElemType.B, subtract=True)
+    acc.acc_add([0], [1], ElemType.B, subtract=True)
     assert acc.lanes(ElemType.B)[0] == -1
     assert acc.lanes(ElemType.B)[1] == 0    # neighbours untouched
 
@@ -151,18 +173,17 @@ def test_read_slice_reassembles_lane():
 
 def test_read_saturated_rounds_and_clips():
     acc = PackedAccumulator()
-    a = packed.from_lanes(np.asarray([[1000, -1000, 3, 0]], dtype=np.int16))[0]
-    one = packed.from_lanes(np.asarray([[1, 1, 1, 1]], dtype=np.int16))[0]
-    acc.madd(a, one, ElemType.H)
+    a, one = packed.lanes_to_rows([1000, -1000, 3, 0, 1, 1, 1, 1], ElemType.H)
+    acc.madd([a], [one], ElemType.H)
     word = acc.read_saturated(ElemType.H, signed=True, shift=2)
-    lanes = packed.to_lanes(np.uint64(word), ElemType.H, signed=True)
+    lanes = packed.rows_to_lanes([word], ElemType.H, signed=True)
     # (x + 2) >> 2 with arithmetic shift: 1000 -> 250, -1000 -> -250, 3 -> 1
     assert list(lanes) == [250, -250, 1, 0]
 
 
 def test_read_saturated_clips_unsigned():
     acc = PackedAccumulator()
-    acc.acc_add(np.uint64(0), np.uint64(1), ElemType.B, subtract=True)
+    acc.acc_add([0], [1], ElemType.B, subtract=True)
     word = acc.read_saturated(ElemType.B, signed=False)
     assert word & 0xFF == 0      # -1 clips to 0
 
@@ -201,9 +222,8 @@ def test_acc_matches_integer_reference(deltas):
     acc = PackedAccumulator()
     reference = [0] * 8
     for d in deltas:
-        word = packed.from_lanes(
-            np.asarray([[abs(d) % 256] * 8], dtype=np.int64))[0]
-        acc.acc_sad(word, np.uint64(0), ElemType.B)
+        (word,) = packed.lanes_to_rows([abs(d) % 256] * 8, ElemType.B)
+        acc.acc_sad([word], [0], ElemType.B)
         for i in range(8):
             reference[i] += abs(d) % 256
     assert acc.lanes(ElemType.B) == reference
@@ -243,10 +263,10 @@ def test_pipelined_validation():
 
 # --- one fold per MOM instruction ---------------------------------------------------
 #
-# A MOM accumulate instruction folds all VL rows in one step (numpy rows
-# in, one per-lane sum out); an MDMX instruction folds one int word.
+# A MOM accumulate instruction folds all VL rows in one step (the rows
+# in, one per-lane sum out); an MDMX instruction folds a one-row sequence.
 # Lanes wrap modulo their width, so the one-step fold must leave exactly
-# the bits of folding the rows one at a time -- in either word form.
+# the bits of folding the rows one at a time.
 
 U64_MAX = (1 << 64) - 1
 ACC_MAX = (1 << 192) - 1
@@ -264,18 +284,14 @@ FOLD_ELEMS = (ElemType.B, ElemType.H, ElemType.W)
 
 
 def _fold_agrees(a_rows, b_rows, start):
-    a = np.asarray(a_rows, dtype=np.uint64)
-    b = np.asarray(b_rows, dtype=np.uint64)
     for name, fold in FOLDS.items():
         for elem in FOLD_ELEMS:
             one_step = PackedAccumulator(start)
-            fold(one_step, a, b, elem)
-            by_int = PackedAccumulator(start)
-            by_numpy = PackedAccumulator(start)
+            fold(one_step, a_rows, b_rows, elem)
+            by_row = PackedAccumulator(start)
             for x, y in zip(a_rows, b_rows):
-                fold(by_int, int(x), int(y), elem)
-                fold(by_numpy, np.uint64(x), np.uint64(y), elem)
-            assert one_step == by_int == by_numpy, (name, elem)
+                fold(by_row, [x], [y], elem)
+            assert one_step == by_row, (name, elem)
 
 
 @given(words16, words16, st.integers(0, 16), st.integers(0, ACC_MAX))
@@ -300,10 +316,9 @@ def test_one_step_fold_at_the_extremes(a_word, b_word, start):
 
 def test_fold_of_no_rows_leaves_the_accumulator():
     acc = PackedAccumulator(12345)
-    empty = np.zeros(0, dtype=np.uint64)
     for fold in FOLDS.values():
         for elem in FOLD_ELEMS:
-            fold(acc, empty, empty, elem)
+            fold(acc, [], [], elem)
     assert acc == PackedAccumulator(12345)
 
 
@@ -334,8 +349,7 @@ def _lanes(word, elem, signed):
 @given(words16, words16, st.integers(0, 16), st.integers(0, ACC_MAX))
 @settings(max_examples=30, deadline=None)
 def test_folds_match_a_lane_reference(a_rows, b_rows, vl, start):
-    a = np.asarray(a_rows[:vl], dtype=np.uint64)
-    b = np.asarray(b_rows[:vl], dtype=np.uint64)
+    a, b = a_rows[:vl], b_rows[:vl]
     for name, fold in FOLDS.items():
         signed, contribution = LANE_REFERENCE[name]
         for elem in FOLD_ELEMS:
@@ -360,6 +374,10 @@ def test_read_saturated_matches_numpy_clip(bits, shift):
             half = (1 << (shift - 1)) if shift else 0
             rounded = np.asarray([(lane + half) >> shift
                                   for lane in acc.lanes(elem)], dtype=np.int64)
-            want = int(packed.from_lanes(packed.saturate(rounded, elem,
-                                                         signed)))
+            bits = elem.bits
+            lo, hi = ((-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed
+                      else (0, (1 << bits) - 1))
+            clipped = np.clip(rounded, lo, hi) & ((1 << bits) - 1)
+            want = int.from_bytes(clipped.astype(f"<u{bits // 8}").tobytes(),
+                                  "little")
             assert acc.read_saturated(elem, signed, shift) == want

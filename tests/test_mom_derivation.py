@@ -108,7 +108,7 @@ def test_packed_op_is_mdmx_on_each_row_below_vl(name):
                     m.value = s.value.get_row(r)
                 getattr(mdmx, name)(m_dst, *m_srcs, *extra)
                 assert dst.value.get_row(r) == m_dst.value, (vl, r)
-            assert (dst.value.rows[vl:] == before[vl:]).all()
+            assert dst.value.rows[vl:] == before[vl:]
             assert len(mom.trace) == rows + 1
             row = mom.trace[-1]
             assert row.op.name == name and row.vl == vl
@@ -158,7 +158,7 @@ def test_readout_is_mdmx_word_in_row_zero_or_int(name):
             before = matrix.value.rows.copy()
             getattr(mom, name)(matrix, acc, arg)
             assert matrix.value.get_row(0) == m_dst.value
-            assert (matrix.value.rows[1:] == before[1:]).all()
+            assert matrix.value.rows[1:] == before[1:]
             getattr(mom, name)(integer, acc, arg)
             assert integer.value == wrap64(m_dst.value)
             assert acc.value.bits == bits
